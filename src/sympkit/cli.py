@@ -2,10 +2,11 @@
 
 Every subcommand prints a deterministic report (byte-identical for a fixed
 argument list, apart from the timestamp) and embeds exact self-checks.
-Exit code 0 means every embedded check passed, 1 means at least one failed,
-2 means the invocation itself was bad (unknown flags, values out of range,
-or a refused resource budget).  --json switches any subcommand to the
-versioned JSON report {schema, command, timestamp, results, assertions}.
+Exit code 0 means every embedded check passed, 1 means at least one failed
+or an internal invariant broke (the message goes to stderr), 2 means the
+invocation itself was bad (unknown flags, values out of range, or a refused
+resource budget).  --json switches any subcommand to the versioned JSON
+report {schema, command, timestamp, results, assertions}.
 """
 
 import argparse
@@ -106,7 +107,10 @@ def _cmd_census(args):
 def _cmd_family(args):
     spec = FamilySpec(_family_tag(args.case), args.ell)
     grp = build_family(spec)
-    factors = sorted({int(v) for v in grp.nu_values()})
+    try:
+        factors = sorted({int(v) for v in grp.nu_values()})
+    except ValueError:  # some member is not a similitude
+        factors = None
     results = {
         "family": spec.tag,
         "ell": args.ell,
@@ -114,8 +118,10 @@ def _cmd_family(args):
         "similitude_factors": factors,
     }
     assertions = [
-        ("closure-verified", True),          # build_family raises otherwise
-        ("members-are-similitudes", True),   # nu_values raises otherwise
+        # build_family proves the key set a group by regenerating it from a
+        # certificate, and raises AssertionError (exit 1) when it is not
+        ("closure-verified", True),
+        ("members-are-similitudes", factors is not None),
     ]
     try:
         base = family_base_subgroup(spec)
@@ -348,7 +354,7 @@ def build_parser():
                    help="also write the histogram as CSV")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("family", parents=[shared, pool],
+    p = sub.add_parser("family", parents=[shared],
                        help="build one explicit subgroup family")
     p.add_argument("--case", required=True,
                    help="LeviB, LeviP, LeviQ, Hen, or a case number 5-9")

@@ -11,7 +11,9 @@ The supported full enumerations are ell = 3 (about 1e5 elements) and ell = 5
 (about 1e7, permitted only when the configured memory budget allows); larger
 primes are refused outright.  The subgroup families (Levi factors, the
 checkerboard endoscopic group, and the five exotic constructions) are built
-by direct parameter enumeration and verified closed.
+by direct parameter enumeration and proven closed by regeneration: each key
+set must equal the closure of a small certificate drawn from it, which makes
+it a group (_prove_group).
 """
 
 import os
@@ -20,7 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_arith import PrimeFieldElem, quadratic_nonresidue, solve_sum_of_squares
+from .exact_arith import (
+    PrimeFieldElem,
+    _require_odd_prime,
+    is_odd_prime,
+    quadratic_nonresidue,
+    solve_sum_of_squares,
+)
 from .gsp4_core import similitude_generator, standard_generators
 
 DEFAULT_MAX_BYTES = 512 << 20
@@ -38,11 +46,6 @@ _SWAP = np.array(
 
 class ResourceLimit(RuntimeError):
     "An enumeration would exceed the configured memory budget."
-
-
-def _check_odd_prime(ell):
-    if ell < 3 or ell % 2 == 0 or any(ell % d == 0 for d in range(3, ell, 2)):
-        raise ValueError("need an odd prime, got %r" % (ell,))
 
 
 def resolve_threads(threads=None):
@@ -99,7 +102,7 @@ class PackedElement:
     __slots__ = ("ell", "key", "nu")
 
     def __init__(self, ell, key, nu):
-        _check_odd_prime(ell)
+        _require_odd_prime(ell)
         if ell > 13:
             raise ValueError("16 entries at %d bits do not fit a 64-bit key"
                              % _bits_for(ell))
@@ -172,38 +175,8 @@ def charpoly_coeffs(mats, ell):
     )
 
 
-def _inv4(mats, ell):
-    "Vectorized inverse mod ell via the adjugate (matrices must be units)."
-    m = np.asarray(mats, dtype=np.int64)
-    det = _det4(m) % ell
-    if (det == 0).any():
-        raise ZeroDivisionError("singular matrix in inverse batch")
-    inv_unit = np.array(
-        [0] + [pow(x, ell - 2, ell) for x in range(1, ell)], dtype=np.int64
-    )
-    adj = np.empty_like(m)
-    for i in range(4):
-        rows = tuple(r for r in range(4) if r != i)
-        for j in range(4):
-            cols = tuple(c for c in range(4) if c != j)
-            cof = _minor3(m, rows, cols)
-            if (i + j) % 2:
-                cof = -cof
-            adj[:, j, i] = cof % ell
-    return adj * inv_unit[det][:, None, None] % ell
-
-
 # ---------------------------------------------------------------------------
 # closure machinery
-
-
-def _notin_sorted(keys, sorted_ref):
-    "Entries of sorted `keys` absent from sorted `sorted_ref`."
-    if sorted_ref.size == 0:
-        return keys
-    idx = np.searchsorted(sorted_ref, keys)
-    idx[idx == sorted_ref.size] = sorted_ref.size - 1
-    return keys[sorted_ref[idx] != keys]
 
 
 def _contains_sorted(sorted_ref, keys):
@@ -212,6 +185,11 @@ def _contains_sorted(sorted_ref, keys):
     idx = np.searchsorted(sorted_ref, keys)
     idx[idx == sorted_ref.size] = sorted_ref.size - 1
     return sorted_ref[idx] == keys
+
+
+def _notin_sorted(keys, sorted_ref):
+    "Entries of sorted `keys` absent from sorted `sorted_ref`."
+    return keys[~_contains_sorted(sorted_ref, keys)]
 
 
 def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
@@ -264,7 +242,7 @@ class GroupSet:
     __slots__ = ("ell", "_keys")
 
     def __init__(self, ell, keys):
-        _check_odd_prime(ell)
+        _require_odd_prime(ell)
         arr = np.unique(np.asarray(keys, dtype=np.uint64))
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
@@ -333,33 +311,32 @@ class GroupSet:
         return "GroupSet(ell=%d, order=%d)" % (self.ell, self.order)
 
 
-def _verify_group(keys, ell, name, pair_limit=3000):
-    """Check identity / inverse closure / product closure on a key set.
+def _prove_group(keys, ell, name):
+    """Prove the sorted key set `keys` a group; return the certificate S.
 
-    Product closure is verified on all pairs when the order is at most
-    pair_limit, and on a deterministic 128-row slice of the product table
-    beyond that; inverse closure and the identity are always checked in full.
-    """
-    ident_key = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
-    if not _contains_sorted(keys, ident_key)[0]:
-        raise AssertionError("%s: identity missing" % name)
-    inv_parts = []
-    for i in range(0, keys.size, 1 << 15):
-        mats = unpack_keys(keys[i:i + (1 << 15)], ell)
-        inv_parts.append(pack_matrices(_inv4(mats, ell), ell))
-    inv_keys = np.sort(np.concatenate(inv_parts))
-    if not np.array_equal(inv_keys, keys):
-        raise AssertionError("%s: not closed under inverse" % name)
-    rows = keys if keys.size <= pair_limit else keys[:128]
-    row_mats = unpack_keys(rows, ell)
-    for i in range(0, rows.size, 16):
-        block = row_mats[i:i + 16]
-        for j in range(0, keys.size, 1 << 13):
-            cols = unpack_keys(keys[j:j + (1 << 13)], ell)
-            prods = np.matmul(block[:, None], cols[None, :]) % ell
-            pk = pack_matrices(prods.reshape(-1, 4, 4), ell)
-            if not _contains_sorted(keys, np.sort(pk)).all():
-                raise AssertionError("%s: not closed under product" % name)
+    From the identity, add the smallest key not yet in the closure to S and
+    recompute the closure <S>, until <S> equals the set (which is then a
+    group) or leaves it (then the set is not closed under product).  Each
+    key at least doubles <S> (Lagrange): |S| <= order.bit_length()."""
+    cert = np.empty(0, dtype=np.uint64)
+    closure = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
+    while True:
+        if not _contains_sorted(keys, closure).all():
+            raise AssertionError("%s: not closed under product" % name)
+        if closure.size == keys.size:
+            return cert
+        cert = np.append(cert, _notin_sorted(keys, closure)[0])
+        try:
+            closure = mulclose(unpack_keys(cert, ell), ell, cap=keys.size)
+        except RuntimeError:  # the closure outgrew the set
+            raise AssertionError("%s: not closed under product" % name) from None
+
+
+def _proven_keys(mats, ell, name):
+    "Sorted keys of the matrices mod ell, proven a group by _prove_group."
+    keys = np.unique(pack_matrices(np.asarray(mats, dtype=np.int64) % ell, ell))
+    _prove_group(keys, ell, name)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +344,9 @@ def _verify_group(keys, ell, name, pair_limit=3000):
 
 
 def _primitive_root(ell):
-    for g in range(2, ell):
-        vals = set()
-        x = 1
-        for _ in range(ell - 1):
-            x = x * g % ell
-            vals.add(x)
-        if len(vals) == ell - 1:
-            return g
-    raise ValueError("no primitive root mod %d" % ell)
+    "The least g whose powers are every unit mod the odd prime ell."
+    return next(g for g in range(2, ell)
+                if len({pow(g, k, ell) for k in range(1, ell)}) == ell - 1)
 
 
 def _to_int_mats(mats):
@@ -395,7 +366,7 @@ def gsp4_order(ell):
 
 
 def _check_enum_prime(ell):
-    _check_odd_prime(ell)
+    _require_odd_prime(ell)
     if ell not in _ENUM_PRIMES:
         raise ValueError(
             "full enumeration is supported for ell in %r only (order ~%.1e)"
@@ -410,6 +381,19 @@ def _check_budget(order, max_bytes):
             % (order, need, max_bytes))
 
 
+def _closure_group(gens, ell, order, threads, max_bytes):
+    "The closure of `gens`, which must have exactly `order` elements."
+    _check_budget(order, max_bytes)
+    try:
+        keys = mulclose(_to_int_mats(gens), ell, cap=order, threads=threads)
+    except RuntimeError as exc:  # the cap: more than `order` elements
+        raise AssertionError(str(exc)) from None
+    if keys.size != order:
+        raise AssertionError(
+            "closure produced %d elements, expected %d" % (keys.size, order))
+    return GroupSet(ell, keys)
+
+
 def enumerate_sp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
     """The full group with nu = 1 over F_ell, from the standard generators.
 
@@ -417,30 +401,18 @@ def enumerate_sp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
     roughly ten million elements and is allowed only within max_bytes.
     """
     _check_enum_prime(ell)
-    order = sp4_order(ell)
-    _check_budget(order, max_bytes)
     gamma = PrimeFieldElem(ell, _primitive_root(ell))
-    gens = _to_int_mats(standard_generators(gamma))
-    keys = mulclose(gens, ell, cap=order, threads=threads)
-    if keys.size != order:
-        raise RuntimeError(
-            "closure produced %d elements, expected %d" % (keys.size, order))
-    return GroupSet(ell, keys)
+    return _closure_group(standard_generators(gamma), ell, sp4_order(ell),
+                          threads, max_bytes)
 
 
 def enumerate_gsp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
     "As enumerate_sp4 plus the similitude coweight: order (ell-1) |Sp4|."
     _check_enum_prime(ell)
-    order = gsp4_order(ell)
-    _check_budget(order, max_bytes)
     gamma = PrimeFieldElem(ell, _primitive_root(ell))
-    gens = _to_int_mats(
-        standard_generators(gamma) + [similitude_generator(gamma)])
-    keys = mulclose(gens, ell, cap=order, threads=threads)
-    if keys.size != order:
-        raise RuntimeError(
-            "closure produced %d elements, expected %d" % (keys.size, order))
-    return GroupSet(ell, keys)
+    return _closure_group(
+        standard_generators(gamma) + [similitude_generator(gamma)], ell,
+        gsp4_order(ell), threads, max_bytes)
 
 
 def brute_similitude_scan(chunk=1 << 20):
@@ -570,7 +542,7 @@ class FamilySpec:
     def __init__(self, tag, ell, u=None, a=None, b=None, lam=None):
         if tag not in _FAMILY_TAGS:
             raise ValueError("unknown family tag %r" % (tag,))
-        _check_odd_prime(ell)
+        _require_odd_prime(ell)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "u", u)
@@ -627,6 +599,12 @@ def _units(ell):
     return np.arange(1, ell, dtype=np.int64)
 
 
+def _inverse_table(ell):
+    "inv[x] = x^-1 mod ell for every unit x (inv[0] = 0)."
+    return np.array([0] + [pow(x, -1, ell) for x in range(1, ell)],
+                    dtype=np.int64)
+
+
 def _all_gl2(ell):
     "(N, 2, 2) of every invertible 2x2, plus the (N,) determinants."
     grid = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
@@ -638,8 +616,7 @@ def _all_gl2(ell):
 def _family_levi_b(ell):
     t1, t2, t0 = [g.ravel() for g in np.meshgrid(
         _units(ell), _units(ell), _units(ell), indexing="ij")]
-    inv = np.array([0] + [pow(x, ell - 2, ell) for x in range(1, ell)],
-                   dtype=np.int64)
+    inv = _inverse_table(ell)
     n = t1.size
     out = np.zeros((n, 4, 4), dtype=np.int64)
     out[:, 0, 0] = t1
@@ -651,8 +628,7 @@ def _family_levi_b(ell):
 
 def _family_levi_p(ell):
     gl2, det = _all_gl2(ell)
-    inv = np.array([0] + [pow(x, ell - 2, ell) for x in range(1, ell)],
-                   dtype=np.int64)
+    inv = _inverse_table(ell)
     units = _units(ell)
     n = gl2.shape[0] * units.size
     a = np.repeat(gl2, units.size, axis=0)
@@ -671,8 +647,7 @@ def _family_levi_p(ell):
 
 def _family_levi_q(ell):
     gl2, det = _all_gl2(ell)
-    inv = np.array([0] + [pow(x, ell - 2, ell) for x in range(1, ell)],
-                   dtype=np.int64)
+    inv = _inverse_table(ell)
     units = _units(ell)
     b = np.repeat(gl2, units.size, axis=0)
     d = np.repeat(det, units.size)
@@ -804,24 +779,12 @@ _NEG_LOWER = np.array(
 
 
 def _extend_by(base_mats, w, ell, name):
-    """Key set of the group generated by a closed base set and one element w
-    that normalizes it: exactly base ∪ base·w (proved, not assumed — the
-    normalization and w² ∈ base checks below are what make the union the
-    whole generated group)."""
-    keys = np.unique(pack_matrices(np.asarray(base_mats, np.int64) % ell, ell))
-    base = unpack_keys(keys, ell)
+    """Key set of <base, w>: the union base ∪ base·w, proven a group.  A group
+    that contains base and base·w contains w and lies inside <base, w>, so it
+    is <base, w>; a union that is no group raises AssertionError."""
+    base = np.asarray(base_mats, dtype=np.int64) % ell
     w = np.asarray(w, dtype=np.int64) % ell
-    winv = _inv4(w[None], ell)[0]
-    conj = np.matmul(np.matmul(winv[None], base), w[None]) % ell
-    if not _contains_sorted(keys, np.sort(pack_matrices(conj, ell))).all():
-        raise AssertionError(
-            "%s: adjoined element does not normalize the base" % name)
-    w2 = pack_matrices((w @ w % ell)[None], ell)
-    if not _contains_sorted(keys, w2)[0]:
-        raise AssertionError(
-            "%s: square of adjoined element escapes the base" % name)
-    coset = pack_matrices(np.matmul(base, w[None]) % ell, ell)
-    return np.unique(np.concatenate([keys, coset]))
+    return _proven_keys(np.concatenate([base, base @ w % ell]), ell, name)
 
 
 _FAMILY_BASES = {
@@ -838,54 +801,46 @@ _FAMILY_EXTENSIONS = {
     "Case8": _NEG_LOWER,
 }
 
+_FAMILY_SETS = {
+    "LeviB": lambda spec: _family_levi_b(spec.ell),
+    "LeviP": lambda spec: _family_levi_p(spec.ell),
+    "LeviQ": lambda spec: _family_levi_q(spec.ell),
+    "Hen": lambda spec: _family_hen(spec.ell),
+    "Case9": lambda spec: _family_case9_base(spec.ell),
+}
+
 
 def build_family(spec):
-    """The explicit subgroup named by `spec`, as a verified GroupSet.
+    """The explicit subgroup named by `spec`, as a GroupSet proven closed.
 
     The Levi and checkerboard families come from direct parameter
-    enumeration.  Case5-Case8 double a closed base set by one normalizing
-    involution (see _FAMILY_EXTENSIONS); Case9 is the union of its two block
-    patterns, which is closed as it stands.  Every result passes the
-    identity/inverse/product verification before it is returned.
+    enumeration.  Case5-Case8 double a base set by one involution (see
+    _FAMILY_EXTENSIONS); Case9 is the union of its two block patterns.
+    Every key set is proven a group by regeneration (_prove_group) before
+    it is returned, independently of how it was enumerated.
     """
-    ell = spec.ell
-    tag = spec.tag
-    if tag == "LeviB":
-        mats = _family_levi_b(ell)
-    elif tag == "LeviP":
-        mats = _family_levi_p(ell)
-    elif tag == "LeviQ":
-        mats = _family_levi_q(ell)
-    elif tag == "Hen":
-        mats = _family_hen(ell)
-    elif tag == "Case9":
-        mats = _family_case9_base(ell)
+    if spec.tag in _FAMILY_EXTENSIONS:
+        keys = _extend_by(_FAMILY_BASES[spec.tag](spec),
+                          _FAMILY_EXTENSIONS[spec.tag], spec.ell, spec.tag)
     else:
-        keys = _extend_by(_FAMILY_BASES[tag](spec), _FAMILY_EXTENSIONS[tag],
-                          ell, tag)
-        mats = None
-    if mats is not None:
-        keys = np.unique(pack_matrices(mats % ell, ell))
-    _verify_group(keys, ell, tag)
-    return GroupSet(ell, keys)
+        keys = _proven_keys(_FAMILY_SETS[spec.tag](spec), spec.ell, spec.tag)
+    return GroupSet(spec.ell, keys)
 
 
 def family_base_subgroup(spec):
     """The natural index-2 base of an extended family (Case5: the Siegel
     Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
-    the [[A, B], [uB, A]] set), as a verified GroupSet."""
+    the [[A, B], [uB, A]] set), as a GroupSet proven closed."""
     if spec.tag not in _FAMILY_BASES:
         raise ValueError("no distinguished base subgroup for %r" % (spec.tag,))
-    keys = np.unique(pack_matrices(
-        _FAMILY_BASES[spec.tag](spec) % spec.ell, spec.ell))
-    _verify_group(keys, spec.ell, spec.tag + " base")
-    return GroupSet(spec.ell, keys)
+    return GroupSet(spec.ell, _proven_keys(
+        _FAMILY_BASES[spec.tag](spec), spec.ell, spec.tag + " base"))
 
 
 def gl2_charpoly_census(ell):
     """Census of det(1 - AT) = 1 + c1 T + c2 T^2 over all of GL2(F_ell):
     a dict (c1, c2) -> count.  The largest class has ell^2 + ell members."""
-    _check_odd_prime(ell)
+    _require_odd_prime(ell)
     gl2, det = _all_gl2(ell)
     tr = (gl2[:, 0, 0] + gl2[:, 1, 1]) % ell
     flat = (-tr) % ell * ell + det
@@ -895,19 +850,9 @@ def gl2_charpoly_census(ell):
 
 def embed_gl2_siegel(ell):
     "GL2 embedded block-diagonally with nu = 1: A paired with t(A)^-1."
-    gl2, det = _all_gl2(ell)
-    inv = np.array([0] + [pow(x, ell - 2, ell) for x in range(1, ell)],
-                   dtype=np.int64)
-    scale = inv[det]
-    out = np.zeros((gl2.shape[0], 4, 4), dtype=np.int64)
-    out[:, 0:2, 0:2] = gl2
-    out[:, 2, 2] = scale * gl2[:, 1, 1] % ell
-    out[:, 2, 3] = scale * (-gl2[:, 1, 0]) % ell
-    out[:, 3, 2] = scale * (-gl2[:, 0, 1]) % ell
-    out[:, 3, 3] = scale * gl2[:, 0, 0] % ell
-    keys = np.unique(pack_matrices(out, ell))
-    _verify_group(keys, ell, "GL2 Siegel embedding")
-    return GroupSet(ell, keys)
+    mats = _family_levi_p(ell)
+    _, nu = _similitude_info(mats, ell)
+    return GroupSet(ell, _proven_keys(mats[nu == 1], ell, "GL2 Siegel embedding"))
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +865,7 @@ def enumerate_P1_reps(p, beta):
     One representative per class: (1, a) for a mod p^beta and (p b, 1) for
     b mod p^(beta-1); count is p^beta + p^(beta-1) (or 1 when beta = 0).
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not (p == 2 or is_odd_prime(p)):
         raise ValueError("p must be prime")
     if beta < 0:
         raise ValueError("beta must be nonnegative")

@@ -27,23 +27,11 @@ from .exact_arith import (
     UPoly,
     format_gaussian,
     format_rational,
+    is_odd_prime,
     lcm_upto,
     one_like,
     parse_gaussian,
 )
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _inv(x):
@@ -98,7 +86,7 @@ class HeckeData:
     __slots__ = ("a1", "a2", "eps", "p")
 
     def __init__(self, a1, a2, eps, p):
-        if not _is_prime(p):
+        if not (p == 2 or is_odd_prime(p)):
             raise ValueError("p must be prime, got %r" % (p,))
         if isinstance(eps, int):
             eps = Fraction(eps)
@@ -195,7 +183,7 @@ def satake_to_hecke(s, p):
     a1 = alpha0 (1+alpha1)(1+alpha2);
     a2 = eps (alpha1 + alpha2 + 2 + alpha1^-1 + alpha2^-1 - 1 - p^-2) / p.
     """
-    if not _is_prime(p):
+    if not (p == 2 or is_odd_prime(p)):
         raise ValueError("p must be prime")
     one = one_like(s.alpha0)
     a1 = s.alpha0 * (one + s.alpha1) * (one + s.alpha2)

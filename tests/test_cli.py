@@ -3,8 +3,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from sympkit import finite_census
 from sympkit.cli import main
 from sympkit.finite_census import (
     FamilySpec,
@@ -92,6 +94,44 @@ def test_family_tag_spellings(capsys):
         assert code == 0 and rep["results"]["order"] == 2880
     code, _, err = run(capsys, "family", "--case", "Case10", "--ell", "3")
     assert code == 2 and "unknown family" in err
+
+
+def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
+    # {1, diag(1, 1, 1, 2)} is a group mod 3, but its second member pairs
+    # e1 with e3 by 1 and e2 with e4 by 2, so t(m) J m is no multiple of J
+    bad = np.stack([np.eye(4, dtype=np.int64),
+                    np.diag([1, 1, 1, 2]).astype(np.int64)])
+    monkeypatch.setattr(finite_census, "_family_levi_b", lambda ell: bad)
+    code, rep = run_json(capsys, "family", "--case", "LeviB", "--ell", "3")
+    assert code == 1
+    by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
+    assert by_anchor == {"closure-verified": True,
+                         "members-are-similitudes": False}
+
+
+def test_family_with_a_dropped_element_is_not_closed(monkeypatch, capsys):
+    whole = finite_census._family_hen
+    monkeypatch.setattr(finite_census, "_family_hen",
+                        lambda ell: whole(ell)[1:])
+    code, out, err = run(capsys, "family", "--case", "Hen", "--ell", "3")
+    assert code == 1 and out == ""
+    assert "Hen: not closed under product" in err
+
+
+def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
+                                                           capsys):
+    order = finite_census.gsp4_order
+    monkeypatch.setattr(finite_census, "gsp4_order", lambda ell: order(ell) + 1)
+    code, _, err = run(capsys, "census", "--ell", "3")
+    assert code == 1
+    assert "closure produced 103680 elements, expected 103681" in err
+
+
+def test_family_takes_no_pool_flags(capsys):
+    for flag in ("--threads", "--budget-mb"):
+        code, _, err = run(capsys, "family", "--case", "Hen", "--ell", "3",
+                           flag, "2")
+        assert code == 2 and "unrecognized arguments" in err
 
 
 def test_ceta_matches_library(capsys):

@@ -36,8 +36,8 @@ from sympkit.finite_census import (
     _SWAP,
     _extend_by,
     _family_case8_base,
+    _prove_group,
     _similitude_info,
-    _verify_group,
 )
 
 _CACHE = {}
@@ -223,7 +223,7 @@ def test_enumeration_memory_budget():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=5 full enumeration takes ~half a minute")
+                    reason="ell=5 full enumeration takes about two minutes")
 def test_sp4_5_order_gated():
     g = enumerate_sp4(5, threads=resolve_threads(), max_bytes=1 << 30)
     assert g.order == sp4_order(5) == 9360000
@@ -608,11 +608,13 @@ def test_extend_by_guards():
     levi = np.stack([m for c in family("LeviB").matrices() for m in c])
     shear = np.eye(4, dtype=np.int64)
     shear[0, 1] = 1
-    with pytest.raises(AssertionError, match="does not normalize"):
+    # the shear does not normalize the torus, so the union is no group
+    with pytest.raises(AssertionError, match="x: not closed under product"):
         _extend_by(levi, shear, 3, "x")
+    # s2 has order 4, so {1, s2} misses s2^2
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
-    with pytest.raises(AssertionError, match="escapes the base"):
+    with pytest.raises(AssertionError, match="x: not closed under product"):
         _extend_by(np.eye(4, dtype=np.int64)[None], s2, 3, "x")
 
 
@@ -621,12 +623,26 @@ def test_verify_group_catches_defects():
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64) % 3
     ident = np.eye(4, dtype=np.int64)
     missing_inverse = pack_matrices(np.stack([ident, s2]), 3)
-    with pytest.raises(AssertionError):
-        _verify_group(np.unique(missing_inverse), 3, "x")
+    with pytest.raises(AssertionError, match="not closed under product"):
+        _prove_group(np.unique(missing_inverse), 3, "x")
     s2cube = np.linalg.matrix_power(s2, 3) % 3
     not_closed = pack_matrices(np.stack([ident, s2, s2cube]), 3)
-    with pytest.raises(AssertionError):
-        _verify_group(np.unique(not_closed), 3, "x")
+    with pytest.raises(AssertionError, match="not closed under product"):
+        _prove_group(np.unique(not_closed), 3, "x")
+
+
+def test_every_family_at_ell_5_is_proven_in_full():
+    # the regeneration proof covers every element, however large the set;
+    # each certificate key at least doubles the closure (Lagrange)
+    orders = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
+              "Case5": 3840, "Case6": 115200, "Case7": 124800,
+              "Case8": 5760, "Case9": 1920}
+    for tag, order in orders.items():
+        g = build_family(FamilySpec(tag, 5))
+        assert g.order == order, tag
+        cert = _prove_group(g.keys, 5, tag)
+        assert 1 <= cert.size <= order.bit_length(), tag
+        assert np.array_equal(mulclose(unpack_keys(cert, 5), 5), g.keys)
 
 
 # ---------------------------------------------------------------------------
