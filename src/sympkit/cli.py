@@ -31,7 +31,7 @@ from .finite_census import (
     enumerate_P1_reps,
     enumerate_gsp4,
     enumerate_sp4,
-    family_base_subgroup,
+    family_with_base,
     gsp4_order,
     resolve_threads,
 )
@@ -106,7 +106,7 @@ def _cmd_census(args):
 
 def _cmd_family(args):
     spec = FamilySpec(_family_tag(args.case), args.ell)
-    grp = build_family(spec)
+    grp, base = family_with_base(spec)
     try:
         factors = sorted({int(v) for v in grp.nu_values()})
     except ValueError:  # some member is not a similitude
@@ -123,10 +123,6 @@ def _cmd_family(args):
         ("closure-verified", True),
         ("members-are-similitudes", factors is not None),
     ]
-    try:
-        base = family_base_subgroup(spec)
-    except ValueError:
-        base = None
     if base is not None:
         results["base_order"] = base.order
         assertions.append(("extension-index-two",

@@ -2,18 +2,23 @@
 
 Everything here is integer numpy: matrices over F_ell are (N, 4, 4) arrays of
 small nonnegative ints, and each matrix is packed row-major into one uint64
-key (ceil(log2 ell) bits per entry, so any ell <= 13 fits).  Group closures
-run a frontier breadth-first search over packed keys; all set arithmetic is
-on sorted key arrays, which makes every result deterministic regardless of
-chunking, thread count, or generator ordering.
+key (ceil(log2 ell) bits per entry, so any ell <= 13 fits).  All set
+arithmetic is on sorted key arrays, which makes every result deterministic
+regardless of chunking, thread count, or generator ordering.
 
-The supported full enumerations are ell = 3 (about 1e5 elements) and ell = 5
-(about 1e7, permitted only when the configured memory budget allows); larger
-primes are refused outright.  The subgroup families (Levi factors, the
-checkerboard endoscopic group, and the five exotic constructions) are built
-by direct parameter enumeration and proven closed by regeneration: each key
-set must equal the closure of a small certificate drawn from it, which makes
-it a group (_prove_group).
+The full groups are listed directly: an element of Sp4 is an ordered
+symplectic basis (its columns), built from a pair (c0, c2) with
+omega(c0, c2) = 1 and a symplectic basis of its complement moved by SL2
+(_enumerate_similitudes).  The listing is proven, not assumed: every key is
+checked as a similitude, the sorted keys are distinct, and their count is
+the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
+permitted only when the modelled memory fits the budget) are supported;
+larger primes are refused outright.  The frontier BFS `mulclose` remains as
+the independent oracle and as the engine of the closure proofs.  The
+subgroup families (Levi factors, the checkerboard endoscopic group, and the
+five exotic constructions) are built by direct parameter enumeration and
+proven closed by regeneration: each key set must equal the closure of a
+small certificate drawn from it, which makes it a group (_prove_group).
 """
 
 import os
@@ -23,13 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .exact_arith import (
-    PrimeFieldElem,
     _require_odd_prime,
     is_odd_prime,
     quadratic_nonresidue,
     solve_sum_of_squares,
 )
-from .gsp4_core import similitude_generator, standard_generators
 
 DEFAULT_MAX_BYTES = 512 << 20
 
@@ -84,15 +87,24 @@ def unpack_keys(keys, ell, dtype=np.int64):
     return out.astype(dtype).reshape(-1, 4, 4)
 
 
+def _omega(x, y):
+    "The alternating form t(x) J y over the last axis (length 4), unreduced."
+    return (x[..., 0] * y[..., 2] + x[..., 1] * y[..., 3]
+            - x[..., 2] * y[..., 0] - x[..., 3] * y[..., 1])
+
+
 def _similitude_info(mats, ell):
-    "(mask, nu): which matrices satisfy t(m) J m = nu J with nu a unit."
+    """(mask, nu): which matrices satisfy t(m) J m = nu J with nu a unit.
+
+    Entry (i, j) of t(m) J m is omega(c_i, c_j) for the columns c_i, and the
+    form is alternating, so the identity is the six column pairs i < j:
+    omega(c0, c2) = omega(c1, c3) = nu and zero on the other four."""
     m = np.asarray(mats, dtype=np.int64)
-    j = _J4 % ell
-    jm = np.matmul(j, m) % ell
-    gram = np.matmul(m.transpose(0, 2, 1), jm) % ell
-    nu = gram[:, 0, 2]
-    want = nu[:, None, None] * j % ell
-    mask = (gram == want).all(axis=(1, 2)) & (nu != 0)
+    cols = [m[:, :, i] for i in range(4)]
+    nu = _omega(cols[0], cols[2]) % ell
+    mask = (nu != 0) & (_omega(cols[1], cols[3]) % ell == nu)
+    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
+        mask &= _omega(cols[i], cols[j]) % ell == 0
     return mask, nu
 
 
@@ -187,6 +199,16 @@ def _contains_sorted(sorted_ref, keys):
     return sorted_ref[idx] == keys
 
 
+def _sorted_unique(keys):
+    """The distinct keys in increasing order, by one sort (np.unique hashes
+    since numpy 2.3, which is many times slower on uint64 keys)."""
+    arr = np.sort(np.asarray(keys, dtype=np.uint64), axis=None)
+    keep = np.empty(arr.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
+
+
 def _notin_sorted(keys, sorted_ref):
     "Entries of sorted `keys` absent from sorted `sorted_ref`."
     return keys[~_contains_sorted(sorted_ref, keys)]
@@ -243,7 +265,7 @@ class GroupSet:
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
-        arr = np.unique(np.asarray(keys, dtype=np.uint64))
+        arr = _sorted_unique(keys)
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
@@ -349,14 +371,6 @@ def _primitive_root(ell):
                 if len({pow(g, k, ell) for k in range(1, ell)}) == ell - 1)
 
 
-def _to_int_mats(mats):
-    return np.array(
-        [[[e.val if isinstance(e, PrimeFieldElem) else int(e) for e in row]
-          for row in m] for m in mats],
-        dtype=np.int64,
-    )
-
-
 def sp4_order(ell):
     return ell ** 4 * (ell ** 2 - 1) * (ell ** 4 - 1)
 
@@ -373,61 +387,168 @@ def _check_enum_prime(ell):
             % (_ENUM_PRIMES, float(gsp4_order(ell))))
 
 
-def _check_budget(order, max_bytes):
-    need = order * 8 * 4  # keys + frontier + merge scratch
+# The modelled peak resident memory of a full enumeration: the interpreter
+# with numpy loaded, then per element the listed key and the sorted copy,
+# mask and distinct keys of _sorted_unique, and per thread one block's
+# scratch.  tests/test_finite_census.py checks it against measured peaks.
+_PROCESS_BYTES = 96 << 20
+_ELEMENT_BYTES = 8 + 8 + 1 + 8
+_BLOCK_BYTES = 32 << 20
+
+# (c0, c2) pairs are handled in blocks of about this many Sp4 rows; ell = 3
+# is a single block
+_BLOCK_ROWS = 1 << 16
+_CHECK_ROWS = 1 << 15
+
+
+def enumeration_bytes(order, threads=None):
+    "Modelled peak RSS, in bytes, of enumerating `order` elements."
+    return (_PROCESS_BYTES + order * _ELEMENT_BYTES
+            + resolve_threads(threads) * _BLOCK_BYTES)
+
+
+def _symplectic_pairs(ell):
+    "Every (c0, c2) with omega(c0, c2) = 1, from the table of form values."
+    vecs = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
+    first, second = np.nonzero(_omega(vecs[:, None], vecs[None]) % ell == 1)
+    return vecs[first], vecs[second]
+
+
+def _complement_bases(c0, c2, ell):
+    """A symplectic basis (u1, u2) of the complement of span(c0, c2), per row.
+
+    P(v) = v - omega(v, c2) c0 + omega(v, c0) c2 projects onto the
+    complement; u1 is the first nonzero P(e_i), u2 the first P(e_i) that
+    pairs with u1, scaled so that omega(u1, u2) = 1."""
+    rows = np.arange(c0.shape[0])
+    eye = np.eye(4, dtype=np.int64)
+    proj = (eye - _omega(eye, c2[:, None])[..., None] * c0[:, None]
+            + _omega(eye, c0[:, None])[..., None] * c2[:, None]) % ell
+    u1 = proj[rows, proj.any(axis=2).argmax(axis=1)]
+    pairing = _omega(u1[:, None], proj) % ell
+    i2 = (pairing != 0).argmax(axis=1)
+    scale = _inverse_table(ell)[pairing[rows, i2]]
+    return u1, proj[rows, i2] * scale[:, None] % ell
+
+
+def _column_key(vecs, col, ell):
+    "Key bits of vectors (..., 4) placed as column `col` of a matrix."
+    shifts = _shifts(ell)[col::4]
+    return (vecs.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
+
+
+def _enumerate_similitudes(ell, scalars, threads):
+    """Keys of every matrix with columns (c0, c1, s c2, s c3), where
+    (c0, c1, c2, c3) is a symplectic basis and s runs over `scalars`.
+
+    Every pair (c0, c2) with omega(c0, c2) = 1 gets a symplectic basis
+    (u1, u2) of its complement, and (c1, c3) = (u1, u2) g for every g in
+    SL2; scaling the last two columns by s makes nu = s.  Blocks of pairs
+    fill disjoint slices of one array (on a thread pool when there is more
+    than one block), so the keys are the same for any thread count.  Every
+    key is unpacked and checked to be a similitude of factor s."""
+    c0, c2 = _symplectic_pairs(ell)
+    u1, u2 = _complement_bases(c0, c2, ell)
+    gl2, det = _all_gl2(ell)
+    sl2 = gl2[det == 1]
+    width = sl2.shape[0] * len(scalars)
+    out = np.empty(c0.shape[0] * width, dtype=np.uint64)
+    per = max(1, _BLOCK_ROWS // sl2.shape[0])
+
+    def fill(start):
+        stop = min(start + per, c0.shape[0])
+        a, b = u1[start:stop, None], u2[start:stop, None]
+        c1 = (a * sl2[:, 0, 0, None] + b * sl2[:, 1, 0, None]) % ell
+        c3 = (a * sl2[:, 0, 1, None] + b * sl2[:, 1, 1, None]) % ell
+        head = (_column_key(c0[start:stop, None], 0, ell)
+                + _column_key(c1, 1, ell))
+        block = out[start * width:stop * width].reshape(len(scalars), -1)
+        for row, s in zip(block, scalars):
+            tail = (_column_key(s * c2[start:stop, None] % ell, 2, ell)
+                    + _column_key(s * c3 % ell, 3, ell))
+            row[:] = (head + tail).ravel()
+            for i in range(0, row.size, _CHECK_ROWS):
+                ok, nu = _similitude_info(
+                    unpack_keys(row[i:i + _CHECK_ROWS], ell), ell)
+                if not (ok & (nu == s)).all():
+                    raise AssertionError(
+                        "enumeration built a matrix that is not a similitude "
+                        "of factor %d" % s)
+
+    starts = range(0, c0.shape[0], per)
+    nthreads = resolve_threads(threads)
+    if nthreads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            list(pool.map(fill, starts))
+    else:
+        for start in starts:
+            fill(start)
+    return out
+
+
+def _full_group(ell, scalars, order, threads, max_bytes):
+    """The group listed by _enumerate_similitudes, proven to be all of it:
+    its keys are similitudes of the listed factors, and the distinct keys
+    number exactly `order`, the order of the group."""
+    need = enumeration_bytes(order, threads)
     if need > max_bytes:
         raise ResourceLimit(
-            "enumeration of %d elements needs ~%d bytes; budget is %d"
-            % (order, need, max_bytes))
-
-
-def _closure_group(gens, ell, order, threads, max_bytes):
-    "The closure of `gens`, which must have exactly `order` elements."
-    _check_budget(order, max_bytes)
-    try:
-        keys = mulclose(_to_int_mats(gens), ell, cap=order, threads=threads)
-    except RuntimeError as exc:  # the cap: more than `order` elements
-        raise AssertionError(str(exc)) from None
-    if keys.size != order:
+            "enumeration of %d elements needs ~%d bytes (modelled peak RSS); "
+            "budget is %d" % (order, need, max_bytes))
+    group = GroupSet(ell, _enumerate_similitudes(ell, scalars, threads))
+    if group.order != order:
         raise AssertionError(
-            "closure produced %d elements, expected %d" % (keys.size, order))
-    return GroupSet(ell, keys)
+            "enumeration produced %d elements, expected %d"
+            % (group.order, order))
+    return group
 
 
 def enumerate_sp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
-    """The full group with nu = 1 over F_ell, from the standard generators.
+    """The full group with nu = 1 over F_ell, listed as symplectic bases.
 
     Order ell^4 (ell^2 - 1)(ell^4 - 1); ell = 3 is cheap, ell = 5 builds
-    roughly ten million elements and is allowed only within max_bytes.
+    roughly ten million elements and is allowed only when
+    enumeration_bytes fits max_bytes.
     """
     _check_enum_prime(ell)
-    gamma = PrimeFieldElem(ell, _primitive_root(ell))
-    return _closure_group(standard_generators(gamma), ell, sp4_order(ell),
-                          threads, max_bytes)
+    return _full_group(ell, (1,), sp4_order(ell), threads, max_bytes)
 
 
 def enumerate_gsp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
-    "As enumerate_sp4 plus the similitude coweight: order (ell-1) |Sp4|."
+    """As enumerate_sp4 times the cosets diag(1, 1, g^k, g^k) for a
+    primitive root g: order (ell-1) |Sp4|."""
     _check_enum_prime(ell)
-    gamma = PrimeFieldElem(ell, _primitive_root(ell))
-    return _closure_group(
-        standard_generators(gamma) + [similitude_generator(gamma)], ell,
-        gsp4_order(ell), threads, max_bytes)
+    gamma = _primitive_root(ell)
+    return _full_group(ell, [pow(gamma, k, ell) for k in range(ell - 1)],
+                       gsp4_order(ell), threads, max_bytes)
 
 
-def brute_similitude_scan(chunk=1 << 20):
+def brute_similitude_scan():
     """Scan all 3^16 matrices over F_3 for t(m) J m = nu J, nu a unit.
 
-    The independent oracle for the generator-closure enumerations: returns
-    (nu = 1 set, all-similitude set).  Only ell = 3 is tractable this way.
+    The independent oracle for the enumerations and the generator closure:
+    returns (nu = 1 set, all-similitude set).  The identity says
+    omega(c_i, c_j) = nu J_ij for every pair of columns, so a matrix whose
+    (c0, c2) pair, or whose c1 against them, already fails is skipped with
+    all its completions: (c0, c2) need omega(c0, c2) a unit, c1 needs
+    omega(c0, c1) = omega(c1, c2) = 0, and every surviving (c0, c1, c2)
+    with each of the 81 columns c3 is tested by the full Gram identity.
+    The predicate is the same as a flat scan's; no group theory is used.
+    Only ell = 3 is tractable this way.
     """
-    powers = 3 ** np.arange(16, dtype=np.int64)
     j = (_J4 % 3).astype(np.int16)
+    vecs = np.indices((3,) * 4, dtype=np.int16).reshape(4, -1).T
+    form = vecs @ j @ vecs.T % 3  # form[a, b] = t(v_a) J v_b
+    a0, a2 = np.nonzero(form != 0)
+    pair, a1 = np.nonzero((form[a0] == 0) & (form[:, a2].T == 0))
+    a0, a2 = a0[pair], a2[pair]
     sp_parts, gsp_parts = [], []
-    total = 3 ** 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        mats = ((idx[:, None] // powers) % 3).astype(np.int16).reshape(-1, 4, 4)
+    batch = 1 << 12  # (c0, c1, c2) triples per pass: 331,776 candidates
+    for start in range(0, a0.size, batch):
+        heads = [vecs[a[start:start + batch]] for a in (a0, a1, a2)]
+        cols = [np.repeat(h, vecs.shape[0], axis=0) for h in heads]
+        cols.append(np.tile(vecs, (heads[0].shape[0], 1)))
+        mats = np.stack(cols, axis=2)
         jm = np.matmul(j, mats) % 3
         gram = np.matmul(mats.transpose(0, 2, 1), jm) % 3
         nu = gram[:, 0, 2]
@@ -820,11 +941,19 @@ def build_family(spec):
     it is returned, independently of how it was enumerated.
     """
     if spec.tag in _FAMILY_EXTENSIONS:
-        keys = _extend_by(_FAMILY_BASES[spec.tag](spec),
-                          _FAMILY_EXTENSIONS[spec.tag], spec.ell, spec.tag)
-    else:
-        keys = _proven_keys(_FAMILY_SETS[spec.tag](spec), spec.ell, spec.tag)
-    return GroupSet(spec.ell, keys)
+        return _extended_family(_FAMILY_BASES[spec.tag](spec), spec)
+    return GroupSet(spec.ell, _proven_keys(_FAMILY_SETS[spec.tag](spec),
+                                           spec.ell, spec.tag))
+
+
+def _extended_family(base_mats, spec):
+    return GroupSet(spec.ell, _extend_by(
+        base_mats, _FAMILY_EXTENSIONS[spec.tag], spec.ell, spec.tag))
+
+
+def _base_group(base_mats, spec):
+    return GroupSet(spec.ell,
+                    _proven_keys(base_mats, spec.ell, spec.tag + " base"))
 
 
 def family_base_subgroup(spec):
@@ -833,8 +962,16 @@ def family_base_subgroup(spec):
     the [[A, B], [uB, A]] set), as a GroupSet proven closed."""
     if spec.tag not in _FAMILY_BASES:
         raise ValueError("no distinguished base subgroup for %r" % (spec.tag,))
-    return GroupSet(spec.ell, _proven_keys(
-        _FAMILY_BASES[spec.tag](spec), spec.ell, spec.tag + " base"))
+    return _base_group(_FAMILY_BASES[spec.tag](spec), spec)
+
+
+def family_with_base(spec):
+    """(build_family(spec), family_base_subgroup(spec)) with the base
+    enumerated once; the base is None for a family that has none."""
+    if spec.tag not in _FAMILY_BASES:
+        return build_family(spec), None
+    base = _FAMILY_BASES[spec.tag](spec)
+    return _extended_family(base, spec), _base_group(base, spec)
 
 
 def gl2_charpoly_census(ell):

@@ -124,7 +124,19 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
     monkeypatch.setattr(finite_census, "gsp4_order", lambda ell: order(ell) + 1)
     code, _, err = run(capsys, "census", "--ell", "3")
     assert code == 1
-    assert "closure produced 103680 elements, expected 103681" in err
+    assert "enumeration produced 103680 elements, expected 103681" in err
+
+
+def test_family_enumerates_its_base_once(monkeypatch, capsys):
+    calls = []
+    case8 = finite_census._FAMILY_BASES["Case8"]
+    monkeypatch.setitem(finite_census._FAMILY_BASES, "Case8",
+                        lambda spec: calls.append(spec) or case8(spec))
+    code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
+    assert code == 0 and len(calls) == 1
+    assert rep["results"]["order"] == 384
+    assert rep["results"]["base_order"] == 192
+    assert all(entry["pass"] for entry in rep["assertions"])
 
 
 def test_family_takes_no_pool_flags(capsys):

@@ -1,12 +1,19 @@
 """Tests for the packed enumeration machinery and the explicit families."""
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sympkit
+from sympkit import finite_census
+from sympkit.exact_arith import PrimeFieldElem
+from sympkit.gsp4_core import similitude_generator, standard_generators
 from sympkit.finite_census import (
     CharPolyHistogram,
     FamilySpec,
@@ -22,6 +29,7 @@ from sympkit.finite_census import (
     enumerate_P1_reps,
     enumerate_gsp4,
     enumerate_sp4,
+    enumeration_bytes,
     family_base_subgroup,
     gl2_charpoly_census,
     gsp4_order,
@@ -167,6 +175,36 @@ def test_charpoly_coeffs_against_permutation_expansion():
             assert tuple(got[k]) == _charpoly_oracle(mats[k], ell)
 
 
+def _gram_predicate(mats, ell):
+    "t(m) J m = nu J by two matrix products: the reference for the kernel."
+    j = np.array([[0, 0, 1, 0], [0, 0, 0, 1],
+                  [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64) % ell
+    gram = np.matmul(mats.transpose(0, 2, 1), np.matmul(j, mats)) % ell
+    nu = gram[:, 0, 2]
+    ok = (gram == nu[:, None, None] * j % ell).all(axis=(1, 2)) & (nu != 0)
+    return ok, nu
+
+
+def test_similitude_kernel_matches_the_gram_products():
+    rng = np.random.default_rng(5)
+    members = np.concatenate(list(gsp4_3().matrices()))
+    members = members[rng.choice(members.shape[0], 5000, replace=False)]
+    # one entry of each member moved: near misses on both sides of the test
+    moved = members.copy()
+    rows = np.arange(moved.shape[0])
+    spots = rng.integers(0, 4, size=(2, moved.shape[0]))
+    moved[rows, spots[0], spots[1]] = (moved[rows, spots[0], spots[1]] + 1) % 3
+    cases = [(3, members), (3, moved)]
+    cases += [(ell, rng.integers(0, ell, size=(20000, 4, 4)))
+              for ell in (3, 5, 13)]
+    for ell, mats in cases:
+        ok, nu = _similitude_info(mats, ell)
+        want_ok, want_nu = _gram_predicate(mats, ell)
+        assert np.array_equal(ok, want_ok) and np.array_equal(nu, want_nu)
+    assert _similitude_info(members, 3)[0].all()
+    assert 0 < _similitude_info(moved, 3)[0].sum() < moved.shape[0]
+
+
 def test_similitude_info_gram_identity():
     ok, nu = _similitude_info(np.eye(4, dtype=np.int64)[None], 5)
     assert ok[0] and nu[0] == 1
@@ -192,10 +230,61 @@ def test_gsp4_enumeration_order_and_fibers():
     assert fibers[0] == 0 and fibers[1] == fibers[2] == 51840
 
 
+def _generator_closure(ell, with_similitude):
+    "mulclose of the standard generators (and diag(1, 1, g, g)) at g = 2."
+    gamma = PrimeFieldElem(ell, 2)  # a primitive root mod 3 and mod 5
+    gens = standard_generators(gamma)
+    if with_similitude:
+        gens = gens + [similitude_generator(gamma)]
+    mats = np.array([[[e.val for e in row] for row in m] for m in gens],
+                    dtype=np.int64)
+    return mulclose(mats, ell, threads=resolve_threads())
+
+
 def test_brute_scan_matches_generator_closures():
+    # the oracle chain: the brute-force scan checks the generator closure,
+    # and the closure checks the direct enumeration
     scan_sp, scan_gsp = brute_similitude_scan()
-    assert scan_sp == sp4_3()
-    assert scan_gsp == gsp4_3()
+    closure_sp = _generator_closure(3, False)
+    closure_gsp = _generator_closure(3, True)
+    assert np.array_equal(scan_sp.keys, closure_sp)
+    assert np.array_equal(scan_gsp.keys, closure_gsp)
+    assert np.array_equal(closure_sp, sp4_3().keys)
+    assert np.array_equal(closure_gsp, gsp4_3().keys)
+
+
+def test_enumeration_blocks_and_threads_give_identical_keys(monkeypatch):
+    # ell = 3 is one block; smaller blocks spread it over the thread pool
+    want_sp, want_gsp = sp4_3(), gsp4_3()
+    monkeypatch.setattr(finite_census, "_BLOCK_ROWS", 24 * 100)
+    for threads in (1, 2, 3):
+        assert enumerate_sp4(3, threads=threads) == want_sp
+        assert enumerate_gsp4(3, threads=threads) == want_gsp
+
+
+def test_enumeration_rejects_a_wrong_basis(monkeypatch):
+    pairs = finite_census._symplectic_pairs
+    bases = finite_census._complement_bases
+    # (u2, u1) in place of (u1, u2) gives omega(c1, c3) = -1 != nu
+    monkeypatch.setattr(finite_census, "_complement_bases",
+                        lambda c0, c2, ell: bases(c0, c2, ell)[::-1])
+    with pytest.raises(AssertionError, match="not a similitude of factor 1"):
+        enumerate_sp4(3)
+
+    # columns 2 and 3 doubled: as many matrices as Sp4 has, every one a
+    # similitude, but of factor 2
+    def doubled_pairs(ell):
+        c0, c2 = pairs(ell)
+        return c0, 2 * c2 % ell
+
+    def doubled_bases(c0, c2, ell):  # 2 * 2 = 1 mod 3
+        u1, u2 = bases(c0, 2 * c2 % ell, ell)
+        return u1, 2 * u2 % ell
+
+    monkeypatch.setattr(finite_census, "_symplectic_pairs", doubled_pairs)
+    monkeypatch.setattr(finite_census, "_complement_bases", doubled_bases)
+    with pytest.raises(AssertionError, match="not a similitude of factor 1"):
+        enumerate_sp4(3)
 
 
 def test_closure_deterministic_across_threads_and_orderings():
@@ -216,17 +305,49 @@ def test_enumeration_refuses_large_primes():
 
 
 def test_enumeration_memory_budget():
-    with pytest.raises(ResourceLimit):
-        enumerate_gsp4(5)  # ~1.2 GB of key scratch against the 512 MiB default
+    need = enumeration_bytes(gsp4_order(5))
+    assert need > 512 << 20  # the ell = 5 similitude group, at the default
+    with pytest.raises(ResourceLimit, match="needs ~%d bytes" % need):
+        enumerate_gsp4(5)
     with pytest.raises(ResourceLimit):
         enumerate_sp4(5, max_bytes=1 << 20)
 
 
+def _child_peak_bytes(*argv):
+    """Peak RSS of `python argv...` with sympkit importable, read by a
+    wrapper process through getrusage(RUSAGE_CHILDREN), so that no other
+    child of this process is counted."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run([sys.executable] + sys.argv[1:], check=True,\n"
+               "               stdout=subprocess.DEVNULL)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = str(Path(sympkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True, timeout=600)
+    return int(out.stdout) * (1 if sys.platform == "darwin" else 1024)
+
+
+def test_budget_model_bounds_the_census_peak_rss():
+    for threads in (1, 2):
+        peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "3",
+                                 "--threads", str(threads))
+        assert 0 < peak <= enumeration_bytes(gsp4_order(3), threads)
+
+
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=5 full enumeration takes about two minutes")
+                    reason="ell=5: the generator-closure oracle takes about "
+                           "two minutes")
 def test_sp4_5_order_gated():
-    g = enumerate_sp4(5, threads=resolve_threads(), max_bytes=1 << 30)
+    threads = resolve_threads()
+    g = enumerate_sp4(5, threads=threads, max_bytes=1 << 30)
     assert g.order == sp4_order(5) == 9360000
+    peak = _child_peak_bytes(
+        "-c", "from sympkit.finite_census import enumerate_sp4; "
+              "enumerate_sp4(5, threads=%d, max_bytes=1 << 30)" % threads)
+    assert peak <= enumeration_bytes(sp4_order(5), threads)
+    assert np.array_equal(_generator_closure(5, False), g.keys)
 
 
 # ---------------------------------------------------------------------------
