@@ -8,14 +8,23 @@ checkerboard embedding GL2 x GL2 -> GSp4 on pairs of equal determinant,
 ties the gallery to the Euler-factor module.
 
 All verification here is computational and exact; the report functions state
-what the matrices actually do, and tests freeze those values.
+what the matrices actually do, and tests freeze those values.  Closures run on
+scaled Gaussian-integer arrays: d*M as int64 real and imaginary parts, with
+every batched product divided by d under an exactness check, through the same
+frontier BFS that closes packed keys over F_ell (finite_census._closure).  The
+per-element facts (similitudes, orders modulo +-I, scalars) are computed on
+those arrays too.
 """
 
+import functools
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
+
+import numpy as np
 
 from . import _mat
 from .exact_arith import GaussianRational, UPoly, format_gaussian, one_like
+from .finite_census import _J4, _closure
 from .gsp4_core import (
     GSpElement,
     char_poly,
@@ -185,13 +194,21 @@ def _z2():
 
 
 class FiniteMatrixGroup:
-    """A finite group of exact matrices: generators plus the full closure."""
+    """A finite group of exact matrices: generators plus the full closure.
 
-    __slots__ = ("generators", "elements")
+    Besides the frozen GaussianRational matrices it keeps them scaled, as
+    (d, arr): arr holds d times every element as an int64 (N, 2, n, n) array
+    of real and imaginary parts, on which the per-element facts below are
+    computed.  Built from `elements` unless given.
+    """
 
-    def __init__(self, generators, elements):
+    __slots__ = ("generators", "elements", "scaled")
+
+    def __init__(self, generators, elements, scaled=None):
+        elements = frozenset(elements)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", frozenset(elements))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "scaled", scaled or _scale(list(elements)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -201,7 +218,7 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def __contains__(self, m):
-        return _mat.freeze(m) in self.elements
+        return gauss_mat(m) in self.elements
 
     def __iter__(self):
         "Deterministic iteration (entry-wise exact ordering)."
@@ -223,34 +240,93 @@ def _mat_sort_key(m):
     return tuple(_gauss_sort_key(x) for row in m for x in row)
 
 
-def group_closure(gens, cap=10000):
-    """Close a generator list under multiplication (BFS; finite groups only).
+# ---------------------------------------------------------------------------
+# scaled Gaussian-integer arrays: d*M as int64 (real part, imaginary part)
 
-    Raises RuntimeError("closure cap exceeded") past cap elements, which
+
+class _Inexact(Exception):
+    "A product left (1/d) Z[i]: its entries need a larger denominator."
+
+
+def _checked(arr):
+    "arr, unless an entry is too large for an n x n complex product in int64."
+    n = arr.shape[-1]
+    if arr.size and np.abs(arr).max() > isqrt((2 ** 63 - 1) // (2 * n)):
+        raise RuntimeError("matrix entries outgrow int64")
+    return arr
+
+
+def _scale(mats, d=None):
+    """(d, arr) for a list of n x n matrices: arr[k] is d * mats[k] as int64
+    real and imaginary parts; d defaults to the lcm of every denominator."""
+    zs = [GaussianRational(x) for m in mats for row in m for x in row]
+    parts = [q for z in zs for q in (z.re, z.im)]
+    if d is None:
+        d = lcm(1, *(q.denominator for q in parts))
+    n = len(mats[0])
+    ints = np.array([int(q * d) for q in parts], dtype=object)
+    arr = _checked(ints.reshape(-1, n, n, 2).transpose(0, 3, 1, 2))
+    return d, arr.astype(np.int64, order="C")
+
+
+def _product(a, b, d):
+    """a*b/d for stacks of scaled matrices (..., 2, n, n), broadcast over the
+    leading axes; exact, or _Inexact when d does not divide the product."""
+    (ar, ai), (br, bi) = np.moveaxis(a, -3, 0), np.moveaxis(b, -3, 0)
+    prod = np.stack([ar @ br - ai @ bi, ar @ bi + ai @ br], axis=-3)
+    quot, rem = np.divmod(prod, d)
+    if rem.any():
+        raise _Inexact
+    return quot
+
+
+def _keys(arr):
+    """One sortable key per scaled matrix: its bytes as a fixed-width byte
+    string (equal-width strings compare equal exactly when their bytes do)."""
+    flat = np.ascontiguousarray(arr).reshape(len(arr), -1)
+    return flat.view(np.dtype("S%d" % (flat.shape[1] * 8))).ravel()
+
+
+def _unscale(d, arr):
+    "The frozen GaussianRational matrices of a scaled array."
+    entry = functools.cache(
+        lambda re, im: GaussianRational(Fraction(re, d), Fraction(im, d)))
+    return [tuple(tuple(map(entry, rr, ii)) for rr, ii in zip(*m))
+            for m in arr.tolist()]
+
+
+def group_closure(gens, cap=10000):
+    """Close a generator list under multiplication (finite groups only).
+
+    The matrices are held as d*M in int64 Gaussian-integer arrays, d the lcm
+    of the generators' denominators, and closed by the frontier BFS of
+    finite_census._closure with batched products, each divided by d with an
+    exactness check.  A product needing a larger denominator restarts the
+    closure at d times that lcm; nothing is ever rounded.  Raises
+    RuntimeError past cap elements or when entries outgrow int64, which
     signals a mis-entered or infinite generator set.
     """
     gens = [_mat.freeze(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
     n = len(gens[0])
-    ident = _mat.identity(n, _one_of(gens[0]))
-    seen = {ident}
-    frontier = [g for g in gens if g not in seen]
-    seen.update(frontier)
-    while frontier:
-        if len(seen) > cap:
-            raise RuntimeError("closure cap exceeded (%d elements)" % cap)
-        new = []
-        for f in frontier:
-            for g in gens:
-                prod = _mat.mat_mul(f, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-        if len(seen) > cap:
-            raise RuntimeError("closure cap exceeded (%d elements)" % cap)
-    return FiniteMatrixGroup(gens, seen)
+    d0 = d = _scale(gens)[0]
+
+    def expand(span):  # the products with every generator, at the scale d
+        mats = span.view(np.int64).reshape(-1, 1, 2, n, n)
+        return _keys(_checked(_product(mats, g, d)).reshape(-1, 2, n, n))
+
+    while True:
+        g = _scale(gens, d)[1]
+        ident = _scale([_mat.identity(n)], d)[1]
+        try:
+            keys = _closure(np.concatenate([_keys(ident), _keys(g)]), expand,
+                            cap=cap)
+            break
+        except _Inexact:
+            d *= d0
+    arr = keys.view(np.int64).reshape(-1, 2, n, n)
+    return FiniteMatrixGroup(gens, _unscale(d, arr), (d, arr))
 
 
 def _one_of(m):
@@ -262,31 +338,53 @@ def _is_scalar(m):
     return _mat.mat_eq(m, _mat.scalar_mul(lam, _mat.identity(len(m), _one_of(m))))
 
 
+def _scalar_mask(arr):
+    "Which scaled matrices are scalar."
+    return (arr == arr[:, :, :1, :1] * np.eye(arr.shape[-1], dtype=np.int64)
+            ).all(axis=(1, 2, 3))
+
+
 def scalar_elements(group):
     "The lambdas with lambda*I in the group, deterministically ordered."
-    return tuple(m[0][0] for m in group if _is_scalar(m))
+    d, arr = group.scaled
+    scalars = _unscale(d, arr[_scalar_mask(arr)])
+    return tuple(sorted((m[0][0] for m in scalars), key=_gauss_sort_key))
 
 
 def quotient_by_sign(group):
     """(order, exponent) of the image of the group modulo {+-I}.
 
-    The exponent computation uses that coset^2 = coset of the square.
+    The order is |G|/2 when -I lies in G, else |G|.  The exponent is the lcm
+    of the least k with g^k = +-I, found for all elements at once from the
+    batched powers g, g^2, ... on the scaled arrays.
     """
-    n = len(next(iter(group.elements)))
-    one = _one_of(next(iter(group.elements)))
-    ident = _mat.identity(n, one)
-    neg = _mat.scalar_mul(-one, ident)
-    cosets = set()
-    exponent = 1
-    for m in group.elements:
-        key = min(m, _mat.scalar_mul(-one, m), key=_mat_sort_key)
-        cosets.add(key)
-    for m in group.elements:
-        k, p = 1, m
-        while not (_mat.mat_eq(p, ident) or _mat.mat_eq(p, neg)):
-            p, k = _mat.mat_mul(p, m), k + 1
-        exponent = exponent * k // gcd(exponent, k)
-    return len(cosets), exponent
+    d, arr = group.scaled
+    eye = np.eye(arr.shape[-1], dtype=np.int64)
+
+    def equal(mats, lam):  # which scaled matrices are lam*I, lam an integer
+        return ((mats[:, 0] == lam * eye).all(axis=(1, 2))
+                & ~mats[:, 1].any(axis=(1, 2)))
+
+    has_neg = equal(arr, -d).any()
+    exponent, power, pending = 1, arr, np.ones(len(arr), dtype=bool)
+    for k in range(1, len(arr) + 1):
+        done = pending & (equal(power, d) | equal(power, -d))
+        if done.any():
+            exponent = lcm(exponent, k)
+            pending &= ~done
+        if not pending.any():
+            return group.order // (2 if has_neg else 1), exponent
+        power = _checked(_product(power, arr, d))
+    raise ValueError("not a finite group: an element has no order")
+
+
+def _similitude_mask(group):
+    """Which 4x4 elements m satisfy t(m) J m = nu J with nu nonzero (as
+    try_similitude), from the Gram matrices d^2 t(m) J m of the scaled arrays."""
+    _, arr = group.scaled
+    gram = _product(arr.swapaxes(-1, -2), _J4 @ arr, 1)
+    nu = gram[:, :, :1, 2:3]
+    return (gram == nu * _J4).all(axis=(1, 2, 3)) & nu.any(axis=(1, 2, 3))
 
 
 def gallery_report(cap=10000):
@@ -312,7 +410,6 @@ def gallery_report(cap=10000):
 
     odd = oddness_normalize(gens["A5"])
     q_order, q_exponent = quotient_by_sign(a_grp)
-    sim_count = sum(1 for m in full if try_similitude(m) is not None)
 
     return {
         "generator_nu": nu,
@@ -325,10 +422,10 @@ def gallery_report(cap=10000):
         "twist_fifth_power_is_scalar": _is_scalar(t5),
         "scalars_in_involution_closure": [
             format_gaussian(x) for x in scalar_elements(a_grp)],
-        "similitude_count_full": sim_count,
+        "similitude_count_full": int(_similitude_mask(full).sum()),
         "odd_involution_conjugator_nu": format_gaussian(odd.nu),
-        "every_involution_closure_element_similitude": all(
-            try_similitude(m) is not None for m in a_grp),
+        "every_involution_closure_element_similitude": bool(
+            _similitude_mask(a_grp).all()),
     }
 
 

@@ -238,8 +238,7 @@ def _random_gaussian(rng):
 
 
 def _cmd_gallery(args):
-    which = "solvable" if args.which == "martin" else args.which
-    if which == "solvable":
+    if args.which == "solvable":
         rep = gallery_report()
         assertions = [
             ("twist-order-five", rep["twist_fifth_power_is_identity"]),
@@ -379,8 +378,7 @@ def build_parser():
 
     p = sub.add_parser("gallery", parents=[shared],
                        help="reports on the explicit matrix galleries")
-    p.add_argument("which", choices=("solvable", "sym3", "martin"),
-                   metavar="{solvable,sym3}")
+    p.add_argument("which", choices=("solvable", "sym3"))
     p.set_defaults(func=_cmd_gallery)
 
     p = sub.add_parser("p1reps", parents=[shared],

@@ -14,11 +14,13 @@ checked as a similitude, the sorted keys are distinct, and their count is
 the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
 permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The frontier BFS `mulclose` remains as
-the independent oracle and as the engine of the closure proofs.  The
-subgroup families (Levi factors, the checkerboard endoscopic group, and the
-five exotic constructions) are built by direct parameter enumeration and
-proven closed by regeneration: each key set must equal the closure of a
-small certificate drawn from it, which makes it a group (_prove_group).
+the independent oracle and as the engine of the closure proofs; its loop,
+_closure, works on sorted keys of any dtype and also closes the Q(i)
+gallery of artin_gallery.  The subgroup families (Levi factors, the
+checkerboard endoscopic group, and the five exotic constructions) are built
+by direct parameter enumeration and proven closed by regeneration: each key
+set must equal the closure of a small certificate drawn from it, which makes
+it a group (_prove_group).
 """
 
 import os
@@ -200,9 +202,9 @@ def _contains_sorted(sorted_ref, keys):
 
 
 def _sorted_unique(keys):
-    """The distinct keys in increasing order, by one sort (np.unique hashes
-    since numpy 2.3, which is many times slower on uint64 keys)."""
-    arr = np.sort(np.asarray(keys, dtype=np.uint64), axis=None)
+    """The distinct keys of a 1-D array in increasing order, by one sort
+    (np.unique hashes since numpy 2.3, which is many times slower)."""
+    arr = np.sort(keys, axis=None)
     keep = np.empty(arr.size, dtype=bool)
     keep[:1] = True
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
@@ -214,48 +216,62 @@ def _notin_sorted(keys, sorted_ref):
     return keys[~_contains_sorted(sorted_ref, keys)]
 
 
-def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
-    """Product closure of integer matrices mod ell, as sorted packed keys.
+def _merge_sorted(a, b):
+    "The union of two disjoint sorted key arrays, sorted."
+    return np.insert(a, np.searchsorted(a, b), b)
 
-    Frontier BFS: each round multiplies every newly found element by every
-    generator.  A finite closed product set containing 1 is a group, so no
+
+def _closure(start, expand, cap=None, threads=None, chunk=1 << 14):
+    """Product closure over sorted 1-D keys of any sortable dtype.
+
+    `start` holds the keys of the identity and the generators, and
+    `expand(span)` returns the keys of every product of an element keyed in
+    `span` with a generator.  Frontier BFS: each round expands the newly
+    found keys.  A finite closed product set containing 1 is a group, so no
     inverses are needed.  Shards of the frontier may run on a thread pool;
-    the per-round merge sorts and deduplicates, so the result is bit-identical
-    for any thread count, chunk size, or generator ordering.  Exceeding `cap`
+    every round sorts and deduplicates, so the result is identical for any
+    thread count, chunk size, or generator ordering.  Exceeding `cap`
     elements raises RuntimeError.
     """
-    gens = np.asarray(gens, dtype=np.int64) % ell
-    if gens.size == 0:
-        raise ValueError("need at least one generator")
-    gens = unpack_keys(np.unique(pack_matrices(gens, ell)), ell)
-    ident = np.eye(4, dtype=np.int64)
-    seen = np.unique(
-        np.concatenate([pack_matrices(ident[None], ell), pack_matrices(gens, ell)])
-    )
-    nthreads = resolve_threads(threads)
+    seen = _sorted_unique(start)
     frontier = seen
+    nthreads = resolve_threads(threads)
 
-    def expand(span):
-        mats = unpack_keys(span, ell)
-        outs = [pack_matrices(np.matmul(mats, g) % ell, ell) for g in gens]
-        cand = np.unique(np.concatenate(outs))
-        return _notin_sorted(cand, seen)
+    def fresh(span):
+        return _notin_sorted(_sorted_unique(expand(span)), seen)
 
     while frontier.size:
         spans = [frontier[i:i + chunk] for i in range(0, frontier.size, chunk)]
         if nthreads > 1 and len(spans) > 1:
             with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                parts = list(pool.map(expand, spans))
+                parts = list(pool.map(fresh, spans))
         else:
-            parts = [expand(s) for s in spans]
-        new = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-        new = _notin_sorted(new, seen)
-        seen = np.union1d(seen, new)
+            parts = [fresh(s) for s in spans]
+        frontier = _sorted_unique(np.concatenate(parts))
+        seen = _merge_sorted(seen, frontier)
         if cap is not None and seen.size > cap:
             raise RuntimeError(
                 "closure cap exceeded (%d elements, cap %d)" % (seen.size, cap))
-        frontier = new
     return seen
+
+
+def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
+    """Product closure of integer matrices mod ell, as sorted packed keys
+    (_closure on packed keys; see there for threads, chunk and cap)."""
+    gens = np.asarray(gens, dtype=np.int64) % ell
+    if gens.size == 0:
+        raise ValueError("need at least one generator")
+    gen_keys = _sorted_unique(pack_matrices(gens, ell))
+    gens = unpack_keys(gen_keys, ell)
+
+    def expand(span):
+        mats = unpack_keys(span, ell)
+        return np.concatenate(
+            [pack_matrices(np.matmul(mats, g) % ell, ell) for g in gens])
+
+    ident = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
+    return _closure(np.concatenate([ident, gen_keys]), expand, cap, threads,
+                    chunk)
 
 
 class GroupSet:
@@ -265,7 +281,7 @@ class GroupSet:
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
-        arr = _sorted_unique(keys)
+        arr = _sorted_unique(np.asarray(keys, dtype=np.uint64))
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
@@ -356,7 +372,8 @@ def _prove_group(keys, ell, name):
 
 def _proven_keys(mats, ell, name):
     "Sorted keys of the matrices mod ell, proven a group by _prove_group."
-    keys = np.unique(pack_matrices(np.asarray(mats, dtype=np.int64) % ell, ell))
+    keys = _sorted_unique(
+        pack_matrices(np.asarray(mats, dtype=np.int64) % ell, ell))
     _prove_group(keys, ell, name)
     return keys
 

@@ -12,19 +12,26 @@ and the degree-4 Hecke polynomial is
     H_p(T) = 1 - a1 T + {p a2 + (1 + p^-2) eps} T^2 - a1 eps T^3 + eps^2 T^4,
 
 whose roots are the spin parameters (a0a1a2, a0a1, a0a2, a0).  Everything is
-computed exactly; floats appear only in the density diagnostic.
+computed exactly; floats appear only in the density diagnostic.  The
+root-of-unity factors of rou_charpolys are summed as integer vectors of
+powers x^s mod Phi_L, indexed by integer exponent sums, before any
+Cyclotomic value is built.
 """
 
 import csv
+import functools
 import itertools
 import math
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
 from .exact_arith import (
     Cyclotomic,
     GaussianRational,
     UPoly,
+    cyclotomic_polynomial,
     format_gaussian,
     format_rational,
     is_odd_prime,
@@ -323,12 +330,30 @@ def enumerate_Y(c, ring):
     return ring.elements_up_to(c)
 
 
+def _power_rows(order):
+    """x^e reduced mod Phi_order for e = 0 .. order-1, as integer rows on the
+    power basis 1, x, ..., x^(d-1)."""
+    phi = np.array(cyclotomic_polynomial(order), dtype=np.int64)
+    rows = np.zeros((order, len(phi) - 1), dtype=np.int64)
+    rows[0, 0] = 1
+    for e in range(1, order):
+        rows[e, 1:] = rows[e - 1, :-1]
+        rows[e] -= rows[e - 1, -1] * phi[:-1]
+    return rows
+
+
 def rou_charpolys(A, symplectic_only=False):
     """All degree-4 factors prod (1 - z_i T) whose roots are roots of unity of
     order < A, with exact cyclotomic coefficients.
 
+    With z_i = zeta^(e_i), zeta a primitive L-th root, L = lcm(1..A-1), the
+    coefficient of T^k is (-1)^k e_k(z), a sum of powers zeta^(sum of a
+    k-subset of the e_i): each is computed as a sum of integer rows x^s mod
+    Phi_L, and Cyclotomic values are built once per distinct row.
+
     With symplectic_only, keep only root multisets admitting a pairing
-    {r, nu/r} x {r', nu/r'} (the similitude constraint on eigenvalues).
+    {r, nu/r} x {r', nu/r'} (the similitude constraint on eigenvalues), i.e.
+    e0 + e1, e0 + e2 or e0 + e3 congruent to the other two mod L.
     """
     if A < 1:
         raise ValueError("need A >= 1")
@@ -341,16 +366,24 @@ def rou_charpolys(A, symplectic_only=False):
         for k in range(n)
         if gcd(k, n) == 1
     })
-    roots = [Cyclotomic.root_of_unity(order, e) for e in exps]
-    out = set()
-    for quad in itertools.combinations_with_replacement(roots, 4):
-        if symplectic_only:
-            r0, r1, r2, r3 = quad
-            if not (r0 * r1 == r2 * r3 or r0 * r2 == r1 * r3
-                    or r0 * r3 == r1 * r2):
-                continue
-        out.add(EulerFactor(UPoly.from_roots(quad)))
-    return frozenset(out)
+    quads = np.array(list(itertools.combinations_with_replacement(exps, 4)),
+                     dtype=np.int64)
+    if symplectic_only:
+        e0, e1, e2, e3 = quads.T
+        keep = ((e0 + e1 - e2 - e3) % order == 0) | (
+            (e0 + e2 - e1 - e3) % order == 0) | (
+            (e0 + e3 - e1 - e2) % order == 0)
+        quads = quads[keep]
+    # coefficient of T^k: (-1)^k times the rows x^s mod Phi_L summed over
+    # the exponent sums s of the k-subsets of each quadruple
+    rows = _power_rows(order)
+    coeffs = [((-1) ** k * sum(rows[quads[:, list(sub)].sum(axis=1) % order]
+                               for sub in itertools.combinations(range(4), k))
+               ).tolist() for k in range(1, 5)]
+    value = functools.cache(lambda row: Cyclotomic(order, row))
+    return frozenset(
+        EulerFactor(UPoly([value((1,))] + [value(tuple(c)) for c in cs]))
+        for cs in zip(*coeffs))
 
 
 def density_ratio(eigdata, s):

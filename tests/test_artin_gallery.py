@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sympkit import _mat
@@ -22,6 +23,7 @@ from sympkit.artin_gallery import (
     sym3_swap_image,
 )
 from sympkit.exact_arith import GaussianRational, format_gaussian
+from sympkit.finite_census import mulclose, pack_matrices
 from sympkit.gsp4_core import char_poly, is_in_levi, oddness_normalize, try_similitude
 from sympkit.hecke_l import EulerFactor, endoscopic_spin_factor
 
@@ -127,6 +129,77 @@ def test_closure_cap_raises():
         group_closure([g["A1"], g["A2"], g["A3"]], cap=10)
     with pytest.raises(ValueError):
         group_closure([])
+
+
+def _reduce_above_5(m):
+    "Entries mod the prime (i - 2) of Z[i] above 5: i -> 2 and 1/2 -> 3 in F_5."
+    def red(z):
+        return (z.re.numerator * pow(z.re.denominator, -1, 5)
+                + 2 * z.im.numerator * pow(z.im.denominator, -1, 5)) % 5
+    return [[red(x) for x in row] for row in m]
+
+
+def test_reduction_above_5_is_injective_on_the_closures():
+    # Minkowski's lemma (Serre 2007): 5 is unramified in Z[i], so reduction
+    # at a prime above 5 is injective on the finite subgroups of
+    # GL4(Z[i][1/2]); the F_5 closures must have the exact orders
+    g = gallery_generators()
+    names = ("A1", "A2", "A3", "A4", "A5", "T")
+    for count, order in ((5, 64), (6, 320)):
+        mats = np.array([_reduce_above_5(g[k]) for k in names[:count]])
+        assert mulclose(mats, 5).size == order
+    keys = pack_matrices(
+        np.array([_reduce_above_5(m) for m in full_group().elements]), 5)
+    assert len(set(keys.tolist())) == 320
+
+
+def test_closure_of_a_conjugate_with_denominator_8():
+    # R^-1 <A> R has the same order; its generators have denominators 8
+    r = gauss_mat(((1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (1, 0, 0, 4)))
+    rinv = _mat.mat_inv(r)
+    g = gallery_generators()
+    gens = [_mat.mat_mul(rinv, _mat.mat_mul(g[k], r))
+            for k in ("A1", "A2", "A3", "A4", "A5")]
+    dens = {q.denominator for m in gens for row in m for z in row
+            for q in (z.re, z.im)}
+    assert max(dens) == 8
+    grp = group_closure(gens)
+    assert grp.order == 64
+    assert grp.elements == {_mat.mat_mul(rinv, _mat.mat_mul(m, r))
+                            for m in a_group()}
+
+
+def test_closure_whose_denominators_outgrow_the_generators():
+    # S3 on the first three coordinates, conjugated by s = diag(1, 2, 4, 1):
+    # the transpositions (0 1) and (1 2) have entries 2 and 1/2, while
+    # (0 2) = (0 1)(1 2)(0 1) has entries 4 and 1/4
+    s = _mat.diag(*(GaussianRational(x) for x in (1, 2, 4, 1)))
+    sinv = _mat.mat_inv(s)
+
+    def transposition(i, j):
+        perm = [0, 1, 2, 3]
+        perm[i], perm[j] = j, i
+        p = gauss_mat([[int(c == perm[r]) for c in range(4)] for r in range(4)])
+        return _mat.mat_mul(sinv, _mat.mat_mul(p, s))
+
+    grp = group_closure([transposition(0, 1), transposition(1, 2)])
+    assert grp.order == 6
+    assert transposition(0, 2) in grp
+    assert GaussianRational(Fraction(1, 4)) in {
+        x for m in grp.elements for row in m for x in row}
+
+
+def test_infinite_pair_raises():
+    # det 1 and trace -7/4, not an algebraic integer: g1 g2 has infinite
+    # order and the denominators of its powers grow without bound
+    half = Fraction(1, 2)
+    eye, zero = gauss_mat(((1, 0), (0, 1))), gauss_mat(((0, 0), (0, 0)))
+    g1 = _mat.block2(gauss_mat(((1, half), (0, -1))), zero, zero, eye)
+    g2 = _mat.block2(gauss_mat(((-1, 0), (half, 1))), zero, zero, eye)
+    prod = _mat.mat_mul(g1, g2)
+    assert prod[0][0] + prod[1][1] == GaussianRational(Fraction(-7, 4))
+    with pytest.raises(RuntimeError):
+        group_closure([g1, g2])
 
 
 def test_every_closure_element_is_similitude_with_sign_factor():

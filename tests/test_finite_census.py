@@ -338,7 +338,7 @@ def test_budget_model_bounds_the_census_peak_rss():
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=5: the generator-closure oracle takes about "
-                           "two minutes")
+                           "half a minute")
 def test_sp4_5_order_gated():
     threads = resolve_threads()
     g = enumerate_sp4(5, threads=threads, max_bytes=1 << 30)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -258,6 +259,32 @@ def test_rou_charpolys_symplectic_filter():
     assert len(rou_charpolys(3, symplectic_only=True)) == 3
     assert len(rou_charpolys(4, symplectic_only=True)) == 14
     assert rou_charpolys(4, symplectic_only=True) <= rou_charpolys(4)
+
+
+def test_rou_charpolys_equal_products_of_roots():
+    # the oracle: multiply out prod (1 - z T) over the Cyclotomic roots and
+    # filter pairings by products of roots, not by exponent sums
+    for a in range(1, 6):
+        order = math.lcm(*range(1, a))
+        roots = [Cyclotomic.root_of_unity(order, order // n * k)
+                 for n in range(1, a) for k in range(n) if math.gcd(k, n) == 1]
+        for symplectic in (False, True):
+            want = set()
+            for quad in itertools.combinations_with_replacement(roots, 4):
+                r0, r1, r2, r3 = quad
+                if symplectic and not (r0 * r1 == r2 * r3 or r0 * r2 == r1 * r3
+                                       or r0 * r3 == r1 * r2):
+                    continue
+                want.add(EulerFactor(UPoly.from_roots(quad)))
+            assert rou_charpolys(a, symplectic_only=symplectic) == want
+
+
+def test_rou_charpolys_frozen_counts():
+    # distinct root multisets give distinct factors: with r roots of order
+    # < A there are C(r + 3, 4); r = 10 for A = 6 and r = 12 for A = 7
+    assert len(rou_charpolys(6)) == math.comb(13, 4) == 715
+    assert len(rou_charpolys(6, symplectic_only=True)) == 86
+    assert len(rou_charpolys(7)) == math.comb(15, 4) == 1365
 
 
 def test_density_ratio():
