@@ -52,12 +52,6 @@ def scalar_mul(c, m):
     return tuple(tuple(c * x for x in row) for row in m)
 
 
-def mat_vec(m, v):
-    return tuple(
-        sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0]) for row in m
-    )
-
-
 def mat_pow(m, n):
     assert n >= 0
     out = identity(len(m), one_like(m[0][0]))

@@ -4,8 +4,9 @@ Every subcommand prints a deterministic report (byte-identical for a fixed
 argument list, apart from the timestamp) and embeds exact self-checks.
 Exit code 0 means every embedded check passed, 1 means at least one failed
 or an internal invariant broke (the message goes to stderr), 2 means the
-invocation itself was bad (unknown flags, values out of range, or a refused
-resource budget).  --json switches any subcommand to the versioned JSON
+invocation itself was bad (unknown flags, values out of range such as an ell
+that is no odd prime, or an --enumerate run at an ell other than 3 and 5 or
+over its memory budget).  --json switches any subcommand to the versioned JSON
 report {schema, command, timestamp, results, assertions}.
 """
 
@@ -28,12 +29,14 @@ from .finite_census import (
     build_family,
     c_eta_M,
     charpoly_census,
+    closed_form_census,
     enumerate_P1_reps,
     enumerate_gsp4,
     enumerate_sp4,
     family_with_base,
     gsp4_order,
     resolve_threads,
+    sp4_order,
 )
 from .hecke_l import (
     LatticeRing,
@@ -75,14 +78,26 @@ def _fmt(x):
 # subcommands: each returns (results, assertions)
 
 
+def _census(args, group):
+    """The closed-form census of `group` ("gsp4" or "sp4") and, under
+    --enumerate, the assertion that the enumerated group's census equals it
+    (--threads and --budget-mb govern that enumeration)."""
+    hist = closed_form_census(args.ell, group)
+    if not args.enumerate:
+        return hist, []
+    enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
+    listed = enum(args.ell, threads=resolve_threads(args.threads),
+                  max_bytes=args.budget_mb << 20)
+    return hist, [("closed-form-equals-enumeration",
+                   charpoly_census(listed).nu_classes == hist.nu_classes)]
+
+
 def _cmd_census(args):
-    group = enumerate_gsp4(args.ell, threads=resolve_threads(args.threads),
-                           max_bytes=args.budget_mb << 20)
-    hist = charpoly_census(group)
+    hist, oracle = _census(args, "gsp4")
     top_key, top_n = max(hist.classes.items(), key=lambda kv: (kv[1], kv[0]))
     results = {
         "ell": args.ell,
-        "order": group.order,
+        "order": hist.total,
         "coefficient_classes": len(hist.classes),
         "classes_with_similitude_factor": len(hist.nu_classes),
         "largest_class": {"coeffs": list(top_key), "count": top_n},
@@ -93,15 +108,19 @@ def _cmd_census(args):
             fh.write("\n".join(rows) + "\n")
         results["csv"] = args.csv
         results["csv_rows"] = len(rows) - 1
+    fibers = [0] * args.ell  # the census of each coset of Sp4, by nu
+    for key, n in hist.nu_classes.items():
+        fibers[key[4]] += n
     palindrome = all(
         c3 == c1 * nu % args.ell and c4 == nu * nu % args.ell
         for (c1, _, c3, c4, nu) in hist.nu_classes)
     assertions = [
-        ("order-closed-form", group.order == gsp4_order(args.ell)),
-        ("histogram-total", hist.total == group.order),
+        ("order-closed-form", hist.total == gsp4_order(args.ell)),
+        ("histogram-total",
+         fibers[1:] == [sp4_order(args.ell)] * (args.ell - 1)),
         ("palindrome-classes", palindrome),
     ]
-    return results, assertions
+    return results, assertions + oracle
 
 
 def _cmd_family(args):
@@ -133,16 +152,19 @@ def _cmd_family(args):
 def _cmd_ceta(args):
     eta = Fraction(args.eta)
     low = args.case.strip().lower()
-    threads = resolve_threads(args.threads)
     if low in ("gsp4", "sp4"):
-        enum = enumerate_gsp4 if low == "gsp4" else enumerate_sp4
-        group = enum(args.ell, threads=threads, max_bytes=args.budget_mb << 20)
+        hist, oracle = _census(args, low)
         name = low
     else:
+        if args.enumerate:
+            raise ValueError("--enumerate applies to --case gsp4 and sp4 only")
         spec = FamilySpec(_family_tag(args.case), args.ell)
-        group = build_family(spec)
         name = spec.tag
-    hist = charpoly_census(group)
+        try:
+            hist = charpoly_census(build_family(spec))
+        except ValueError as exc:  # a member is not a similitude
+            raise AssertionError("%s: %s" % (name, exc)) from None
+        oracle = []
     count = c_eta_M(hist, eta)
     need = (1 - eta) * hist.total
     trace = []
@@ -167,7 +189,7 @@ def _cmd_ceta(args):
         ("coverage-minimal-prefix",
          not trace or covered - trace[-1]["count"] < need),
     ]
-    return results, assertions
+    return results, assertions + oracle
 
 
 def _cmd_hecke(args):
@@ -329,10 +351,14 @@ def build_parser():
     shared.add_argument("--json", action="store_true",
                         help="emit the versioned JSON report")
     pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--enumerate", action="store_true",
+                      help="also enumerate the group (ell 3 or 5) and assert "
+                           "that its census equals the closed form")
     pool.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: SYMPKIT_THREADS or 1)")
+                      help="worker threads of --enumerate "
+                           "(default: SYMPKIT_THREADS or 1)")
     pool.add_argument("--budget-mb", type=int, default=512,
-                      help="memory budget for full enumerations (MiB)")
+                      help="memory budget of --enumerate (MiB)")
 
     top = argparse.ArgumentParser(
         prog="sympkit",
@@ -342,8 +368,8 @@ def build_parser():
     sub.required = True
 
     p = sub.add_parser("census", parents=[shared, pool],
-                       help="enumerate GSp4(F_ell) and its "
-                            "characteristic-polynomial histogram")
+                       help="characteristic-polynomial histogram of "
+                            "GSp4(F_ell) in closed form, any odd prime ell")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--csv", metavar="PATH",
                    help="also write the histogram as CSV")

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from sympkit import finite_census
+from sympkit import cli, finite_census
 from sympkit.cli import main
 from sympkit.finite_census import (
     FamilySpec,
@@ -109,6 +109,19 @@ def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
                          "members-are-similitudes": False}
 
 
+def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
+                                                          capsys):
+    # the group of test_family_non_similitude_member_fails_its_anchor has no
+    # census; the family is built by the package, so this is exit 1, not 2
+    bad = np.stack([np.eye(4, dtype=np.int64),
+                    np.diag([1, 1, 1, 2]).astype(np.int64)])
+    monkeypatch.setattr(finite_census, "_family_levi_b", lambda ell: bad)
+    code, out, err = run(capsys, "ceta", "--case", "LeviB", "--ell", "3",
+                         "--eta", "1/4")
+    assert code == 1 and out == ""
+    assert "LeviB: census input contains a non-similitude" in err
+
+
 def test_family_with_a_dropped_element_is_not_closed(monkeypatch, capsys):
     whole = finite_census._family_hen
     monkeypatch.setattr(finite_census, "_family_hen",
@@ -118,11 +131,54 @@ def test_family_with_a_dropped_element_is_not_closed(monkeypatch, capsys):
     assert "Hen: not closed under product" in err
 
 
+def test_census_beyond_the_enumerated_primes(capsys):
+    for ell in (5, 7):
+        code, rep = run_json(capsys, "census", "--ell", str(ell))
+        assert code == 0 and all(e["pass"] for e in rep["assertions"])
+        res = rep["results"]
+        assert res["order"] == finite_census.gsp4_order(ell)
+        # every (a, b) in F_ell^2 with every nu is the char poly of an element
+        assert res["classes_with_similitude_factor"] == (ell - 1) * ell * ell
+
+
+def test_enumerate_flag_adds_the_oracle_anchor(capsys):
+    for argv in (("census", "--ell", "3"),
+                 ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4")):
+        _, plain = run_json(capsys, *argv)
+        code, checked = run_json(capsys, *argv, "--enumerate")
+        assert code == 0 and checked["results"] == plain["results"]
+        assert checked["assertions"] == plain["assertions"] + [
+            {"anchor": "closed-form-equals-enumeration", "pass": True}]
+    code, _, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
+                       "--eta", "1/4", "--enumerate")
+    assert code == 2 and "--enumerate" in err
+
+
+def test_census_anchors_check_the_histogram(monkeypatch, capsys):
+    # a census that moves one element between the nu fibers keeps its total
+    # and its palindromes, but not its fibers
+    closed = finite_census.closed_form_census
+
+    def shifted(ell, group):
+        hist = closed(ell, group)
+        nu_classes = dict(hist.nu_classes)
+        nu_classes[(0, 0, 0, 1, 1)] += 1
+        nu_classes[(0, 0, 0, 1, 2)] -= 1
+        return finite_census.CharPolyHistogram(ell, hist.classes, nu_classes)
+
+    monkeypatch.setattr(cli, "closed_form_census", shifted)
+    code, rep = run_json(capsys, "census", "--ell", "3")
+    assert code == 1
+    by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
+    assert by_anchor == {"order-closed-form": True, "histogram-total": False,
+                         "palindrome-classes": True}
+
+
 def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
                                                            capsys):
     order = finite_census.gsp4_order
     monkeypatch.setattr(finite_census, "gsp4_order", lambda ell: order(ell) + 1)
-    code, _, err = run(capsys, "census", "--ell", "3")
+    code, _, err = run(capsys, "census", "--ell", "3", "--enumerate")
     assert code == 1
     assert "enumeration produced 103680 elements, expected 103681" in err
 
@@ -246,8 +302,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "census")[0] == 2          # missing --ell
-    assert run(capsys, "census", "--ell", "7")[0] == 2
-    assert run(capsys, "census", "--ell", "5")[0] == 2  # over budget
+    assert run(capsys, "census", "--ell", "9")[0] == 2  # not a prime
+    # the closed form runs at any odd prime; the enumeration only at 3 and 5
+    assert run(capsys, "census", "--ell", "7", "--enumerate")[0] == 2
+    assert run(capsys, "census", "--ell", "5",
+               "--enumerate")[0] == 2  # over the default budget
 
 
 def test_threads_env_override(monkeypatch, capsys):

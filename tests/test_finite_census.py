@@ -12,7 +12,7 @@ import pytest
 
 import sympkit
 from sympkit import finite_census
-from sympkit.exact_arith import PrimeFieldElem
+from sympkit.exact_arith import PrimeFieldElem, is_odd_prime
 from sympkit.gsp4_core import similitude_generator, standard_generators
 from sympkit.finite_census import (
     CharPolyHistogram,
@@ -25,6 +25,7 @@ from sympkit.finite_census import (
     c_eta_M,
     charpoly_census,
     charpoly_coeffs,
+    closed_form_census,
     embed_gl2_siegel,
     enumerate_P1_reps,
     enumerate_gsp4,
@@ -332,7 +333,7 @@ def _child_peak_bytes(*argv):
 def test_budget_model_bounds_the_census_peak_rss():
     for threads in (1, 2):
         peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "3",
-                                 "--threads", str(threads))
+                                 "--enumerate", "--threads", str(threads))
         assert 0 < peak <= enumeration_bytes(gsp4_order(3), threads)
 
 
@@ -449,6 +450,71 @@ def test_census_csv_shape():
 def test_census_histogram_consistency_guard():
     with pytest.raises(ValueError):
         CharPolyHistogram(3, {(0, 0, 0, 1): 2}, {(0, 0, 0, 1, 1): 1})
+
+
+# ---------------------------------------------------------------------------
+# the census in closed form, against its oracle
+
+
+def _same_census(a, b):
+    return (a.ell, a.total, a.classes, a.nu_classes) == (
+        b.ell, b.total, b.classes, b.nu_classes)
+
+
+def test_closed_form_equals_enumeration_at_3():
+    assert _same_census(closed_form_census(3, "gsp4"), census_3())
+    assert _same_census(closed_form_census(3, "sp4"),
+                        charpoly_census(sp4_3()))
+
+
+def test_closed_form_equals_enumeration_sp4_5():
+    listed = enumerate_sp4(5, threads=resolve_threads(), max_bytes=1 << 30)
+    assert _same_census(closed_form_census(5, "sp4"), charpoly_census(listed))
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="GSp4(F_5): 37,440,000 elements, about 1 GiB")
+def test_closed_form_equals_enumeration_gsp4_5_gated():
+    listed = enumerate_gsp4(5, threads=resolve_threads(), max_bytes=2 << 30)
+    census = closed_form_census(5, "gsp4")
+    assert _same_census(census, charpoly_census(listed))
+    assert len(census.nu_classes) == 100
+
+
+def test_closed_form_totals_below_50():
+    for ell in filter(is_odd_prime, range(3, 50)):
+        sp4 = closed_form_census(ell, "sp4")
+        gsp4 = closed_form_census(ell, "gsp4")
+        assert sp4.total == sp4_order(ell)
+        assert gsp4.total == gsp4_order(ell)
+        fibers = {}
+        for key, n in gsp4.nu_classes.items():
+            fibers[key[4]] = fibers.get(key[4], 0) + n
+        assert fibers == dict.fromkeys(range(1, ell), sp4_order(ell))
+        # the nu = 1 fiber is Sp4 itself, and each (a, b, nu) is realized
+        assert {k: n for k, n in gsp4.nu_classes.items() if k[4] == 1} \
+            == sp4.nu_classes
+        assert len(gsp4.nu_classes) == (ell - 1) * ell * ell
+
+
+def test_closed_form_frozen_classes_at_3():
+    census = closed_form_census(3, "gsp4")
+    # f = (x - 1)^4 with nu = 1: s = 1, C_Sp(s) = Sp4 of dimension 10, so
+    # |Sp4| / |Sp4| * 3^(10 - 2) = 6561, the unipotents (Steinberg)
+    assert census.nu_classes[(2, 0, 2, 1, 1)] == 6561 == 3 ** 8
+    # f = x^4 + 2 x^2 + 1 = (x^2 - 2)^2 with nu = 2, a non-square mod 3:
+    # the roots +-sqrt(2) have lambda^2 = nu, so C_Sp(s) = SL2(F_9) of
+    # order 720 and dimension 6, and the count is 51840 / 720 * 3^4 = 5832
+    # (as U2(F_3), of order 96 and dimension 4, it would be 4860)
+    assert census.nu_classes[(0, 2, 0, 1, 2)] == 5832
+
+
+def test_closed_form_rejects_bad_input():
+    for ell in (2, 9, 1):
+        with pytest.raises(ValueError):
+            closed_form_census(ell, "sp4")
+    with pytest.raises(ValueError, match="group must be"):
+        closed_form_census(3, "gl4")
 
 
 # ---------------------------------------------------------------------------
