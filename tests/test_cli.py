@@ -96,12 +96,16 @@ def test_family_tag_spellings(capsys):
     assert code == 2 and "unknown family" in err
 
 
-def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
+def _levi_b_with_a_non_similitude(monkeypatch):
     # {1, diag(1, 1, 1, 2)} is a group mod 3, but its second member pairs
     # e1 with e3 by 1 and e2 with e4 by 2, so t(m) J m is no multiple of J
     bad = np.stack([np.eye(4, dtype=np.int64),
                     np.diag([1, 1, 1, 2]).astype(np.int64)])
     monkeypatch.setattr(finite_census, "_family_levi_b", lambda ell: bad)
+
+
+def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
+    _levi_b_with_a_non_similitude(monkeypatch)
     code, rep = run_json(capsys, "family", "--case", "LeviB", "--ell", "3")
     assert code == 1
     by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
@@ -111,11 +115,9 @@ def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
 
 def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
                                                           capsys):
-    # the group of test_family_non_similitude_member_fails_its_anchor has no
-    # census; the family is built by the package, so this is exit 1, not 2
-    bad = np.stack([np.eye(4, dtype=np.int64),
-                    np.diag([1, 1, 1, 2]).astype(np.int64)])
-    monkeypatch.setattr(finite_census, "_family_levi_b", lambda ell: bad)
+    # that group has no census; the family is built by the package, so this
+    # is an internal failure (exit 1), not a usage error (exit 2)
+    _levi_b_with_a_non_similitude(monkeypatch)
     code, out, err = run(capsys, "ceta", "--case", "LeviB", "--ell", "3",
                          "--eta", "1/4")
     assert code == 1 and out == ""
