@@ -1,178 +1,62 @@
 """sympkit: exact arithmetic for GSp4 and its arithmetic invariants.
 
 Subpackages split by concern: exact coefficient domains (exact_arith), the
-similitude group and its parabolic combinatorics (gsp4_core), enumerations
-and censuses over prime fields (finite_census), Hecke/Satake Euler factors
-(hecke_l), and explicit four-dimensional Galois-type galleries (artin_gallery).
+similitude group and its parabolic combinatorics (gsp4_core), the
+closed-form census of Sp4/GSp4 over prime fields (census), enumerations over
+prime fields (finite_census), Hecke/Satake Euler factors (hecke_l), and
+explicit four-dimensional Galois-type galleries (artin_gallery).
+
+`import sympkit` loads none of them: each public name is imported from its
+home module on first use (PEP 562), so only what a caller touches is
+loaded, and numpy only with the modules that need it.
 """
 
-from .exact_arith import (
-    Cyclotomic,
-    GaussianRational,
-    PrimeFieldElem,
-    QuadExtElem,
-    Rational,
-    UPoly,
-    frobenius,
-    quadratic_nonresidue,
-    solve_sum_of_squares,
-)
-from .gsp4_core import (
-    CharacterData,
-    GSpElement,
-    NotSimilitude,
-    SiegelPoint,
-    WeylWord,
-    char_poly,
-    casimir_pair,
-    infinity_type_solve,
-    is_in_levi,
-    lambda_rep,
-    moebius,
-    oddness_normalize,
-    similitude_of,
-    torus,
-    try_similitude,
-    weyl_act,
-    weyl_orbit_and_stabilizer,
-    weyl_words,
-)
-from .finite_census import (
-    CharPolyHistogram,
-    FamilySpec,
-    GroupSet,
-    PackedElement,
-    ResourceLimit,
-    brute_similitude_scan,
-    build_family,
-    c_eta_M,
-    charpoly_census,
-    charpoly_coeffs,
-    closed_form_census,
-    embed_gl2_siegel,
-    enumerate_P1_reps,
-    enumerate_gsp4,
-    enumerate_sp4,
-    enumeration_bytes,
-    family_base_subgroup,
-    family_with_base,
-    gl2_charpoly_census,
-    gsp4_order,
-    mulclose,
-    pack_matrices,
-    resolve_threads,
-    sp4_order,
-    unpack_keys,
-)
-from .hecke_l import (
-    EulerFactor,
-    HeckeData,
-    LatticeRing,
-    SatakeParams,
-    check_int,
-    density_ratio,
-    endoscopic_spin_factor,
-    enumerate_Y,
-    hecke_poly,
-    lambda_p2,
-    read_eigen_csv,
-    rou_charpolys,
-    satake_to_hecke,
-    spin_factor,
-    std5_factor,
-    wedge2_params,
-)
-from .artin_gallery import (
-    FiniteMatrixGroup,
-    endoscopic_embed,
-    gallery_generators,
-    gallery_report,
-    gl2_euler_factor,
-    group_closure,
-    sym3_form,
-    sym3_identities_check,
-    sym3_lift,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cyclotomic",
-    "GaussianRational",
-    "PrimeFieldElem",
-    "QuadExtElem",
-    "Rational",
-    "UPoly",
-    "frobenius",
-    "quadratic_nonresidue",
-    "solve_sum_of_squares",
-    "CharacterData",
-    "GSpElement",
-    "NotSimilitude",
-    "SiegelPoint",
-    "WeylWord",
-    "char_poly",
-    "casimir_pair",
-    "infinity_type_solve",
-    "is_in_levi",
-    "lambda_rep",
-    "moebius",
-    "oddness_normalize",
-    "similitude_of",
-    "torus",
-    "try_similitude",
-    "weyl_act",
-    "weyl_orbit_and_stabilizer",
-    "weyl_words",
-    "CharPolyHistogram",
-    "FamilySpec",
-    "GroupSet",
-    "PackedElement",
-    "ResourceLimit",
-    "brute_similitude_scan",
-    "build_family",
-    "c_eta_M",
-    "charpoly_census",
-    "charpoly_coeffs",
-    "closed_form_census",
-    "embed_gl2_siegel",
-    "enumerate_P1_reps",
-    "enumerate_gsp4",
-    "enumerate_sp4",
-    "enumeration_bytes",
-    "family_base_subgroup",
-    "family_with_base",
-    "gl2_charpoly_census",
-    "gsp4_order",
-    "mulclose",
-    "pack_matrices",
-    "resolve_threads",
-    "sp4_order",
-    "unpack_keys",
-    "EulerFactor",
-    "HeckeData",
-    "LatticeRing",
-    "SatakeParams",
-    "check_int",
-    "density_ratio",
-    "endoscopic_spin_factor",
-    "enumerate_Y",
-    "hecke_poly",
-    "lambda_p2",
-    "read_eigen_csv",
-    "rou_charpolys",
-    "satake_to_hecke",
-    "spin_factor",
-    "std5_factor",
-    "wedge2_params",
-    "FiniteMatrixGroup",
-    "endoscopic_embed",
-    "gallery_generators",
-    "gallery_report",
-    "gl2_euler_factor",
-    "group_closure",
-    "sym3_form",
-    "sym3_identities_check",
-    "sym3_lift",
-    "__version__",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "exact_arith": """Cyclotomic GaussianRational PrimeFieldElem QuadExtElem
+        Rational UPoly frobenius quadratic_nonresidue solve_sum_of_squares""",
+    "gsp4_core": """CharacterData GSpElement NotSimilitude SiegelPoint WeylWord
+        char_poly casimir_pair infinity_type_solve is_in_levi lambda_rep
+        moebius oddness_normalize similitude_of torus try_similitude weyl_act
+        weyl_orbit_and_stabilizer weyl_words""",
+    "census": """CharPolyHistogram c_eta_M closed_form_census enumerate_P1_reps
+        gsp4_order sp4_order""",
+    "finite_census": """FamilySpec GroupSet PackedElement ResourceLimit
+        brute_similitude_scan build_family charpoly_census charpoly_coeffs
+        embed_gl2_siegel enumerate_gsp4 enumerate_sp4 enumeration_bytes
+        family_base_subgroup family_with_base gl2_charpoly_census mulclose
+        pack_matrices resolve_threads unpack_keys""",
+    "hecke_l": """EulerFactor HeckeData LatticeRing SatakeParams check_int
+        density_ratio endoscopic_spin_factor enumerate_Y hecke_poly lambda_p2
+        read_eigen_csv rou_charpolys satake_to_hecke spin_factor std5_factor
+        wedge2_params""",
+    "artin_gallery": """FiniteMatrixGroup endoscopic_embed gallery_generators
+        gallery_report gl2_euler_factor group_closure sym3_form
+        sym3_identities_check sym3_lift""",
+}
+
+_HOME = {name: mod for mod, names in _EXPORTS.items()
+         for name in names.split()}
+
+_SUBMODULES = frozenset(_EXPORTS) | {"_mat", "cli"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

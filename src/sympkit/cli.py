@@ -6,8 +6,11 @@ Exit code 0 means every embedded check passed, 1 means at least one failed
 or an internal invariant broke (the message goes to stderr), 2 means the
 invocation itself was bad (unknown flags, values out of range such as an ell
 that is no odd prime, or an --enumerate run at an ell other than 3 and 5 or
-over its memory budget).  --json switches any subcommand to the versioned JSON
-report {schema, command, timestamp, results, assertions}.
+over its memory budget, or a pool flag given to ceta --case <family>).  --json
+switches any subcommand to the versioned JSON report {schema, command,
+timestamp, results, assertions}.  Each subcommand imports the modules it
+uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
+p1reps never load numpy.
 """
 
 import argparse
@@ -17,38 +20,8 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .artin_gallery import (
-    gallery_report,
-    sym3_identities_check,
-    sym3_similitude_factor,
-)
-from .exact_arith import GaussianRational, format_gaussian, format_rational, one_like
-from .finite_census import (
-    FamilySpec,
-    ResourceLimit,
-    build_family,
-    c_eta_M,
-    charpoly_census,
-    closed_form_census,
-    enumerate_P1_reps,
-    enumerate_gsp4,
-    enumerate_sp4,
-    family_with_base,
-    gsp4_order,
-    resolve_threads,
-    sp4_order,
-)
-from .hecke_l import (
-    LatticeRing,
-    SatakeParams,
-    enumerate_Y,
-    hecke_poly,
-    lambda_p2,
-    satake_to_hecke,
-    spin_factor,
-    std5_factor,
-)
-from .exact_arith import parse_gaussian
+from .exact_arith import (GaussianRational, format_gaussian, format_rational,
+                          one_like, parse_gaussian)
 
 _RING_NAMES = {"z": "Z", "gaussian": "Zi", "eisenstein": "Zw"}
 
@@ -82,17 +55,26 @@ def _census(args, group):
     """The closed-form census of `group` ("gsp4" or "sp4") and, under
     --enumerate, the assertion that the enumerated group's census equals it
     (--threads and --budget-mb govern that enumeration)."""
+    from .census import closed_form_census
+
     hist = closed_form_census(args.ell, group)
     if not args.enumerate:
         return hist, []
+    from .finite_census import (DEFAULT_MAX_BYTES, charpoly_census,
+                                enumerate_gsp4, enumerate_sp4, resolve_threads)
+
     enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
+    budget = (DEFAULT_MAX_BYTES if args.budget_mb is None
+              else args.budget_mb << 20)
     listed = enum(args.ell, threads=resolve_threads(args.threads),
-                  max_bytes=args.budget_mb << 20)
+                  max_bytes=budget)
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
 
 def _cmd_census(args):
+    from .census import gsp4_order, sp4_order
+
     hist, oracle = _census(args, "gsp4")
     top_key, top_n = max(hist.classes.items(), key=lambda kv: (kv[1], kv[0]))
     results = {
@@ -124,6 +106,8 @@ def _cmd_census(args):
 
 
 def _cmd_family(args):
+    from .finite_census import FamilySpec, family_with_base
+
     spec = FamilySpec(_family_tag(args.case), args.ell)
     grp, base = family_with_base(spec)
     try:
@@ -150,14 +134,20 @@ def _cmd_family(args):
 
 
 def _cmd_ceta(args):
+    from .census import c_eta_M
+
     eta = Fraction(args.eta)
     low = args.case.strip().lower()
     if low in ("gsp4", "sp4"):
         hist, oracle = _census(args, low)
         name = low
     else:
-        if args.enumerate:
-            raise ValueError("--enumerate applies to --case gsp4 and sp4 only")
+        if args.enumerate or args.threads is not None \
+                or args.budget_mb is not None:
+            raise ValueError("--enumerate, --threads and --budget-mb apply "
+                             "to --case gsp4 and sp4 only")
+        from .finite_census import FamilySpec, build_family, charpoly_census
+
         spec = FamilySpec(_family_tag(args.case), args.ell)
         name = spec.tag
         try:
@@ -193,6 +183,9 @@ def _cmd_ceta(args):
 
 
 def _cmd_hecke(args):
+    from .hecke_l import (SatakeParams, hecke_poly, lambda_p2,
+                          satake_to_hecke, spin_factor, std5_factor)
+
     parts = [t.strip() for t in args.satake.split(",")]
     if len(parts) != 3:
         raise ValueError('--satake wants three comma-separated values, '
@@ -229,6 +222,8 @@ def _cmd_hecke(args):
 
 
 def _cmd_ylattice(args):
+    from .hecke_l import LatticeRing, enumerate_Y
+
     ring = LatticeRing(_RING_NAMES[args.ring])
     c = Fraction(args.c)
     pts = enumerate_Y(c, ring)
@@ -260,6 +255,9 @@ def _random_gaussian(rng):
 
 
 def _cmd_gallery(args):
+    from .artin_gallery import (gallery_report, sym3_identities_check,
+                                sym3_similitude_factor)
+
     if args.which == "solvable":
         rep = gallery_report()
         assertions = [
@@ -301,6 +299,8 @@ def _cmd_gallery(args):
 
 
 def _cmd_p1reps(args):
+    from .census import enumerate_P1_reps
+
     reps = enumerate_P1_reps(args.p, args.beta)
     mod = args.p ** args.beta
     want = 1 if args.beta == 0 else mod + mod // args.p
@@ -357,8 +357,8 @@ def build_parser():
     pool.add_argument("--threads", type=int, default=None,
                       help="worker threads of --enumerate "
                            "(default: SYMPKIT_THREADS or 1)")
-    pool.add_argument("--budget-mb", type=int, default=512,
-                      help="memory budget of --enumerate (MiB)")
+    pool.add_argument("--budget-mb", type=int, default=None,
+                      help="memory budget of --enumerate (MiB, default 512)")
 
     top = argparse.ArgumentParser(
         prog="sympkit",
@@ -429,7 +429,7 @@ def main(argv=None):
     except AssertionError as exc:
         print("assertion failed: %s" % (exc,), file=sys.stderr)
         return 1
-    except (ValueError, ResourceLimit, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     report = {

@@ -15,7 +15,8 @@ whose roots are the spin parameters (a0a1a2, a0a1, a0a2, a0).  Everything is
 computed exactly; floats appear only in the density diagnostic.  The
 root-of-unity factors of rou_charpolys are summed as integer vectors of
 powers x^s mod Phi_L, indexed by integer exponent sums, before any
-Cyclotomic value is built.
+Cyclotomic value is built; those sums are the module's only numpy, imported
+inside rou_charpolys and _power_rows, so the rest of it loads without numpy.
 """
 
 import csv
@@ -24,8 +25,6 @@ import itertools
 import math
 from fractions import Fraction
 from math import gcd, isqrt
-
-import numpy as np
 
 from .exact_arith import (
     Cyclotomic,
@@ -333,6 +332,8 @@ def enumerate_Y(c, ring):
 def _power_rows(order):
     """x^e reduced mod Phi_order for e = 0 .. order-1, as integer rows on the
     power basis 1, x, ..., x^(d-1)."""
+    import numpy as np
+
     phi = np.array(cyclotomic_polynomial(order), dtype=np.int64)
     rows = np.zeros((order, len(phi) - 1), dtype=np.int64)
     rows[0, 0] = 1
@@ -359,6 +360,8 @@ def rou_charpolys(A, symplectic_only=False):
         raise ValueError("need A >= 1")
     if A == 1:
         return frozenset()
+    import numpy as np
+
     order = lcm_upto(max(1, A - 1))
     exps = sorted({
         (order // n) * k

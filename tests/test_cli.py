@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from sympkit import cli, finite_census
+from sympkit import census, finite_census
 from sympkit.cli import main
 from sympkit.finite_census import (
     FamilySpec,
@@ -168,7 +168,8 @@ def test_census_anchors_check_the_histogram(monkeypatch, capsys):
         nu_classes[(0, 0, 0, 1, 2)] -= 1
         return finite_census.CharPolyHistogram(ell, hist.classes, nu_classes)
 
-    monkeypatch.setattr(cli, "closed_form_census", shifted)
+    # cli looks the closed form up in its home module when the command runs
+    monkeypatch.setattr(census, "closed_form_census", shifted)
     code, rep = run_json(capsys, "census", "--ell", "3")
     assert code == 1
     by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
@@ -202,6 +203,21 @@ def test_family_takes_no_pool_flags(capsys):
         code, _, err = run(capsys, "family", "--case", "Hen", "--ell", "3",
                            flag, "2")
         assert code == 2 and "unrecognized arguments" in err
+
+
+def test_ceta_family_takes_no_pool_flags(capsys):
+    # a family census enumerates no full group, so the flags of that
+    # enumeration are usage errors there, as --enumerate is
+    for flags in (("--threads", "2"), ("--budget-mb", "1")):
+        code, out, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
+                             "--eta", "1/4", *flags)
+        assert code == 2 and out == "" and flags[0] in err
+    # the full groups keep accepting them, with or without --enumerate
+    for argv in (("census", "--ell", "3"),
+                 ("ceta", "--case", "gsp4", "--ell", "3", "--eta", "1/4")):
+        code, _ = run_json(capsys, *argv, "--threads", "2",
+                           "--budget-mb", "64")
+        assert code == 0
 
 
 def test_ceta_matches_library(capsys):

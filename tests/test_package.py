@@ -1,0 +1,129 @@
+"""The lazy package surface, and which subcommands load numpy."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sympkit
+
+SRC = str(Path(sympkit.__file__).resolve().parents[1])
+
+# sympkit.__all__ as it stood when the package imported every module eagerly
+EAGER_ALL = [
+    "Cyclotomic", "GaussianRational", "PrimeFieldElem", "QuadExtElem",
+    "Rational", "UPoly", "frobenius", "quadratic_nonresidue",
+    "solve_sum_of_squares", "CharacterData", "GSpElement", "NotSimilitude",
+    "SiegelPoint", "WeylWord", "char_poly", "casimir_pair",
+    "infinity_type_solve", "is_in_levi", "lambda_rep", "moebius",
+    "oddness_normalize", "similitude_of", "torus", "try_similitude",
+    "weyl_act", "weyl_orbit_and_stabilizer", "weyl_words",
+    "CharPolyHistogram", "FamilySpec", "GroupSet", "PackedElement",
+    "ResourceLimit", "brute_similitude_scan", "build_family", "c_eta_M",
+    "charpoly_census", "charpoly_coeffs", "closed_form_census",
+    "embed_gl2_siegel", "enumerate_P1_reps", "enumerate_gsp4",
+    "enumerate_sp4", "enumeration_bytes", "family_base_subgroup",
+    "family_with_base", "gl2_charpoly_census", "gsp4_order", "mulclose",
+    "pack_matrices", "resolve_threads", "sp4_order", "unpack_keys",
+    "EulerFactor", "HeckeData", "LatticeRing", "SatakeParams", "check_int",
+    "density_ratio", "endoscopic_spin_factor", "enumerate_Y", "hecke_poly",
+    "lambda_p2", "read_eigen_csv", "rou_charpolys", "satake_to_hecke",
+    "spin_factor", "std5_factor", "wedge2_params", "FiniteMatrixGroup",
+    "endoscopic_embed", "gallery_generators", "gallery_report",
+    "gl2_euler_factor", "group_closure", "sym3_form", "sym3_identities_check",
+    "sym3_lift", "__version__",
+]
+
+# run in a fresh interpreter: `cli.main(argv)`, then report its exit code,
+# whether numpy was loaded and which sympkit modules were
+_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1:] == ["--bare-import"]:
+    import sympkit
+    code = 0
+else:
+    from sympkit import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules
+                                    if m.startswith("sympkit."))}))
+"""
+
+
+def run_python(code, *argv):
+    "Standard output of `python -c code argv...` in a fresh interpreter."
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True, timeout=300)
+    return out.stdout
+
+
+def probe(*argv):
+    return json.loads(run_python(_PROBE, *argv))
+
+
+def test_all_keeps_the_eager_names():
+    assert len(set(sympkit.__all__)) == len(sympkit.__all__)
+    assert sorted(sympkit.__all__) == sorted(EAGER_ALL)
+
+
+def test_every_name_resolves_to_its_home_module():
+    for name in sympkit.__all__:
+        if name == "__version__":
+            assert sympkit.__version__ == "0.1.0"
+            continue
+        home = "sympkit." + sympkit._HOME[name]
+        obj = getattr(sympkit, name)
+        assert obj is getattr(importlib.import_module(home), name), name
+        # the table names the module that defines it (Rational is Fraction)
+        owner = getattr(obj, "__module__", home)
+        assert owner == home or not owner.startswith("sympkit"), name
+    assert set(sympkit.__all__) <= set(dir(sympkit))
+
+
+def test_star_import_binds_every_name():
+    scope = {}
+    exec("from sympkit import *", scope)
+    assert set(sympkit.__all__) <= set(scope)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sympkit.no_such_name
+    assert not hasattr(sympkit, "numpy")
+
+
+def test_bare_import_loads_no_submodule():
+    assert probe("--bare-import")["modules"] == []
+    out = run_python("import sympkit; print(sympkit.finite_census.__name__)")
+    assert out.strip() == "sympkit.finite_census"
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ell", "3"),
+    ("census", "--ell", "3", "--csv", os.devnull),
+    ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "gsp4", "--ell", "3", "--eta", "1/4"),
+    ("hecke", "--satake", "1,1,1", "--p", "3"),
+    ("ylattice", "--ring", "gaussian", "--c", "2"),
+    ("p1reps", "--p", "3", "--beta", "2"),
+])
+def test_subcommand_runs_without_numpy(argv):
+    got = probe(*argv)
+    assert got["code"] == 0 and not got["numpy"], got
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--case", "LeviB", "--ell", "3"),
+    ("gallery", "solvable"),
+    ("census", "--ell", "3", "--enumerate"),
+])
+def test_subcommand_loads_numpy(argv):
+    got = probe(*argv)
+    assert got["code"] == 0 and got["numpy"], got
