@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "exact_arith": """Cyclotomic GaussianRational PrimeFieldElem QuadExtElem
-        Rational UPoly frobenius quadratic_nonresidue solve_sum_of_squares""",
+    "exact_arith": """Cyclotomic GaussianRational PrimeFieldElem Rational UPoly
+        quadratic_nonresidue solve_sum_of_squares""",
     "gsp4_core": """CharacterData GSpElement NotSimilitude SiegelPoint WeylWord
         char_poly casimir_pair infinity_type_solve is_in_levi lambda_rep
         moebius oddness_normalize similitude_of torus try_similitude weyl_act

@@ -23,7 +23,8 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import _mat
-from .exact_arith import GaussianRational, UPoly, format_gaussian, one_like
+from .exact_arith import (GaussianRational, UPoly, _Frozen, format_gaussian,
+                          one_like)
 from .finite_census import _J4, _closure
 from .gsp4_core import (
     GSpElement,
@@ -193,7 +194,7 @@ def _z2():
     return ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
 
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(_Frozen):
     """A finite group of exact matrices: generators plus the full closure.
 
     Besides the frozen GaussianRational matrices it keeps them scaled, as
@@ -209,9 +210,6 @@ class FiniteMatrixGroup:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "scaled", scaled or _scale(list(elements)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def order(self):

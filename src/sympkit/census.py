@@ -26,7 +26,7 @@ ranks sum to 2; it is keyed by det(1 - gT) = (-a, b, -nu a, nu^2) and nu.
 from fractions import Fraction
 from math import prod
 
-from .exact_arith import _require_odd_prime, is_odd_prime
+from .exact_arith import _Frozen, _require_odd_prime, is_odd_prime
 
 
 def sp4_order(ell):
@@ -37,7 +37,7 @@ def gsp4_order(ell):
     return (ell - 1) * sp4_order(ell)
 
 
-class CharPolyHistogram:
+class CharPolyHistogram(_Frozen):
     """Census of det(1 - gT) = 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over a set.
 
     `classes` maps (c1, c2, c3, c4) to a count; `nu_classes` refines by the
@@ -54,9 +54,6 @@ class CharPolyHistogram:
         object.__setattr__(self, "classes", dict(classes))
         object.__setattr__(self, "nu_classes", dict(nu_classes))
         object.__setattr__(self, "total", total)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def max_class(self):
         return max(self.classes.values())

@@ -1,9 +1,10 @@
 """Exact coefficient domains.
 
 Rationals (stdlib Fraction), Gaussian rationals, prime fields F_l for odd l,
-quadratic extensions F_{l^2} = F_l(sqrt u), small cyclotomic rings Z[x]/Phi_L,
-and univariate polynomials over any of these.  Everything downstream is generic
-over these domains; all values are immutable after construction.
+small cyclotomic rings Z[x]/Phi_L, and univariate polynomials over any of
+these.  Everything downstream is generic over these domains; all values are
+immutable after construction (every value type of the package derives from
+_Frozen).
 """
 
 from fractions import Fraction
@@ -40,6 +41,50 @@ def rational_sqrt(q):
     return None
 
 
+class _Frozen:
+    """Base of the package's value types: fields are set once, in __init__,
+    through object.__setattr__; assignment and deletion are refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("immutable")
+
+
+class _Field(_Frozen):
+    """The operators every field domain derives from its own `one`,
+    `_coerce`, `-`, `*` and `inverse`."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
 def one_like(x):
     "Multiplicative identity of the domain x lives in."
     if isinstance(x, (int, Fraction)):
@@ -47,20 +92,18 @@ def one_like(x):
     return x.one()
 
 
-class GaussianRational:
+class GaussianRational(_Field):
     """a + b*i with exact rational a, b."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
-            assert im == 0
+            if im:
+                raise ValueError("a GaussianRational takes no second part")
             re, im = re.re, re.im
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def one(self):
         return GaussianRational(1)
@@ -90,12 +133,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -119,32 +156,8 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of 0")
         return GaussianRational(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -211,7 +224,7 @@ def parse_gaussian(s):
     return GaussianRational(re, Fraction(im_part))
 
 
-class PrimeFieldElem:
+class PrimeFieldElem(_Field):
     """An element of F_l, l an odd prime."""
 
     __slots__ = ("mod", "val")
@@ -220,9 +233,6 @@ class PrimeFieldElem:
         _require_odd_prime(mod)
         object.__setattr__(self, "mod", mod)
         object.__setattr__(self, "val", val % mod)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def one(self):
         return PrimeFieldElem(self.mod, 1)
@@ -250,10 +260,6 @@ class PrimeFieldElem:
             return NotImplemented
         return PrimeFieldElem(self.mod, self.val - o.val)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -266,16 +272,6 @@ class PrimeFieldElem:
         if self.val == 0:
             raise ZeroDivisionError("inverse of 0 mod %d" % self.mod)
         return PrimeFieldElem(self.mod, pow(self.val, -1, self.mod))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
 
     def __neg__(self):
         return PrimeFieldElem(self.mod, -self.val)
@@ -327,137 +323,6 @@ def solve_sum_of_squares(u, ell=None):
     raise ValueError("no two-nonzero-square representation of %d mod %d" % (u, ell))
 
 
-class QuadExtElem:
-    """x + y*sqrt(u) in F_{l^2}, u a fixed non-residue mod l."""
-
-    __slots__ = ("mod", "u", "x", "y")
-
-    def __init__(self, mod, u, x, y=0):
-        _require_odd_prime(mod)
-        u = u.val if isinstance(u, PrimeFieldElem) else u % mod
-        x = x.val if isinstance(x, PrimeFieldElem) else x % mod
-        y = y.val if isinstance(y, PrimeFieldElem) else y % mod
-        object.__setattr__(self, "mod", mod)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "x", x % mod)
-        object.__setattr__(self, "y", y % mod)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def one(self):
-        return QuadExtElem(self.mod, self.u, 1, 0)
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExtElem):
-            if (other.mod, other.u) != (self.mod, self.u):
-                raise ValueError("mixed quadratic extensions")
-            return other
-        if isinstance(other, int):
-            return QuadExtElem(self.mod, self.u, other, 0)
-        if isinstance(other, PrimeFieldElem):
-            if other.mod != self.mod:
-                raise ValueError("mixed moduli")
-            return QuadExtElem(self.mod, self.u, other.val, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExtElem(self.mod, self.u, self.x + o.x, self.y + o.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExtElem(self.mod, self.u, self.x - o.x, self.y - o.y)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (x1 + y1 s)(x2 + y2 s) = x1 x2 + u y1 y2 + (x1 y2 + x2 y1) s
-        return QuadExtElem(
-            self.mod,
-            self.u,
-            self.x * o.x + self.u * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadExtElem(self.mod, self.u, self.x, -self.y)
-
-    def norm(self):
-        "x^2 - u y^2 as a PrimeFieldElem (the norm to F_l)."
-        return PrimeFieldElem(self.mod, self.x * self.x - self.u * self.y * self.y)
-
-    def inverse(self):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("inverse of 0 in F_%d^2" % self.mod)
-        ninv = n.inverse().val
-        return QuadExtElem(self.mod, self.u, self.x * ninv, -self.y * ninv)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
-
-    def __neg__(self):
-        return QuadExtElem(self.mod, self.u, -self.x, -self.y)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __bool__(self):
-        return self.x != 0 or self.y != 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.mod, self.u, self.x, self.y))
-
-    def __repr__(self):
-        return "QuadExtElem(%d, u=%d, %d, %d)" % (self.mod, self.u, self.x, self.y)
-
-
-def frobenius(x):
-    """The l-th power map on F_{l^2}: x + y*sqrt(u) -> x - y*sqrt(u).
-
-    Generates the Galois group over F_l; applying it twice is the identity.
-    """
-    if not isinstance(x, QuadExtElem):
-        raise TypeError("frobenius wants a QuadExtElem")
-    return x.conjugate()
-
-
 def _strip(coeffs):
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -475,7 +340,7 @@ def _promote(coeffs):
     return list(coeffs)
 
 
-class UPoly:
+class UPoly(_Frozen):
     """Univariate polynomial, constant term first.
 
     Normalized so the stored leading coefficient is nonzero (the zero
@@ -486,9 +351,6 @@ class UPoly:
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(_strip(_promote(coeffs))))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def degree(self):
@@ -612,7 +474,7 @@ def _polydiv_exact(num, den):
     return out
 
 
-class Cyclotomic:
+class Cyclotomic(_Field):
     """An element of Z[x]/Phi_L(x), written on the power basis 1, x, ..., x^(d-1).
 
     Coefficients are Fractions (they stay integral for ring elements built
@@ -638,9 +500,6 @@ class Cyclotomic:
         coeffs += [Fraction(0)] * (d - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def root_of_unity(cls, order, k):
@@ -673,10 +532,6 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -718,28 +573,6 @@ class Cyclotomic:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         return Cyclotomic(self.order, [aug[r][d] for r in range(d)])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __bool__(self):
         return any(self.coeffs)

@@ -42,6 +42,7 @@ from .census import (
     sp4_order,
 )
 from .exact_arith import (
+    _Frozen,
     _require_odd_prime,
     quadratic_nonresidue,
     solve_sum_of_squares,
@@ -121,7 +122,7 @@ def _similitude_info(mats, ell):
     return mask, nu
 
 
-class PackedElement:
+class PackedElement(_Frozen):
     """One similitude matrix over F_ell, packed: the uint64 key plus nu."""
 
     __slots__ = ("ell", "key", "nu")
@@ -134,9 +135,6 @@ class PackedElement:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "key", int(key))
         object.__setattr__(self, "nu", int(nu) % ell)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def from_matrix(cls, m, ell):
@@ -285,7 +283,7 @@ def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
                     chunk)
 
 
-class GroupSet:
+class GroupSet(_Frozen):
     """A finalized set of packed matrices over F_ell (sorted uint64 keys)."""
 
     __slots__ = ("ell", "_keys")
@@ -296,9 +294,6 @@ class GroupSet:
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def from_matrices(cls, mats, ell):
@@ -621,7 +616,7 @@ _FAMILY_TAGS = (
 )
 
 
-class FamilySpec:
+class FamilySpec(_Frozen):
     """Which explicit subgroup to build over which prime, with optional
     quadratic-extension parameters (u a non-residue; a, b with a^2+b^2 = u;
     lam a square root of u, recorded for reporting only)."""
@@ -638,9 +633,6 @@ class FamilySpec:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", lam)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def _tup(self):
         return (self.tag, self.ell, self.u, self.a, self.b, self.lam)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _mat
-from .exact_arith import Rational, UPoly, one_like, rational_sqrt
+from .exact_arith import (GaussianRational, Rational, UPoly, _Frozen, one_like,
+                          rational_sqrt)
 
 
 class NotSimilitude(ValueError):
@@ -62,7 +63,7 @@ def similitude_of(m):
     return nu
 
 
-class GSpElement:
+class GSpElement(_Frozen):
     """A verified element of GSp4: matrix plus its cached similitude factor.
 
     The similitude relation is recomputed at construction; an element can
@@ -79,9 +80,6 @@ class GSpElement:
             raise ValueError("need a 4x4 matrix")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "nu", similitude_of(mat))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __mul__(self, other):
         if isinstance(other, GSpElement):
@@ -498,7 +496,7 @@ def _binom(n, k):
     return out
 
 
-class SiegelPoint:
+class SiegelPoint(_Frozen):
     """A point of the degree-2 upper half-space: Z symmetric 2x2 over the
     Gaussian rationals with positive definite imaginary part (checked by
     leading principal minors, exactly)."""
@@ -506,8 +504,6 @@ class SiegelPoint:
     __slots__ = ("Z",)
 
     def __init__(self, Z):
-        from .exact_arith import GaussianRational
-
         Z = _mat.freeze(
             tuple(tuple(GaussianRational(x) for x in row) for row in Z)
         )
@@ -518,9 +514,6 @@ class SiegelPoint:
         if not (y00 > 0 and ydet > 0):
             raise ValueError("imaginary part is not positive definite")
         object.__setattr__(self, "Z", Z)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def imag(self):
         return tuple(tuple(x.im for x in row) for row in self.Z)
@@ -541,8 +534,6 @@ def moebius(gamma, Z):
     C Z + D.  Requires nu(gamma) real and positive; the cocycle identity
     J(gamma delta, Z) = J(gamma, delta Z) J(delta, Z) holds exactly.
     """
-    from .exact_arith import GaussianRational
-
     el = gamma if isinstance(gamma, GSpElement) else GSpElement(gamma)
     nu = el.nu
     if isinstance(nu, (int, Fraction)):

@@ -30,6 +30,7 @@ from .exact_arith import (
     Cyclotomic,
     GaussianRational,
     UPoly,
+    _Frozen,
     cyclotomic_polynomial,
     format_gaussian,
     format_rational,
@@ -46,7 +47,7 @@ def _inv(x):
     return x.inverse()
 
 
-class SatakeParams:
+class SatakeParams(_Frozen):
     """Exact Satake parameters (alpha0, alpha1, alpha2), all nonzero.
 
     Entries live in any exact field domain (Fraction, GaussianRational,
@@ -69,9 +70,6 @@ class SatakeParams:
         object.__setattr__(self, "alpha2", alpha2)
         object.__setattr__(self, "eps", alpha0 * alpha0 * alpha1 * alpha2)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def spin_roots(self):
         "(a0 a1 a2, a0 a1, a0 a2, a0) in this fixed order."
         a0, a1, a2 = self.alpha0, self.alpha1, self.alpha2
@@ -86,7 +84,7 @@ class SatakeParams:
         return "SatakeParams(%r, %r, %r)" % (self.alpha0, self.alpha1, self.alpha2)
 
 
-class HeckeData:
+class HeckeData(_Frozen):
     "Eigenvalue data at a prime p: a1 = lambda(p), a2, and the central eps."
 
     __slots__ = ("a1", "a2", "eps", "p")
@@ -103,15 +101,12 @@ class HeckeData:
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "p", p)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __repr__(self):
         return "HeckeData(a1=%r, a2=%r, eps=%r, p=%d)" % (
             self.a1, self.a2, self.eps, self.p)
 
 
-class EulerFactor:
+class EulerFactor(_Frozen):
     """A reciprocal local factor: polynomial in T with constant term 1.
 
     Degree 4 for spin factors (c3 = eps c1, c4 = eps^2 when attached to a
@@ -127,9 +122,6 @@ class EulerFactor:
             raise ValueError("an Euler factor has constant term 1")
         object.__setattr__(self, "degree", poly.degree)
         object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def coeffs(self):
@@ -224,7 +216,7 @@ def lambda_p2(h, c_p):
     return h.a1 * h.a1 - h.eps * Fraction(1, h.p) - h.eps * (c_p + one)
 
 
-class LatticeRing:
+class LatticeRing(_Frozen):
     """One of the three integer lattices Z, Z[i], Z[omega] (omega a primitive
     cube root of unity), with exact membership tests and bounded enumeration
     by the sup of squared absolute values over all complex embeddings."""
@@ -236,9 +228,6 @@ class LatticeRing:
         if tag not in self._TAGS:
             raise ValueError("unknown lattice ring %r (want Z, Zi or Zw)" % (tag,))
         object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return isinstance(other, LatticeRing) and self.tag == other.tag

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -7,12 +9,10 @@ from sympkit.exact_arith import (
     Cyclotomic,
     GaussianRational,
     PrimeFieldElem,
-    QuadExtElem,
     UPoly,
     cyclotomic_polynomial,
     format_gaussian,
     format_rational,
-    frobenius,
     is_odd_prime,
     lcm_upto,
     one_like,
@@ -47,6 +47,14 @@ def test_gaussian_basics():
     assert bool(GaussianRational(0)) is False
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).inverse()
+
+
+def test_gaussian_from_gaussian_takes_no_second_part():
+    z = GaussianRational(F(1, 2), 3)
+    assert GaussianRational(z) == z
+    assert GaussianRational(z, 0) == z
+    with pytest.raises(ValueError):
+        GaussianRational(GaussianRational(1), 5)
 
 
 def test_gaussian_field_axioms_random():
@@ -150,58 +158,6 @@ def test_solve_sum_of_squares_pinned():
         assert a * a + b * b == quadratic_nonresidue(ell)
 
 
-def test_quad_ext_arithmetic():
-    """F_9 = F_3(sqrt 2): check the multiplication rule and norms exhaustively."""
-    ell, u = 3, 2
-    elems = [QuadExtElem(ell, u, x, y) for x in range(3) for y in range(3)]
-    for a in elems:
-        for b in elems:
-            p = a * b
-            assert p.norm() == a.norm() * b.norm()
-    nonzero = [e for e in elems if e]
-    assert len(nonzero) == 8
-    for e in nonzero:
-        assert e * e.inverse() == e.one()
-    # multiplicative group of F_9 is cyclic of order 8
-    orders = set()
-    for e in nonzero:
-        k, p = 1, e
-        while p != e.one():
-            p, k = p * e, k + 1
-        orders.add(k)
-    assert 8 in orders
-
-
-def test_frobenius_pinned():
-    x = QuadExtElem(3, 2, 2, 1)  # 2 + sqrt(2) in F_9
-    # independent oracle: frobenius is the cube map in F_9
-    assert frobenius(x) == x * x * x
-    assert frobenius(x) == QuadExtElem(3, 2, 2, 2)
-    assert frobenius(QuadExtElem(3, 2, 1, 0)) == 1
-    assert frobenius(QuadExtElem(3, 2, 0, 1)) == -QuadExtElem(3, 2, 0, 1)
-    with pytest.raises(TypeError):
-        frobenius(F(1))
-
-
-def test_frobenius_fixed_field():
-    # frobenius fixes exactly the l prime-field elements
-    for ell in (3, 5, 7):
-        u = quadratic_nonresidue(ell).val
-        fixed = [
-            (x, y)
-            for x in range(ell)
-            for y in range(ell)
-            if frobenius(QuadExtElem(ell, u, x, y)) == QuadExtElem(ell, u, x, y)
-        ]
-        assert len(fixed) == ell
-        assert all(y == 0 for _, y in fixed)
-        # and applying it twice is the identity, everywhere
-        for x in range(ell):
-            for y in range(ell):
-                e = QuadExtElem(ell, u, x, y)
-                assert frobenius(frobenius(e)) == e
-
-
 def test_upoly_basics():
     p = UPoly([1, 0, -2, 0, 1])
     assert p.degree == 4
@@ -275,6 +231,31 @@ def test_cyclotomic_ring():
     assert w == Cyclotomic.root_of_unity(12, 1) ** 7
     with pytest.raises(ValueError):
         Cyclotomic.root_of_unity(12, 1) + Cyclotomic.root_of_unity(8, 1)
+
+
+# one nonzero element of each field domain
+FIELD_ELEMENTS = [GaussianRational(F(1, 2), F(-3, 4)), PrimeFieldElem(7, 3),
+                  Cyclotomic(5, [1, 2, 0, F(1, 3)])]
+
+
+@pytest.mark.parametrize("z", FIELD_ELEMENTS, ids=lambda z: type(z).__name__)
+def test_field_derived_operators(z):
+    assert 1 - z == -(z - 1)
+    assert 1 / z == z.inverse()
+    assert z / z == 1
+    assert z ** -3 == z.inverse() ** 3
+    assert z ** 5 == z * z * z * z * z
+    assert z ** 0 == z.one()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_mixed_field_domains_raise_type_error(op):
+    # both operand orders; a reflected operator that called back into the
+    # other operand's forward one would recurse instead
+    for a, b in itertools.permutations(FIELD_ELEMENTS, 2):
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_lcm_upto():

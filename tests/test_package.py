@@ -1,10 +1,12 @@
-"""The lazy package surface, and which subcommands load numpy."""
+"""The lazy package surface, which subcommands load numpy, and the value
+types every module defines."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,8 @@ SRC = str(Path(sympkit.__file__).resolve().parents[1])
 
 # sympkit.__all__ as it stood when the package imported every module eagerly
 EAGER_ALL = [
-    "Cyclotomic", "GaussianRational", "PrimeFieldElem", "QuadExtElem",
-    "Rational", "UPoly", "frobenius", "quadratic_nonresidue",
-    "solve_sum_of_squares", "CharacterData", "GSpElement", "NotSimilitude",
+    "Cyclotomic", "GaussianRational", "PrimeFieldElem", "Rational", "UPoly",
+    "quadratic_nonresidue", "solve_sum_of_squares", "CharacterData", "GSpElement", "NotSimilitude",
     "SiegelPoint", "WeylWord", "char_poly", "casimir_pair",
     "infinity_type_solve", "is_in_levi", "lambda_rep", "moebius",
     "oddness_normalize", "similitude_of", "torus", "try_similitude",
@@ -39,7 +40,7 @@ EAGER_ALL = [
 ]
 
 # run in a fresh interpreter: `cli.main(argv)`, then report its exit code,
-# whether numpy was loaded and which sympkit modules were
+# whether numpy and dataclasses were loaded and which sympkit modules were
 _PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1:] == ["--bare-import"]:
@@ -50,6 +51,7 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
                   "modules": sorted(m for m in sys.modules
                                     if m.startswith("sympkit."))}))
 """
@@ -115,8 +117,11 @@ def test_bare_import_loads_no_submodule():
     ("p1reps", "--p", "3", "--beta", "2"),
 ])
 def test_subcommand_runs_without_numpy(argv):
+    # dataclasses costs about 10 ms of import per task; only the numpy
+    # paths (through gsp4_core) may load it
     got = probe(*argv)
     assert got["code"] == 0 and not got["numpy"], got
+    assert not got["dataclasses"], got
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,3 +132,54 @@ def test_subcommand_runs_without_numpy(argv):
 def test_subcommand_loads_numpy(argv):
     got = probe(*argv)
     assert got["code"] == 0 and got["numpy"], got
+
+
+def _identity(n, one):
+    return tuple(tuple(one if i == j else 0 * one for j in range(n))
+                 for i in range(n))
+
+
+# (type name, a factory for one instance, one of its fields)
+VALUES = [
+    ("GaussianRational", lambda: sympkit.GaussianRational(1, 2), "im"),
+    ("PrimeFieldElem", lambda: sympkit.PrimeFieldElem(7, 3), "val"),
+    ("UPoly", lambda: sympkit.UPoly([1, 2]), "coeffs"),
+    ("Cyclotomic", lambda: sympkit.Cyclotomic(5, [1, 2]), "coeffs"),
+    ("PackedElement", lambda: sympkit.PackedElement(3, 0, 1), "key"),
+    ("GroupSet", lambda: sympkit.GroupSet(3, [1, 2]), "ell"),
+    ("FamilySpec", lambda: sympkit.FamilySpec("LeviB", 3), "tag"),
+    ("SatakeParams", lambda: sympkit.SatakeParams(1, 2, 3), "eps"),
+    ("HeckeData", lambda: sympkit.HeckeData(1, 2, 1, 3), "a1"),
+    ("EulerFactor", lambda: sympkit.EulerFactor([1, 2]), "poly"),
+    ("LatticeRing", lambda: sympkit.LatticeRing("Zi"), "tag"),
+    ("GSpElement", lambda: sympkit.GSpElement(_identity(4, 1)), "nu"),
+    ("SiegelPoint",
+     lambda: sympkit.SiegelPoint(_identity(2, sympkit.GaussianRational.i())),
+     "Z"),
+    ("CharPolyHistogram",
+     lambda: sympkit.CharPolyHistogram(3, {(0, 0, 0, 1): 1},
+                                       {((0, 0, 0, 1), 1): 1}), "total"),
+    ("FiniteMatrixGroup",
+     lambda: sympkit.FiniteMatrixGroup(
+         [_identity(2, sympkit.GaussianRational(1))],
+         [_identity(2, sympkit.GaussianRational(1))]), "elements"),
+    ("WeylWord", lambda: sympkit.WeylWord((1, 2)), "word"),
+    ("CharacterData", lambda: sympkit.CharacterData(1, -1, 1), "s0"),
+]
+
+
+@pytest.mark.parametrize("make, field", [v[1:] for v in VALUES],
+                         ids=[v[0] for v in VALUES])
+def test_value_types_refuse_assignment_and_deletion(make, field):
+    obj = make()
+    value = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, value)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.no_such_field = 0
+    assert getattr(obj, field) is value
+    # __slots__ = () on both bases keeps instances free of a __dict__; the
+    # two frozen dataclasses of gsp4_core are not slotted
+    assert hasattr(obj, "__dict__") == is_dataclass(obj)
