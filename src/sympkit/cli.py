@@ -10,7 +10,7 @@ over its memory budget, or a pool flag given to ceta --case <family>).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
 uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
-p1reps never load numpy.
+p1reps never load numpy; nor does anything in hecke_l, rou_charpolys included.
 """
 
 import argparse

@@ -7,8 +7,9 @@ immutable after construction (every value type of the package derives from
 _Frozen).
 """
 
+import functools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 Rational = Fraction
@@ -169,7 +170,8 @@ class GaussianRational(_Field):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction does, since it compares equal
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __abs__(self):
         # float modulus; used only by floating diagnostics
@@ -447,6 +449,7 @@ class UPoly(_Frozen):
         return "UPoly(%s)" % " + ".join(terms)
 
 
+@functools.cache
 def cyclotomic_polynomial(n):
     """Coefficients (constant first) of the n-th cyclotomic polynomial, exact."""
     if n < 1:
@@ -474,32 +477,59 @@ def _polydiv_exact(num, den):
     return out
 
 
-class Cyclotomic(_Field):
-    """An element of Z[x]/Phi_L(x), written on the power basis 1, x, ..., x^(d-1).
+def _reduce(phi, row):
+    "An integer row reduced mod the monic phi and padded to its degree."
+    d = len(phi) - 1
+    row = list(row)
+    while len(row) > d:
+        lead = row.pop()
+        if lead:
+            k = len(row) - d
+            for j in range(d):
+                row[k + j] -= lead * phi[j]
+    return row + [0] * (d - len(row))
 
-    Coefficients are Fractions (they stay integral for ring elements built
-    from roots of unity, but division by integers is allowed).
+
+class Cyclotomic(_Field):
+    """An element of Q[x]/Phi_L(x) on the power basis 1, x, ..., x^(d-1).
+
+    Stored as `num`, a tuple of ints reduced mod Phi_L, over `den`, one
+    positive common denominator, in lowest terms (gcd(den, *num) == 1), so
+    arithmetic, equality and hashing run on plain ints.  The rational
+    coefficients num[k] / den are read through `coeffs`, a tuple of
+    Fractions built on first read and cached.
     """
 
-    __slots__ = ("order", "coeffs")
-    _phi = {}
+    __slots__ = ("order", "num", "den", "_coeffs")
 
-    def __init__(self, order, coeffs):
-        phi = Cyclotomic._phi.get(order)
-        if phi is None:
-            phi = Cyclotomic._phi[order] = cyclotomic_polynomial(order)
-        d = len(phi) - 1
-        coeffs = [Fraction(c) for c in coeffs]
-        # reduce mod Phi (monic)
-        while len(coeffs) > d:
-            lead = coeffs.pop()
-            if lead:
-                k = len(coeffs) - d
-                for j in range(d):
-                    coeffs[k + j] -= lead * phi[j]
-        coeffs += [Fraction(0)] * (d - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __new__(cls, order, coeffs):
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls._make(order, [c.numerator * (den // c.denominator)
+                                 for c in coeffs], den)
+
+    @classmethod
+    def _make(cls, order, num, den):
+        "num / den from an integer row and a positive int, in lowest terms."
+        num = _reduce(cyclotomic_polynomial(order), num)
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [n // g for n in num], den // g
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "num", tuple(num))
+        object.__setattr__(out, "den", den)
+        return out
+
+    @property
+    def coeffs(self):
+        try:
+            return self._coeffs
+        except AttributeError:
+            out = tuple(Fraction(n, self.den) for n in self.num)
+            object.__setattr__(self, "_coeffs", out)
+            return out
 
     @classmethod
     def root_of_unity(cls, order, k):
@@ -508,7 +538,7 @@ class Cyclotomic(_Field):
         return cls(order, [0] * k + [1])
 
     def one(self):
-        return Cyclotomic(self.order, [1])
+        return Cyclotomic._make(self.order, [1], 1)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -523,44 +553,42 @@ class Cyclotomic(_Field):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        a, b = self.den, o.den
+        return Cyclotomic._make(
+            self.order, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return NotImplemented if o is None else self + -o
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if not a:
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in enumerate(o.num):
                 out[i + j] += a * b
-        return Cyclotomic(self.order, out)
+        return Cyclotomic._make(self.order, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return Cyclotomic._make(self.order, [-a for a in self.num], self.den)
 
     def inverse(self):
         """Multiplicative inverse, by solving the multiplication-by-self linear
         system over Q on the power basis."""
-        d = len(self.coeffs)
-        cols = []
-        for j in range(d):
-            xj = Cyclotomic(self.order, [0] * j + [1])
-            cols.append((self * xj).coeffs)
-        # Gauss-Jordan on the d x d system (columns are self * x^j)
-        aug = [[cols[j][i] for j in range(d)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(d)]
+        d = len(self.num)
+        phi = cyclotomic_polynomial(self.order)
+        # column j is den * self * x^j; solving for den * e_0 gives 1 / self
+        cols = [_reduce(phi, [0] * j + list(self.num)) for j in range(d)]
+        aug = [[Fraction(cols[j][i]) for j in range(d)]
+               + [Fraction(self.den if i == 0 else 0)] for i in range(d)]
         for col in range(d):
             piv = next((r for r in range(col, d) if aug[r][col]), None)
             if piv is None:
@@ -575,16 +603,16 @@ class Cyclotomic(_Field):
         return Cyclotomic(self.order, [aug[r][d] for r in range(d)])
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.num))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coeffs))

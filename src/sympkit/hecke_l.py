@@ -13,10 +13,10 @@ and the degree-4 Hecke polynomial is
 
 whose roots are the spin parameters (a0a1a2, a0a1, a0a2, a0).  Everything is
 computed exactly; floats appear only in the density diagnostic.  The
-root-of-unity factors of rou_charpolys are summed as integer vectors of
-powers x^s mod Phi_L, indexed by integer exponent sums, before any
-Cyclotomic value is built; those sums are the module's only numpy, imported
-inside rou_charpolys and _power_rows, so the rest of it loads without numpy.
+coefficients of the root-of-unity factors of rou_charpolys are column sums
+of integer rows x^s mod Phi_L, indexed by exponent sums s, each turned into
+a Cyclotomic value once per distinct multiset of sums.  The whole module,
+rou_charpolys included, computes with the standard library alone.
 """
 
 import csv
@@ -259,8 +259,8 @@ class LatticeRing(_Frozen):
         raise ValueError("cannot test %r against %s" % (x, self.tag))
 
     def _contains_cyclotomic(self, x):
-        if not any(x.coeffs[1:]):
-            return x.coeffs[0].denominator == 1
+        if not any(x.num[1:]):
+            return x.den == 1
         if self.tag == "Z":
             raise ValueError("non-rational cyclotomic value against Z")
         gen_order = 4 if self.tag == "Zi" else 3
@@ -272,11 +272,10 @@ class LatticeRing(_Frozen):
         j = next(k for k, c in enumerate(gen.coeffs) if k and c)
         b = x.coeffs[j] / gen.coeffs[j]
         rest = x - gen * b
-        if any(rest.coeffs[1:]):
+        if any(rest.num[1:]):
             raise ValueError("value lies outside the fraction field of %s"
                              % (self.tag,))
-        a = rest.coeffs[0]
-        return a.denominator == 1 and b.denominator == 1
+        return rest.den == 1 and b.denominator == 1
 
     # -- enumeration --------------------------------------------------------
 
@@ -321,14 +320,13 @@ def enumerate_Y(c, ring):
 def _power_rows(order):
     """x^e reduced mod Phi_order for e = 0 .. order-1, as integer rows on the
     power basis 1, x, ..., x^(d-1)."""
-    import numpy as np
-
-    phi = np.array(cyclotomic_polynomial(order), dtype=np.int64)
-    rows = np.zeros((order, len(phi) - 1), dtype=np.int64)
-    rows[0, 0] = 1
-    for e in range(1, order):
-        rows[e, 1:] = rows[e - 1, :-1]
-        rows[e] -= rows[e - 1, -1] * phi[:-1]
+    phi = cyclotomic_polynomial(order)
+    rows = [(1,) + (0,) * (len(phi) - 2)]
+    while len(rows) < order:
+        # x * row, with x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))
+        row = rows[-1]
+        rows.append(tuple(a - row[-1] * c
+                          for a, c in zip((0,) + row[:-1], phi)))
     return rows
 
 
@@ -338,8 +336,9 @@ def rou_charpolys(A, symplectic_only=False):
 
     With z_i = zeta^(e_i), zeta a primitive L-th root, L = lcm(1..A-1), the
     coefficient of T^k is (-1)^k e_k(z), a sum of powers zeta^(sum of a
-    k-subset of the e_i): each is computed as a sum of integer rows x^s mod
-    Phi_L, and Cyclotomic values are built once per distinct row.
+    k-subset of the e_i): the column sum of the integer rows x^s mod Phi_L
+    over those exponent sums s, built into a Cyclotomic value once per sign
+    and sorted tuple of sums mod L.
 
     With symplectic_only, keep only root multisets admitting a pairing
     {r, nu/r} x {r', nu/r'} (the similitude constraint on eigenvalues), i.e.
@@ -349,33 +348,22 @@ def rou_charpolys(A, symplectic_only=False):
         raise ValueError("need A >= 1")
     if A == 1:
         return frozenset()
-    import numpy as np
-
-    order = lcm_upto(max(1, A - 1))
-    exps = sorted({
-        (order // n) * k
-        for n in range(1, A)
-        for k in range(n)
-        if gcd(k, n) == 1
-    })
-    quads = np.array(list(itertools.combinations_with_replacement(exps, 4)),
-                     dtype=np.int64)
-    if symplectic_only:
-        e0, e1, e2, e3 = quads.T
-        keep = ((e0 + e1 - e2 - e3) % order == 0) | (
-            (e0 + e2 - e1 - e3) % order == 0) | (
-            (e0 + e3 - e1 - e2) % order == 0)
-        quads = quads[keep]
-    # coefficient of T^k: (-1)^k times the rows x^s mod Phi_L summed over
-    # the exponent sums s of the k-subsets of each quadruple
+    order = lcm_upto(A - 1)
+    exps = sorted({(order // n) * k for n in range(1, A) for k in range(n)
+                   if gcd(k, n) == 1})
     rows = _power_rows(order)
-    coeffs = [((-1) ** k * sum(rows[quads[:, list(sub)].sum(axis=1) % order]
-                               for sub in itertools.combinations(range(4), k))
-               ).tolist() for k in range(1, 5)]
-    value = functools.cache(lambda row: Cyclotomic(order, row))
-    return frozenset(
-        EulerFactor(UPoly([value((1,))] + [value(tuple(c)) for c in cs]))
-        for cs in zip(*coeffs))
+    value = functools.cache(lambda sign, sums: Cyclotomic._make(
+        order, [sign * c for c in map(sum, zip(*[rows[s] for s in sums]))], 1))
+    factors = set()
+    for quad in itertools.combinations_with_replacement(exps, 4):
+        a, b, c, d = quad
+        if symplectic_only and (a + b - c - d) % order and (
+                a + c - b - d) % order and (a + d - b - c) % order:
+            continue
+        factors.add(EulerFactor(UPoly([value((-1) ** k, tuple(sorted(
+            sum(sub) % order for sub in itertools.combinations(quad, k))))
+            for k in range(5)])))
+    return frozenset(factors)
 
 
 def density_ratio(eigdata, s):

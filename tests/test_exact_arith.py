@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -55,6 +56,16 @@ def test_gaussian_from_gaussian_takes_no_second_part():
     assert GaussianRational(z, 0) == z
     with pytest.raises(ValueError):
         GaussianRational(GaussianRational(1), 5)
+
+
+@pytest.mark.parametrize("q", [1, F(1, 2), F(-7, 3), 0])
+def test_gaussian_hash_agrees_with_equality(q):
+    # a real Gaussian equals its rational part, so it must hash like it
+    z = GaussianRational(q)
+    assert z == q and hash(z) == hash(q) == hash(F(q))
+    assert len({z, q}) == 1 and len({z, F(q)}) == 1
+    w = GaussianRational(q, F(2, 4))
+    assert hash(w) == hash(GaussianRational(F(q), F(1, 2))) and w != q
 
 
 def test_gaussian_field_axioms_random():
@@ -231,6 +242,49 @@ def test_cyclotomic_ring():
     assert w == Cyclotomic.root_of_unity(12, 1) ** 7
     with pytest.raises(ValueError):
         Cyclotomic.root_of_unity(12, 1) + Cyclotomic.root_of_unity(8, 1)
+
+
+def _z5():
+    return Cyclotomic.root_of_unity(5, 1)
+
+
+# pairs of equal values reached by different routes
+CYCLOTOMIC_ROUTES = [
+    (lambda: Cyclotomic(5, [F(1, 2), F(1, 2)]),
+     lambda: Cyclotomic(5, [1, 1]) / 2),
+    (lambda: (_z5() * 6) / 4, lambda: Cyclotomic(5, [0, F(3, 2)])),
+    (lambda: Cyclotomic(5, [F(4), F(-6, 3), F(0, 5)]),
+     lambda: Cyclotomic(5, [4, -2])),
+    (lambda: Cyclotomic(5, [0, 0, 0, 0, F(1, 3)]),
+     lambda: -(1 + _z5() + _z5() ** 2 + _z5() ** 3) / 3),
+    (lambda: _z5() / 6 + _z5() / 3, lambda: _z5() * F(1, 2)),
+    (lambda: _z5() - _z5(), lambda: Cyclotomic(5, [F(0, 7)])),
+]
+
+
+@pytest.mark.parametrize("make_a, make_b", CYCLOTOMIC_ROUTES, ids=[
+    "halves", "scaled-root", "fraction-row", "reduced-power", "mixed-dens",
+    "zero"])
+def test_cyclotomic_rows_are_canonical(make_a, make_b):
+    a, b = make_a(), make_b()
+    assert a == b
+    assert (a.num, a.den) == (b.num, b.den) and hash(a) == hash(b)
+    for x in (a, b):
+        assert all(type(n) is int for n in x.num) and len(x.num) == 4
+        assert type(x.den) is int and x.den > 0
+        assert math.gcd(x.den, *x.num) == 1
+
+
+def test_cyclotomic_coeffs_are_cached_fractions():
+    x = Cyclotomic(12, [F(-1, 6), 2, 0, F(3, 4)])
+    assert (x.num, x.den) == ((-2, 24, 0, 9), 12)
+    c = x.coeffs
+    assert c is x.coeffs and type(c) is tuple
+    assert all(type(q) is F for q in c)
+    assert c == (F(-1, 6), F(2), F(0), F(3, 4))
+    assert repr(x) == ("Cyclotomic(12, [Fraction(-1, 6), Fraction(2, 1), "
+                       "Fraction(0, 1), Fraction(3, 4)])")
+    assert Cyclotomic(12, [0]).den == 1 and not Cyclotomic(12, [0]).num[0]
 
 
 # one nonzero element of each field domain

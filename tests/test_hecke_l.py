@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -285,6 +287,34 @@ def test_rou_charpolys_frozen_counts():
     assert len(rou_charpolys(6)) == math.comb(13, 4) == 715
     assert len(rou_charpolys(6, symplectic_only=True)) == 86
     assert len(rou_charpolys(7)) == math.comb(15, 4) == 1365
+
+
+def _factor_digest(factors):
+    """SHA-256 of the sorted JSON coefficient vectors, each coefficient the
+    list of its power-basis entries as strings (the benchmark's canonical
+    form)."""
+    canon = sorted(json.dumps([[str(q) for q in f.coeff(k).coeffs]
+                               for k in range(f.degree + 1)])
+                   for f in factors)
+    return hashlib.sha256("\n".join(canon).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("a, symplectic, count, digest", [
+    (7, False, 1365,
+     "45981102e653e9ecf8998a6727c70d2af781df0b4bdbd23ef844aca4137500ae"),
+    (7, True, 135,
+     "d92f30e2f1f84566955c692f3e76d6bf4d6b232c58cd5b8b69b3d3cf3facb334"),
+    (8, False, 5985,
+     "96a02fd36dcd10aee038158a24b87a8ca0e9050463b88fb287b5c766bf1f43cb"),
+    (8, True, 288,
+     "a5b530783e77f75686fd5d5de75d2052fd6cfcb2a891bcfec166bc1829dfbaaf"),
+])
+def test_rou_charpolys_frozen_digests(a, symplectic, count, digest):
+    # frozen from the numpy-summed, Fraction-row implementation; 5985 is
+    # C(18 + 3, 4), with 18 roots of unity of order < 8
+    factors = rou_charpolys(a, symplectic_only=symplectic)
+    assert len(factors) == count
+    assert _factor_digest(factors) == digest
 
 
 def test_density_ratio():

@@ -134,6 +134,16 @@ def test_subcommand_loads_numpy(argv):
     assert got["code"] == 0 and got["numpy"], got
 
 
+def test_rou_charpolys_runs_without_numpy():
+    out = json.loads(run_python(
+        "import json, sys\n"
+        "from sympkit.hecke_l import rou_charpolys\n"
+        "n = [len(rou_charpolys(5)), "
+        "len(rou_charpolys(6, symplectic_only=True))]\n"
+        "print(json.dumps([n, 'numpy' in sys.modules]))"))
+    assert out == [[126, 86], False]
+
+
 def _identity(n, one):
     return tuple(tuple(one if i == j else 0 * one for j in range(n))
                  for i in range(n))
