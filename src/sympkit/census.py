@@ -2,8 +2,8 @@
 
 Pure Python, with no numpy: the group orders, the CharPolyHistogram,
 closed_form_census, the coverage count c_eta_M and the projective-line
-representatives of enumerate_P1_reps.  finite_census re-exports every name
-and holds the enumerations that check the closed form.
+representatives of enumerate_P1_reps.  finite_census holds the
+enumerations that check the closed form.
 
 closed_form_census lists no element.  An element g = s u (Jordan
 decomposition) with multiplier nu and char poly f lies in the semisimple
@@ -160,25 +160,27 @@ def closed_form_census(ell, group):
     return CharPolyHistogram(ell, classes, nu_classes)
 
 
-def c_eta_M(group_or_hist, eta):
-    """Least M with some subset of >= (1 - eta) of the group covered by M
-    characteristic-polynomial classes: greedy over descending class sizes
-    (largest classes dominate any other choice of M classes)."""
+def _greedy_cover(hist, eta):
+    """(coeffs, count, covered so far) of the classes of `hist` by descending
+    size (ties by coefficients), up to the first that covers (1 - eta)."""
     eta = Fraction(eta)
     if not 0 < eta < 1:
         raise ValueError("eta must lie strictly between 0 and 1")
-    hist = group_or_hist
-    if not isinstance(hist, CharPolyHistogram):
-        from .finite_census import charpoly_census
-        hist = charpoly_census(hist)
     need = (1 - eta) * hist.total
-    covered = 0
-    for m, (_, count) in enumerate(
-            sorted(hist.classes.items(), key=lambda kv: (-kv[1], kv[0])), 1):
-        covered += count
+    cover, covered = [], 0
+    for coeffs, n in sorted(hist.classes.items(), key=lambda kv: (-kv[1], kv[0])):
         if covered >= need:
-            return m
-    raise AssertionError("unreachable: classes cover the whole group")
+            break
+        covered += n
+        cover.append((coeffs, n, covered))
+    return cover
+
+
+def c_eta_M(hist, eta):
+    """Least M with some subset of >= (1 - eta) of the group covered by M
+    classes of the CharPolyHistogram `hist`: the length of the greedy cover
+    (largest classes dominate any other choice of M classes)."""
+    return len(_greedy_cover(hist, eta))
 
 
 def enumerate_P1_reps(p, beta):

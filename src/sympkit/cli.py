@@ -3,10 +3,12 @@
 Every subcommand prints a deterministic report (byte-identical for a fixed
 argument list, apart from the timestamp) and embeds exact self-checks.
 Exit code 0 means every embedded check passed, 1 means at least one failed
-or an internal invariant broke (the message goes to stderr), 2 means the
-invocation itself was bad (unknown flags, values out of range such as an ell
-that is no odd prime, or an --enumerate run at an ell other than 3 and 5 or
-over its memory budget, or a pool flag given to ceta --case <family>).  --json
+or an internal invariant or limit broke (an AssertionError or RuntimeError,
+such as a closure cap; the message goes to stderr), 2 means the invocation
+itself was bad (unknown flags, values out of range such as an ell that is no
+odd prime or, for a family, an ell above 13, whose matrices do not pack into
+64-bit keys, or an --enumerate run at an ell other than 3 and 5 or over its
+memory budget, or a pool flag given to ceta --case <family>).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
 uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
@@ -134,7 +136,7 @@ def _cmd_family(args):
 
 
 def _cmd_ceta(args):
-    from .census import c_eta_M
+    from .census import _greedy_cover, c_eta_M
 
     eta = Fraction(args.eta)
     low = args.case.strip().lower()
@@ -157,13 +159,9 @@ def _cmd_ceta(args):
         oracle = []
     count = c_eta_M(hist, eta)
     need = (1 - eta) * hist.total
-    trace = []
-    covered = 0
-    for coeffs, n in sorted(hist.classes.items(), key=lambda kv: (-kv[1], kv[0])):
-        if covered >= need:
-            break
-        covered += n
-        trace.append({"coeffs": list(coeffs), "count": n, "covered": covered})
+    trace = [{"coeffs": list(coeffs), "count": n, "covered": covered}
+             for coeffs, n, covered in _greedy_cover(hist, eta)]
+    covered = trace[-1]["covered"] if trace else 0
     results = {
         "group": name,
         "ell": args.ell,
@@ -429,7 +427,10 @@ def main(argv=None):
     except AssertionError as exc:
         print("assertion failed: %s" % (exc,), file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except RuntimeError as exc:  # an internal limit, such as a closure cap
+        print("internal error: %s" % (exc,), file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     report = {

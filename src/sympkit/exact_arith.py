@@ -42,9 +42,18 @@ def rational_sqrt(q):
     return None
 
 
+def _restore(cls, fields):
+    "A _Frozen value of class `cls` with its slots set from (name, value)."
+    obj = object.__new__(cls)
+    for name, value in fields:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class _Frozen:
     """Base of the package's value types: fields are set once, in __init__,
-    through object.__setattr__; assignment and deletion are refused."""
+    through object.__setattr__; assignment and deletion are refused.  Copy
+    and pickle restore the set slots the same way (__reduce__)."""
 
     __slots__ = ()
 
@@ -53,6 +62,11 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError("immutable")
+
+    def __reduce__(self):
+        names = [n for c in type(self).__mro__ for n in getattr(c, "__slots__", ())]
+        return _restore, (type(self), [(n, getattr(self, n))
+                                       for n in names if hasattr(self, n)])
 
 
 class _Field(_Frozen):

@@ -2,9 +2,10 @@
 
 Everything here is integer numpy: matrices over F_ell are (N, 4, 4) arrays of
 small nonnegative ints, and each matrix is packed row-major into one uint64
-key (ceil(log2 ell) bits per entry, so any ell <= 13 fits).  All set
-arithmetic is on sorted key arrays, which makes every result deterministic
-regardless of chunking, thread count, or generator ordering.
+key (ceil(log2 ell) bits per entry, so ell <= 13: larger primes raise
+ValueError).  All set arithmetic is on sorted key arrays, which makes every
+result deterministic regardless of chunking, thread count, or generator
+ordering.
 
 The full groups are listed directly: an element of Sp4 is an ordered
 symplectic basis (its columns), built from a pair (c0, c2) with
@@ -17,14 +18,14 @@ larger primes are refused outright.  The frontier BFS `mulclose` remains as
 the independent oracle and as the engine of the closure proofs; its loop,
 _closure, works on sorted keys of any dtype and also closes the Q(i)
 gallery of artin_gallery.  The subgroup families (Levi factors, the
-checkerboard endoscopic group, and the five exotic constructions) are built
-by direct parameter enumeration and proven closed by regeneration: each key
-set must equal the closure of a small certificate drawn from it, which makes
-it a group (_prove_group).
+checkerboard endoscopic group, and Case5-Case9) come from one table,
+_FAMILIES: each tag names the function that lists its matrices and, for
+the doubled families, the involution that doubles the listed base.  They are
+proven closed by regeneration: each key set must equal the closure of a
+small certificate drawn from it, which makes it a group (_prove_group).
 
-charpoly_census of an enumeration is the oracle of closed_form_census,
-which needs no listing and no numpy: it lives in census, with the other
-pure-Python names that this module re-exports.
+charpoly_census of an enumeration is the oracle of census.closed_form_census,
+which needs no listing and no numpy.
 """
 
 import os
@@ -32,15 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# the numpy-free census layer, re-exported under its old names
-from .census import (
-    CharPolyHistogram,
-    c_eta_M,
-    closed_form_census,
-    enumerate_P1_reps,
-    gsp4_order,
-    sp4_order,
-)
+from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import (
     _Frozen,
     _require_odd_prime,
@@ -61,7 +54,7 @@ _SWAP = np.array(
 )
 
 
-class ResourceLimit(RuntimeError):
+class ResourceLimit(ValueError):
     "An enumeration would exceed the configured memory budget."
 
 
@@ -80,7 +73,11 @@ def resolve_threads(threads=None):
 
 
 def _bits_for(ell):
-    return max(1, (ell - 1).bit_length())
+    "Bits per entry of a key; 16 entries must fit 64 bits, so ell <= 13."
+    bits = max(1, (ell - 1).bit_length())
+    if bits > 4:
+        raise ValueError("ell = %d does not pack into 64-bit keys" % ell)
+    return bits
 
 
 def _shifts(ell):
@@ -120,44 +117,6 @@ def _similitude_info(mats, ell):
     for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
         mask &= _omega(cols[i], cols[j]) % ell == 0
     return mask, nu
-
-
-class PackedElement(_Frozen):
-    """One similitude matrix over F_ell, packed: the uint64 key plus nu."""
-
-    __slots__ = ("ell", "key", "nu")
-
-    def __init__(self, ell, key, nu):
-        _require_odd_prime(ell)
-        if ell > 13:
-            raise ValueError("16 entries at %d bits do not fit a 64-bit key"
-                             % _bits_for(ell))
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "key", int(key))
-        object.__setattr__(self, "nu", int(nu) % ell)
-
-    @classmethod
-    def from_matrix(cls, m, ell):
-        arr = np.asarray(m, dtype=np.int64).reshape(1, 4, 4) % ell
-        ok, nu = _similitude_info(arr, ell)
-        if not ok[0]:
-            raise ValueError("matrix is not a similitude mod %d" % ell)
-        return cls(ell, int(pack_matrices(arr, ell)[0]), int(nu[0]))
-
-    def matrix(self):
-        m = unpack_keys(np.array([self.key], dtype=np.uint64), self.ell)[0]
-        return tuple(tuple(int(x) for x in row) for row in m)
-
-    def __eq__(self, other):
-        if isinstance(other, PackedElement):
-            return self.ell == other.ell and self.key == other.key
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ell, self.key))
-
-    def __repr__(self):
-        return "PackedElement(ell=%d, key=%d, nu=%d)" % (self.ell, self.key, self.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +279,7 @@ class GroupSet(_Frozen):
         return hash((self.ell, self._keys.tobytes()))
 
     def __contains__(self, item):
-        if isinstance(item, PackedElement):
-            if item.ell != self.ell:
-                return False
-            key = np.array([item.key], dtype=np.uint64)
-        elif isinstance(item, (int, np.integer)):
+        if isinstance(item, (int, np.integer)):
             key = np.array([item], dtype=np.uint64)
         else:
             arr = np.asarray(item, dtype=np.int64).reshape(1, 4, 4) % self.ell
@@ -350,6 +305,9 @@ class GroupSet(_Frozen):
         if self.ell != other.ell:
             return False
         return bool(_contains_sorted(other.keys, self._keys).all())
+
+    def __reduce__(self):  # rebuilt by __init__, so the keys stay read-only
+        return GroupSet, (self.ell, self._keys)
 
     def __repr__(self):
         return "GroupSet(ell=%d, order=%d)" % (self.ell, self.order)
@@ -610,70 +568,38 @@ def charpoly_census(group):
 # subgroup families
 
 
-_FAMILY_TAGS = (
-    "LeviB", "LeviP", "LeviQ", "Hen",
-    "Case5", "Case6", "Case7", "Case8", "Case9",
-)
-
-
 class FamilySpec(_Frozen):
-    """Which explicit subgroup to build over which prime, with optional
-    quadratic-extension parameters (u a non-residue; a, b with a^2+b^2 = u;
-    lam a square root of u, recorded for reporting only)."""
+    """Which explicit subgroup (a tag of _FAMILIES) to build over which
+    prime; the prime must pack into 64-bit keys (ell <= 13)."""
 
-    __slots__ = ("tag", "ell", "u", "a", "b", "lam")
+    __slots__ = ("tag", "ell")
 
-    def __init__(self, tag, ell, u=None, a=None, b=None, lam=None):
-        if tag not in _FAMILY_TAGS:
+    def __init__(self, tag, ell):
+        if tag not in _FAMILIES:
             raise ValueError("unknown family tag %r" % (tag,))
         _require_odd_prime(ell)
+        _bits_for(ell)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lam", lam)
-
-    def _tup(self):
-        return (self.tag, self.ell, self.u, self.a, self.b, self.lam)
 
     def __eq__(self, other):
         if isinstance(other, FamilySpec):
-            return self._tup() == other._tup()
+            return (self.tag, self.ell) == (other.tag, other.ell)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._tup())
+        return hash((self.tag, self.ell))
 
     def __repr__(self):
-        extra = "".join(
-            ", %s=%r" % (n, v)
-            for n, v in zip(("u", "a", "b", "lam"), self._tup()[2:])
-            if v is not None)
-        return "FamilySpec(%r, %d%s)" % (self.tag, self.ell, extra)
+        return "FamilySpec(%r, %d)" % (self.tag, self.ell)
 
 
-def _is_square_mod(x, ell):
-    return pow(x % ell, (ell - 1) // 2, ell) != ell - 1
-
-
-def _ext_params(spec):
-    "Validated (u, a, b) for the quadratic-extension families."
-    ell = spec.ell
-    u = spec.u if spec.u is not None else quadratic_nonresidue(ell).val
-    u %= ell
-    if u == 0 or _is_square_mod(u, ell):
-        raise ValueError("u = %d is a square mod %d" % (u, ell))
-    if spec.a is None and spec.b is None:
-        a, b = solve_sum_of_squares(u, ell)
-        a, b = a.val, b.val
-    else:
-        if spec.a is None or spec.b is None:
-            raise ValueError("give both a and b or neither")
-        a, b = spec.a % ell, spec.b % ell
-        if a == 0 or b == 0 or (a * a + b * b) % ell != u:
-            raise ValueError("(a, b) must be nonzero with a^2 + b^2 = u")
-    return u, a, b
+def _ext_params(ell):
+    """(u, a, b) of the quadratic-extension families: u the least
+    non-residue mod ell, (a, b) the least nonzero pair with a^2 + b^2 = u."""
+    u = quadratic_nonresidue(ell)
+    a, b = solve_sum_of_squares(u)
+    return u.val, a.val, b.val
 
 
 def _units(ell):
@@ -770,8 +696,9 @@ def _checkerboard(a, b, ell):
     return out % ell
 
 
-def _family_case7_base(ell, u, a, b):
+def _family_case7_base(ell):
     "All S-block 4x4s with a1 a4 - a2 a3 a unit of the base field."
+    u, a, b = _ext_params(ell)
     grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
     x1, y1, x2, y2, x3, y3, x4, y4 = grid.T
     det_x = (x1 * x4 + u * y1 * y4 - x2 * x3 - u * y2 * y3) % ell
@@ -789,8 +716,9 @@ def _family_case7_base(ell, u, a, b):
     return out
 
 
-def _family_case8_base(ell, u):
+def _family_case8_base(ell):
     "All [[A, B], [uB, A]] in the similitude group."
+    u = _ext_params(ell)[0]
     grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
     n = grid.shape[0]
     mats = np.zeros((n, 4, 4), dtype=np.int64)
@@ -822,7 +750,7 @@ _CASE9_SLOTS = (
 )
 
 
-def _family_case9_base(ell):
+def _family_case9(ell):
     "The two interleaved tensor patterns, filtered to similitudes."
     grid = np.indices((ell,) * 6, dtype=np.int64).reshape(6, -1).T
     a, b, c, d, v, z = grid.T
@@ -868,70 +796,49 @@ def _extend_by(base_mats, w, ell, name):
     return _proven_keys(np.concatenate([base, base @ w % ell]), ell, name)
 
 
-_FAMILY_BASES = {
-    "Case5": lambda spec: _family_levi_p(spec.ell),
-    "Case6": lambda spec: _family_hen(spec.ell),
-    "Case7": lambda spec: _family_case7_base(spec.ell, *_ext_params(spec)),
-    "Case8": lambda spec: _family_case8_base(spec.ell, _ext_params(spec)[0]),
+# tag -> (the function listing the family's matrices, or its index-2 base's
+# when the family is doubled; the involution that doubles it, or None)
+_FAMILIES = {
+    "LeviB": (_family_levi_b, None),
+    "LeviP": (_family_levi_p, None),
+    "LeviQ": (_family_levi_q, None),
+    "Hen": (_family_hen, None),
+    "Case5": (_family_levi_p, _SWAP),
+    "Case6": (_family_hen, _EXCHANGE),
+    "Case7": (_family_case7_base, _ROT_PAIR),
+    "Case8": (_family_case8_base, _NEG_LOWER),
+    "Case9": (_family_case9, None),
 }
 
-_FAMILY_EXTENSIONS = {
-    "Case5": _SWAP,
-    "Case6": _EXCHANGE,
-    "Case7": _ROT_PAIR,
-    "Case8": _NEG_LOWER,
-}
 
-_FAMILY_SETS = {
-    "LeviB": lambda spec: _family_levi_b(spec.ell),
-    "LeviP": lambda spec: _family_levi_p(spec.ell),
-    "LeviQ": lambda spec: _family_levi_q(spec.ell),
-    "Hen": lambda spec: _family_hen(spec.ell),
-    "Case9": lambda spec: _family_case9_base(spec.ell),
-}
+def _family(spec, with_base):
+    """(family, base) as GroupSets proven closed, from one listing of the
+    matrices; base is None unless `with_base` and the family is doubled."""
+    build, w = _FAMILIES[spec.tag]
+    mats, ell = build(spec.ell), spec.ell
+    if w is None:
+        return GroupSet(ell, _proven_keys(mats, ell, spec.tag)), None
+    grp = GroupSet(ell, _extend_by(mats, w, ell, spec.tag))
+    if not with_base:
+        return grp, None
+    return grp, GroupSet(ell, _proven_keys(mats, ell, spec.tag + " base"))
 
 
 def build_family(spec):
-    """The explicit subgroup named by `spec`, as a GroupSet proven closed.
-
-    The Levi and checkerboard families come from direct parameter
-    enumeration.  Case5-Case8 double a base set by one involution (see
-    _FAMILY_EXTENSIONS); Case9 is the union of its two block patterns.
-    Every key set is proven a group by regeneration (_prove_group) before
-    it is returned, independently of how it was enumerated.
-    """
-    if spec.tag in _FAMILY_EXTENSIONS:
-        return _extended_family(_FAMILY_BASES[spec.tag](spec), spec)
-    return GroupSet(spec.ell, _proven_keys(_FAMILY_SETS[spec.tag](spec),
-                                           spec.ell, spec.tag))
-
-
-def _extended_family(base_mats, spec):
-    return GroupSet(spec.ell, _extend_by(
-        base_mats, _FAMILY_EXTENSIONS[spec.tag], spec.ell, spec.tag))
-
-
-def _base_group(base_mats, spec):
-    return GroupSet(spec.ell,
-                    _proven_keys(base_mats, spec.ell, spec.tag + " base"))
-
-
-def family_base_subgroup(spec):
-    """The natural index-2 base of an extended family (Case5: the Siegel
-    Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
-    the [[A, B], [uB, A]] set), as a GroupSet proven closed."""
-    if spec.tag not in _FAMILY_BASES:
-        raise ValueError("no distinguished base subgroup for %r" % (spec.tag,))
-    return _base_group(_FAMILY_BASES[spec.tag](spec), spec)
+    """The explicit subgroup named by `spec`, as a GroupSet proven closed:
+    the Levi and checkerboard families and Case9 (the union of its two block
+    patterns) by direct parameter enumeration, Case5-Case8 as a base doubled
+    by one involution (_FAMILIES).  Every key set is proven a group by
+    regeneration (_prove_group), independently of how it was enumerated."""
+    return _family(spec, False)[0]
 
 
 def family_with_base(spec):
-    """(build_family(spec), family_base_subgroup(spec)) with the base
-    enumerated once; the base is None for a family that has none."""
-    if spec.tag not in _FAMILY_BASES:
-        return build_family(spec), None
-    base = _FAMILY_BASES[spec.tag](spec)
-    return _extended_family(base, spec), _base_group(base, spec)
+    """(build_family(spec), base): the base is the natural index-2 subgroup
+    of a doubled family (Case5: the Siegel Levi; Case6: the checkerboard
+    group; Case7: the S-block image; Case8: the [[A, B], [uB, A]] set),
+    enumerated once and proven closed, or None for a family without one."""
+    return _family(spec, True)
 
 
 def gl2_charpoly_census(ell):

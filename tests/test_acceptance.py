@@ -28,16 +28,15 @@ from sympkit.artin_gallery import (
     quotient_by_sign,
     sym3_swap_image,
 )
+from sympkit.census import c_eta_M, enumerate_P1_reps
 from sympkit.exact_arith import GaussianRational, PrimeFieldElem
 from sympkit.finite_census import (
     FamilySpec,
     build_family,
-    c_eta_M,
     charpoly_census,
     enumerate_gsp4,
     enumerate_sp4,
-    enumerate_P1_reps,
-    family_base_subgroup,
+    family_with_base,
     gl2_charpoly_census,
     gsp4_order,
     sp4_order,
@@ -66,7 +65,7 @@ from sympkit.hecke_l import (
 
 _CACHE = {}
 
-_FAMILY_TAGS = ("LeviB", "LeviP", "LeviQ", "Hen",
+_FAMILY_NAMES = ("LeviB", "LeviP", "LeviQ", "Hen",
                 "Case5", "Case6", "Case7", "Case8", "Case9")
 
 
@@ -364,14 +363,12 @@ def test_criterion_09_conjugator_identities():
 def test_criterion_10_coverage_machinery():
     failures = []
     etas = [Fraction(k, 20) for k in range(1, 20)]
-    for tag in _FAMILY_TAGS:
+    for tag in _FAMILY_NAMES:
         hist = charpoly_census(build_family(FamilySpec(tag, 3)))
         vals = [c_eta_M(hist, eta) for eta in etas]
         if any(a < b for a, b in zip(vals, vals[1:])):
             failures.append("c_eta_M not non-increasing on %s" % tag)
-    spec = FamilySpec("Case7", 3)
-    full = charpoly_census(build_family(spec))
-    base = charpoly_census(family_base_subgroup(spec))
+    full, base = map(charpoly_census, family_with_base(FamilySpec("Case7", 3)))
     for eta in [Fraction(k, 20) for k in range(1, 10)]:
         if c_eta_M(base, 2 * eta) > c_eta_M(full, eta):
             failures.append("index-2 coverage transfer fails at eta=%s" % eta)

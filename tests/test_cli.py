@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from sympkit import census, finite_census
+from sympkit.census import c_eta_M
 from sympkit.cli import main
 from sympkit.finite_census import (
     FamilySpec,
     build_family,
-    c_eta_M,
     charpoly_census,
     enumerate_gsp4,
 )
@@ -101,7 +101,8 @@ def _levi_b_with_a_non_similitude(monkeypatch):
     # e1 with e3 by 1 and e2 with e4 by 2, so t(m) J m is no multiple of J
     bad = np.stack([np.eye(4, dtype=np.int64),
                     np.diag([1, 1, 1, 2]).astype(np.int64)])
-    monkeypatch.setattr(finite_census, "_family_levi_b", lambda ell: bad)
+    monkeypatch.setitem(finite_census._FAMILIES, "LeviB",
+                        (lambda ell: bad, None))
 
 
 def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
@@ -126,8 +127,8 @@ def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
 
 def test_family_with_a_dropped_element_is_not_closed(monkeypatch, capsys):
     whole = finite_census._family_hen
-    monkeypatch.setattr(finite_census, "_family_hen",
-                        lambda ell: whole(ell)[1:])
+    monkeypatch.setitem(finite_census._FAMILIES, "Hen",
+                        (lambda ell: whole(ell)[1:], None))
     code, out, err = run(capsys, "family", "--case", "Hen", "--ell", "3")
     assert code == 1 and out == ""
     assert "Hen: not closed under product" in err
@@ -159,14 +160,14 @@ def test_enumerate_flag_adds_the_oracle_anchor(capsys):
 def test_census_anchors_check_the_histogram(monkeypatch, capsys):
     # a census that moves one element between the nu fibers keeps its total
     # and its palindromes, but not its fibers
-    closed = finite_census.closed_form_census
+    closed = census.closed_form_census
 
     def shifted(ell, group):
         hist = closed(ell, group)
         nu_classes = dict(hist.nu_classes)
         nu_classes[(0, 0, 0, 1, 1)] += 1
         nu_classes[(0, 0, 0, 1, 2)] -= 1
-        return finite_census.CharPolyHistogram(ell, hist.classes, nu_classes)
+        return census.CharPolyHistogram(ell, hist.classes, nu_classes)
 
     # cli looks the closed form up in its home module when the command runs
     monkeypatch.setattr(census, "closed_form_census", shifted)
@@ -188,14 +189,36 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
     calls = []
-    case8 = finite_census._FAMILY_BASES["Case8"]
-    monkeypatch.setitem(finite_census._FAMILY_BASES, "Case8",
-                        lambda spec: calls.append(spec) or case8(spec))
+    case8, w = finite_census._FAMILIES["Case8"]
+    monkeypatch.setitem(finite_census._FAMILIES, "Case8",
+                        (lambda ell: calls.append(ell) or case8(ell), w))
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
     assert code == 0 and len(calls) == 1
     assert rep["results"]["order"] == 384
     assert rep["results"]["base_order"] == 192
     assert all(entry["pass"] for entry in rep["assertions"])
+
+
+def test_family_refuses_primes_beyond_the_key_width(capsys):
+    # at ell = 17 an entry takes 5 bits and 16 of them overflow a 64-bit key:
+    # a usage error (FamilySpec refuses it before any grid is built)
+    for argv in (("family", "--case", "LeviB"),
+                 ("ceta", "--case", "LeviB", "--eta", "1/4")):
+        code, out, err = run(capsys, *argv, "--ell", "17")
+        assert code == 2 and out == ""
+        assert "ell = 17 does not pack into 64-bit keys" in err
+    assert run(capsys, "family", "--case", "LeviB", "--ell", "13")[0] == 0
+
+
+def test_runtime_errors_are_internal_failures(monkeypatch, capsys):
+    # an internal limit (closure cap, int64 headroom) is no usage error
+    def capped(ell, group):
+        raise RuntimeError("closure cap exceeded (10 elements, cap 9)")
+
+    monkeypatch.setattr(census, "closed_form_census", capped)
+    code, out, err = run(capsys, "census", "--ell", "3")
+    assert code == 1 and out == ""
+    assert "closure cap exceeded (10 elements, cap 9)" in err
 
 
 def test_family_takes_no_pool_flags(capsys):

@@ -12,26 +12,23 @@ import pytest
 
 import sympkit
 from sympkit import finite_census
+from sympkit.census import c_eta_M, closed_form_census, enumerate_P1_reps
 from sympkit.exact_arith import PrimeFieldElem, is_odd_prime
 from sympkit.gsp4_core import similitude_generator, standard_generators
 from sympkit.finite_census import (
     CharPolyHistogram,
     FamilySpec,
     GroupSet,
-    PackedElement,
     ResourceLimit,
     brute_similitude_scan,
     build_family,
-    c_eta_M,
     charpoly_census,
     charpoly_coeffs,
-    closed_form_census,
     embed_gl2_siegel,
-    enumerate_P1_reps,
     enumerate_gsp4,
     enumerate_sp4,
     enumeration_bytes,
-    family_base_subgroup,
+    family_with_base,
     gl2_charpoly_census,
     gsp4_order,
     mulclose,
@@ -77,6 +74,14 @@ def family(tag, ell=3):
     return _CACHE[key]
 
 
+def family_base(tag):
+    "The index-2 base of a doubled family at ell = 3."
+    key = (tag, "base")
+    if key not in _CACHE:
+        _CACHE[key] = family_with_base(FamilySpec(tag, 3))[1]
+    return _CACHE[key]
+
+
 FAMILY_ORDERS_3 = {
     "LeviB": 8,
     "LeviP": 96,
@@ -105,33 +110,33 @@ def test_pack_unpack_roundtrip():
         assert keys.dtype == np.uint64
 
 
-def test_packed_element_roundtrip_and_nu():
+def test_pack_matrices_layout_and_nu():
     ident = np.eye(4, dtype=np.int64)
-    pe = PackedElement.from_matrix(ident, 3)
-    assert pe.nu == 1
-    assert pe.key == 1 + (1 << 10) + (1 << 20) + (1 << 30)  # 2 bits per entry
-    assert pe.matrix() == tuple(tuple(int(x) for x in row) for row in ident)
-    scal = PackedElement.from_matrix(np.diag([1, 1, 2, 2]), 3)
-    assert scal.nu == 2
-    assert pe == PackedElement.from_matrix(ident, 3)
-    assert pe != scal
-    assert len({pe, PackedElement.from_matrix(ident, 3)}) == 1
+    scal = np.diag([1, 1, 2, 2]).astype(np.int64)
+    keys = pack_matrices(np.stack([ident, scal]), 3)
+    # row-major, 2 bits per entry: the diagonal sits at bits 0, 10, 20, 30
+    assert int(keys[0]) == 1 + (1 << 10) + (1 << 20) + (1 << 30)
+    assert int(keys[1]) == 1 + (1 << 10) + (2 << 20) + (2 << 30)
+    assert (unpack_keys(keys, 3) == np.stack([ident, scal])).all()
+    assert list(GroupSet(3, keys).nu_values()) == [1, 2]
 
 
-def test_packed_element_rejects_non_similitude():
-    with pytest.raises(ValueError):
-        PackedElement.from_matrix(np.ones((4, 4), dtype=np.int64), 3)
+def test_nu_values_rejects_non_similitude():
+    with pytest.raises(ValueError, match="non-similitude"):
+        GroupSet.from_matrices(np.ones((1, 4, 4), dtype=np.int64), 3).nu_values()
 
 
-def test_packed_element_rejects_wide_prime():
-    with pytest.raises(ValueError):
-        PackedElement(17, 0, 1)
-
-
-def test_packed_element_immutable():
-    pe = PackedElement.from_matrix(np.eye(4, dtype=np.int64), 3)
-    with pytest.raises(AttributeError):
-        pe.key = 0
+def test_packing_rejects_wide_primes():
+    # 16 entries of ceil(log2 ell) bits fit a 64-bit key up to ell = 13; at
+    # 17, five bits per entry would push the last row past bit 64
+    ident = np.eye(4, dtype=np.int64)[None]
+    assert (unpack_keys(pack_matrices(ident * 12, 13), 13) == ident * 12).all()
+    for call in (lambda: pack_matrices(ident, 17),
+                 lambda: unpack_keys(np.ones(1, dtype=np.uint64), 17),
+                 lambda: mulclose(ident, 17),
+                 lambda: FamilySpec("LeviB", 17)):
+        with pytest.raises(ValueError, match="ell = 17 does not pack"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,6 @@ def test_groupset_contains_and_from_matrices():
     g = family("LeviB")
     ident = np.eye(4, dtype=np.int64)
     assert ident in g
-    assert PackedElement.from_matrix(ident, 3) in g
     assert int(pack_matrices(ident[None], 3)[0]) in g
     assert np.diag([1, 2, 1, 2]).astype(np.int64) in g
     assert _SWAP not in g
@@ -527,8 +531,12 @@ def test_c_eta_m_bounds_and_errors():
         with pytest.raises(ValueError):
             c_eta_M(h, eta)
     triv = GroupSet.from_matrices(np.eye(4, dtype=np.int64)[None], 3)
-    assert c_eta_M(triv, Fraction(1, 2)) == 1
+    assert c_eta_M(charpoly_census(triv), Fraction(1, 2)) == 1
     assert c_eta_M(h, Fraction(99, 100)) == 1
+    # a prefix that covers exactly (1 - eta) of the group is enough
+    exact = CharPolyHistogram(3, {(0, 0, 0, 1): 2, (1, 1, 1, 1): 1,
+                                  (2, 2, 2, 1): 1}, {(0, 0, 0, 1, 1): 4})
+    assert c_eta_M(exact, Fraction(1, 2)) == 1
 
 
 def test_c_eta_m_frozen_values_and_monotone():
@@ -540,7 +548,6 @@ def test_c_eta_m_frozen_values_and_monotone():
     vals = [c_eta_M(h, Fraction(k, 64)) for k in range(1, 64)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert vals[0] <= len(h.classes)
-    assert c_eta_M(gsp4_3(), Fraction(1, 2)) == 6  # GroupSet accepted directly
 
 
 def test_index_two_coverage_transfer():
@@ -548,7 +555,7 @@ def test_index_two_coverage_transfer():
     # a (1 - 2*eta) fraction of any index-2 subgroup
     for tag in EXTENDED_TAGS:
         big = family(tag)
-        sub = family_base_subgroup(FamilySpec(tag, 3))
+        sub = family_base(tag)
         assert big.order == 2 * sub.order
         assert sub.subset_of(big)
         hb, hs = charpoly_census(big), charpoly_census(sub)
@@ -604,26 +611,19 @@ def test_family_bad_inputs():
         FamilySpec("Case10", 3)
     with pytest.raises(ValueError):
         FamilySpec("LeviB", 4)
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("Case7", 3, u=1))  # 1 is a square
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("Case7", 3, u=2, a=1))  # b missing
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("Case7", 3, u=2, a=1, b=0))  # b = 0
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("Case8", 5, u=2, a=1, b=2))  # 1+4 != 2 mod 5
-    with pytest.raises(ValueError):
-        family_base_subgroup(FamilySpec("Hen", 3))
+    # only the doubled families Case5-Case8 have a base
+    assert family_with_base(FamilySpec("Hen", 3))[1] is None
 
 
 def test_family_spec_value_semantics():
-    a = FamilySpec("Case7", 3, u=2)
-    assert a == FamilySpec("Case7", 3, u=2)
-    assert a != FamilySpec("Case7", 3)
-    assert len({a, FamilySpec("Case7", 3, u=2)}) == 1
+    a = FamilySpec("Case7", 3)
+    assert FamilySpec.__slots__ == ("tag", "ell")
+    assert a == FamilySpec("Case7", 3)
+    assert a != FamilySpec("Case7", 5) and a != FamilySpec("Case8", 3)
+    assert len({a, FamilySpec("Case7", 3)}) == 1
     with pytest.raises(AttributeError):
         a.tag = "Hen"
-    assert "Case7" in repr(a) and "u=2" in repr(a)
+    assert repr(a) == "FamilySpec('Case7', 3)"
 
 
 def test_block_swap_is_inside_checkerboard_and_s_image():
@@ -633,17 +633,17 @@ def test_block_swap_is_inside_checkerboard_and_s_image():
     # either base is a no-op, which is why those extensions use the outer
     # elements instead.
     assert _SWAP in family("Hen")
-    assert _SWAP in family_base_subgroup(FamilySpec("Case7", 3))
+    assert _SWAP in family_base("Case7")
     assert np.array_equal(
         _extend_by(np.stack(
             [m for c in family("Hen").matrices() for m in c]), _SWAP, 3, "x"),
         family("Hen").keys)
     assert _EXCHANGE not in family("Hen")
-    assert _ROT_PAIR not in family_base_subgroup(FamilySpec("Case7", 3))
+    assert _ROT_PAIR not in family_base("Case7")
 
 
 def test_case5_extension_is_genuine():
-    base = family_base_subgroup(FamilySpec("Case5", 3))
+    base = family_base("Case5")
     assert _SWAP not in base
     assert _SWAP in family("Case5")
     assert base.order == 96 and family("Case5").order == 192
@@ -663,7 +663,7 @@ def test_case6_exchange_swaps_checkerboard_factors():
 
 
 def test_case7_rotation_realizes_field_conjugation():
-    base = family_base_subgroup(FamilySpec("Case7", 3))
+    base = family_base("Case7")
     mats = np.stack([m for c in base.matrices() for m in c])
     inv = np.array([[0, -1, 0, 0], [1, 0, 0, 0],
                     [0, 0, 0, -1], [0, 0, 1, 0]], dtype=np.int64)
@@ -706,14 +706,14 @@ def test_case7_base_is_quadratic_field_gl2():
                     assert lhs == prod
             seen.add(sblock((x, y)))
     assert len(seen) == ell * ell
-    base = family_base_subgroup(FamilySpec("Case7", 3))
+    base = family_base("Case7")
     full_gl2 = (81 - 1) * (81 - 9)
     assert base.order == full_gl2 * (ell - 1) // (ell * ell - 1) == 1440
 
 
 def test_case7_charpoly_splits_into_conjugate_quadratics():
     ell, u, a = 3, 2, 1
-    base = family_base_subgroup(FamilySpec("Case7", 3))
+    base = family_base("Case7")
 
     def fmul(p, q):
         return ((p[0] * q[0] + u * p[1] * q[1]) % ell,
@@ -750,16 +750,16 @@ def test_case7_charpoly_splits_into_conjugate_quadratics():
 
 
 def test_case8_conditions_and_orders():
-    base3 = _family_case8_base(3, 2)
+    base3 = _family_case8_base(3)
     assert base3.shape[0] == 192  # (ell-1) * ell(ell+1)(ell^2-1)
     assert family("Case8").order == 384
-    base5 = _family_case8_base(5, 2)
+    base5 = _family_case8_base(5)
     assert base5.shape[0] == 4 * 5 * 6 * 24
     assert build_family(FamilySpec("Case8", 5)).order == 2 * base5.shape[0]
 
 
 def test_case8_extension_negates_upper_block():
-    base = family_base_subgroup(FamilySpec("Case8", 3))
+    base = family_base("Case8")
     mats = np.stack([m for c in base.matrices() for m in c])
     conj = (_NEG_LOWER[None] % 3) @ mats @ (_NEG_LOWER[None] % 3) % 3
     expect = mats.copy()
@@ -773,11 +773,11 @@ def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
     # at ell=3 the canonical non-residue is -1, whose square is 1, and the
     # block swap gives the same doubled group; at ell=5 it does not even
     # normalize the base
-    base3 = _family_case8_base(3, 2)
+    base3 = _family_case8_base(3)
     assert np.array_equal(_extend_by(base3, _SWAP, 3, "alt"),
                           family("Case8").keys)
     with pytest.raises(AssertionError):
-        _extend_by(_family_case8_base(5, 2), _SWAP, 5, "alt")
+        _extend_by(_family_case8_base(5), _SWAP, 5, "alt")
 
 
 def test_case9_pattern_union():

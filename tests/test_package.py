@@ -1,21 +1,25 @@
 """The lazy package surface, which subcommands load numpy, and the value
 types every module defines."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sympkit
 
 SRC = str(Path(sympkit.__file__).resolve().parents[1])
 
-# sympkit.__all__ as it stood when the package imported every module eagerly
+# sympkit.__all__ as it stood when the package imported every module
+# eagerly, less the names deleted since
 EAGER_ALL = [
     "Cyclotomic", "GaussianRational", "PrimeFieldElem", "Rational", "UPoly",
     "quadratic_nonresidue", "solve_sum_of_squares", "CharacterData", "GSpElement", "NotSimilitude",
@@ -23,13 +27,13 @@ EAGER_ALL = [
     "infinity_type_solve", "is_in_levi", "lambda_rep", "moebius",
     "oddness_normalize", "similitude_of", "torus", "try_similitude",
     "weyl_act", "weyl_orbit_and_stabilizer", "weyl_words",
-    "CharPolyHistogram", "FamilySpec", "GroupSet", "PackedElement",
-    "ResourceLimit", "brute_similitude_scan", "build_family", "c_eta_M",
-    "charpoly_census", "charpoly_coeffs", "closed_form_census",
-    "embed_gl2_siegel", "enumerate_P1_reps", "enumerate_gsp4",
-    "enumerate_sp4", "enumeration_bytes", "family_base_subgroup",
-    "family_with_base", "gl2_charpoly_census", "gsp4_order", "mulclose",
-    "pack_matrices", "resolve_threads", "sp4_order", "unpack_keys",
+    "CharPolyHistogram", "FamilySpec", "GroupSet", "ResourceLimit",
+    "brute_similitude_scan", "build_family", "c_eta_M", "charpoly_census",
+    "charpoly_coeffs", "closed_form_census", "embed_gl2_siegel",
+    "enumerate_P1_reps", "enumerate_gsp4", "enumerate_sp4",
+    "enumeration_bytes", "family_with_base", "gl2_charpoly_census",
+    "gsp4_order", "mulclose", "pack_matrices", "resolve_threads",
+    "sp4_order", "unpack_keys",
     "EulerFactor", "HeckeData", "LatticeRing", "SatakeParams", "check_int",
     "density_ratio", "endoscopic_spin_factor", "enumerate_Y", "hecke_poly",
     "lambda_p2", "read_eigen_csv", "rou_charpolys", "satake_to_hecke",
@@ -155,7 +159,6 @@ VALUES = [
     ("PrimeFieldElem", lambda: sympkit.PrimeFieldElem(7, 3), "val"),
     ("UPoly", lambda: sympkit.UPoly([1, 2]), "coeffs"),
     ("Cyclotomic", lambda: sympkit.Cyclotomic(5, [1, 2]), "coeffs"),
-    ("PackedElement", lambda: sympkit.PackedElement(3, 0, 1), "key"),
     ("GroupSet", lambda: sympkit.GroupSet(3, [1, 2]), "ell"),
     ("FamilySpec", lambda: sympkit.FamilySpec("LeviB", 3), "tag"),
     ("SatakeParams", lambda: sympkit.SatakeParams(1, 2, 3), "eps"),
@@ -193,3 +196,36 @@ def test_value_types_refuse_assignment_and_deletion(make, field):
     # __slots__ = () on both bases keeps instances free of a __dict__; the
     # two frozen dataclasses of gsp4_core are not slotted
     assert hasattr(obj, "__dict__") == is_dataclass(obj)
+
+
+def _same(a, b):
+    "Deep equality that compares numpy arrays by value."
+    if hasattr(a, "shape"):
+        return np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize("make", [v[1] for v in VALUES],
+                         ids=[v[0] for v in VALUES])
+def test_value_types_copy_and_pickle(make):
+    obj = make()
+    cls = type(obj)
+    fields = [n for c in cls.__mro__ for n in getattr(c, "__slots__", ())]
+    fields += list(getattr(obj, "__dict__", ()))
+    for twin in (copy.copy(obj), copy.deepcopy(obj),
+                 pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is cls
+        for name in fields:  # a cache slot may be unset on both
+            assert _same(getattr(twin, name, None),
+                         getattr(obj, name, None)), name
+        if cls.__eq__ is not object.__eq__:
+            assert twin == obj
+        if cls.__hash__ not in (None, object.__hash__):
+            assert hash(twin) == hash(obj)
+        if isinstance(obj, sympkit.GroupSet):
+            assert not twin.keys.flags.writeable
