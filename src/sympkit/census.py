@@ -23,7 +23,9 @@ factors, taken once.  f is the char poly of an element exactly when the
 ranks sum to 2; it is keyed by det(1 - gT) = (-a, b, -nu a, nu^2) and nu.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 from .exact_arith import _Frozen, _require_odd_prime, is_odd_prime
@@ -178,9 +180,15 @@ def _greedy_cover(hist, eta):
 
 def c_eta_M(hist, eta):
     """Least M with some subset of >= (1 - eta) of the group covered by M
-    classes of the CharPolyHistogram `hist`: the length of the greedy cover
-    (largest classes dominate any other choice of M classes)."""
-    return len(_greedy_cover(hist, eta))
+    classes of the CharPolyHistogram `hist`: largest classes dominate any
+    other choice of M classes, so M is where the prefix sums of the counts,
+    sorted down, first reach (1 - eta) |G|.  Found by bisection, apart from
+    the loop of _greedy_cover."""
+    eta = Fraction(eta)
+    if not 0 < eta < 1:
+        raise ValueError("eta must lie strictly between 0 and 1")
+    prefix = list(accumulate(sorted(hist.classes.values(), reverse=True)))
+    return bisect_left(prefix, (1 - eta) * hist.total) + 1
 
 
 def enumerate_P1_reps(p, beta):

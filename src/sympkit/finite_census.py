@@ -15,14 +15,16 @@ checked as a similitude, the sorted keys are distinct, and their count is
 the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
 permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The frontier BFS `mulclose` remains as
-the independent oracle and as the engine of the closure proofs; its loop,
-_closure, works on sorted keys of any dtype and also closes the Q(i)
-gallery of artin_gallery.  The subgroup families (Levi factors, the
-checkerboard endoscopic group, and Case5-Case9) come from one table,
-_FAMILIES: each tag names the function that lists its matrices and, for
-the doubled families, the involution that doubles the listed base.  They are
-proven closed by regeneration: each key set must equal the closure of a
-small certificate drawn from it, which makes it a group (_prove_group).
+the independent oracle and builds the subgroup families; its loop, _closure,
+works on sorted keys of any dtype and also closes the Q(i) gallery of
+artin_gallery.  The families (Levi factors, the checkerboard endoscopic
+group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
+generators written from the structure, a membership predicate (a zero or
+block pattern) and a closed-form order, and for Case5-Case8 the involution
+that doubles the base.  A family is the closure of its generators, so a
+group; every element passing the predicate and the similitude test puts it
+inside the family, and a count equal to the order makes it the whole family,
+the argument by count that proves the full groups (_closed_family).
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -313,35 +315,6 @@ class GroupSet(_Frozen):
         return "GroupSet(ell=%d, order=%d)" % (self.ell, self.order)
 
 
-def _prove_group(keys, ell, name):
-    """Prove the sorted key set `keys` a group; return the certificate S.
-
-    From the identity, add the smallest key not yet in the closure to S and
-    recompute the closure <S>, until <S> equals the set (which is then a
-    group) or leaves it (then the set is not closed under product).  Each
-    key at least doubles <S> (Lagrange): |S| <= order.bit_length()."""
-    cert = np.empty(0, dtype=np.uint64)
-    closure = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
-    while True:
-        if not _contains_sorted(keys, closure).all():
-            raise AssertionError("%s: not closed under product" % name)
-        if closure.size == keys.size:
-            return cert
-        cert = np.append(cert, _notin_sorted(keys, closure)[0])
-        try:
-            closure = mulclose(unpack_keys(cert, ell), ell, cap=keys.size)
-        except RuntimeError:  # the closure outgrew the set
-            raise AssertionError("%s: not closed under product" % name) from None
-
-
-def _proven_keys(mats, ell, name):
-    "Sorted keys of the matrices mod ell, proven a group by _prove_group."
-    keys = _sorted_unique(
-        pack_matrices(np.asarray(mats, dtype=np.int64) % ell, ell))
-    _prove_group(keys, ell, name)
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # full enumerations
 
@@ -602,10 +575,6 @@ def _ext_params(ell):
     return u.val, a.val, b.val
 
 
-def _units(ell):
-    return np.arange(1, ell, dtype=np.int64)
-
-
 def _inverse_table(ell):
     "inv[x] = x^-1 mod ell for every unit x (inv[0] = 0)."
     return np.array([0] + [pow(x, -1, ell) for x in range(1, ell)],
@@ -620,151 +589,6 @@ def _all_gl2(ell):
     return grid[keep].reshape(-1, 2, 2), det[keep]
 
 
-def _family_levi_b(ell):
-    t1, t2, t0 = [g.ravel() for g in np.meshgrid(
-        _units(ell), _units(ell), _units(ell), indexing="ij")]
-    inv = _inverse_table(ell)
-    n = t1.size
-    out = np.zeros((n, 4, 4), dtype=np.int64)
-    out[:, 0, 0] = t1
-    out[:, 1, 1] = t2
-    out[:, 2, 2] = t0 * inv[t1] % ell
-    out[:, 3, 3] = t0 * inv[t2] % ell
-    return out
-
-
-def _family_levi_p(ell):
-    gl2, det = _all_gl2(ell)
-    inv = _inverse_table(ell)
-    units = _units(ell)
-    n = gl2.shape[0] * units.size
-    a = np.repeat(gl2, units.size, axis=0)
-    d = np.repeat(det, units.size)
-    nu = np.tile(units, gl2.shape[0])
-    scale = nu * inv[d] % ell
-    out = np.zeros((n, 4, 4), dtype=np.int64)
-    out[:, 0:2, 0:2] = a
-    # nu * transpose-inverse of A = (nu/det) [[a22, -a21], [-a12, a11]]
-    out[:, 2, 2] = scale * a[:, 1, 1] % ell
-    out[:, 2, 3] = scale * (-a[:, 1, 0]) % ell
-    out[:, 3, 2] = scale * (-a[:, 0, 1]) % ell
-    out[:, 3, 3] = scale * a[:, 0, 0] % ell
-    return out
-
-
-def _family_levi_q(ell):
-    gl2, det = _all_gl2(ell)
-    inv = _inverse_table(ell)
-    units = _units(ell)
-    b = np.repeat(gl2, units.size, axis=0)
-    d = np.repeat(det, units.size)
-    t = np.tile(units, gl2.shape[0])
-    out = np.zeros((b.shape[0], 4, 4), dtype=np.int64)
-    out[:, 0, 0] = t
-    out[:, 1, 1] = b[:, 0, 0]
-    out[:, 1, 3] = b[:, 0, 1]
-    out[:, 3, 1] = b[:, 1, 0]
-    out[:, 3, 3] = b[:, 1, 1]
-    out[:, 2, 2] = d * inv[t] % ell
-    return out
-
-
-def _family_hen(ell):
-    gl2, det = _all_gl2(ell)
-    blocks = []
-    for v in range(1, ell):
-        sel = gl2[det == v]
-        k = sel.shape[0]
-        a = np.repeat(sel, k, axis=0)
-        b = np.tile(sel, (k, 1, 1))
-        blocks.append(_checkerboard(a, b, ell))
-    return np.concatenate(blocks)
-
-
-def _checkerboard(a, b, ell):
-    "Interleave 2x2 blocks A (odd slots) and B (even slots) into 4x4s."
-    n = a.shape[0]
-    out = np.zeros((n, 4, 4), dtype=np.int64)
-    out[:, 0, 0] = a[:, 0, 0]
-    out[:, 0, 2] = a[:, 0, 1]
-    out[:, 2, 0] = a[:, 1, 0]
-    out[:, 2, 2] = a[:, 1, 1]
-    out[:, 1, 1] = b[:, 0, 0]
-    out[:, 1, 3] = b[:, 0, 1]
-    out[:, 3, 1] = b[:, 1, 0]
-    out[:, 3, 3] = b[:, 1, 1]
-    return out % ell
-
-
-def _family_case7_base(ell):
-    "All S-block 4x4s with a1 a4 - a2 a3 a unit of the base field."
-    u, a, b = _ext_params(ell)
-    grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
-    x1, y1, x2, y2, x3, y3, x4, y4 = grid.T
-    det_x = (x1 * x4 + u * y1 * y4 - x2 * x3 - u * y2 * y3) % ell
-    det_y = (x1 * y4 + x4 * y1 - x2 * y3 - x3 * y2) % ell
-    keep = (det_y == 0) & (det_x != 0)
-    g = grid[keep]
-    n = g.shape[0]
-    out = np.zeros((n, 4, 4), dtype=np.int64)
-    for slot, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        x, y = g[:, 2 * slot], g[:, 2 * slot + 1]
-        out[:, 2 * r, 2 * c] = (x + a * y) % ell
-        out[:, 2 * r, 2 * c + 1] = b * y % ell
-        out[:, 2 * r + 1, 2 * c] = b * y % ell
-        out[:, 2 * r + 1, 2 * c + 1] = (x - a * y) % ell
-    return out
-
-
-def _family_case8_base(ell):
-    "All [[A, B], [uB, A]] in the similitude group."
-    u = _ext_params(ell)[0]
-    grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
-    n = grid.shape[0]
-    mats = np.zeros((n, 4, 4), dtype=np.int64)
-    a = grid[:, 0:4].reshape(-1, 2, 2)
-    b = grid[:, 4:8].reshape(-1, 2, 2)
-    mats[:, 0:2, 0:2] = a
-    mats[:, 0:2, 2:4] = b
-    mats[:, 2:4, 0:2] = u * b % ell
-    mats[:, 2:4, 2:4] = a
-    ok, _ = _similitude_info(mats, ell)
-    # the membership conditions in block terms: A tA - u B tB scalar unit,
-    # A tB symmetric — equivalent to the similitude identity; enforce both
-    at = a.transpose(0, 2, 1)
-    bt = b.transpose(0, 2, 1)
-    m1 = (np.matmul(a, at) - u * np.matmul(b, bt)) % ell
-    m2 = (np.matmul(a, bt) - np.matmul(b, at)) % ell
-    nu = m1[:, 0, 0]
-    scalar = ((m1[:, 0, 1] == 0) & (m1[:, 1, 0] == 0)
-              & (m1[:, 1, 1] == nu) & (nu != 0))
-    cond = scalar & (m2 == 0).all(axis=(1, 2))
-    if not np.array_equal(ok, cond):
-        raise AssertionError("block conditions disagree with the Gram identity")
-    return mats[ok]
-
-
-_CASE9_SLOTS = (
-    ((0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)),
-    ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)),
-)
-
-
-def _family_case9(ell):
-    "The two interleaved tensor patterns, filtered to similitudes."
-    grid = np.indices((ell,) * 6, dtype=np.int64).reshape(6, -1).T
-    a, b, c, d, v, z = grid.T
-    values = (a * v, b * v, a * z, b * z, c * v, d * v, c * z, d * z)
-    out = []
-    for slots in _CASE9_SLOTS:
-        mats = np.zeros((grid.shape[0], 4, 4), dtype=np.int64)
-        for (r, c_), val in zip(slots, values):
-            mats[:, r, c_] = val % ell
-        ok, _ = _similitude_info(mats, ell)
-        out.append(mats[ok])
-    return np.concatenate(out)
-
-
 # the index-2 families adjoin one involution each.  The block swap
 # [[0, I], [I, 0]] genuinely extends the Siegel Levi (Case5), but it lies
 # INSIDE both the checkerboard group (its two blocks are the 2x2 swap) and
@@ -774,70 +598,239 @@ def _family_case9(ell):
 # block rotation pair conjugates every S-block to its quadratic conjugate.
 # diag(1, 1, -1, -1) negates the B block of [[A, B], [uB, A]], realizing the
 # unitary conjugation at every ell (the block swap does so only when u^2 = 1).
-_EXCHANGE = np.array(
-    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.int64
-)
-
+_EXCHANGE = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 _ROT_PAIR = np.array(
-    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=np.int64
-)
-
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 _NEG_LOWER = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], dtype=np.int64
-)
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
 
-def _extend_by(base_mats, w, ell, name):
-    """Key set of <base, w>: the union base ∪ base·w, proven a group.  A group
-    that contains base and base·w contains w and lies inside <base, w>, so it
-    is <base, w>; a union that is no group raises AssertionError."""
-    base = np.asarray(base_mats, dtype=np.int64) % ell
-    w = np.asarray(w, dtype=np.int64) % ell
-    return _proven_keys(np.concatenate([base, base @ w % ell]), ell, name)
+# T and W generate SL2(F_ell), and with diag(g, 1), g the least primitive
+# root, they generate GL2(F_ell); t(T)^-1 = _T_DUAL and t(W)^-1 = W.
+_T = np.array([[1, 1], [0, 1]])
+_T_DUAL = np.array([[1, 0], [-1, 1]])
+_W = np.array([[0, -1], [1, 0]])
 
 
-# tag -> (the function listing the family's matrices, or its index-2 base's
-# when the family is doubled; the involution that doubles it, or None)
+def _embed(*parts):
+    "The 4x4 identity with each 2x2 block on the rows and columns `idx`."
+    m = np.eye(4, dtype=np.int64)
+    for idx, block in parts:
+        m[np.ix_(idx, idx)] = block
+    return m
+
+
+def _diags(ell, *exponents):
+    "diag(g^e1, g^e2, g^e3, g^e4) for each tuple (e1, ..., e4)."
+    g = _primitive_root(ell)
+    return [np.diag([pow(g, e, ell) for e in es]) for es in exponents]
+
+
+def _case7_gens(ell):
+    """The S-block images of E12(1), E12(sqrt u), E21(1), E21(sqrt u) and
+    diag(g, 1) over F_ell(sqrt u): the image of X + Y sqrt u has the 2x2
+    blocks x I + y [[a, b], [b, -a]] for the entries x of X and y of Y, with
+    (u, a, b) of _ext_params."""
+    _, a, b = _ext_params(ell)
+    one, e12 = np.eye(2, dtype=np.int64), np.array([[0, 1], [0, 0]])
+    pairs = [(one + e12, 0 * one), (one, e12), (one + e12.T, 0 * one),
+             (one, e12.T), (np.diag([_primitive_root(ell), 1]), 0 * one)]
+    return [np.kron(x, one) + np.kron(y, [[a, b], [b, -a]]) for x, y in pairs]
+
+
+def _case8_gens(ell):
+    """[[A, B], [uB, A]] for three X = A + B sqrt u over F_ell(sqrt u), with
+    N(x0 + x1 sqrt u) = x0^2 - u x1^2 and 'least' in the order of (x0, x1):
+    the least non-monomial [[alpha, beta], [-conj(beta), conj(alpha)]] with
+    N(alpha) + N(beta) = 1; diag(zeta, 1) for the least zeta of norm 1 and
+    order ell + 1; and the least scalar z of norm g."""
+    u = _ext_params(ell)[0]
+
+    def norm(x):
+        return (x[0] * x[0] - u * x[1] * x[1]) % ell
+
+    def order(x):
+        k, y = 1, x
+        while y != (1, 0):
+            k, y = k + 1, ((y[0] * x[0] + u * y[1] * x[1]) % ell,
+                           (y[0] * x[1] + y[1] * x[0]) % ell)
+        return k
+
+    elems = [(x0, x1) for x0 in range(ell) for x1 in range(ell)]
+    (a0, a1), (b0, b1) = next((x, y) for x in elems[1:] for y in elems[1:]
+                              if (norm(x) + norm(y)) % ell == 1)
+    c0, c1 = next(x for x in elems if norm(x) == 1 and order(x) == ell + 1)
+    z0, z1 = next(x for x in elems if norm(x) == _primitive_root(ell))
+    one = np.eye(2, dtype=np.int64)
+    pairs = [([[a0, b0], [-b0, a0]], [[a1, b1], [b1, -a1]]),
+             (np.diag([c0, 1]), np.diag([c1, 0])), (z0 * one, z1 * one)]
+    return [np.kron(one, x) + np.kron([[0, 1], [u, 0]], y) for x, y in pairs]
+
+
+# Membership predicates, (N, 4, 4) matrices mod ell -> (N,) bool: the zero
+# or block pattern of a family.  With the similitude test each defines its
+# family (or base) as a set, of the order in its _FAMILIES row.
+
+
+def _zero_off(*rows):
+    "The predicate: zero wherever the pattern `rows` ('1010', ...) has 0."
+    rows, cols = zip(*[(i, j) for i, row in enumerate(rows)
+                       for j, c in enumerate(row) if c == "0"])
+    return lambda m, ell: (m[:, rows, cols] == 0).all(axis=1)
+
+
+_IS_CHECKER = _zero_off("1010", "0101", "1010", "0101")
+
+
+def _is_s_image(m, ell):
+    "Every 2x2 block [[p, q], [r, s]] has r = q and b (p - s) = 2 a q."
+    _, a, b = _ext_params(ell)
+    p, q = m[:, ::2, ::2], m[:, ::2, 1::2]
+    r, s = m[:, 1::2, ::2], m[:, 1::2, 1::2]
+    return ((r == q) & ((b * (p - s) - 2 * a * q) % ell == 0)).all(axis=(1, 2))
+
+
+def _is_u_image(m, ell):
+    "[[A, B], [uB, A]]."
+    u = _ext_params(ell)[0]
+    return ((m[:, 2:, 2:] == m[:, :2, :2]).all(axis=(1, 2))
+            & ((m[:, 2:, :2] - u * m[:, :2, 2:]) % ell == 0).all(axis=(1, 2)))
+
+
+def _is_case9(m, ell):
+    """X (x) Y with Y diagonal or antidiagonal: the checkerboard with
+    proportional blocks, before or after the exchange of columns."""
+    def even(m):
+        a, b = m[:, ::2, ::2].reshape(-1, 4), m[:, 1::2, 1::2].reshape(-1, 4)
+        ok = _IS_CHECKER(m, ell)
+        for i, j in _PAIRS:
+            ok &= (a[:, i] * b[:, j] - a[:, j] * b[:, i]) % ell == 0
+        return ok
+
+    return even(m) | even(m @ _EXCHANGE)
+
+
+# tag -> (generators, membership predicate and closed-form order of the
+# family, or of its index-2 base when it is doubled; the involution that
+# doubles it, or None).  The orders are standard (R. W. Carter, Finite
+# Groups of Lie Type, 1985).
+_LEVI_P = (  # [[A, 0], [0, t(A)^-1]], A = T, W, diag(g, 1); diag(1, 1, g, g)
+    lambda ell: [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
+                 _embed(((0, 1), _W), ((2, 3), _W)),
+                 *_diags(ell, (1, 0, -1, 0), (0, 0, 1, 1))],
+    _zero_off("1100", "1100", "0011", "0011"),
+    lambda q: q * (q * q - 1) * (q - 1) ** 2)
+_HEN = (  # checkerboard (A, I), (I, A) for A = T, W; (D, D) for D = diag(g, 1)
+    lambda ell: [*(_embed((i, a)) for a in (_T, _W) for i in ((0, 2), (1, 3))),
+                 *_diags(ell, (1, 1, 0, 0))],
+    _IS_CHECKER, lambda q: (q - 1) * (q * (q * q - 1)) ** 2)
 _FAMILIES = {
-    "LeviB": (_family_levi_b, None),
-    "LeviP": (_family_levi_p, None),
-    "LeviQ": (_family_levi_q, None),
-    "Hen": (_family_hen, None),
-    "Case5": (_family_levi_p, _SWAP),
-    "Case6": (_family_hen, _EXCHANGE),
-    "Case7": (_family_case7_base, _ROT_PAIR),
-    "Case8": (_family_case8_base, _NEG_LOWER),
-    "Case9": (_family_case9, None),
+    # the torus diag(t1, t2, nu/t1, nu/t2)
+    "LeviB": (lambda ell: _diags(ell, (1, 0, -1, 0), (0, 1, 0, -1),
+                                 (0, 0, 1, 1)),
+              _zero_off("1000", "0100", "0010", "0001"),
+              lambda q: (q - 1) ** 3, None),
+    "LeviP": (*_LEVI_P, None),
+    # t on e1, B on (e2, e4) and det(B)/t on e3, for (t, B) = (1, T),
+    # (1, W), (1, diag(g, 1)) and (g, I)
+    "LeviQ": (lambda ell: [_embed(((1, 3), _T)), _embed(((1, 3), _W)),
+                           *_diags(ell, (0, 1, 1, 0), (1, 0, -1, 0))],
+              _zero_off("1000", "0101", "0010", "0101"),
+              lambda q: q * (q * q - 1) * (q - 1) ** 2, None),
+    "Hen": (*_HEN, None),
+    "Case5": (*_LEVI_P, _SWAP),
+    "Case6": (*_HEN, _EXCHANGE),
+    # the base: GL2(F_ell^2) with determinant in F_ell^x
+    "Case7": (_case7_gens, _is_s_image,
+              lambda q: (q - 1) * q * q * (q ** 4 - 1), _ROT_PAIR),
+    # the base: the similitudes of the unitary group U2(F_ell)
+    "Case8": (_case8_gens, _is_u_image,
+              lambda q: (q - 1) * (q + 1) * q * (q * q - 1), _NEG_LOWER),
+    # X (x) Y for X in GL2 and Y = diag(1, +-1) or antidiag(1, +-1): the
+    # generators X (x) I for X = T, W, diag(g, 1), I (x) diag(1, -1) and
+    # I (x) antidiag(1, 1) = _EXCHANGE
+    "Case9": (lambda ell: [_embed(((0, 2), a), ((1, 3), a)) for a in (_T, _W)]
+              + _diags(ell, (1, 1, 0, 0)) + [np.diag([1, -1] * 2), _EXCHANGE],
+              _is_case9, lambda q: 4 * q * (q * q - 1) * (q - 1), None),
 }
+
+# The modelled peak resident memory of the `family` command, per element
+# held (the family, and its base when that is built too): the closure's
+# seen set, its merged copy and last frontier, the sorted copy and mask of
+# GroupSet, and the similitude factors of the report.
+# tests/test_finite_census.py checks it against measured peaks.
+_CLOSURE_ELEMENT_BYTES = 64
+
+
+def _closure_bytes(elements):
+    "Modelled peak RSS, in bytes, of a family build holding `elements`."
+    return (_PROCESS_BYTES + elements * _CLOSURE_ELEMENT_BYTES
+            + resolve_threads() * _BLOCK_BYTES)
+
+
+def _closed_family(gens, inside, order, ell, name):
+    """Sorted keys of the closure of `gens` (a group), proven to be the
+    family of `order` elements that `inside` and the similitude test define
+    by every key passing both and a count equal to `order`; AssertionError
+    otherwise, and for a closure that outgrows `order`."""
+    try:
+        keys = mulclose(gens, ell, cap=order)
+    except RuntimeError:
+        raise AssertionError("%s: the generators give more than %d elements"
+                             % (name, order)) from None
+    for i in range(0, keys.size, _CHECK_ROWS):
+        mats = unpack_keys(keys[i:i + _CHECK_ROWS], ell)
+        if not (_similitude_info(mats, ell)[0] & inside(mats, ell)).all():
+            raise AssertionError("%s: the generators leave the family" % name)
+    if keys.size != order:
+        raise AssertionError("%s: the generators give %d elements, not %d"
+                             % (name, keys.size, order))
+    return keys
 
 
 def _family(spec, with_base):
-    """(family, base) as GroupSets proven closed, from one listing of the
-    matrices; base is None unless `with_base` and the family is doubled."""
-    build, w = _FAMILIES[spec.tag]
-    mats, ell = build(spec.ell), spec.ell
-    if w is None:
-        return GroupSet(ell, _proven_keys(mats, ell, spec.tag)), None
-    grp = GroupSet(ell, _extend_by(mats, w, ell, spec.tag))
-    if not with_base:
-        return grp, None
-    return grp, GroupSet(ell, _proven_keys(mats, ell, spec.tag + " base"))
+    """(family, base), each a GroupSet proven by _closed_family; base is None
+    unless `with_base` and the family is doubled.  A doubled family is base
+    u base.w: m passes when m or m.w^-1 = m.t(w) (w is a signed permutation)
+    passes the base predicate.  A modelled peak RSS above DEFAULT_MAX_BYTES
+    raises ResourceLimit before anything is built."""
+    gens, inside, order, w = _FAMILIES[spec.tag]
+    ell, n = spec.ell, order(spec.ell)
+    with_base = with_base and w is not None
+    held = (n if w is None else 2 * n) + (n if with_base else 0)
+    if _closure_bytes(held) > DEFAULT_MAX_BYTES:
+        raise ResourceLimit(
+            "%s at ell = %d holds %d elements, ~%d bytes (modelled peak RSS); "
+            "budget is %d" % (spec.tag, ell, held, _closure_bytes(held),
+                              DEFAULT_MAX_BYTES))
+    gens, base = gens(ell), None
+    if with_base:
+        base = GroupSet(ell, _closed_family(gens, inside, n, ell,
+                                            spec.tag + " base"))
+    if w is not None:
+        gens, n, part = gens + [w], 2 * n, inside
+
+        def inside(m, ell):
+            return part(m, ell) | part(m @ w.T % ell, ell)
+
+    return GroupSet(ell, _closed_family(gens, inside, n, ell, spec.tag)), base
 
 
 def build_family(spec):
-    """The explicit subgroup named by `spec`, as a GroupSet proven closed:
-    the Levi and checkerboard families and Case9 (the union of its two block
-    patterns) by direct parameter enumeration, Case5-Case8 as a base doubled
-    by one involution (_FAMILIES).  Every key set is proven a group by
-    regeneration (_prove_group), independently of how it was enumerated."""
+    """The explicit subgroup named by `spec`, as a GroupSet: the closure of
+    a few generators written from its structure (_FAMILIES; Case5-Case8 add
+    an involution to those of an index-2 base), proven to be the whole
+    family by its membership predicate (a zero or block pattern plus the
+    similitude test) on every element and a count equal to its order."""
     return _family(spec, False)[0]
 
 
 def family_with_base(spec):
     """(build_family(spec), base): the base is the natural index-2 subgroup
     of a doubled family (Case5: the Siegel Levi; Case6: the checkerboard
-    group; Case7: the S-block image; Case8: the [[A, B], [uB, A]] set),
-    enumerated once and proven closed, or None for a family without one."""
+    group; Case7: the S-block image; Case8: the [[A, B], [uB, A]] set), the
+    proven closure of the base generators alone, or None for a family
+    without one."""
     return _family(spec, True)
 
 
@@ -853,7 +846,8 @@ def gl2_charpoly_census(ell):
 
 
 def embed_gl2_siegel(ell):
-    "GL2 embedded block-diagonally with nu = 1: A paired with t(A)^-1."
-    mats = _family_levi_p(ell)
-    _, nu = _similitude_info(mats, ell)
-    return GroupSet(ell, _proven_keys(mats[nu == 1], ell, "GL2 Siegel embedding"))
+    """GL2 embedded block-diagonally with nu = 1, A paired with t(A)^-1: the
+    kernel of nu on the proven LeviP family [[A, 0], [0, nu t(A)^-1]], so a
+    group of order |GL2(F_ell)|."""
+    levi = build_family(FamilySpec("LeviP", ell))
+    return GroupSet(ell, levi.keys[levi.nu_values() == 1])

@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,22 +97,30 @@ def test_family_tag_spellings(capsys):
     assert code == 2 and "unknown family" in err
 
 
+def _patch_row(monkeypatch, tag, gens=None, order=None):
+    "Replace the generators or the order formula of a _FAMILIES row."
+    row = finite_census._FAMILIES[tag]
+    monkeypatch.setitem(finite_census._FAMILIES, tag, (
+        row[0] if gens is None else gens, row[1],
+        row[2] if order is None else order, row[3]))
+
+
 def _levi_b_with_a_non_similitude(monkeypatch):
-    # {1, diag(1, 1, 1, 2)} is a group mod 3, but its second member pairs
-    # e1 with e3 by 1 and e2 with e4 by 2, so t(m) J m is no multiple of J
-    bad = np.stack([np.eye(4, dtype=np.int64),
-                    np.diag([1, 1, 1, 2]).astype(np.int64)])
-    monkeypatch.setitem(finite_census._FAMILIES, "LeviB",
-                        (lambda ell: bad, None))
+    # {1, diag(1, 1, 1, 2)} is a diagonal group mod 3, but its second member
+    # pairs e1 with e3 by 1 and e2 with e4 by 2, so t(m) J m is no multiple
+    # of J
+    _patch_row(monkeypatch, "LeviB", gens=lambda ell: [np.diag([1, 1, 1, 2])],
+               order=lambda q: 2)
 
 
-def test_family_non_similitude_member_fails_its_anchor(monkeypatch, capsys):
+def test_family_non_similitude_member_is_an_internal_failure(monkeypatch,
+                                                             capsys):
+    # the similitude test is part of the family's predicate, so the build
+    # fails before any report is printed
     _levi_b_with_a_non_similitude(monkeypatch)
-    code, rep = run_json(capsys, "family", "--case", "LeviB", "--ell", "3")
-    assert code == 1
-    by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
-    assert by_anchor == {"closure-verified": True,
-                         "members-are-similitudes": False}
+    code, out, err = run(capsys, "family", "--case", "LeviB", "--ell", "3")
+    assert code == 1 and out == ""
+    assert "LeviB: the generators leave the family" in err
 
 
 def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
@@ -122,16 +131,48 @@ def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
     code, out, err = run(capsys, "ceta", "--case", "LeviB", "--ell", "3",
                          "--eta", "1/4")
     assert code == 1 and out == ""
-    assert "LeviB: census input contains a non-similitude" in err
+    assert "LeviB: the generators leave the family" in err
 
 
-def test_family_with_a_dropped_element_is_not_closed(monkeypatch, capsys):
-    whole = finite_census._family_hen
-    monkeypatch.setitem(finite_census._FAMILIES, "Hen",
-                        (lambda ell: whole(ell)[1:], None))
-    code, out, err = run(capsys, "family", "--case", "Hen", "--ell", "3")
-    assert code == 1 and out == ""
-    assert "Hen: not closed under product" in err
+def test_family_with_a_dropped_generator_falls_short(monkeypatch, capsys):
+    # without its last generator each family (or base) closes to a proper
+    # subgroup, whose count misses the order
+    for tag, (gens, _, _, _) in finite_census._FAMILIES.items():
+        with monkeypatch.context() as patch:
+            _patch_row(patch, tag, gens=lambda ell, gens=gens: gens(ell)[:-1])
+            code, out, err = run(capsys, "family", "--case", tag, "--ell", "3")
+        assert code == 1 and out == "", tag
+        assert re.search(tag + r"( base)?: the generators give \d+ elements, "
+                               r"not \d+", err), (tag, err)
+
+
+def test_family_with_a_generator_outside_the_pattern_fails(monkeypatch,
+                                                           capsys):
+    # each swap closes, with the other generators, to a group of the
+    # family's order, but it breaks the zero pattern
+    for tag, w in (("LeviB", finite_census._SWAP),
+                   ("Hen", finite_census._EXCHANGE)):
+        gens = finite_census._FAMILIES[tag][0]
+        with monkeypatch.context() as patch:
+            _patch_row(patch, tag,
+                       gens=lambda ell, g=gens, w=w: g(ell)[:-1] + [w])
+            code, out, err = run(capsys, "family", "--case", tag, "--ell", "3")
+        assert code == 1 and out == "", tag
+        assert tag + ": the generators leave the family" in err
+
+
+def test_family_with_a_wrong_order_fails(monkeypatch, capsys):
+    # one more than the order: the count falls short; one less: the closure
+    # outgrows its cap
+    for tag, (_, _, order, _) in finite_census._FAMILIES.items():
+        for shift, says in ((1, "elements, not"), (-1, "give more than")):
+            with monkeypatch.context() as patch:
+                _patch_row(patch, tag,
+                           order=lambda q, o=order, d=shift: o(q) + d)
+                code, out, err = run(capsys, "family", "--case", tag,
+                                     "--ell", "3")
+            assert code == 1 and out == "", (tag, shift)
+            assert tag in err and says in err, (tag, shift, err)
 
 
 def test_census_beyond_the_enumerated_primes(capsys):
@@ -188,15 +229,37 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
 
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
-    calls = []
-    case8, w = finite_census._FAMILIES["Case8"]
-    monkeypatch.setitem(finite_census._FAMILIES, "Case8",
-                        (lambda ell: calls.append(ell) or case8(ell), w))
+    # `family` closes the base and the doubled family once each; the census
+    # of `ceta` needs no base
+    caps = []
+    closure = finite_census.mulclose
+
+    def counted(gens, ell, cap=None, **kwargs):
+        caps.append(cap)
+        return closure(gens, ell, cap=cap, **kwargs)
+
+    monkeypatch.setattr(finite_census, "mulclose", counted)
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and caps == [192, 384]
     assert rep["results"]["order"] == 384
     assert rep["results"]["base_order"] == 192
     assert all(entry["pass"] for entry in rep["assertions"])
+    caps.clear()
+    code, _ = run_json(capsys, "ceta", "--case", "8", "--ell", "3",
+                       "--eta", "1/4")
+    assert code == 0 and caps == [384]
+
+
+def test_family_over_the_memory_budget_is_a_usage_error(monkeypatch, capsys):
+    # Hen at ell = 13 holds 57,238,272 elements: refused from the order
+    # alone, before any closure runs
+    monkeypatch.setattr(finite_census, "mulclose", None)
+    for argv in (("family", "--case", "Hen"),
+                 ("ceta", "--case", "Hen", "--eta", "1/4")):
+        code, out, err = run(capsys, *argv, "--ell", "13")
+        assert code == 2 and out == ""
+        assert "Hen at ell = 13 holds 57238272 elements" in err
+        assert "budget is %d" % finite_census.DEFAULT_MAX_BYTES in err
 
 
 def test_family_refuses_primes_beyond_the_key_width(capsys):
@@ -256,6 +319,30 @@ def test_ceta_matches_library(capsys):
     assert covered == sorted(covered)
     counts = [step["count"] for step in trace]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_ceta_count_anchor_checks_the_trace(monkeypatch, capsys):
+    # a trace that takes the smallest classes first still reaches the bound
+    # with a minimal prefix, but it is longer than the least count, which
+    # c_eta_M finds apart from the trace
+    def smallest_first(hist, eta):
+        need = (1 - Fraction(eta)) * hist.total
+        cover, covered = [], 0
+        for coeffs, n in sorted(hist.classes.items(), key=lambda kv: kv[::-1]):
+            if covered >= need:
+                break
+            covered += n
+            cover.append((coeffs, n, covered))
+        return cover
+
+    monkeypatch.setattr(census, "_greedy_cover", smallest_first)
+    code, rep = run_json(capsys, "ceta", "--case", "gsp4", "--ell", "3",
+                         "--eta", "1/4")
+    assert code == 1
+    by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
+    assert by_anchor == {"coverage-count-consistent": False,
+                         "coverage-bound-met": True,
+                         "coverage-minimal-prefix": True}
 
 
 def test_ceta_rejects_bad_eta(capsys):

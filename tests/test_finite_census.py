@@ -37,12 +37,15 @@ from sympkit.finite_census import (
     sp4_order,
     unpack_keys,
     _EXCHANGE,
+    _FAMILIES,
     _NEG_LOWER,
     _ROT_PAIR,
     _SWAP,
-    _extend_by,
-    _family_case8_base,
-    _prove_group,
+    _all_gl2,
+    _closed_family,
+    _closure_bytes,
+    _ext_params,
+    _inverse_table,
     _similitude_info,
 )
 
@@ -587,6 +590,179 @@ def test_embed_gl2_siegel_census():
 
 
 # ---------------------------------------------------------------------------
+# the parameter grids: the independent oracle of the family closures
+#
+# Each lister enumerates a family (or the index-2 base of a doubled one) from
+# its parameters, with no group theory; a doubled family is listed as the
+# union base u base.w.
+
+
+def _units(ell):
+    return np.arange(1, ell, dtype=np.int64)
+
+
+def _family_levi_b(ell):
+    t1, t2, t0 = [g.ravel() for g in np.meshgrid(
+        _units(ell), _units(ell), _units(ell), indexing="ij")]
+    inv = _inverse_table(ell)
+    n = t1.size
+    out = np.zeros((n, 4, 4), dtype=np.int64)
+    out[:, 0, 0] = t1
+    out[:, 1, 1] = t2
+    out[:, 2, 2] = t0 * inv[t1] % ell
+    out[:, 3, 3] = t0 * inv[t2] % ell
+    return out
+
+
+def _family_levi_p(ell):
+    gl2, det = _all_gl2(ell)
+    inv = _inverse_table(ell)
+    units = _units(ell)
+    n = gl2.shape[0] * units.size
+    a = np.repeat(gl2, units.size, axis=0)
+    d = np.repeat(det, units.size)
+    nu = np.tile(units, gl2.shape[0])
+    scale = nu * inv[d] % ell
+    out = np.zeros((n, 4, 4), dtype=np.int64)
+    out[:, 0:2, 0:2] = a
+    # nu * transpose-inverse of A = (nu/det) [[a22, -a21], [-a12, a11]]
+    out[:, 2, 2] = scale * a[:, 1, 1] % ell
+    out[:, 2, 3] = scale * (-a[:, 1, 0]) % ell
+    out[:, 3, 2] = scale * (-a[:, 0, 1]) % ell
+    out[:, 3, 3] = scale * a[:, 0, 0] % ell
+    return out
+
+
+def _family_levi_q(ell):
+    gl2, det = _all_gl2(ell)
+    inv = _inverse_table(ell)
+    units = _units(ell)
+    b = np.repeat(gl2, units.size, axis=0)
+    d = np.repeat(det, units.size)
+    t = np.tile(units, gl2.shape[0])
+    out = np.zeros((b.shape[0], 4, 4), dtype=np.int64)
+    out[:, 0, 0] = t
+    out[:, 1, 1] = b[:, 0, 0]
+    out[:, 1, 3] = b[:, 0, 1]
+    out[:, 3, 1] = b[:, 1, 0]
+    out[:, 3, 3] = b[:, 1, 1]
+    out[:, 2, 2] = d * inv[t] % ell
+    return out
+
+
+def _family_hen(ell):
+    gl2, det = _all_gl2(ell)
+    blocks = []
+    for v in range(1, ell):
+        sel = gl2[det == v]
+        k = sel.shape[0]
+        a = np.repeat(sel, k, axis=0)
+        b = np.tile(sel, (k, 1, 1))
+        blocks.append(_checkerboard(a, b, ell))
+    return np.concatenate(blocks)
+
+
+def _checkerboard(a, b, ell):
+    "Interleave 2x2 blocks A (odd slots) and B (even slots) into 4x4s."
+    n = a.shape[0]
+    out = np.zeros((n, 4, 4), dtype=np.int64)
+    out[:, 0, 0] = a[:, 0, 0]
+    out[:, 0, 2] = a[:, 0, 1]
+    out[:, 2, 0] = a[:, 1, 0]
+    out[:, 2, 2] = a[:, 1, 1]
+    out[:, 1, 1] = b[:, 0, 0]
+    out[:, 1, 3] = b[:, 0, 1]
+    out[:, 3, 1] = b[:, 1, 0]
+    out[:, 3, 3] = b[:, 1, 1]
+    return out % ell
+
+
+def _family_case7_base(ell):
+    "All S-block 4x4s with a1 a4 - a2 a3 a unit of the base field."
+    u, a, b = _ext_params(ell)
+    grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
+    x1, y1, x2, y2, x3, y3, x4, y4 = grid.T
+    det_x = (x1 * x4 + u * y1 * y4 - x2 * x3 - u * y2 * y3) % ell
+    det_y = (x1 * y4 + x4 * y1 - x2 * y3 - x3 * y2) % ell
+    keep = (det_y == 0) & (det_x != 0)
+    g = grid[keep]
+    n = g.shape[0]
+    out = np.zeros((n, 4, 4), dtype=np.int64)
+    for slot, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        x, y = g[:, 2 * slot], g[:, 2 * slot + 1]
+        out[:, 2 * r, 2 * c] = (x + a * y) % ell
+        out[:, 2 * r, 2 * c + 1] = b * y % ell
+        out[:, 2 * r + 1, 2 * c] = b * y % ell
+        out[:, 2 * r + 1, 2 * c + 1] = (x - a * y) % ell
+    return out
+
+
+def _family_case8_base(ell):
+    "All [[A, B], [uB, A]] in the similitude group."
+    u = _ext_params(ell)[0]
+    grid = np.indices((ell,) * 8, dtype=np.int64).reshape(8, -1).T
+    n = grid.shape[0]
+    mats = np.zeros((n, 4, 4), dtype=np.int64)
+    a = grid[:, 0:4].reshape(-1, 2, 2)
+    b = grid[:, 4:8].reshape(-1, 2, 2)
+    mats[:, 0:2, 0:2] = a
+    mats[:, 0:2, 2:4] = b
+    mats[:, 2:4, 0:2] = u * b % ell
+    mats[:, 2:4, 2:4] = a
+    ok, _ = _similitude_info(mats, ell)
+    # the membership conditions in block terms: A tA - u B tB scalar unit,
+    # A tB symmetric — equivalent to the similitude identity; enforce both
+    at = a.transpose(0, 2, 1)
+    bt = b.transpose(0, 2, 1)
+    m1 = (np.matmul(a, at) - u * np.matmul(b, bt)) % ell
+    m2 = (np.matmul(a, bt) - np.matmul(b, at)) % ell
+    nu = m1[:, 0, 0]
+    scalar = ((m1[:, 0, 1] == 0) & (m1[:, 1, 0] == 0)
+              & (m1[:, 1, 1] == nu) & (nu != 0))
+    cond = scalar & (m2 == 0).all(axis=(1, 2))
+    if not np.array_equal(ok, cond):
+        raise AssertionError("block conditions disagree with the Gram identity")
+    return mats[ok]
+
+
+_CASE9_SLOTS = (
+    ((0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)),
+    ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)),
+)
+
+
+def _family_case9(ell):
+    "The two interleaved tensor patterns, filtered to similitudes."
+    grid = np.indices((ell,) * 6, dtype=np.int64).reshape(6, -1).T
+    a, b, c, d, v, z = grid.T
+    values = (a * v, b * v, a * z, b * z, c * v, d * v, c * z, d * z)
+    out = []
+    for slots in _CASE9_SLOTS:
+        mats = np.zeros((grid.shape[0], 4, 4), dtype=np.int64)
+        for (r, c_), val in zip(slots, values):
+            mats[:, r, c_] = val % ell
+        ok, _ = _similitude_info(mats, ell)
+        out.append(mats[ok])
+    return np.concatenate(out)
+
+
+def grid_keys(tag, ell):
+    "Sorted keys of the grid listing of a family and of its base (or None)."
+    mats, w = GRIDS[tag](ell) % ell, _FAMILIES[tag][3]
+    if w is None:
+        return GroupSet.from_matrices(mats, ell).keys, None
+    union = np.concatenate([mats, mats @ (w % ell) % ell])
+    return (GroupSet.from_matrices(union, ell).keys,
+            GroupSet.from_matrices(mats, ell).keys)
+
+
+GRIDS = {"LeviB": _family_levi_b, "LeviP": _family_levi_p,
+         "LeviQ": _family_levi_q, "Hen": _family_hen, "Case5": _family_levi_p,
+         "Case6": _family_hen, "Case7": _family_case7_base,
+         "Case8": _family_case8_base, "Case9": _family_case9}
+
+
+# ---------------------------------------------------------------------------
 # families
 
 
@@ -634,10 +810,8 @@ def test_block_swap_is_inside_checkerboard_and_s_image():
     # elements instead.
     assert _SWAP in family("Hen")
     assert _SWAP in family_base("Case7")
-    assert np.array_equal(
-        _extend_by(np.stack(
-            [m for c in family("Hen").matrices() for m in c]), _SWAP, 3, "x"),
-        family("Hen").keys)
+    hen_gens = _FAMILIES["Hen"][0](3)
+    assert np.array_equal(mulclose(hen_gens + [_SWAP], 3), family("Hen").keys)
     assert _EXCHANGE not in family("Hen")
     assert _ROT_PAIR not in family_base("Case7")
 
@@ -758,6 +932,17 @@ def test_case8_conditions_and_orders():
     assert build_family(FamilySpec("Case8", 5)).order == 2 * base5.shape[0]
 
 
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell=11 and 13: about 5 s")
+def test_case8_generators_close_at_ell_11_and_13_gated():
+    # the searched generators of _case8_gens reach the whole base at the
+    # largest primes that pack
+    for ell in (11, 13):
+        g, base = family_with_base(FamilySpec("Case8", ell))
+        assert base.order == (ell - 1) * ell * (ell + 1) * (ell * ell - 1)
+        assert g.order == 2 * base.order and base.subset_of(g)
+
+
 def test_case8_extension_negates_upper_block():
     base = family_base("Case8")
     mats = np.stack([m for c in base.matrices() for m in c])
@@ -773,11 +958,11 @@ def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
     # at ell=3 the canonical non-residue is -1, whose square is 1, and the
     # block swap gives the same doubled group; at ell=5 it does not even
     # normalize the base
-    base3 = _family_case8_base(3)
-    assert np.array_equal(_extend_by(base3, _SWAP, 3, "alt"),
-                          family("Case8").keys)
-    with pytest.raises(AssertionError):
-        _extend_by(_family_case8_base(5), _SWAP, 5, "alt")
+    gens, inside, order, _ = _FAMILIES["Case8"]
+    assert np.array_equal(mulclose(gens(3) + [_SWAP], 3), family("Case8").keys)
+    # at ell = 5 the closure outgrows the doubled base
+    with pytest.raises(RuntimeError, match="closure cap exceeded"):
+        mulclose(gens(5) + [_SWAP], 5, cap=2 * order(5))
 
 
 def test_case9_pattern_union():
@@ -791,45 +976,138 @@ def test_case9_pattern_union():
     assert build_family(FamilySpec("Case9", 5)).order == 1920
 
 
-def test_extend_by_guards():
-    levi = np.stack([m for c in family("LeviB").matrices() for m in c])
-    shear = np.eye(4, dtype=np.int64)
-    shear[0, 1] = 1
-    # the shear does not normalize the torus, so the union is no group
-    with pytest.raises(AssertionError, match="x: not closed under product"):
-        _extend_by(levi, shear, 3, "x")
-    # s2 has order 4, so {1, s2} misses s2^2
+def test_verify_group_catches_defects(monkeypatch):
+    # the proof (_closed_family) raises AssertionError, naming the family,
+    # when the generators leave the predicate, outgrow the order, or fall
+    # short of it
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
-    with pytest.raises(AssertionError, match="x: not closed under product"):
-        _extend_by(np.eye(4, dtype=np.int64)[None], s2, 3, "x")
+    gens, diagonal, order, _ = _FAMILIES["LeviB"]
+    # s2 is no diagonal matrix; it has order 4, so <s2> outgrows {1, s2}
+    with pytest.raises(AssertionError, match="x: the generators leave"):
+        _closed_family([s2], diagonal, 4, 3, "x")
+    with pytest.raises(AssertionError, match="x: the generators give more "
+                                             "than 2 elements"):
+        _closed_family([s2], diagonal, 2, 3, "x")
+    with pytest.raises(AssertionError, match="x: the generators give 4 "
+                                             "elements, not 8"):
+        _closed_family([s2], lambda m, ell: np.ones(len(m), bool), 8, 3, "x")
+    # doubling the torus by a shear, which does not normalize it: the
+    # closure outgrows twice the torus (the union would be no group)
+    shear = np.eye(4, dtype=np.int64)
+    shear[0, 1] = 1
+    monkeypatch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, shear))
+    with pytest.raises(AssertionError, match="LeviB: the generators give "
+                                             "more than 16 elements"):
+        build_family(FamilySpec("LeviB", 3))
+    # a member that is no similitude: {1, diag(1, 1, 1, 2)} is a diagonal
+    # group mod 3 of the declared order
+    monkeypatch.setitem(_FAMILIES, "LeviB", (
+        lambda ell: [np.diag([1, 1, 1, 2])], diagonal, lambda q: 2, None))
+    with pytest.raises(AssertionError, match="LeviB: the generators leave"):
+        build_family(FamilySpec("LeviB", 3))
 
 
-def test_verify_group_catches_defects():
-    s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
-                   [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64) % 3
-    ident = np.eye(4, dtype=np.int64)
-    missing_inverse = pack_matrices(np.stack([ident, s2]), 3)
-    with pytest.raises(AssertionError, match="not closed under product"):
-        _prove_group(np.unique(missing_inverse), 3, "x")
-    s2cube = np.linalg.matrix_power(s2, 3) % 3
-    not_closed = pack_matrices(np.stack([ident, s2, s2cube]), 3)
-    with pytest.raises(AssertionError, match="not closed under product"):
-        _prove_group(np.unique(not_closed), 3, "x")
+FAMILY_ORDERS_5 = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
+                   "Case5": 3840, "Case6": 115200, "Case7": 124800,
+                   "Case8": 5760, "Case9": 1920}
+
+
+def _assert_closures_equal_the_grids(ell, orders):
+    "Each family and base, proven by predicate and count, is its grid."
+    for tag, order in orders.items():
+        want, want_base = grid_keys(tag, ell)
+        g, base = family_with_base(FamilySpec(tag, ell))
+        assert g.order == order and np.array_equal(g.keys, want), tag
+        assert (base is None) == (want_base is None), tag
+        if base is not None:
+            assert np.array_equal(base.keys, want_base), tag
+
+
+def test_every_family_at_ell_3_equals_the_grid_oracle():
+    _assert_closures_equal_the_grids(3, FAMILY_ORDERS_3)
 
 
 def test_every_family_at_ell_5_is_proven_in_full():
-    # the regeneration proof covers every element, however large the set;
-    # each certificate key at least doubles the closure (Lagrange)
-    orders = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
-              "Case5": 3840, "Case6": 115200, "Case7": 124800,
-              "Case8": 5760, "Case9": 1920}
-    for tag, order in orders.items():
-        g = build_family(FamilySpec(tag, 5))
-        assert g.order == order, tag
-        cert = _prove_group(g.keys, 5, tag)
-        assert 1 <= cert.size <= order.bit_length(), tag
-        assert np.array_equal(mulclose(unpack_keys(cert, 5), 5), g.keys)
+    _assert_closures_equal_the_grids(5, FAMILY_ORDERS_5)
+
+
+def test_predicates_define_sets_of_the_family_orders(monkeypatch):
+    # the argument by count needs the predicate that each closure is checked
+    # with (a doubled family's included) to define, with the similitude
+    # test, a set of exactly the order it is counted against: at ell = 3
+    # every such set lies in GSp4(F_3), so count its members there
+    mats = np.concatenate(list(gsp4_3().matrices()))
+    proofs = []
+    proof = finite_census._closed_family
+
+    def recorded(gens, inside, order, ell, name):
+        proofs.append((inside, order, name))
+        return proof(gens, inside, order, ell, name)
+
+    monkeypatch.setattr(finite_census, "_closed_family", recorded)
+    for tag in FAMILY_ORDERS_3:
+        family_with_base(FamilySpec(tag, 3))
+    assert len(proofs) == len(FAMILY_ORDERS_3) + len(EXTENDED_TAGS)
+    for inside, order, name in proofs:
+        assert inside(mats, 3).sum() == order, name
+
+
+def _gl2(q):
+    return (q * q - 1) * (q * q - q)  # Carter: |GL2(q)|
+
+
+# orders at ell = 7 from the standard formulas: |SL2(q)| = q (q^2 - 1),
+# |U2(q)| = q (q^2 - 1)(q + 1), and the similitude factor adds ell - 1
+FAMILY_ORDERS_7 = {"LeviB": 6 ** 3, "LeviP": 6 * _gl2(7), "LeviQ": 6 * _gl2(7),
+                   "Case5": 12 * _gl2(7), "Case8": 2 * 6 * 7 * 48 * 8,
+                   "Case9": 4 * _gl2(7), "Hen": 6 * (7 * 48) ** 2,
+                   "Case6": 12 * (7 * 48) ** 2, "Case7": 12 * 49 * 2400}
+LARGE_AT_7 = ("Hen", "Case6", "Case7")
+
+
+def test_family_orders_at_ell_7():
+    for tag, order in FAMILY_ORDERS_7.items():
+        if tag not in LARGE_AT_7:
+            assert build_family(FamilySpec(tag, 7)).order == order, tag
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell=7: 0.7M-1.4M elements, seconds each")
+def test_family_orders_at_ell_7_gated():
+    for tag in LARGE_AT_7:
+        g, base = family_with_base(FamilySpec(tag, 7))
+        assert g.order == FAMILY_ORDERS_7[tag], tag
+        assert base is None or g.order == 2 * base.order
+        peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
+                                 "--ell", "7")
+        held = g.order + (0 if base is None else base.order)
+        assert 0 < peak <= _closure_bytes(held), tag
+
+
+def test_budget_model_bounds_the_family_peak_rss(monkeypatch):
+    # the largest family at ell = 5 on one and two threads, and a doubled
+    # family at ell = 7; each holds the family and its base
+    for tag, ell, threads in (("Case7", 5, 1), ("Case7", 5, 2),
+                              ("Case8", 7, 1)):
+        monkeypatch.setenv("SYMPKIT_THREADS", str(threads))
+        peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
+                                 "--ell", str(ell))
+        order = {5: FAMILY_ORDERS_5, 7: FAMILY_ORDERS_7}[ell][tag]
+        assert 0 < peak <= _closure_bytes(order * 3 // 2), (tag, ell)
+
+
+def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
+    # Hen at ell = 13 has 12 * (13 * 168)^2 = 57,238,272 elements
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr(finite_census, "mulclose", no_closure)
+    need = _closure_bytes(57238272)
+    assert need > finite_census.DEFAULT_MAX_BYTES
+    with pytest.raises(ResourceLimit, match="Hen at ell = 13 holds 57238272 "
+                                            "elements, ~%d bytes" % need):
+        build_family(FamilySpec("Hen", 13))
 
 
 # ---------------------------------------------------------------------------
