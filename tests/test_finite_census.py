@@ -976,13 +976,34 @@ def test_case9_pattern_union():
     assert build_family(FamilySpec("Case9", 5)).order == 1920
 
 
+def test_extend_by_guards(monkeypatch):
+    # extending a group by one element must give a group of twice its order;
+    # the proof (_closed_family) refuses a closure that outgrows it
+    s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
+                   [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
+    everything = lambda m, ell: np.ones(len(m), bool)  # noqa: E731
+    # s2 has order 4, so {1, s2} misses s2^2: <s2> outgrows 2 elements
+    with pytest.raises(AssertionError, match="x: the generators give more "
+                                             "than 2 elements"):
+        _closed_family([s2], everything, 2, 3, "x")
+    # doubling the torus by a shear, which does not normalize it: the
+    # closure outgrows twice the torus (the union would be no group)
+    gens, diagonal, order, _ = _FAMILIES["LeviB"]
+    shear = np.eye(4, dtype=np.int64)
+    shear[0, 1] = 1
+    monkeypatch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, shear))
+    with pytest.raises(AssertionError, match="LeviB: the generators give "
+                                             "more than 16 elements"):
+        build_family(FamilySpec("LeviB", 3))
+
+
 def test_verify_group_catches_defects(monkeypatch):
     # the proof (_closed_family) raises AssertionError, naming the family,
     # when the generators leave the predicate, outgrow the order, or fall
     # short of it
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
-    gens, diagonal, order, _ = _FAMILIES["LeviB"]
+    _, diagonal, _, _ = _FAMILIES["LeviB"]
     # s2 is no diagonal matrix; it has order 4, so <s2> outgrows {1, s2}
     with pytest.raises(AssertionError, match="x: the generators leave"):
         _closed_family([s2], diagonal, 4, 3, "x")
@@ -992,14 +1013,6 @@ def test_verify_group_catches_defects(monkeypatch):
     with pytest.raises(AssertionError, match="x: the generators give 4 "
                                              "elements, not 8"):
         _closed_family([s2], lambda m, ell: np.ones(len(m), bool), 8, 3, "x")
-    # doubling the torus by a shear, which does not normalize it: the
-    # closure outgrows twice the torus (the union would be no group)
-    shear = np.eye(4, dtype=np.int64)
-    shear[0, 1] = 1
-    monkeypatch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, shear))
-    with pytest.raises(AssertionError, match="LeviB: the generators give "
-                                             "more than 16 elements"):
-        build_family(FamilySpec("LeviB", 3))
     # a member that is no similitude: {1, diag(1, 1, 1, 2)} is a diagonal
     # group mod 3 of the declared order
     monkeypatch.setitem(_FAMILIES, "LeviB", (
