@@ -108,6 +108,8 @@ def _cmd_census(args):
 
 
 def _cmd_family(args):
+    import numpy as np
+
     from .finite_census import FamilySpec, family_with_base
 
     spec = FamilySpec(_family_tag(args.case), args.ell)
@@ -116,7 +118,7 @@ def _cmd_family(args):
         "family": spec.tag,
         "ell": args.ell,
         "order": grp.order,
-        "similitude_factors": sorted({int(v) for v in grp.nu_values()}),
+        "similitude_factors": np.unique(grp.nu_values()).tolist(),
     }
     assertions = [
         # both hold by construction and check nothing further: the build

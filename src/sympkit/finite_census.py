@@ -17,14 +17,20 @@ permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The frontier BFS `mulclose` remains as
 the independent oracle and builds the subgroup families; its loop, _closure,
 works on sorted keys of any dtype and also closes the Q(i) gallery of
-artin_gallery.  The families (Levi factors, the checkerboard endoscopic
-group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
-generators written from the structure, a membership predicate (a zero or
-block pattern) and a closed-form order, and for Case5-Case8 the involution
-that doubles the base.  A family is the closure of its generators, so a
-group; every element passing the predicate and the similitude test puts it
-inside the family, and a count equal to the order makes it the whole family,
-the argument by count that proves the full groups (_closed_family).
+artin_gallery.  mulclose multiplies keys without unpacking them: row r of
+m.g is row r of m times g, so one table per generator, from each row field
+of a key (4 entries, 4 ceil(log2 ell) bits) to the field of the product row,
+makes a product four lookups shifted into place.  Every loop over the
+elements of a key array (the checks, nu_values, charpoly_census) unpacks
+_CHUNK_ROWS keys per pass, few enough that its temporaries stay in cache.
+The families (Levi factors, the checkerboard endoscopic group, and
+Case5-Case9) come from one table, _FAMILIES: per tag a few generators
+written from the structure, a membership predicate (a zero or block pattern)
+and a closed-form order, and for Case5-Case8 the involution that doubles the
+base.  A family is the closure of its generators, so a group; every element
+passing the predicate and the similitude test puts it inside the family, and
+a count equal to the order makes it the whole family, the argument by count
+that proves the full groups (_closed_family).
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -98,6 +104,18 @@ def unpack_keys(keys, ell, dtype=np.int64):
     mask = np.uint64((1 << _bits_for(ell)) - 1)
     out = (keys[:, None] >> _shifts(ell)) & mask
     return out.astype(dtype).reshape(-1, 4, 4)
+
+
+# Rows per pass of every loop over elements (GroupSet.matrices, the checks
+# of _closed_family and _enumerate_similitudes): the int64 matrices of one
+# pass take 512 KiB and its temporaries stay in cache.
+_CHUNK_ROWS = 1 << 12
+
+
+def _unpacked(keys, ell, chunk=_CHUNK_ROWS):
+    "Yield the matrices of `keys` as (N, 4, 4) int64 arrays, chunk at a time."
+    for i in range(0, keys.size, chunk):
+        yield unpack_keys(keys[i:i + chunk], ell)
 
 
 def _omega(x, y):
@@ -225,22 +243,49 @@ def _closure(start, expand, cap=None, threads=None, chunk=1 << 14):
     return seen
 
 
+def _row_tables(gens, ell):
+    """Per generator g, the table from a row field x (the 4 * bits of one
+    row of a key) to the field of x.g: row r of m.g is row r of m times g.
+    Each table is filled from all ell^4 rows, as row 0 of otherwise zero
+    matrices, by the exact product and pack_matrices."""
+    rows = np.zeros((ell ** 4, 4, 4), dtype=np.int64)
+    rows[:, 0] = np.indices((ell,) * 4).reshape(4, -1).T
+    index = pack_matrices(rows, ell).astype(np.intp)
+    tables = np.zeros((len(gens), 1 << 4 * _bits_for(ell)), dtype=np.uint64)
+    for table, g in zip(tables, gens):
+        table[index] = pack_matrices(np.matmul(rows, g) % ell, ell)
+    return tables
+
+
+def _products(keys, tables, ell):
+    """Keys of m.g for every m keyed in `keys` and every generator g, one
+    block per table of _row_tables: four lookups per product, one per row
+    field, each shifted back into place."""
+    width = 4 * _bits_for(ell)
+    mask = np.uint64((1 << width) - 1)
+    shifts = [np.uint64(width * r) for r in range(4)]
+    fields = [((keys >> s) & mask).astype(np.intp) for s in shifts]
+    out = np.empty((len(tables), keys.size), dtype=np.uint64)
+    for table, prod in zip(tables, out):
+        np.take(table, fields[0], out=prod)
+        for field, shift in zip(fields[1:], shifts[1:]):
+            prod |= table[field] << shift
+    return out.ravel()
+
+
 def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
     """Product closure of integer matrices mod ell, as sorted packed keys
-    (_closure on packed keys; see there for threads, chunk and cap)."""
+    (_closure on packed keys; see there for threads, chunk and cap).  The
+    products are formed on the keys by one row table per generator
+    (_row_tables, built once per call), never as matrices."""
     gens = np.asarray(gens, dtype=np.int64) % ell
     if gens.size == 0:
         raise ValueError("need at least one generator")
     gen_keys = _sorted_unique(pack_matrices(gens, ell))
-    gens = unpack_keys(gen_keys, ell)
-
-    def expand(span):
-        mats = unpack_keys(span, ell)
-        return np.concatenate(
-            [pack_matrices(np.matmul(mats, g) % ell, ell) for g in gens])
-
+    tables = _row_tables(unpack_keys(gen_keys, ell), ell)
     ident = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
-    return _closure(np.concatenate([ident, gen_keys]), expand, cap, threads,
+    return _closure(np.concatenate([ident, gen_keys]),
+                    lambda span: _products(span, tables, ell), cap, threads,
                     chunk)
 
 
@@ -288,10 +333,9 @@ class GroupSet(_Frozen):
             key = pack_matrices(arr, self.ell)
         return bool(_contains_sorted(self._keys, key)[0])
 
-    def matrices(self, chunk=1 << 15):
+    def matrices(self, chunk=_CHUNK_ROWS):
         "Yield the elements as (N, 4, 4) int64 arrays in key order."
-        for i in range(0, self._keys.size, chunk):
-            yield unpack_keys(self._keys[i:i + chunk], self.ell)
+        return _unpacked(self._keys, self.ell, chunk)
 
     def nu_values(self):
         "Similitude factor of every element, aligned with key order."
@@ -344,7 +388,6 @@ _BLOCK_BYTES = 32 << 20
 # (c0, c2) pairs are handled in blocks of about this many Sp4 rows; ell = 3
 # is a single block
 _BLOCK_ROWS = 1 << 16
-_CHECK_ROWS = 1 << 15
 
 
 def enumeration_bytes(order, threads=None):
@@ -413,9 +456,8 @@ def _enumerate_similitudes(ell, scalars, threads):
             tail = (_column_key(s * c2[start:stop, None] % ell, 2, ell)
                     + _column_key(s * c3 % ell, 3, ell))
             row[:] = (head + tail).ravel()
-            for i in range(0, row.size, _CHECK_ROWS):
-                ok, nu = _similitude_info(
-                    unpack_keys(row[i:i + _CHECK_ROWS], ell), ell)
+            for mats in _unpacked(row, ell):
+                ok, nu = _similitude_info(mats, ell)
                 if not (ok & (nu == s)).all():
                     raise AssertionError(
                         "enumeration built a matrix that is not a similitude "
@@ -778,8 +820,7 @@ def _closed_family(gens, inside, order, ell, name):
     except RuntimeError:
         raise AssertionError("%s: the generators give more than %d elements"
                              % (name, order)) from None
-    for i in range(0, keys.size, _CHECK_ROWS):
-        mats = unpack_keys(keys[i:i + _CHECK_ROWS], ell)
+    for mats in _unpacked(keys, ell):
         if not (_similitude_info(mats, ell)[0] & inside(mats, ell)).all():
             raise AssertionError("%s: the generators leave the family" % name)
     if keys.size != order:
