@@ -17,20 +17,21 @@ permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The frontier BFS `mulclose` remains as
 the independent oracle and builds the subgroup families; its loop, _closure,
 works on sorted keys of any dtype and also closes the Q(i) gallery of
-artin_gallery.  mulclose multiplies keys without unpacking them: row r of
-m.g is row r of m times g, so one table per generator, from each row field
-of a key (4 entries, 4 ceil(log2 ell) bits) to the field of the product row,
-makes a product four lookups shifted into place.  Every loop over the
-elements of a key array (the checks, nu_values, charpoly_census) unpacks
-_CHUNK_ROWS keys per pass, few enough that its temporaries stay in cache.
-The families (Levi factors, the checkerboard endoscopic group, and
-Case5-Case9) come from one table, _FAMILIES: per tag a few generators
-written from the structure, a membership predicate (a zero or block pattern)
-and a closed-form order, and for Case5-Case8 the involution that doubles the
-base.  A family is the closure of its generators, so a group; every element
-passing the predicate and the similitude test puts it inside the family, and
-a count equal to the order makes it the whole family, the argument by count
-that proves the full groups (_closed_family).
+artin_gallery.  The families (Levi factors, the checkerboard endoscopic
+group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
+generators written from the structure, a membership predicate (a zero or
+block pattern) and a closed-form order, and for Case5-Case8 the involution
+that doubles the base.  A family is the closure of its generators, so a
+group; every element passing the predicate and the similitude test puts it
+inside the family, and a count equal to the order makes it the whole family,
+the argument by count that proves the full groups (_closed_family).
+
+mulclose multiplies keys without unpacking them: row r of m.g is row r of m
+times g, so one table per generator, from each row field of a key (4
+entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
+product four lookups shifted into place.  Every loop over the elements of a
+key array (the checks, nu_values, charpoly_census) unpacks _CHUNK_ROWS keys
+per pass, few enough that its temporaries stay in cache.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -277,7 +278,7 @@ def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
     """Product closure of integer matrices mod ell, as sorted packed keys
     (_closure on packed keys; see there for threads, chunk and cap).  The
     products are formed on the keys by one row table per generator
-    (_row_tables, built once per call), never as matrices."""
+    (_row_tables, built once per call), with no matrix unpacked."""
     gens = np.asarray(gens, dtype=np.int64) % ell
     if gens.size == 0:
         raise ValueError("need at least one generator")
