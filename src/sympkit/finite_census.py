@@ -21,10 +21,10 @@ artin_gallery.  The families (Levi factors, the checkerboard endoscopic
 group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
 generators written from the structure, a membership predicate (a zero or
 block pattern) and a closed-form order, and for Case5-Case8 the involution
-that doubles the base.  A family is the closure of its generators, so a
-group; every element passing the predicate and the similitude test puts it
-inside the family, and a count equal to the order makes it the whole family,
-the argument by count that proves the full groups (_closed_family).
+w that doubles the base to base u base.w (_doubled).  A family or base is
+the closure of its generators, so a group; every element passing the
+predicate and the similitude test puts it inside the family, and a count
+equal to the order makes it whole, as for the full groups (_closed_family).
 
 mulclose multiplies keys without unpacking them: row r of m.g is row r of m
 times g, so one table per generator, from each row field of a key (4
@@ -111,12 +111,13 @@ def unpack_keys(keys, ell, dtype=np.int64):
 # of _closed_family and _enumerate_similitudes): the int64 matrices of one
 # pass take 512 KiB and its temporaries stay in cache.
 _CHUNK_ROWS = 1 << 12
+_FRONTIER_ROWS = 1 << 14  # frontier keys per span (pool task) of _closure
 
 
-def _unpacked(keys, ell, chunk=_CHUNK_ROWS):
-    "Yield the matrices of `keys` as (N, 4, 4) int64 arrays, chunk at a time."
-    for i in range(0, keys.size, chunk):
-        yield unpack_keys(keys[i:i + chunk], ell)
+def _unpacked(keys, ell):
+    "Yield the matrices of `keys` as (N, 4, 4) int64 arrays, _CHUNK_ROWS each."
+    for i in range(0, keys.size, _CHUNK_ROWS):
+        yield unpack_keys(keys[i:i + _CHUNK_ROWS], ell)
 
 
 def _omega(x, y):
@@ -200,17 +201,12 @@ def _sorted_unique(keys):
     return arr[keep]
 
 
-def _notin_sorted(keys, sorted_ref):
-    "Entries of sorted `keys` absent from sorted `sorted_ref`."
-    return keys[~_contains_sorted(sorted_ref, keys)]
-
-
 def _merge_sorted(a, b):
     "The union of two disjoint sorted key arrays, sorted."
     return np.insert(a, np.searchsorted(a, b), b)
 
 
-def _closure(start, expand, cap=None, threads=None, chunk=1 << 14):
+def _closure(start, expand, cap=None, threads=None, chunk=_FRONTIER_ROWS):
     """Product closure over sorted 1-D keys of any sortable dtype.
 
     `start` holds the keys of the identity and the generators, and
@@ -227,7 +223,8 @@ def _closure(start, expand, cap=None, threads=None, chunk=1 << 14):
     nthreads = resolve_threads(threads)
 
     def fresh(span):
-        return _notin_sorted(_sorted_unique(expand(span)), seen)
+        keys = _sorted_unique(expand(span))
+        return keys[~_contains_sorted(seen, keys)]
 
     while frontier.size:
         spans = [frontier[i:i + chunk] for i in range(0, frontier.size, chunk)]
@@ -274,7 +271,7 @@ def _products(keys, tables, ell):
     return out.ravel()
 
 
-def mulclose(gens, ell, cap=None, threads=None, chunk=1 << 14):
+def mulclose(gens, ell, cap=None, threads=None, chunk=_FRONTIER_ROWS):
     """Product closure of integer matrices mod ell, as sorted packed keys
     (_closure on packed keys; see there for threads, chunk and cap).  The
     products are formed on the keys by one row table per generator
@@ -334,9 +331,9 @@ class GroupSet(_Frozen):
             key = pack_matrices(arr, self.ell)
         return bool(_contains_sorted(self._keys, key)[0])
 
-    def matrices(self, chunk=_CHUNK_ROWS):
+    def matrices(self):
         "Yield the elements as (N, 4, 4) int64 arrays in key order."
-        return _unpacked(self._keys, self.ell, chunk)
+        return _unpacked(self._keys, self.ell)
 
     def nu_values(self):
         "Similitude factor of every element, aligned with key order."
@@ -632,15 +629,16 @@ def _all_gl2(ell):
     return grid[keep].reshape(-1, 2, 2), det[keep]
 
 
-# the index-2 families adjoin one involution each.  The block swap
-# [[0, I], [I, 0]] genuinely extends the Siegel Levi (Case5), but it lies
-# INSIDE both the checkerboard group (its two blocks are the 2x2 swap) and
-# the S-block image (it is the S-matrix of antidiag(1, 1)), where adjoining
-# it is a no-op; those families are doubled by the outer symmetry instead:
-# the basis exchange (0 1)(2 3) swaps the two checkerboard factors, and the
-# block rotation pair conjugates every S-block to its quadratic conjugate.
-# diag(1, 1, -1, -1) negates the B block of [[A, B], [uB, A]], realizing the
-# unitary conjugation at every ell (the block swap does so only when u^2 = 1).
+# the index-2 families are base u base.w for one signed permutation w each
+# (t(w) = w^-1).  The block swap [[0, I], [I, 0]] genuinely extends the
+# Siegel Levi (Case5), but it lies INSIDE both the checkerboard group (its
+# two blocks are the 2x2 swap) and the S-block image (it is the S-matrix of
+# antidiag(1, 1)), where base.w is the base; those families are doubled by
+# the outer symmetry instead: the basis exchange (0 1)(2 3) swaps the two
+# checkerboard factors, and the block rotation pair conjugates every S-block
+# to its quadratic conjugate.  diag(1, 1, -1, -1) negates the B block of
+# [[A, B], [uB, A]], realizing the unitary conjugation at every ell (the
+# block swap does so only when u^2 = 1).
 _EXCHANGE = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 _ROT_PAIR = np.array(
     [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -754,9 +752,9 @@ def _is_case9(m, ell):
 
 
 # tag -> (generators, membership predicate and closed-form order of the
-# family, or of its index-2 base when it is doubled; the involution that
-# doubles it, or None).  The orders are standard (R. W. Carter, Finite
-# Groups of Lie Type, 1985).
+# family, or of its index-2 base when it is doubled; the involution w that
+# doubles it to base u base.w, or None).  The orders are standard (R. W.
+# Carter, Finite Groups of Lie Type, 1985).
 _LEVI_P = (  # [[A, 0], [0, t(A)^-1]], A = T, W, diag(g, 1); diag(1, 1, g, g)
     lambda ell: [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
                  _embed(((0, 1), _W), ((2, 3), _W)),
@@ -797,10 +795,10 @@ _FAMILIES = {
               _is_case9, lambda q: 4 * q * (q * q - 1) * (q - 1), None),
 }
 
-# The modelled peak resident memory of the `family` command, per element
-# held (the family, and its base when that is built too): the closure's
-# seen set, its merged copy and last frontier, the sorted copy and mask of
-# GroupSet, and the similitude factors of the report.
+# The modelled peak resident memory of a family build, per element held
+# (the family, and the base of a doubled one): the closure's seen set, its
+# merged copy and last frontier, the sorted copy and mask of GroupSet, and
+# the similitude factors of the report.
 # tests/test_finite_census.py checks it against measured peaks.
 _CLOSURE_ELEMENT_BYTES = 64
 
@@ -830,50 +828,51 @@ def _closed_family(gens, inside, order, ell, name):
     return keys
 
 
-def _family(spec, with_base):
-    """(family, base), each a GroupSet proven by _closed_family; base is None
-    unless `with_base` and the family is doubled.  A doubled family is base
-    u base.w: m passes when m or m.w^-1 = m.t(w) (w is a signed permutation)
-    passes the base predicate.  A modelled peak RSS above DEFAULT_MAX_BYTES
-    raises ResourceLimit before anything is built."""
+def _doubled(base, gens, w, ell, name):
+    """The keys of base u base.w (sorted `base` the closure of `gens`), a
+    group of 2 |base| similitudes: w t(w) and each w g t(w) in the base put
+    w h w^-1 = w h t(w) (w t(w))^-1 in it for every product h of gens, so
+    with w^2 in it the union is closed; w outside it and w a similitude do
+    the rest.  AssertionError, as in _closed_family, if not."""
+    w, n = np.asarray(w, dtype=np.int64) % ell, base.size
+    inner = np.array([w @ g @ w.T for g in gens] + [w @ w.T, w @ w]) % ell
+    if not _contains_sorted(base, pack_matrices(inner, ell)).all():
+        raise AssertionError("%s: the generators give more than %d elements"
+                             % (name, 2 * n))
+    if _contains_sorted(base, pack_matrices(w[None], ell))[0]:
+        raise AssertionError("%s: the generators give %d elements, not %d"
+                             % (name, n, 2 * n))
+    if not _similitude_info(w[None], ell)[0][0]:
+        raise AssertionError("%s: the generators leave the family" % name)
+    return np.concatenate([base, _products(base, _row_tables([w], ell), ell)])
+
+
+def family_with_base(spec):
+    """(family, base) named by `spec`, as GroupSets: _closed_family proves
+    the family, or the index-2 base of a doubled one (Case5: the Siegel
+    Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
+    [[A, B], [uB, A]]; None for the others), and _doubled base u base.w.  A
+    modelled peak RSS over DEFAULT_MAX_BYTES raises ResourceLimit first."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
-    with_base = with_base and w is not None
-    held = (n if w is None else 2 * n) + (n if with_base else 0)
+    held = n if w is None else 3 * n
     if _closure_bytes(held) > DEFAULT_MAX_BYTES:
         raise ResourceLimit(
             "%s at ell = %d holds %d elements, ~%d bytes (modelled peak RSS); "
             "budget is %d" % (spec.tag, ell, held, _closure_bytes(held),
                               DEFAULT_MAX_BYTES))
-    gens, base = gens(ell), None
-    if with_base:
-        base = GroupSet(ell, _closed_family(gens, inside, n, ell,
-                                            spec.tag + " base"))
-    if w is not None:
-        gens, n, part = gens + [w], 2 * n, inside
-
-        def inside(m, ell):
-            return part(m, ell) | part(m @ w.T % ell, ell)
-
-    return GroupSet(ell, _closed_family(gens, inside, n, ell, spec.tag)), base
+    gens = gens(ell)
+    if w is None:
+        return GroupSet(ell, _closed_family(gens, inside, n, ell,
+                                            spec.tag)), None
+    base = _closed_family(gens, inside, n, ell, spec.tag + " base")
+    return (GroupSet(ell, _doubled(base, gens, w, ell, spec.tag)),
+            GroupSet(ell, base))
 
 
 def build_family(spec):
-    """The explicit subgroup named by `spec`, as a GroupSet: the closure of
-    a few generators written from its structure (_FAMILIES; Case5-Case8 add
-    an involution to those of an index-2 base), proven to be the whole
-    family by its membership predicate (a zero or block pattern plus the
-    similitude test) on every element and a count equal to its order."""
-    return _family(spec, False)[0]
-
-
-def family_with_base(spec):
-    """(build_family(spec), base): the base is the natural index-2 subgroup
-    of a doubled family (Case5: the Siegel Levi; Case6: the checkerboard
-    group; Case7: the S-block image; Case8: the [[A, B], [uB, A]] set), the
-    proven closure of the base generators alone, or None for a family
-    without one."""
-    return _family(spec, True)
+    "The explicit subgroup named by `spec`, as a GroupSet (family_with_base)."
+    return family_with_base(spec)[0]
 
 
 def gl2_charpoly_census(ell):

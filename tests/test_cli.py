@@ -229,8 +229,8 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
 
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
-    # `family` closes the base and the doubled family once each; the census
-    # of `ceta` needs no base
+    # `family` and `ceta` close the base alone: the doubled family is the
+    # base and its products by the involution, with no second closure
     caps = []
     closure = finite_census.mulclose
 
@@ -240,14 +240,14 @@ def test_family_enumerates_its_base_once(monkeypatch, capsys):
 
     monkeypatch.setattr(finite_census, "mulclose", counted)
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
-    assert code == 0 and caps == [192, 384]
+    assert code == 0 and caps == [192]
     assert rep["results"]["order"] == 384
     assert rep["results"]["base_order"] == 192
     assert all(entry["pass"] for entry in rep["assertions"])
     caps.clear()
     code, _ = run_json(capsys, "ceta", "--case", "8", "--ell", "3",
                        "--eta", "1/4")
-    assert code == 0 and caps == [384]
+    assert code == 0 and caps == [192]
 
 
 def test_family_over_the_memory_budget_is_a_usage_error(monkeypatch, capsys):

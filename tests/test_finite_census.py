@@ -1041,6 +1041,62 @@ def test_verify_group_catches_defects(monkeypatch):
         build_family(FamilySpec("LeviB", 3))
 
 
+def test_doubling_proof_guards(monkeypatch):
+    # a doubled family is base u base.w, proven a group by single matrices;
+    # an involution inside the base leaves the count short: the block swap
+    # lies in the checkerboard group, so it cannot double it into Case6
+    gens, inside, order, _ = _FAMILIES["Case6"]
+    with monkeypatch.context() as patch:
+        patch.setitem(_FAMILIES, "Case6", (gens, inside, order, _SWAP))
+        with pytest.raises(AssertionError, match="Case6: the generators give "
+                                                 "1152 elements, not 2304"):
+            build_family(FamilySpec("Case6", 3))
+    # the Weyl rotation r = (exchange).s2, a signed permutation, normalizes
+    # the diagonal torus, but r^2 swaps e1 with e3 and e2 with e4 (up to
+    # sign), so it is no diagonal matrix: <torus, r> outgrows the union
+    s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
+                   [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
+    r = _EXCHANGE @ s2
+    gens, diagonal, order, _ = _FAMILIES["LeviB"]
+    torus = family("LeviB")
+    assert all(r @ g @ r.T in torus for g in gens(3)) and r @ r not in torus
+    with monkeypatch.context() as patch:
+        patch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, r))
+        with pytest.raises(AssertionError, match="LeviB: the generators give "
+                                                 "more than 16 elements"):
+            build_family(FamilySpec("LeviB", 3))
+    # diag(1, 1, 1, 2) commutes with the torus and squares to 1 mod 3, but it
+    # is no similitude, so base.w would leave the family
+    with monkeypatch.context() as patch:
+        patch.setitem(_FAMILIES, "LeviB",
+                      (gens, diagonal, order, np.diag([1, 1, 1, 2])))
+        with pytest.raises(AssertionError, match="LeviB: the generators "
+                                                 "leave"):
+            build_family(FamilySpec("LeviB", 3))
+    # t(w) is no inverse of this similitude w: w g t(w) and w^2 lie in the
+    # cyclic group <g> of order 12 and w lies outside it, but so does
+    # w t(w), and <g, w> has 51,840 elements, not 24
+    g = np.array([[2, 1, 2, 2], [2, 1, 0, 0], [2, 2, 0, 0], [0, 2, 1, 2]])
+    w = np.array([[2, 1, 0, 2], [2, 1, 1, 0], [0, 1, 2, 2], [2, 0, 1, 1]])
+    cyclic = GroupSet(3, mulclose([g], 3))
+    assert cyclic.order == 12 and w @ w.T % 3 not in cyclic
+    assert w @ g @ w.T in cyclic and w @ w in cyclic and w not in cyclic
+    monkeypatch.setitem(_FAMILIES, "LeviB", (
+        lambda ell: [g], lambda m, ell: np.ones(len(m), bool),
+        lambda q: 12, w))
+    with pytest.raises(AssertionError, match="LeviB: the generators give "
+                                             "more than 24 elements"):
+        build_family(FamilySpec("LeviB", 3))
+
+
+def test_doubling_involutions_are_signed_permutations():
+    # the proof of a doubled family conjugates by t(w), which for every
+    # involution of the table is the inverse of w
+    for tag, (_, _, _, w) in _FAMILIES.items():
+        if w is not None:
+            assert np.array_equal(w @ w.T, np.eye(4)), tag
+
+
 FAMILY_ORDERS_5 = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
                    "Case5": 3840, "Case6": 115200, "Case7": 124800,
                    "Case8": 5760, "Case9": 1920}
@@ -1067,9 +1123,10 @@ def test_every_family_at_ell_5_is_proven_in_full():
 
 def test_predicates_define_sets_of_the_family_orders(monkeypatch):
     # the argument by count needs the predicate that each closure is checked
-    # with (a doubled family's included) to define, with the similitude
-    # test, a set of exactly the order it is counted against: at ell = 3
-    # every such set lies in GSp4(F_3), so count its members there
+    # with (one per family: a doubled family checks its base) to define,
+    # with the similitude test, a set of exactly the order it is counted
+    # against: at ell = 3 every such set lies in GSp4(F_3), so count its
+    # members there
     mats = np.concatenate(list(gsp4_3().matrices()))
     proofs = []
     proof = finite_census._closed_family
@@ -1081,7 +1138,7 @@ def test_predicates_define_sets_of_the_family_orders(monkeypatch):
     monkeypatch.setattr(finite_census, "_closed_family", recorded)
     for tag in FAMILY_ORDERS_3:
         family_with_base(FamilySpec(tag, 3))
-    assert len(proofs) == len(FAMILY_ORDERS_3) + len(EXTENDED_TAGS)
+    assert len(proofs) == len(FAMILY_ORDERS_3)
     for inside, order, name in proofs:
         assert inside(mats, 3).sum() == order, name
 
