@@ -633,7 +633,4 @@ class Cyclotomic(_Field):
 
 
 def lcm_upto(n):
-    out = 1
-    for k in range(1, n + 1):
-        out = out * k // gcd(out, k)
-    return out
+    return lcm(*range(1, n + 1))

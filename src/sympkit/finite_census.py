@@ -26,12 +26,14 @@ the closure of its generators, so a group; every element passing the
 predicate and the similitude test puts it inside the family, and a count
 equal to the order makes it whole, as for the full groups (_closed_family).
 
-mulclose multiplies keys without unpacking them: row r of m.g is row r of m
-times g, so one table per generator, from each row field of a key (4
+Every product of a listing (mulclose, _doubled, _enumerate_similitudes) is
+formed on the keys, with no matrix unpacked: row r of m.g is row r of m
+times g, so one table per multiplier g, from each row field of a key (4
 entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
-product four lookups shifted into place.  Every loop over the elements of a
-key array (the checks, nu_values, charpoly_census) unpacks _CHUNK_ROWS keys
-per pass, few enough that its temporaries stay in cache.
+product four lookups shifted into place (_row_tables, _products).  Every
+loop over the elements of a key array (the checks, nu_values,
+charpoly_census) unpacks _CHUNK_ROWS keys per pass, few enough that its
+temporaries stay in cache.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -294,7 +296,10 @@ class GroupSet(_Frozen):
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
-        arr = _sorted_unique(np.asarray(keys, dtype=np.uint64))
+        arr = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        # strictly increasing keys (a closure's) skip the sort; the copy
+        # leaves the caller's array writable
+        arr = arr.copy() if (arr[1:] > arr[:-1]).all() else _sorted_unique(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
@@ -418,42 +423,36 @@ def _complement_bases(c0, c2, ell):
     return u1, proj[rows, i2] * scale[:, None] % ell
 
 
-def _column_key(vecs, col, ell):
-    "Key bits of vectors (..., 4) placed as column `col` of a matrix."
-    shifts = _shifts(ell)[col::4]
-    return (vecs.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
-
-
 def _enumerate_similitudes(ell, scalars, threads):
-    """Keys of every matrix with columns (c0, c1, s c2, s c3), where
-    (c0, c1, c2, c3) is a symplectic basis and s runs over `scalars`.
+    """Keys of every matrix B.h.diag(1, 1, s, s), where B = (c0, u1, c2, u2)
+    is a symplectic basis (its columns), h in SL2 acts on columns 1 and 3
+    and s runs over `scalars`.
 
     Every pair (c0, c2) with omega(c0, c2) = 1 gets a symplectic basis
-    (u1, u2) of its complement, and (c1, c3) = (u1, u2) g for every g in
-    SL2; scaling the last two columns by s makes nu = s.  Blocks of pairs
-    fill disjoint slices of one array (on a thread pool when there is more
-    than one block), so the keys are the same for any thread count.  Every
-    key is unpacked and checked to be a similitude of factor s."""
+    (u1, u2) of its complement, so the B.h are every symplectic basis;
+    scaling the last two columns by s makes nu = s.  The products are formed
+    on the packed keys of B by row tables (_products): one pass by the
+    |SL2| tables of h, one by the tables of diag(1, 1, s, s).  Blocks of
+    pairs fill disjoint slices of one array (on a thread pool when there is
+    more than one block), so the keys are the same for any thread count.
+    Every key is unpacked and checked to be a similitude of factor s."""
     c0, c2 = _symplectic_pairs(ell)
     u1, u2 = _complement_bases(c0, c2, ell)
+    bases = pack_matrices(np.stack([c0, u1, c2, u2], axis=2), ell)
+    del c0, c2, u1, u2  # only the keys are read from here on: a lower peak
     gl2, det = _all_gl2(ell)
-    sl2 = gl2[det == 1]
-    width = sl2.shape[0] * len(scalars)
-    out = np.empty(c0.shape[0] * width, dtype=np.uint64)
-    per = max(1, _BLOCK_ROWS // sl2.shape[0])
+    h_tables = _row_tables([_embed(((1, 3), h)) for h in gl2[det == 1]], ell)
+    s_tables = _row_tables([np.diag([1, 1, s, s]) for s in scalars], ell)
+    width = len(h_tables) * len(scalars)
+    out = np.empty(bases.size * width, dtype=np.uint64)
+    per = max(1, _BLOCK_ROWS // len(h_tables))
 
     def fill(start):
-        stop = min(start + per, c0.shape[0])
-        a, b = u1[start:stop, None], u2[start:stop, None]
-        c1 = (a * sl2[:, 0, 0, None] + b * sl2[:, 1, 0, None]) % ell
-        c3 = (a * sl2[:, 0, 1, None] + b * sl2[:, 1, 1, None]) % ell
-        head = (_column_key(c0[start:stop, None], 0, ell)
-                + _column_key(c1, 1, ell))
+        stop = min(start + per, bases.size)
         block = out[start * width:stop * width].reshape(len(scalars), -1)
+        block[:] = _products(_products(bases[start:stop], h_tables, ell),
+                             s_tables, ell).reshape(len(scalars), -1)
         for row, s in zip(block, scalars):
-            tail = (_column_key(s * c2[start:stop, None] % ell, 2, ell)
-                    + _column_key(s * c3 % ell, 3, ell))
-            row[:] = (head + tail).ravel()
             for mats in _unpacked(row, ell):
                 ok, nu = _similitude_info(mats, ell)
                 if not (ok & (nu == s)).all():
@@ -461,7 +460,7 @@ def _enumerate_similitudes(ell, scalars, threads):
                         "enumeration built a matrix that is not a similitude "
                         "of factor %d" % s)
 
-    starts = range(0, c0.shape[0], per)
+    starts = range(0, bases.size, per)
     nthreads = resolve_threads(threads)
     if nthreads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:

@@ -45,6 +45,7 @@ from sympkit.finite_census import (
     _all_gl2,
     _closed_family,
     _closure_bytes,
+    _embed,
     _ext_params,
     _inverse_table,
     _products,
@@ -309,19 +310,29 @@ def test_closure_deterministic_across_threads_and_orderings():
 
 def test_row_table_products_match_the_matrix_products():
     # the reference is the matrix kernel: unpack, multiply, reduce, pack;
-    # at ell = 11 and 13 the keys use every one of the 64 bits
+    # at ell = 11 and 13 the keys use every one of the 64 bits.  The inputs
+    # are each family's generators (and w), and the multipliers of the
+    # enumeration: h in SL2 on columns 1 and 3, and diag(1, 1, s, s)
     rng = np.random.default_rng(20261018)
     for ell in (3, 5, 7, 11, 13):
         keys = pack_matrices(rng.integers(0, ell, (500, 4, 4)), ell)
         keys[:2] = pack_matrices([np.zeros((4, 4), np.int64),
                                   np.full((4, 4), ell - 1)], ell)
-        for tag, (gens, _, _, w) in _FAMILIES.items():
-            gens = np.array(gens(ell) + ([] if w is None else [w])) % ell
-            want = np.concatenate([
-                pack_matrices(np.matmul(unpack_keys(keys, ell), g) % ell, ell)
-                for g in gens])
-            got = _products(keys, _row_tables(gens, ell), ell)
-            assert np.array_equal(got, want), (tag, ell)
+        inputs = [(tag, gens(ell) + ([] if w is None else [w]))
+                  for tag, (gens, _, _, w) in _FAMILIES.items()]
+        gl2, det = _all_gl2(ell)
+        inputs.append(("enumeration",
+                       [_embed(((1, 3), h)) for h in gl2[det == 1]]
+                       + [np.diag([1, 1, s, s]) for s in range(1, ell)]))
+        for tag, gens in inputs:
+            gens = np.array(gens) % ell
+            for i in range(0, len(gens), 64):  # at most 32 MiB of tables
+                part = gens[i:i + 64]
+                want = np.concatenate([
+                    pack_matrices(np.matmul(unpack_keys(keys, ell), g) % ell,
+                                  ell) for g in part])
+                got = _products(keys, _row_tables(part, ell), ell)
+                assert np.array_equal(got, want), (tag, ell)
 
 
 def test_enumeration_refuses_large_primes():
@@ -403,6 +414,18 @@ def test_groupset_immutable_and_sorted():
     assert (np.diff(g.keys.astype(np.int64)) > 0).all()
     with pytest.raises(ValueError):
         g.keys[0] = 0  # the key array is read-only
+
+
+def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
+    keys = family("LeviB").keys
+    shuffled = np.random.default_rng(7).permutation(keys)
+    # strictly increasing (kept as given), sorted with duplicates, unsorted
+    for given in (keys.copy(), np.repeat(keys, 2), shuffled):
+        g = GroupSet(3, given)
+        assert np.array_equal(g.keys, keys)
+        assert not g.keys.flags.writeable
+        given[0] = 0  # the caller's array stays writable, and its own
+        assert np.array_equal(g.keys, keys)
 
 
 def test_groupset_nu_values_rejects_non_similitudes():
@@ -1006,8 +1029,9 @@ def test_extend_by_guards(monkeypatch):
     with pytest.raises(AssertionError, match="x: the generators give more "
                                              "than 2 elements"):
         _closed_family([s2], everything, 2, 3, "x")
-    # doubling the torus by a shear, which does not normalize it: the
-    # closure outgrows twice the torus (the union would be no group)
+    # doubling the torus by a shear, which does not normalize it: _doubled
+    # finds shear.g.t(shear) not diagonal for a torus generator g, so not in
+    # the torus (the union would be no group)
     gens, diagonal, order, _ = _FAMILIES["LeviB"]
     shear = np.eye(4, dtype=np.int64)
     shear[0, 1] = 1
