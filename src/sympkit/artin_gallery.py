@@ -258,11 +258,10 @@ def _scale(mats, d=None):
     """(d, arr) for a list of n x n matrices: arr[k] is d * mats[k] as int64
     real and imaginary parts; d defaults to the lcm of every denominator."""
     zs = [GaussianRational(x) for m in mats for row in m for x in row]
-    parts = [q for z in zs for q in (z.re, z.im)]
     if d is None:
-        d = lcm(1, *(q.denominator for q in parts))
+        d = lcm(1, *(z.den for z in zs))
     n = len(mats[0])
-    ints = np.array([int(q * d) for q in parts], dtype=object)
+    ints = np.array([k * (d // z.den) for z in zs for k in z.num], dtype=object)
     arr = _checked(ints.reshape(-1, n, n, 2).transpose(0, 3, 1, 2))
     return d, arr.astype(np.int64, order="C")
 
@@ -287,8 +286,7 @@ def _keys(arr):
 
 def _unscale(d, arr):
     "The frozen GaussianRational matrices of a scaled array."
-    entry = functools.cache(
-        lambda re, im: GaussianRational(Fraction(re, d), Fraction(im, d)))
+    entry = functools.cache(lambda re, im: GaussianRational._make(4, [re, im], d))
     return [tuple(tuple(map(entry, rr, ii)) for rr, ii in zip(*m))
             for m in arr.tolist()]
 

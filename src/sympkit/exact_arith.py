@@ -1,10 +1,12 @@
 """Exact coefficient domains.
 
-Rationals (stdlib Fraction), Gaussian rationals, prime fields F_l for odd l,
-small cyclotomic rings Z[x]/Phi_L, and univariate polynomials over any of
-these.  Everything downstream is generic over these domains; all values are
-immutable after construction (every value type of the package derives from
-_Frozen).
+Rationals (stdlib Fraction), prime fields F_l for odd l, the cyclotomic
+fields Q[x]/Phi_L, and univariate polynomials over any of these.  The
+Gaussian rationals Q(i) are order 4 of the cyclotomic kernel: a
+GaussianRational is a Cyclotomic fixed at Phi_4 = x^2 + 1, so Q(i) and
+Q(zeta_L) share one integer-row arithmetic.  Everything downstream is
+generic over these domains; all values are immutable after construction
+(every value type of the package derives from _Frozen).
 """
 
 import functools
@@ -107,97 +109,6 @@ def one_like(x):
     return x.one()
 
 
-class GaussianRational(_Field):
-    """a + b*i with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        if isinstance(re, GaussianRational):
-            if im:
-                raise ValueError("a GaussianRational takes no second part")
-            re, im = re.re, re.im
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def one(self):
-        return GaussianRational(1)
-
-    @staticmethod
-    def i():
-        return GaussianRational(0, 1)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self):
-        "re^2 + im^2, a Fraction.  Multiplicative."
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # a real value hashes as its Fraction does, since it compares equal
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __abs__(self):
-        # float modulus; used only by floating diagnostics
-        return float(self.norm()) ** 0.5
-
-    def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self.re, self.im)
-
-    def __str__(self):
-        return format_gaussian(self)
-
-
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:
@@ -207,7 +118,7 @@ def format_rational(q):
 
 def format_gaussian(z):
     """Serialize a GaussianRational as "a/b+c/d*i" (parts omitted when zero)."""
-    z = GaussianRational(z) if not isinstance(z, GaussianRational) else z
+    z = GaussianRational(z)
     if not z.im:
         return format_rational(z.re)
     imag = format_rational(abs(z.im)) + "*i"
@@ -349,8 +260,7 @@ def _strip(coeffs):
 def _promote(coeffs):
     "Lift a mixed int/Fraction/GaussianRational list into one common domain."
     if any(isinstance(c, GaussianRational) for c in coeffs):
-        return [c if isinstance(c, GaussianRational) else GaussianRational(c)
-                for c in coeffs]
+        return [GaussianRational(c) for c in coeffs]
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
         return [Fraction(c) for c in coeffs]
     return list(coeffs)
@@ -527,7 +437,7 @@ class Cyclotomic(_Field):
     def _make(cls, order, num, den):
         "num / den from an integer row and a positive int, in lowest terms."
         num = _reduce(cyclotomic_polynomial(order), num)
-        g = gcd(den, *num)
+        g = gcd(den, *num) if den != 1 else 1
         if g != 1:
             num, den = [n // g for n in num], den // g
         out = object.__new__(cls)
@@ -552,15 +462,16 @@ class Cyclotomic(_Field):
         return cls(order, [0] * k + [1])
 
     def one(self):
-        return Cyclotomic._make(self.order, [1], 1)
+        return self._make(self.order, [1], 1)
 
     def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
+        # a subclass (GaussianRational) is a domain of its own
+        if type(other) is type(self):
             if other.order != self.order:
                 raise ValueError("mixed cyclotomic orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [other])
+            return self._make(self.order, [other.numerator], other.denominator)
         return None
 
     def __add__(self, other):
@@ -568,7 +479,7 @@ class Cyclotomic(_Field):
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        return Cyclotomic._make(
+        return self._make(
             self.order, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
@@ -587,12 +498,12 @@ class Cyclotomic(_Field):
                 continue
             for j, b in enumerate(o.num):
                 out[i + j] += a * b
-        return Cyclotomic._make(self.order, out, self.den * o.den)
+        return self._make(self.order, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Cyclotomic._make(self.order, [-a for a in self.num], self.den)
+        return self._make(self.order, [-a for a in self.num], self.den)
 
     def inverse(self):
         """Multiplicative inverse, by solving the multiplication-by-self linear
@@ -626,10 +537,67 @@ class Cyclotomic(_Field):
         return self.den == o.den and self.num == o.num
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as that Fraction
+        if not any(self.num[1:]):
+            n, d = self.num[0], self.den
+            return hash(n if d == 1 else Fraction(n, d))
         return hash((self.order, self.den, self.num))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coeffs))
+
+
+class GaussianRational(Cyclotomic):
+    """a + b*i with exact rational a, b: Q(i) as Q[x]/Phi_4, with Cyclotomic's
+    arithmetic, equality and hashing; `re` and `im` are the cached coeffs."""
+
+    __slots__ = ()
+
+    def __new__(cls, re=0, im=0):
+        if isinstance(re, GaussianRational):
+            if im:
+                raise ValueError("a GaussianRational takes no second part")
+            return re
+        return super().__new__(cls, 4, [re, im])
+
+    @property
+    def re(self):
+        return self.coeffs[0]
+
+    @property
+    def im(self):
+        return self.coeffs[1]
+
+    @staticmethod
+    def i():
+        return GaussianRational._make(4, [0, 1], 1)
+
+    def conjugate(self):
+        a, b = self.num
+        return self._make(4, [a, -b], self.den)
+
+    def norm(self):
+        "re^2 + im^2, a Fraction.  Multiplicative."
+        a, b = self.num
+        return Fraction(a * a + b * b, self.den * self.den)
+
+    def inverse(self):
+        # den / (a + b*i) = (a*den - b*den*i) / (a^2 + b^2)
+        a, b = self.num
+        n = a * a + b * b
+        if not n:
+            raise ZeroDivisionError("inverse of 0")
+        return self._make(4, [a * self.den, -b * self.den], n)
+
+    def __abs__(self):
+        # float modulus; used only by floating diagnostics
+        return float(self.norm()) ** 0.5
+
+    def __repr__(self):
+        return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+    def __str__(self):
+        return format_gaussian(self)
 
 
 def lcm_upto(n):

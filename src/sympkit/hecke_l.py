@@ -248,12 +248,10 @@ class LatticeRing(_Frozen):
         if isinstance(x, Fraction):
             return x.denominator == 1
         if isinstance(x, GaussianRational):
-            if self.tag == "Zi":
-                return x.re.denominator == 1 and x.im.denominator == 1
-            if x.im:
+            if x.im and self.tag != "Zi":
                 raise ValueError("%s does not lie in the fraction field of %s"
                                  % (x, self.tag))
-            return x.re.denominator == 1
+            return x.den == 1  # both parts are integers exactly then
         if isinstance(x, Cyclotomic):
             return self._contains_cyclotomic(x)
         raise ValueError("cannot test %r against %s" % (x, self.tag))

@@ -66,6 +66,9 @@ def test_gaussian_hash_agrees_with_equality(q):
     assert len({z, q}) == 1 and len({z, F(q)}) == 1
     w = GaussianRational(q, F(2, 4))
     assert hash(w) == hash(GaussianRational(F(q), F(1, 2))) and w != q
+    c = Cyclotomic(5, [q])
+    assert c == q and hash(c) == hash(q) == hash(F(q))
+    assert len({c, q}) == 1 and len({c, F(q)}) == 1
 
 
 def test_gaussian_field_axioms_random():
@@ -85,6 +88,17 @@ def test_gaussian_field_axioms_random():
         assert a * b == b * a
         if a:
             assert a * a.inverse() == 1
+        # the componentwise Fraction formulas of Q(i)
+        p, t = a * b, a + b
+        assert (p.re, p.im) == (a.re * b.re - a.im * b.im,
+                                a.re * b.im + a.im * b.re)
+        assert (t.re, t.im) == (a.re + b.re, a.im + b.im)
+        if a:
+            n, inv = a.re * a.re + a.im * a.im, a.inverse()
+            assert (inv.re, inv.im) == (a.re / n, -a.im / n)
+            assert type(b / a) is GaussianRational
+        for x in (t, p, a ** 3, a.conjugate(), a.one(), 1 - a):
+            assert type(x) is GaussianRational
 
 
 def test_gaussian_norm_and_conjugation():
@@ -287,12 +301,14 @@ def test_cyclotomic_coeffs_are_cached_fractions():
     assert Cyclotomic(12, [0]).den == 1 and not Cyclotomic(12, [0]).num[0]
 
 
-# one nonzero element of each field domain
+# one nonzero element of each field domain; Cyclotomic(4) shares Q(i)'s
+# kernel but is a domain apart from GaussianRational
 FIELD_ELEMENTS = [GaussianRational(F(1, 2), F(-3, 4)), PrimeFieldElem(7, 3),
-                  Cyclotomic(5, [1, 2, 0, F(1, 3)])]
+                  Cyclotomic(5, [1, 2, 0, F(1, 3)]), Cyclotomic(4, [0, 1])]
+FIELD_IDS = ["GaussianRational", "PrimeFieldElem", "Cyclotomic", "Cyclotomic4"]
 
 
-@pytest.mark.parametrize("z", FIELD_ELEMENTS, ids=lambda z: type(z).__name__)
+@pytest.mark.parametrize("z", FIELD_ELEMENTS, ids=FIELD_IDS)
 def test_field_derived_operators(z):
     assert 1 - z == -(z - 1)
     assert 1 / z == z.inverse()
@@ -308,7 +324,8 @@ def test_mixed_field_domains_raise_type_error(op):
     # both operand orders; a reflected operator that called back into the
     # other operand's forward one would recurse instead
     for a, b in itertools.permutations(FIELD_ELEMENTS, 2):
-        with pytest.raises(TypeError):
+        # two orders of one domain are mixed orders, not mixed domains
+        with pytest.raises(ValueError if type(a) is type(b) else TypeError):
             op(a, b)
 
 
