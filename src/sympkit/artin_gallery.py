@@ -11,7 +11,7 @@ All verification here is computational and exact; the report functions state
 what the matrices actually do, and tests freeze those values.  Closures run on
 scaled Gaussian-integer arrays: d*M as int64 real and imaginary parts, with
 every batched product divided by d under an exactness check, through the same
-frontier BFS that closes packed keys over F_ell (finite_census._closure).  The
+coset closure that closes packed keys over F_ell (finite_census._closure).  The
 per-element facts (similitudes, orders modulo +-I, scalars) are computed on
 those arrays too.
 """
@@ -295,12 +295,12 @@ def group_closure(gens, cap=10000):
     """Close a generator list under multiplication (finite groups only).
 
     The matrices are held as d*M in int64 Gaussian-integer arrays, d the lcm
-    of the generators' denominators, and closed by the frontier BFS of
-    finite_census._closure with batched products, each divided by d with an
-    exactness check.  A product needing a larger denominator restarts the
-    closure at d times that lcm; nothing is ever rounded.  Raises
-    RuntimeError past cap elements or when entries outgrow int64, which
-    signals a mis-entered or infinite generator set.
+    of the generators' denominators, and closed from the identity by
+    finite_census._closure (Dimino's algorithm) with batched products by one
+    generator, each divided by d with an exactness check.  A product needing
+    a larger denominator restarts the closure at d times that lcm; nothing is
+    ever rounded.  Raises RuntimeError past cap elements or when entries
+    outgrow int64, which signals a mis-entered or infinite generator set.
     """
     gens = [_mat.freeze(g) for g in gens]
     if not gens:
@@ -308,16 +308,15 @@ def group_closure(gens, cap=10000):
     n = len(gens[0])
     d0 = d = _scale(gens)[0]
 
-    def expand(span):  # the products with every generator, at the scale d
-        mats = span.view(np.int64).reshape(-1, 1, 2, n, n)
-        return _keys(_checked(_product(mats, g, d)).reshape(-1, 2, n, n))
+    def times(keys, s):  # the products with generator s, at the scale d
+        mats = np.ascontiguousarray(keys).view(np.int64).reshape(-1, 2, n, n)
+        return _keys(_checked(_product(mats, g[s], d)))
 
     while True:
         g = _scale(gens, d)[1]
-        ident = _scale([_mat.identity(n)], d)[1]
         try:
-            keys = _closure(np.concatenate([_keys(ident), _keys(g)]), expand,
-                            cap=cap)
+            keys = _closure(_keys(_scale([_mat.identity(n)], d)[1]), len(g),
+                            times, cap=cap)
             break
         except _Inexact:
             d *= d0

@@ -572,6 +572,13 @@ class GaussianRational(Cyclotomic):
     def i():
         return GaussianRational._make(4, [0, 1], 1)
 
+    @classmethod
+    def root_of_unity(cls, order, k):
+        "i^k; Q(i) is taken as the field of order 4 only."
+        if order != 4:
+            raise ValueError("GaussianRational roots of unity have order 4")
+        return cls._make(4, [0] * (k % 4) + [1], 1)
+
     def conjugate(self):
         a, b = self.num
         return self._make(4, [a, -b], self.den)

@@ -14,26 +14,28 @@ omega(c0, c2) = 1 and a symplectic basis of its complement moved by SL2
 checked as a similitude, the sorted keys are distinct, and their count is
 the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
 permitted only when the modelled memory fits the budget) are supported;
-larger primes are refused outright.  The frontier BFS `mulclose` remains as
-the independent oracle and builds the subgroup families; its loop, _closure,
-works on sorted keys of any dtype and also closes the Q(i) gallery of
-artin_gallery.  The families (Levi factors, the checkerboard endoscopic
+larger primes are refused outright.  The generator closure `mulclose`
+remains as the independent oracle and builds the subgroup families; its
+loop, _closure (Dimino's algorithm: whole cosets, one membership test per
+coset), works on sorted keys of any dtype and also closes the Q(i) gallery
+of artin_gallery.  The families (Levi factors, the checkerboard endoscopic
 group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
 generators written from the structure, a membership predicate (a zero or
 block pattern) and a closed-form order, and for Case5-Case8 the involution
-w that doubles the base to base u base.w (_doubled).  A family or base is
-the closure of its generators, so a group; every element passing the
-predicate and the similitude test puts it inside the family, and a count
-equal to the order makes it whole, as for the full groups (_closed_family).
+w that doubles the base.  A family or base is the closure of its
+generators, so a group; every element passing the predicate and the
+similitude test puts it inside the family, and a count equal to the order
+makes it whole, as for the full groups (_closed_family).  A doubled family
+is the closure of the generators and w from the proven base, capped at and
+counted to twice its order.
 
-Every product of a listing (mulclose, _doubled, _enumerate_similitudes) is
-formed on the keys, with no matrix unpacked: row r of m.g is row r of m
-times g, so one table per multiplier g, from each row field of a key (4
-entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
-product four lookups shifted into place (_row_tables, _products).  Every
-loop over the elements of a key array (the checks, nu_values,
-charpoly_census) unpacks _CHUNK_ROWS keys per pass, few enough that its
-temporaries stay in cache.
+Every product of a listing (mulclose, _enumerate_similitudes) is formed on
+the keys, with no matrix unpacked: row r of m.g is row r of m times g, so
+one table per multiplier g, from each row field of a key (4 entries, 4
+ceil(log2 ell) bits) to the field of the product row, makes a product four
+lookups shifted into place (_row_tables, _products).  Every loop over the
+elements of a key array (the checks, nu_values, charpoly_census) unpacks
+_CHUNK_ROWS keys per pass, few enough that its temporaries stay in cache.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -113,7 +115,6 @@ def unpack_keys(keys, ell, dtype=np.int64):
 # of _closed_family and _enumerate_similitudes): the int64 matrices of one
 # pass take 512 KiB and its temporaries stay in cache.
 _CHUNK_ROWS = 1 << 12
-_FRONTIER_ROWS = 1 << 14  # frontier keys per span (pool task) of _closure
 
 
 def _unpacked(keys, ell):
@@ -203,57 +204,54 @@ def _sorted_unique(keys):
     return arr[keep]
 
 
-def _merge_sorted(a, b):
-    "The union of two disjoint sorted key arrays, sorted."
-    return np.insert(a, np.searchsorted(a, b), b)
+def _closure(sub, ngens, times, cap=None):
+    """The group generated by g_0, ..., g_(ngens-1), as sorted 1-D keys of
+    any sortable dtype (Dimino's algorithm).
 
-
-def _closure(start, expand, cap=None, threads=None, chunk=_FRONTIER_ROWS):
-    """Product closure over sorted 1-D keys of any sortable dtype.
-
-    `start` holds the keys of the identity and the generators, and
-    `expand(span)` returns the keys of every product of an element keyed in
-    `span` with a generator.  Frontier BFS: each round expands the newly
-    found keys.  A finite closed product set containing 1 is a group, so no
-    inverses are needed.  Shards of the frontier may run on a thread pool;
-    every round sorts and deduplicates, so the result is identical for any
-    thread count, chunk size, or generator ordering.  Exceeding `cap`
-    elements raises RuntimeError.
+    `sub` holds the sorted keys of <g_0, ..., g_(m-1)> for some m (the
+    identity alone for m = 0), and `times(keys, s)` the key of x.g_s for
+    every key x, in order.  Stage j, unless g_j lies in it, extends the group
+    so far, H = <g_0, ..., g_(j-1)>, by whole right cosets H.r, each a block
+    listed in H's order.  A union of cosets holds a coset when it holds one
+    of its keys, so each round tests one key per new block times each g_s,
+    s <= j; a fresh one's coset is one `times` pass over the block, merged
+    before the next s (g_s permutes the cosets, so no block repeats).  The
+    stage ends when every coset times every g_s lies in the union: a finite
+    set holding 1 and closed under the generators, so the group they
+    generate.  Exceeding `cap` elements raises RuntimeError.
     """
-    seen = _sorted_unique(start)
-    frontier = seen
-    nthreads = resolve_threads(threads)
-
-    def fresh(span):
-        keys = _sorted_unique(expand(span))
-        return keys[~_contains_sorted(seen, keys)]
-
-    while frontier.size:
-        spans = [frontier[i:i + chunk] for i in range(0, frontier.size, chunk)]
-        if nthreads > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                parts = list(pool.map(fresh, spans))
-        else:
-            parts = [fresh(s) for s in spans]
-        frontier = _sorted_unique(np.concatenate(parts))
-        seen = _merge_sorted(seen, frontier)
-        if cap is not None and seen.size > cap:
-            raise RuntimeError(
-                "closure cap exceeded (%d elements, cap %d)" % (seen.size, cap))
+    seen = group = sub
+    for j in range(ngens):
+        if _contains_sorted(seen, times(group[:1], j))[0]:
+            continue
+        blocks = [group[None]]
+        while blocks[-1].size:
+            fresh = []
+            for s in range(j + 1):
+                new = ~_contains_sorted(seen, times(blocks[-1][:, 0], s))
+                if new.any():
+                    fresh.append(times(blocks[-1][new].ravel(), s))
+                    keys = np.sort(fresh[-1])
+                    seen = np.insert(seen, np.searchsorted(seen, keys), keys)
+                    if cap is not None and seen.size > cap:
+                        raise RuntimeError("closure cap exceeded (%d elements,"
+                                           " cap %d)" % (seen.size, cap))
+            blocks.append(np.concatenate(fresh or [group[:0]])
+                          .reshape(-1, group.size))
+        group = np.concatenate([b.ravel() for b in blocks])
     return seen
 
 
 def _row_tables(gens, ell):
     """Per generator g, the table from a row field x (the 4 * bits of one
     row of a key) to the field of x.g: row r of m.g is row r of m times g.
-    Each table is filled from all ell^4 rows, as row 0 of otherwise zero
-    matrices, by the exact product and pack_matrices."""
-    rows = np.zeros((ell ** 4, 4, 4), dtype=np.int64)
-    rows[:, 0] = np.indices((ell,) * 4).reshape(4, -1).T
-    index = pack_matrices(rows, ell).astype(np.intp)
+    Each table is filled from the ell^4 rows alone, x.g mod ell for every
+    row x, its 4 entries packed by the shifts of a row field."""
+    weights = 1 << _shifts(ell)[:4].astype(np.int64)
+    rows = np.indices((ell,) * 4).reshape(4, -1).T
     tables = np.zeros((len(gens), 1 << 4 * _bits_for(ell)), dtype=np.uint64)
     for table, g in zip(tables, gens):
-        table[index] = pack_matrices(np.matmul(rows, g) % ell, ell)
+        table[rows @ weights] = rows @ g % ell @ weights
     return tables
 
 
@@ -273,20 +271,23 @@ def _products(keys, tables, ell):
     return out.ravel()
 
 
-def mulclose(gens, ell, cap=None, threads=None, chunk=_FRONTIER_ROWS):
-    """Product closure of integer matrices mod ell, as sorted packed keys
-    (_closure on packed keys; see there for threads, chunk and cap).  The
+def _key_closure(sub, gens, ell, cap):
+    """_closure of `gens` on packed keys from `sub` (see there); the
     products are formed on the keys by one row table per generator
     (_row_tables, built once per call), with no matrix unpacked."""
+    tables = _row_tables(gens, ell)
+    return _closure(sub, len(tables),
+                    lambda keys, s: _products(keys, tables[s:s + 1], ell), cap)
+
+
+def mulclose(gens, ell, cap=None):
+    """Product closure of integer matrices mod ell, as sorted packed keys:
+    _key_closure from the identity (see _closure for cap)."""
     gens = np.asarray(gens, dtype=np.int64) % ell
     if gens.size == 0:
         raise ValueError("need at least one generator")
-    gen_keys = _sorted_unique(pack_matrices(gens, ell))
-    tables = _row_tables(unpack_keys(gen_keys, ell), ell)
-    ident = pack_matrices(np.eye(4, dtype=np.int64)[None], ell)
-    return _closure(np.concatenate([ident, gen_keys]),
-                    lambda span: _products(span, tables, ell), cap, threads,
-                    chunk)
+    return _key_closure(pack_matrices(np.eye(4, dtype=np.int64), ell), gens,
+                        ell, cap)
 
 
 class GroupSet(_Frozen):
@@ -795,63 +796,53 @@ _FAMILIES = {
 }
 
 # The modelled peak resident memory of a family build, per element held
-# (the family, and the base of a doubled one): the closure's seen set, its
-# merged copy and last frontier, the sorted copy and mask of GroupSet, and
-# the similitude factors of the report.
+# (the family, and the base of a doubled one): _closure's sorted group and
+# its merged copy, its blocks (the group in coset order) and the frontier
+# block of a round, the four row fields and product of a `times` pass over
+# it, and GroupSet's copy and the similitude factors of the report.
 # tests/test_finite_census.py checks it against measured peaks.
 _CLOSURE_ELEMENT_BYTES = 64
 
 
 def _closure_bytes(elements):
     "Modelled peak RSS, in bytes, of a family build holding `elements`."
-    return (_PROCESS_BYTES + elements * _CLOSURE_ELEMENT_BYTES
-            + resolve_threads() * _BLOCK_BYTES)
+    return _PROCESS_BYTES + elements * _CLOSURE_ELEMENT_BYTES
 
 
-def _closed_family(gens, inside, order, ell, name):
-    """Sorted keys of the closure of `gens` (a group), proven to be the
-    family of `order` elements that `inside` and the similitude test define
-    by every key passing both and a count equal to `order`; AssertionError
-    otherwise, and for a closure that outgrows `order`."""
+def _counted(close, order, name):
+    "The keys of close(cap=order); AssertionError unless exactly `order`."
     try:
-        keys = mulclose(gens, ell, cap=order)
+        keys = close(order)
     except RuntimeError:
         raise AssertionError("%s: the generators give more than %d elements"
                              % (name, order)) from None
-    for mats in _unpacked(keys, ell):
-        if not (_similitude_info(mats, ell)[0] & inside(mats, ell)).all():
-            raise AssertionError("%s: the generators leave the family" % name)
     if keys.size != order:
         raise AssertionError("%s: the generators give %d elements, not %d"
                              % (name, keys.size, order))
     return keys
 
 
-def _doubled(base, gens, w, ell, name):
-    """The keys of base u base.w (sorted `base` the closure of `gens`), a
-    group of 2 |base| similitudes: w t(w) and each w g t(w) in the base put
-    w h w^-1 = w h t(w) (w t(w))^-1 in it for every product h of gens, so
-    with w^2 in it the union is closed; w outside it and w a similitude do
-    the rest.  AssertionError, as in _closed_family, if not."""
-    w, n = np.asarray(w, dtype=np.int64) % ell, base.size
-    inner = np.array([w @ g @ w.T for g in gens] + [w @ w.T, w @ w]) % ell
-    if not _contains_sorted(base, pack_matrices(inner, ell)).all():
-        raise AssertionError("%s: the generators give more than %d elements"
-                             % (name, 2 * n))
-    if _contains_sorted(base, pack_matrices(w[None], ell))[0]:
-        raise AssertionError("%s: the generators give %d elements, not %d"
-                             % (name, n, 2 * n))
-    if not _similitude_info(w[None], ell)[0][0]:
-        raise AssertionError("%s: the generators leave the family" % name)
-    return np.concatenate([base, _products(base, _row_tables([w], ell), ell)])
+def _closed_family(gens, inside, order, ell, name):
+    """Sorted keys of the closure of `gens` (a group), proven to be the
+    family of `order` elements that `inside` and the similitude test define
+    by a count equal to `order` and every key passing both; AssertionError
+    otherwise, and for a closure that outgrows `order`."""
+    keys = _counted(lambda cap: mulclose(gens, ell, cap), order, name)
+    for mats in _unpacked(keys, ell):
+        if not (_similitude_info(mats, ell)[0] & inside(mats, ell)).all():
+            raise AssertionError("%s: the generators leave the family" % name)
+    return keys
 
 
 def family_with_base(spec):
     """(family, base) named by `spec`, as GroupSets: _closed_family proves
     the family, or the index-2 base of a doubled one (Case5: the Siegel
     Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
-    [[A, B], [uB, A]]; None for the others), and _doubled base u base.w.  A
-    modelled peak RSS over DEFAULT_MAX_BYTES raises ResourceLimit first."""
+    [[A, B], [uB, A]]; None for the others).  A doubled family is the
+    closure of the generators and w from the proven base, a group of
+    similitudes when w is one, and of twice the base's order by its count
+    (capped there).  A modelled peak RSS over DEFAULT_MAX_BYTES raises
+    ResourceLimit first."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
     held = n if w is None else 3 * n
@@ -865,8 +856,11 @@ def family_with_base(spec):
         return GroupSet(ell, _closed_family(gens, inside, n, ell,
                                             spec.tag)), None
     base = _closed_family(gens, inside, n, ell, spec.tag + " base")
-    return (GroupSet(ell, _doubled(base, gens, w, ell, spec.tag)),
-            GroupSet(ell, base))
+    keys = _counted(lambda cap: _key_closure(base, gens + [w], ell, cap),
+                    2 * n, spec.tag)
+    if not _similitude_info(w[None] % ell, ell)[0][0]:
+        raise AssertionError("%s: the generators leave the family" % spec.tag)
+    return GroupSet(ell, keys), GroupSet(ell, base)
 
 
 def build_family(spec):

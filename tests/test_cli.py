@@ -229,25 +229,25 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
 
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
-    # `family` and `ceta` close the base alone: the doubled family is the
-    # base and its products by the involution, with no second closure
-    caps = []
-    closure = finite_census.mulclose
+    # `family` and `ceta` close the base once, from the identity; the
+    # doubled family is a second closure that starts from the base's keys
+    calls = []
+    closure = finite_census._closure
 
-    def counted(gens, ell, cap=None, **kwargs):
-        caps.append(cap)
-        return closure(gens, ell, cap=cap, **kwargs)
+    def recorded(sub, ngens, times, cap=None):
+        calls.append((sub.size, cap))
+        return closure(sub, ngens, times, cap)
 
-    monkeypatch.setattr(finite_census, "mulclose", counted)
+    monkeypatch.setattr(finite_census, "_closure", recorded)
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
-    assert code == 0 and caps == [192]
+    assert code == 0 and calls == [(1, 192), (192, 384)]
     assert rep["results"]["order"] == 384
     assert rep["results"]["base_order"] == 192
     assert all(entry["pass"] for entry in rep["assertions"])
-    caps.clear()
+    calls.clear()
     code, _ = run_json(capsys, "ceta", "--case", "8", "--ell", "3",
                        "--eta", "1/4")
-    assert code == 0 and caps == [192]
+    assert code == 0 and calls == [(1, 192), (192, 384)]
 
 
 def test_family_over_the_memory_budget_is_a_usage_error(monkeypatch, capsys):

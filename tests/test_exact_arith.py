@@ -242,16 +242,22 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclotomic_ring():
-    for order in (4, 5, 12):
-        z = Cyclotomic.root_of_unity(order, 1)
+    # GaussianRational is order 4 of the kernel, a domain of its own type
+    for cls, order in ((Cyclotomic, 4), (Cyclotomic, 5), (Cyclotomic, 12),
+                       (GaussianRational, 4)):
+        z = cls.root_of_unity(order, 1)
         powers = [z ** k for k in range(order)]
-        assert z ** order == z.one()
+        assert type(z) is cls and z ** order == z.one()
         assert all(p != z.one() for p in powers[1:])
         assert len(set(powers)) == order
+        assert powers == [cls.root_of_unity(order, k) for k in range(order)]
         total = powers[0]
         for p in powers[1:]:
             total = total + p
-        assert total == Cyclotomic(order, [0])  # sum of all order-th roots
+        assert total == 0  # sum of all order-th roots
+    assert GaussianRational.root_of_unity(4, -1) == -GaussianRational.i()
+    with pytest.raises(ValueError):
+        GaussianRational.root_of_unity(8, 1)
     w = Cyclotomic.root_of_unity(12, 7)
     assert w == Cyclotomic.root_of_unity(12, 1) ** 7
     with pytest.raises(ValueError):
