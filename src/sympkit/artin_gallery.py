@@ -20,12 +20,9 @@ import functools
 from fractions import Fraction
 from math import isqrt, lcm
 
-import numpy as np
-
 from . import _mat
 from .exact_arith import (GaussianRational, UPoly, _Frozen, format_gaussian,
                           one_like)
-from .finite_census import _J4, _closure
 from .gsp4_core import (
     GSpElement,
     char_poly,
@@ -35,6 +32,10 @@ from .gsp4_core import (
     try_similitude,
 )
 from .hecke_l import EulerFactor
+# finite_census and numpy last: the rest compiles before numpy loads
+from .finite_census import _J4, _closure
+
+import numpy as np
 
 
 def gauss_mat(rows):

@@ -13,10 +13,13 @@ at an ell other than 3 and 5, or a pool flag given to ceta --case <family>).
 timestamp, results, assertions}.  Each subcommand imports the modules it
 uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
 p1reps never load numpy; nor does anything in hecke_l, rou_charpolys included.
+The CLI imports numpy only through those modules, so they compile before it
+loads; main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 from datetime import datetime, timezone
@@ -109,8 +112,6 @@ def _cmd_census(args):
 
 
 def _cmd_family(args):
-    import numpy as np
-
     from .finite_census import FamilySpec, family_with_base
 
     spec = FamilySpec(_family_tag(args.case), args.ell)
@@ -119,9 +120,7 @@ def _cmd_family(args):
         "family": spec.tag,
         "ell": args.ell,
         "order": grp.order,
-        # the factors that occur; np.unique would import numpy.ma
-        "similitude_factors": np.flatnonzero(
-            np.bincount(grp.nu_values())).tolist(),
+        "similitude_factors": grp.similitude_factors(),
     }
     assertions = [
         # both hold by construction and check nothing further: the build
@@ -416,6 +415,10 @@ def build_parser():
 
 
 def main(argv=None):
+    if "numpy" not in sys.modules:
+        # sympkit's numpy work is integer-only and calls no BLAS, so the
+        # OpenBLAS worker pool would only cost start-up time
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()

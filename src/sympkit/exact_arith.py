@@ -421,10 +421,10 @@ class Cyclotomic(_Field):
     positive common denominator, in lowest terms (gcd(den, *num) == 1), so
     arithmetic, equality and hashing run on plain ints.  The rational
     coefficients num[k] / den are read through `coeffs`, a tuple of
-    Fractions built on first read and cached.
+    Fractions built on first read and cached, as is the hash.
     """
 
-    __slots__ = ("order", "num", "den", "_coeffs")
+    __slots__ = ("order", "num", "den", "_coeffs", "_hash")
 
     def __new__(cls, order, coeffs):
         coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
@@ -537,11 +537,14 @@ class Cyclotomic(_Field):
         return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        # a rational value equals its Fraction, so it hashes as that Fraction
-        if not any(self.num[1:]):
+        out = getattr(self, "_hash", None)
+        if out is None:
+            # a rational value equals its Fraction, so hashes as that Fraction
             n, d = self.num[0], self.den
-            return hash(n if d == 1 else Fraction(n, d))
-        return hash((self.order, self.den, self.num))
+            out = (hash((self.order, d, self.num)) if any(self.num[1:])
+                   else hash(n if d == 1 else Fraction(n, d)))
+            object.__setattr__(self, "_hash", out)
+        return out
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coeffs))

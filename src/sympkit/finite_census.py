@@ -42,7 +42,6 @@ which needs no listing and no numpy.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -351,6 +350,10 @@ class GroupSet(_Frozen):
             parts.append(nu)
         return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
+    def similitude_factors(self):
+        "The factors nu that occur, ascending (np.unique would load numpy.ma)."
+        return np.flatnonzero(np.bincount(self.nu_values())).tolist()
+
     def subset_of(self, other):
         if self.ell != other.ell:
             return False
@@ -464,6 +467,7 @@ def _enumerate_similitudes(ell, scalars, threads):
     starts = range(0, bases.size, per)
     nthreads = resolve_threads(threads)
     if nthreads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             list(pool.map(fill, starts))
     else:

@@ -15,6 +15,7 @@ Conventions fixed here and used everywhere else:
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import _mat
 from .exact_arith import (GaussianRational, Rational, UPoly, _Frozen, one_like,
@@ -482,18 +483,11 @@ def lambda_rep(k1, k2, g):
         coeff = [scale - scale] * (m + 1)
         for r in range(m - i + 1):
             for s in range(i + 1):
-                term = (_binom(m - i, r) * _binom(i, s)) * scale \
+                term = (comb(m - i, r) * comb(i, s)) * scale \
                     * a ** (m - i - r) * c ** r * b ** (i - s) * d ** s
                 coeff[r + s] = coeff[r + s] + term
         cols.append(coeff)
     return _mat.transpose(_mat.freeze(cols))
-
-
-def _binom(n, k):
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
 
 
 class SiegelPoint(_Frozen):

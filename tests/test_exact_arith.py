@@ -69,6 +69,12 @@ def test_gaussian_hash_agrees_with_equality(q):
     c = Cyclotomic(5, [q])
     assert c == q and hash(c) == hash(q) == hash(F(q))
     assert len({c, q}) == 1 and len({c, F(q)}) == 1
+    # the hash is cached on first call: later calls, and a fresh equal value
+    # from another route, give the same number
+    x = _z5()
+    assert hash(c) == hash(c) == hash(x * q / x) == hash(q)
+    v = Cyclotomic(5, [q, 1])
+    assert hash(v) == hash(v) == hash(v + 0) == hash((5, v.den, v.num))
 
 
 def test_gaussian_field_axioms_random():

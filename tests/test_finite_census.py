@@ -1081,18 +1081,22 @@ def test_verify_group_catches_defects(monkeypatch):
 
 
 def test_doubling_proof_guards(monkeypatch):
-    # a doubled family is base u base.w, proven a group by single matrices;
-    # an involution inside the base leaves the count short: the block swap
-    # lies in the checkerboard group, so it cannot double it into Case6
+    # a doubled family is the closure of the generators and w from its
+    # proven base of order N; the build asserts three things: the closure
+    # stays within the cap 2N, it counts exactly 2N, and w is a similitude.
+    # The count fails for a w inside the base: the block swap lies in the
+    # checkerboard group, so the closure stops at N = 1152 elements
     gens, inside, order, _ = _FAMILIES["Case6"]
     with monkeypatch.context() as patch:
         patch.setitem(_FAMILIES, "Case6", (gens, inside, order, _SWAP))
         with pytest.raises(AssertionError, match="Case6: the generators give "
                                                  "1152 elements, not 2304"):
             build_family(FamilySpec("Case6", 3))
-    # the Weyl rotation r = (exchange).s2, a signed permutation, normalizes
-    # the diagonal torus, but r^2 swaps e1 with e3 and e2 with e4 (up to
-    # sign), so it is no diagonal matrix: <torus, r> outgrows the union
+    # the cap fails for a w that normalizes the base but squares outside
+    # it: the Weyl rotation r = (exchange).s2, a signed permutation,
+    # normalizes the diagonal torus (N = 8), but r^2 swaps e1 with e3 and e2
+    # with e4 (up to sign), so it is no diagonal matrix and <torus, r>
+    # outgrows 2N = 16
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
     r = _EXCHANGE @ s2
@@ -1104,17 +1108,19 @@ def test_doubling_proof_guards(monkeypatch):
         with pytest.raises(AssertionError, match="LeviB: the generators give "
                                                  "more than 16 elements"):
             build_family(FamilySpec("LeviB", 3))
-    # diag(1, 1, 1, 2) commutes with the torus and squares to 1 mod 3, but it
-    # is no similitude, so base.w would leave the family
+    # the similitude test fails for diag(1, 1, 1, 2): it commutes with the
+    # torus and squares to 1 mod 3, so the closure counts exactly 2N, but it
+    # is no similitude, so the closure leaves the family
     with monkeypatch.context() as patch:
         patch.setitem(_FAMILIES, "LeviB",
                       (gens, diagonal, order, np.diag([1, 1, 1, 2])))
         with pytest.raises(AssertionError, match="LeviB: the generators "
                                                  "leave"):
             build_family(FamilySpec("LeviB", 3))
-    # t(w) is no inverse of this similitude w: w g t(w) and w^2 lie in the
-    # cyclic group <g> of order 12 and w lies outside it, but so does
-    # w t(w), and <g, w> has 51,840 elements, not 24
+    # the cap also fails for this similitude w, though w g t(w) and w^2 lie
+    # in the cyclic base <g> (N = 12) and w lies outside it: t(w) is no
+    # inverse of w (w t(w) lies outside <g> too), w does not normalize <g>,
+    # and <g, w> has 51,840 elements, far beyond 2N = 24
     g = np.array([[2, 1, 2, 2], [2, 1, 0, 0], [2, 2, 0, 0], [0, 2, 1, 2]])
     w = np.array([[2, 1, 0, 2], [2, 1, 1, 0], [0, 1, 2, 2], [2, 0, 1, 1]])
     cyclic = GroupSet(3, mulclose([g], 3))
@@ -1206,16 +1212,16 @@ def test_family_orders_at_ell_7_gated():
         assert 0 < peak <= _closure_bytes(held), tag
 
 
-def test_budget_model_bounds_the_family_peak_rss(monkeypatch):
-    # the largest family at ell = 5 on one and two threads, and a doubled
-    # family at ell = 7; each holds the family and its base
-    for tag, ell, threads in (("Case7", 5, 1), ("Case7", 5, 2),
-                              ("Case8", 7, 1)):
-        monkeypatch.setenv("SYMPKIT_THREADS", str(threads))
+def test_budget_model_bounds_the_family_peak_rss():
+    # the largest family at ell = 5 and a doubled family at ell = 7, each
+    # holding the family and its base (3/2 of the family's order), and Hen
+    # at ell = 7, which is no doubled family and holds 677,376 elements
+    for tag, ell in (("Case7", 5), ("Case8", 7), ("Hen", 7)):
         peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
                                  "--ell", str(ell))
         order = {5: FAMILY_ORDERS_5, 7: FAMILY_ORDERS_7}[ell][tag]
-        assert 0 < peak <= _closure_bytes(order * 3 // 2), (tag, ell)
+        held = order if _FAMILIES[tag][3] is None else order * 3 // 2
+        assert 0 < peak <= _closure_bytes(held), (tag, ell)
 
 
 def test_family_working_set_stays_small():

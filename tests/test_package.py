@@ -44,9 +44,10 @@ EAGER_ALL = [
 ]
 
 # run in a fresh interpreter: `cli.main(argv)`, then report its exit code,
-# whether numpy and dataclasses were loaded and which sympkit modules were
+# whether numpy, dataclasses and concurrent.futures were loaded, which
+# sympkit modules were, OPENBLAS_NUM_THREADS and the OS threads (Linux only)
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 if sys.argv[1:] == ["--bare-import"]:
     import sympkit
     code = 0
@@ -54,24 +55,32 @@ else:
     from sympkit import cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
+tasks = "/proc/self/task"
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules,
+                  "futures": "concurrent.futures" in sys.modules,
+                  "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "os_threads": (len(os.listdir(tasks))
+                                 if os.path.isdir(tasks) else None),
                   "modules": sorted(m for m in sys.modules
                                     if m.startswith("sympkit."))}))
 """
 
 
-def run_python(code, *argv):
-    "Standard output of `python -c code argv...` in a fresh interpreter."
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code, *argv],
-                         env=dict(os.environ, PYTHONPATH=path), check=True,
-                         capture_output=True, text=True, timeout=300)
+def run_python(code, *argv, env=None):
+    """Standard output of `python -c code argv...` in a fresh interpreter,
+    with the environment `env` (default: this one's)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
     return out.stdout
 
 
-def probe(*argv):
-    return json.loads(run_python(_PROBE, *argv))
+def probe(*argv, env=None):
+    return json.loads(run_python(_PROBE, *argv, env=env))
 
 
 def test_all_keeps_the_eager_names():
@@ -136,6 +145,54 @@ def test_subcommand_runs_without_numpy(argv):
 def test_subcommand_loads_numpy(argv):
     got = probe(*argv)
     assert got["code"] == 0 and got["numpy"], got
+
+
+def _without_blas_threads():
+    return {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--case", "LeviB", "--ell", "3"),
+    ("gallery", "solvable"),
+])
+def test_numpy_subcommand_starts_no_thread_pool(argv):
+    # the integer-only numpy work calls no BLAS: main runs OpenBLAS on one
+    # thread, and only a threaded enumeration imports concurrent.futures
+    got = probe(*argv, env=_without_blas_threads())
+    assert got["code"] == 0 and got["numpy"], got
+    assert got["blas_threads"] == "1" and not got["futures"], got
+    assert got["os_threads"] in (1, None), got
+
+
+def test_user_set_blas_threads_are_kept():
+    env = dict(_without_blas_threads(), OPENBLAS_NUM_THREADS="3")
+    got = probe("family", "--case", "LeviB", "--ell", "3", env=env)
+    assert got["code"] == 0 and got["blas_threads"] == "3", got
+
+
+def test_library_import_leaves_the_environment_alone():
+    out = run_python("import os, sympkit.finite_census\n"
+                     "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                     env=_without_blas_threads())
+    assert out.strip() == "None"
+
+
+def test_single_block_enumeration_starts_no_pool():
+    # ell = 3 lists its symplectic bases in one block, so two threads have
+    # nothing to share and no pool is made; the report is the one-thread one
+    argv = ("census", "--ell", "3", "--enumerate", "--json")
+    code = ("import contextlib, io, json, sys\n"
+            "from sympkit import cli\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "report = json.loads(buf.getvalue())\n"
+            "print(json.dumps([code, report['results'], report['assertions'],"
+            " 'concurrent.futures' in sys.modules]))")
+    one = json.loads(run_python(code, *argv, "--threads", "1"))
+    two = json.loads(run_python(code, *argv, "--threads", "2"))
+    assert two == one and one[0] == 0 and not two[3], two
 
 
 def test_rou_charpolys_runs_without_numpy():
@@ -217,8 +274,11 @@ def test_value_types_copy_and_pickle(make):
     cls = type(obj)
     fields = [n for c in cls.__mro__ for n in getattr(c, "__slots__", ())]
     fields += list(getattr(obj, "__dict__", ()))
-    for twin in (copy.copy(obj), copy.deepcopy(obj),
-                 pickle.loads(pickle.dumps(obj))):
+    # each copy is taken in turn, so the first copies a value whose cache
+    # slots are unset and the later ones a value the checks below have hashed
+    for copier in (copy.copy, copy.deepcopy,
+                   lambda x: pickle.loads(pickle.dumps(x))):
+        twin = copier(obj)
         assert type(twin) is cls
         for name in fields:  # a cache slot may be unset on both
             assert _same(getattr(twin, name, None),
