@@ -2,7 +2,8 @@
 
 Matrices are immutable row tuples over any coefficient domain with +, -, *
 (and / for the routines that need a field).  Nothing here is clever; the
-matrices are 2x2 or 4x4 throughout the package.
+matrices are 2x2 or 4x4 throughout the package, and every exact solve runs
+on the one Gauss-Jordan elimination, row_reduce.
 """
 
 from fractions import Fraction
@@ -44,10 +45,6 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def scalar_mul(c, m):
     return tuple(tuple(c * x for x in row) for row in m)
 
@@ -85,23 +82,36 @@ def det(m):
     return out
 
 
-def mat_inv(m):
-    "Gauss-Jordan inverse over a field domain."
-    n = len(m)
-    one = one_like(m[0][0])
-    aug = [list(row) + list(irow) for row, irow in zip(m, identity(n, one))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+def row_reduce(rows):
+    """Gauss-Jordan elimination over a field domain: the reduced row echelon
+    form of `rows` and its pivot columns.  Each pivot is inverted once, as a
+    PrimeFieldElem division inverts on every call."""
+    out = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(out[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(out)) if out[i][col]), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return freeze(row[n:] for row in aug)
+            continue
+        out[r], out[piv] = out[piv], out[r]
+        inv = one_like(out[r][col]) / out[r][col]
+        out[r] = [inv * x for x in out[r]]
+        for i in range(len(out)):
+            if i != r and out[i][col]:
+                f = out[i][col]
+                out[i] = [x - f * y for x, y in zip(out[i], out[r])]
+        pivots.append(col)
+    return freeze(out), tuple(pivots)
+
+
+def mat_inv(m):
+    "Inverse over a field domain: row_reduce of (m | 1)."
+    n = len(m)
+    ident = identity(n, one_like(m[0][0]))
+    red, pivots = row_reduce((*row, *irow) for row, irow in zip(m, ident))
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in red)
 
 
 def mat_eq(a, b):

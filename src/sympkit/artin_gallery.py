@@ -138,7 +138,8 @@ def sym3_identities_check(strict=False):
     ]
     if strict:
         for name, holds, detail in results:
-            assert holds, "%s failed: %s" % (name, detail)
+            if not holds:  # raised even under python -O
+                raise AssertionError("%s failed: %s" % (name, detail))
     return results
 
 

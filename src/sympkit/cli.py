@@ -7,8 +7,9 @@ or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
 odd prime or, for a family, an ell above 13, whose matrices do not pack into
-64-bit keys, a family or --enumerate run over its memory budget, --enumerate
-at an ell other than 3 and 5, or a pool flag given to ceta --case <family>).
+64-bit keys, a rational argument with a zero denominator, a family or
+--enumerate run over its memory budget, --enumerate at an ell other than 3
+and 5, or a pool flag given to ceta --case <family>).
 --json switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
 uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
@@ -44,6 +45,15 @@ def _family_tag(text):
     raise ValueError(
         "unknown family %r (want LeviB, LeviP, LeviQ, Hen, or a case 5-9)"
         % (text,))
+
+
+def _number(text, gaussian=False):
+    "A rational (Gaussian if allowed and written with i); x/0 is a bad value."
+    try:
+        return (parse_gaussian(text) if gaussian and "i" in text
+                else Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def _fmt(x):
@@ -140,7 +150,7 @@ def _cmd_family(args):
 def _cmd_ceta(args):
     from .census import _greedy_cover, c_eta_M
 
-    eta = Fraction(args.eta)
+    eta = _number(args.eta)
     low = args.case.strip().lower()
     if low in ("gsp4", "sp4"):
         hist, oracle = _census(args, low)
@@ -188,7 +198,7 @@ def _cmd_hecke(args):
     if len(parts) != 3:
         raise ValueError('--satake wants three comma-separated values, '
                          'e.g. "1,1,1"')
-    vals = [parse_gaussian(t) if "i" in t else Fraction(t) for t in parts]
+    vals = [_number(t, gaussian=True) for t in parts]
     s = SatakeParams(*vals)
     h = satake_to_hecke(s, args.p)
     spin = spin_factor(s)
@@ -223,7 +233,7 @@ def _cmd_ylattice(args):
     from .hecke_l import LatticeRing, enumerate_Y
 
     ring = LatticeRing(_RING_NAMES[args.ring])
-    c = Fraction(args.c)
+    c = _number(args.c)
     pts = enumerate_Y(c, ring)
     if ring.tag == "Z":
         shown = [str(n) for n in sorted(pts)]

@@ -508,24 +508,18 @@ class Cyclotomic(_Field):
     def inverse(self):
         """Multiplicative inverse, by solving the multiplication-by-self linear
         system over Q on the power basis."""
+        from ._mat import row_reduce  # _mat imports this module
+
         d = len(self.num)
         phi = cyclotomic_polynomial(self.order)
         # column j is den * self * x^j; solving for den * e_0 gives 1 / self
         cols = [_reduce(phi, [0] * j + list(self.num)) for j in range(d)]
-        aug = [[Fraction(cols[j][i]) for j in range(d)]
-               + [Fraction(self.den if i == 0 else 0)] for i in range(d)]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if aug[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("zero divisor in cyclotomic ring")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            lead = aug[col][col]
-            aug[col] = [x / lead for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Cyclotomic(self.order, [aug[r][d] for r in range(d)])
+        red, pivots = row_reduce(
+            [Fraction(cols[j][i]) for j in range(d)]
+            + [Fraction(self.den if i == 0 else 0)] for i in range(d))
+        if pivots[:d] != tuple(range(d)):
+            raise ZeroDivisionError("zero divisor in cyclotomic ring")
+        return Cyclotomic(self.order, [row[d] for row in red])
 
     def __bool__(self):
         return any(self.num)

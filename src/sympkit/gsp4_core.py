@@ -202,7 +202,8 @@ class WeylWord:
     word: tuple
 
     def __post_init__(self):
-        assert all(k in (1, 2) for k in self.word)
+        if not all(k in (1, 2) for k in self.word):
+            raise ValueError("a Weyl word has letters 1 and 2 only")
 
     def matrix(self, one=None):
         out = _mat.identity(4, Fraction(1) if one is None else one)
@@ -282,7 +283,8 @@ class CharacterData:
     s0: Rational = Fraction(0)
 
     def __post_init__(self):
-        assert self.eps1 in (1, -1) and self.eps2 in (1, -1) and self.eps0 in (1, -1)
+        if not all(e in (1, -1) for e in (self.eps1, self.eps2, self.eps0)):
+            raise ValueError("each sign eps must be 1 or -1")
         for f in ("s1", "s2", "s0"):
             object.__setattr__(self, f, Fraction(getattr(self, f)))
 
@@ -353,62 +355,19 @@ def infinity_type_solve(c1, c2):
 # Oddness normal form
 
 
-def _ei(k, one):
-    z = one - one
-    return tuple(one if i == k else z for i in range(4))
-
-
-def _first_nonzero_column(m):
-    cols = _mat.transpose(m)
-    for c in cols:
-        if any(c):
-            return c
-    return None
-
-
-def _normalize_leading(v):
-    for x in v:
-        if x:
-            return tuple(y / x for y in v)
-    return v
-
-
-def _symplectic_extend(v):
-    """A matrix in Sp4 whose first column is v (columns v, v2, w, w2 with
-    <v,w> = <v2,w2> = 1 and all other pairings zero)."""
-    one = one_like(v[0])
-    basis = [_ei(k, one) for k in range(4)]
-    w = next((e for e in basis if pairing(v, e)), None)
-    assert w is not None, "degenerate pairing"
-    s = pairing(v, w)
-    w = tuple(x / s for x in w)
-    # project the standard basis into the symplectic complement of (v, w)
-    proj = []
-    for e in basis:
-        a, b = pairing(w, e), pairing(v, e)
-        proj.append(tuple(x + a * yv - b * yw for x, yv, yw in zip(e, v, w)))
-    v2 = next((_normalize_leading(c) for c in proj if any(c)), None)
-    assert v2 is not None
-    w2 = next((c for c in proj if pairing(v2, c)), None)
-    assert w2 is not None
-    s2 = pairing(v2, w2)
-    w2 = tuple(x / s2 for x in w2)
-    return _mat.transpose((v, v2, w, w2))
-
-
 def oddness_normalize(g):
-    """A conjugator P in GSp4 with P^-1 g P = diag(1, -1, -1, 1), exactly.
+    """A conjugator P in Sp4 with P^-1 g P = diag(1, -1, -1, 1), exactly.
 
     Preconditions: g is an involution, nu(g) = -1, eigenvalues 1, 1, -1, -1
     (checked through char_poly = (1-T)^2 (1+T)^2 so that no factorization
     over the coefficient field is needed).
 
-    The conjugator is assembled constructively: move a +1-eigenvector to e1,
-    so g lands in the Klingen-Levi shape; split off the inner 2x2 involution
-    and diagonalize it to diag(1, -1); the order-2 condition kills the
-    remaining off-diagonal invariant, and the surviving two parameters are
-    removed by an explicit unipotent; finish by conjugating
-    diag(1, 1, -1, -1) to diag(1, -1, -1, 1) with the Weyl representative s2.
+    Both eigenspaces V+ = im(g + 1) and V- = im(g - 1) are Lagrangian, as
+    <x, y> = <gx, gy> / nu(g) = -<x, y> on each, so the pairing joins them
+    perfectly.  P has columns p1, p2, p3, p4: (p1, p4) is the reduced row
+    echelon basis of V+, and p3, p2 are the vectors of V- with
+    <p1, p3> = <p2, p4> = 1 and <p4, p3> = <p1, p2> = 0.  So nu(P) = 1; P is
+    the identity for diag(1, -1, -1, 1) and s2 for diag(1, 1, -1, -1).
     """
     el = g if isinstance(g, GSpElement) else GSpElement(g)
     m = el.mat
@@ -421,39 +380,20 @@ def oddness_normalize(g):
     if char_poly(el) != UPoly([one, one - one, -(one + one), one - one, one]):
         raise ValueError("precondition: eigenvalues must be 1, 1, -1, -1")
 
-    v = _first_nonzero_column(_mat.mat_add(m, ident))
-    assert v is not None
-    p1 = _symplectic_extend(_normalize_leading(v))
-    g1 = _mat.mat_mul(_mat.mat_inv(p1), _mat.mat_mul(m, p1))
-    assert tuple(row[0] for row in g1) == _ei(0, one)
+    def plane(sign):
+        "The basis of im(g + sign): the nonzero rows of its echelon form."
+        shifted = _mat.mat_add(m, _mat.scalar_mul(sign, ident))
+        return _mat.row_reduce(_mat.transpose(shifted))[0][:2]
 
-    b = ((g1[1][1], g1[1][3]), (g1[3][1], g1[3][3]))
-    i2 = _mat.identity(2, one)
-    up = _first_nonzero_column(_mat.mat_add(b, i2))
-    um = _first_nonzero_column(_mat.mat_sub(b, i2))
-    assert up is not None and um is not None
-    up, um = _normalize_leading(up), _normalize_leading(um)
-    delta = up[0] * um[1] - up[1] * um[0]
-    um = tuple(x / delta for x in um)
-    k = [list(row) for row in ident]
-    k[1][1], k[1][3], k[3][1], k[3][3] = up[0], um[0], up[1], um[1]
-    k = _mat.freeze(k)
-    g2 = _mat.mat_mul(_mat.mat_inv(k), _mat.mat_mul(g1, k))
-    assert g2[1][1] == one and g2[3][3] == -one and not g2[1][3] and not g2[3][1]
-    assert not g2[0][1], "order-2 input cannot carry the first unipotent slot"
-    x3, x2 = g2[0][2], g2[0][3]
-
-    half = one / (one + one)
-    p2 = ((one, one - one, -x3 * half, -x2 * half),
-          (one - one, one, -x2 * half, one - one),
-          (one - one, one - one, one, one - one),
-          (one - one, one - one, one - one, one))
-    p = _mat.mat_mul(_mat.mat_mul(p1, k), _mat.mat_mul(p2, weyl_s2(one)))
-    out = GSpElement(p)
+    (p1, p4), minus = plane(one), plane(-one)
+    # pair[j][i] = <(p1, p4)[i], minus[j]>, so pair^-1 minus has rows p3, -p2
+    pair = tuple(tuple(pairing(u, v) for u in (p1, p4)) for v in minus)
+    p3, neg_p2 = _mat.mat_mul(_mat.mat_inv(pair), minus)
+    p = _mat.transpose((p1, tuple(-x for x in neg_p2), p3, p4))
     target = _mat.diag(one, -one, -one, one)
     conj = _mat.mat_mul(_mat.mat_inv(p), _mat.mat_mul(m, p))
     assert _mat.mat_eq(conj, target), "normalization failed"
-    return out
+    return GSpElement(p)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,10 @@ def test_ceta_rejects_bad_eta(capsys):
         code, _, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
                            "--eta", eta)
         assert code == 2 and "eta" in err
+    # a zero denominator is a bad value too, not a traceback
+    code, _, err = run(capsys, "ceta", "--case", "gsp4", "--ell", "3",
+                       "--eta", "1/0")
+    assert code == 2 and err.startswith("error:") and "1/0" in err
 
 
 def test_hecke_trivial_point(capsys):
@@ -377,6 +381,9 @@ def test_hecke_bad_inputs(capsys):
     assert code == 2
     code, _, _ = run(capsys, "hecke", "--satake", "0,1,1", "--p", "2")
     assert code == 2
+    for satake in ("1/0,1,1", "1,1/0*i,1"):
+        code, _, err = run(capsys, "hecke", "--satake", satake, "--p", "3")
+        assert code == 2 and err.startswith("error:") and "1/0" in err
 
 
 def test_ylattice_counts(capsys):
@@ -435,6 +442,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "census", "--ell", "7", "--enumerate")[0] == 2
     assert run(capsys, "census", "--ell", "5",
                "--enumerate")[0] == 2  # over the default budget
+    code, _, err = run(capsys, "ylattice", "--ring", "z", "--c", "1/0")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_threads_env_override(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sympkit import _mat
 from sympkit.exact_arith import (
     Cyclotomic,
     GaussianRational,
@@ -328,6 +329,13 @@ def test_field_derived_operators(z):
     assert z ** -3 == z.inverse() ** 3
     assert z ** 5 == z * z * z * z * z
     assert z ** 0 == z.one()
+    # the Gauss-Jordan elimination behind Cyclotomic.inverse and mat_inv
+    with pytest.raises(ZeroDivisionError):
+        (z - z).inverse()
+    with pytest.raises(ZeroDivisionError):
+        _mat.mat_inv(((z, 2 * z), (3 * z, 6 * z)))
+    m = ((z - z, z.one()), (z, z.one()))  # det -z; the pivot needs a swap
+    assert _mat.mat_mul(_mat.mat_inv(m), m) == _mat.identity(2, z.one())
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

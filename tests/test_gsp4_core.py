@@ -155,6 +155,9 @@ def test_weyl_act_pinned():
     assert weyl_act((1, 1), (a, b, c)) == (a, b, c)
     assert weyl_act((2, 2), (a, b, c)) == (a, b, c)
     assert weyl_act(WeylWord((1, 2)), (a, b, c)) == weyl_act((2,), (b, a, c))
+    for word in ((3,), (1, 0)):
+        with pytest.raises(ValueError):
+            WeylWord(word)
 
 
 def test_weyl_act_matches_matrix_conjugation():
@@ -185,6 +188,9 @@ def test_orbit_and_stabilizer_pinned():
         (1, -1, 1), (-1, 1, 1), (1, -1, -1), (-1, 1, -1)}
     assert {w.word for w in stab} == {(), (1, 2, 1)}
     assert len(orbit) * len(stab) == 8
+    for signs in ((2, 1, 1), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            CharacterData(*signs)
 
 
 def test_orbit_trivial_character():
@@ -252,9 +258,11 @@ def test_oddness_pinned():
 
 
 def test_oddness_random_conjugates():
-    """Conjugates h g0 h^-1 over F_7, F_11 and Q are all normalized back."""
+    """Conjugates h g0 h^-1 over F_7, F_11, Q and Q(i) are all normalized
+    back by a conjugator of similitude factor 1."""
     rng = random.Random(6)
-    for one in (PrimeFieldElem(7, 1), PrimeFieldElem(11, 1), F(1)):
+    for one in (PrimeFieldElem(7, 1), PrimeFieldElem(11, 1), F(1),
+                GaussianRational(1)):
         g0 = _mat.diag(one, one, -one, -one)
         target = _mat.diag(one, -one, -one, one)
         for _ in range(8):
@@ -262,6 +270,7 @@ def test_oddness_random_conjugates():
             g = _mat.mat_mul(h, _mat.mat_mul(g0, _mat.mat_inv(h)))
             p = oddness_normalize(g)
             assert similitude_of(p.mat) is not None
+            assert p.nu == one
             conj = _mat.mat_mul(_mat.mat_inv(p.mat), _mat.mat_mul(g, p.mat))
             assert _mat.mat_eq(conj, target)
 

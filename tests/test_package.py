@@ -195,6 +195,24 @@ def test_single_block_enumeration_starts_no_pool():
     assert two == one and one[0] == 0 and not two[3], two
 
 
+def test_input_checks_survive_python_O():
+    # under -O an assert is skipped, so these checks must raise by hand
+    code = ("from sympkit.artin_gallery import sym3_identities_check\n"
+            "from sympkit.gsp4_core import CharacterData, WeylWord\n"
+            "for check, exc in ((lambda: WeylWord((3,)), ValueError),\n"
+            "                   (lambda: CharacterData(2, 1, 1), ValueError),\n"
+            "                   (lambda: sym3_identities_check(strict=True),\n"
+            "                    AssertionError)):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except exc:\n"
+            "        print(exc.__name__)\n"
+            "print(__debug__)")
+    out = run_python(code, env=dict(os.environ, PYTHONOPTIMIZE="1"))
+    assert out.split() == ["ValueError", "ValueError", "AssertionError",
+                           "False"]
+
+
 def test_rou_charpolys_runs_without_numpy():
     out = json.loads(run_python(
         "import json, sys\n"
