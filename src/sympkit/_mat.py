@@ -50,7 +50,8 @@ def scalar_mul(c, m):
 
 
 def mat_pow(m, n):
-    assert n >= 0
+    if n < 0:  # -1 >> 1 == -1: the loop below would never end
+        raise ValueError("mat_pow needs a nonnegative exponent")
     out = identity(len(m), one_like(m[0][0]))
     base = m
     while n:

@@ -8,12 +8,11 @@ checkerboard embedding GL2 x GL2 -> GSp4 on pairs of equal determinant,
 ties the gallery to the Euler-factor module.
 
 All verification here is computational and exact; the report functions state
-what the matrices actually do, and tests freeze those values.  Closures run on
-scaled Gaussian-integer arrays: d*M as int64 real and imaginary parts, with
-every batched product divided by d under an exactness check, through the same
-coset closure that closes packed keys over F_ell (finite_census._closure).  The
-per-element facts (similitudes, orders modulo +-I, scalars) are computed on
-those arrays too.
+what the matrices actually do, and tests freeze those values.  Closures and
+the per-element facts (similitudes, orders modulo +-I, scalars) run on scaled
+keys: d*M as one flat tuple of Gaussian-integer (re, im) pairs, every product
+divided by d under an exactness check.  Nothing here loads numpy: the module
+has its own coset closure, independent of the packed-key one over F_ell.
 """
 
 import functools
@@ -32,10 +31,6 @@ from .gsp4_core import (
     try_similitude,
 )
 from .hecke_l import EulerFactor
-# finite_census and numpy last: the rest compiles before numpy loads
-from .finite_census import _J4, _closure
-
-import numpy as np
 
 
 def gauss_mat(rows):
@@ -200,9 +195,8 @@ class FiniteMatrixGroup(_Frozen):
     """A finite group of exact matrices: generators plus the full closure.
 
     Besides the frozen GaussianRational matrices it keeps them scaled, as
-    (d, arr): arr holds d times every element as an int64 (N, 2, n, n) array
-    of real and imaginary parts, on which the per-element facts below are
-    computed.  Built from `elements` unless given.
+    (d, keys): the keys of d times every element (see _scale), on which the
+    per-element facts below are computed.  Built from `elements` unless given.
     """
 
     __slots__ = ("generators", "elements", "scaled")
@@ -241,147 +235,151 @@ def _mat_sort_key(m):
 
 
 # ---------------------------------------------------------------------------
-# scaled Gaussian-integer arrays: d*M as int64 (real part, imaginary part)
+# scaled keys: d*M as one flat tuple of Gaussian-integer (re, im) pairs
 
 
 class _Inexact(Exception):
     "A product left (1/d) Z[i]: its entries need a larger denominator."
 
 
-def _checked(arr):
-    "arr, unless an entry is too large for an n x n complex product in int64."
-    n = arr.shape[-1]
-    if arr.size and np.abs(arr).max() > isqrt((2 ** 63 - 1) // (2 * n)):
+def _checked(key):
+    """key, unless an entry is past 2n x^2 < 2^63, the bound of an n x n
+    product in int64; it stops an infinite generator set."""
+    bound = isqrt((2 ** 63 - 1) // (2 * isqrt(len(key))))
+    if any(abs(x) > bound for z in key for x in z):
         raise RuntimeError("matrix entries outgrow int64")
-    return arr
+    return key
 
 
 def _scale(mats, d=None):
-    """(d, arr) for a list of n x n matrices: arr[k] is d * mats[k] as int64
-    real and imaginary parts; d defaults to the lcm of every denominator."""
-    zs = [GaussianRational(x) for m in mats for row in m for x in row]
-    if d is None:
-        d = lcm(1, *(z.den for z in zs))
-    n = len(mats[0])
-    ints = np.array([k * (d // z.den) for z in zs for k in z.num], dtype=object)
-    arr = _checked(ints.reshape(-1, n, n, 2).transpose(0, 3, 1, 2))
-    return d, arr.astype(np.int64, order="C")
+    """(d, keys) for n x n matrices: keys[k] is the key of d * mats[k], row by
+    row; d defaults to the lcm of every denominator."""
+    zs = [[GaussianRational(x) for row in m for x in row] for m in mats]
+    d = d or lcm(1, *(z.den for m in zs for z in m))
+    return d, tuple(_checked(tuple(tuple(k * (d // z.den) for k in z.num)
+                                   for z in m)) for m in zs)
 
 
 def _product(a, b, d):
-    """a*b/d for stacks of scaled matrices (..., 2, n, n), broadcast over the
-    leading axes; exact, or _Inexact when d does not divide the product."""
-    (ar, ai), (br, bi) = np.moveaxis(a, -3, 0), np.moveaxis(b, -3, 0)
-    prod = np.stack([ar @ br - ai @ bi, ar @ bi + ai @ br], axis=-3)
-    quot, rem = np.divmod(prod, d)
-    if rem.any():
-        raise _Inexact
-    return quot
+    "The key of a*b/d; exact, or _Inexact when d does not divide a*b."
+    n = isqrt(len(b))
+    out = []
+    for i in range(0, len(a), n):
+        for j in range(n):
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(a[i:i + n], b[j::n]):
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            if re % d or im % d:
+                raise _Inexact
+            out.append((re // d, im // d))
+    return tuple(out)
 
 
-def _keys(arr):
-    """One sortable key per scaled matrix: its bytes as a fixed-width byte
-    string (equal-width strings compare equal exactly when their bytes do)."""
-    flat = np.ascontiguousarray(arr).reshape(len(arr), -1)
-    return flat.view(np.dtype("S%d" % (flat.shape[1] * 8))).ravel()
-
-
-def _unscale(d, arr):
-    "The frozen GaussianRational matrices of a scaled array."
-    entry = functools.cache(lambda re, im: GaussianRational._make(4, [re, im], d))
-    return [tuple(tuple(map(entry, rr, ii)) for rr, ii in zip(*m))
-            for m in arr.tolist()]
+def _unscale(d, keys):
+    "The frozen GaussianRational matrices of scaled keys, n entries a row."
+    entry = functools.cache(lambda z: GaussianRational._make(4, list(z), d))
+    return [tuple(zip(*[iter(map(entry, m))] * isqrt(len(m)))) for m in keys]
 
 
 def group_closure(gens, cap=10000):
     """Close a generator list under multiplication (finite groups only).
 
-    The matrices are held as d*M in int64 Gaussian-integer arrays, d the lcm
-    of the generators' denominators, and closed from the identity by
-    finite_census._closure (Dimino's algorithm) with batched products by one
-    generator, each divided by d with an exactness check.  A product needing
-    a larger denominator restarts the closure at d times that lcm; nothing is
-    ever rounded.  Raises RuntimeError past cap elements or when entries
-    outgrow int64, which signals a mis-entered or infinite generator set.
+    The keys of d*M, d the lcm of the generators' denominators, are closed
+    from the identity by _dimino, every product divided by d with an
+    exactness check; one needing a larger denominator restarts the closure
+    at d times that lcm, so nothing is rounded.  Raises RuntimeError past
+    cap elements or when entries outgrow int64, which signals a mis-entered
+    or infinite generator set.  No numpy: finite_census is not used.
     """
     gens = [_mat.freeze(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0])
+    one = _mat.identity(len(gens[0]))
     d0 = d = _scale(gens)[0]
-
-    def times(keys, s):  # the products with generator s, at the scale d
-        mats = np.ascontiguousarray(keys).view(np.int64).reshape(-1, 2, n, n)
-        return _keys(_checked(_product(mats, g[s], d)))
-
     while True:
-        g = _scale(gens, d)[1]
         try:
-            keys = _closure(_keys(_scale([_mat.identity(n)], d)[1]), len(g),
-                            times, cap=cap)
+            keys = _dimino(_scale([one], d)[1][0], _scale(gens, d)[1], d, cap)
             break
         except _Inexact:
             d *= d0
-    arr = keys.view(np.int64).reshape(-1, 2, n, n)
-    return FiniteMatrixGroup(gens, _unscale(d, arr), (d, arr))
+    return FiniteMatrixGroup(gens, _unscale(d, keys), (d, keys))
 
 
-def _one_of(m):
-    return one_like(m[0][0])
+def _dimino(one, gens, d, cap):
+    """The keys of the group the keys `gens` generate (Dimino's algorithm):
+    stage j extends H = <g_0, ..., g_(j-1)> by whole right cosets H.r, each a
+    block.  A union of cosets holds a coset when it holds one of its keys, so
+    each new block is tested once per g_s, s <= j (g_s permutes the cosets,
+    so no block repeats); a stage ends when no block has a new image."""
+    seen, group = {one}, [one]
+    for j, g in enumerate(gens):
+        if g in seen:
+            continue
+        blocks = new = [group]
+        while new:
+            fresh = []
+            for g_s in gens[:j + 1]:
+                for block in new:
+                    if _product(block[0], g_s, d) not in seen:
+                        fresh.append([_checked(_product(x, g_s, d))
+                                      for x in block])
+                        seen.update(fresh[-1])
+            if len(seen) > cap:
+                raise RuntimeError("closure cap exceeded (%d elements, cap %d)"
+                                   % (len(seen), cap))
+            blocks, new = blocks + fresh, fresh
+        group = [x for block in blocks for x in block]
+    return tuple(group)
 
 
-def _is_scalar(m):
-    lam = m[0][0]
-    return _mat.mat_eq(m, _mat.scalar_mul(lam, _mat.identity(len(m), _one_of(m))))
-
-
-def _scalar_mask(arr):
-    "Which scaled matrices are scalar."
-    return (arr == arr[:, :, :1, :1] * np.eye(arr.shape[-1], dtype=np.int64)
-            ).all(axis=(1, 2, 3))
+def _is_scalar(key):
+    "Whether a key is that of a scalar matrix."
+    n = isqrt(len(key))
+    return key == tuple(key[0] if i == j else (0, 0)
+                        for i in range(n) for j in range(n))
 
 
 def scalar_elements(group):
     "The lambdas with lambda*I in the group, deterministically ordered."
-    d, arr = group.scaled
-    scalars = _unscale(d, arr[_scalar_mask(arr)])
+    d, keys = group.scaled
+    scalars = _unscale(d, [m for m in keys if _is_scalar(m)])
     return tuple(sorted((m[0][0] for m in scalars), key=_gauss_sort_key))
 
 
 def quotient_by_sign(group):
-    """(order, exponent) of the image of the group modulo {+-I}.
-
-    The order is |G|/2 when -I lies in G, else |G|.  The exponent is the lcm
-    of the least k with g^k = +-I, found for all elements at once from the
-    batched powers g, g^2, ... on the scaled arrays.
-    """
-    d, arr = group.scaled
-    eye = np.eye(arr.shape[-1], dtype=np.int64)
-
-    def equal(mats, lam):  # which scaled matrices are lam*I, lam an integer
-        return ((mats[:, 0] == lam * eye).all(axis=(1, 2))
-                & ~mats[:, 1].any(axis=(1, 2)))
-
-    has_neg = equal(arr, -d).any()
-    exponent, power, pending = 1, arr, np.ones(len(arr), dtype=bool)
-    for k in range(1, len(arr) + 1):
-        done = pending & (equal(power, d) | equal(power, -d))
-        if done.any():
-            exponent = lcm(exponent, k)
-            pending &= ~done
-        if not pending.any():
-            return group.order // (2 if has_neg else 1), exponent
-        power = _checked(_product(power, arr, d))
-    raise ValueError("not a finite group: an element has no order")
+    """(order, exponent) of the image of the group modulo {+-I}: |G|/2 when
+    -I lies in G, else |G|, and the lcm over the elements g of the least k
+    with g^k = +-I, from the powers g, g^2, ... on the scaled keys."""
+    d, keys = group.scaled
+    signs = ((d, 0), (-d, 0))
+    exponent = 1
+    for m in keys:
+        power = m
+        for k in range(1, len(keys) + 1):
+            if power[0] in signs and _is_scalar(power):
+                exponent = lcm(exponent, k)
+                break
+            power = _checked(_product(power, m, d))
+        else:
+            raise ValueError("not a finite group: an element has no order")
+    has_neg = any(m[0] == signs[1] and _is_scalar(m) for m in keys)
+    return group.order // (2 if has_neg else 1), exponent
 
 
-def _similitude_mask(group):
-    """Which 4x4 elements m satisfy t(m) J m = nu J with nu nonzero (as
-    try_similitude), from the Gram matrices d^2 t(m) J m of the scaled arrays."""
-    _, arr = group.scaled
-    gram = _product(arr.swapaxes(-1, -2), _J4 @ arr, 1)
-    nu = gram[:, :, :1, 2:3]
-    return (gram == nu * _J4).all(axis=(1, 2, 3)) & nu.any(axis=(1, 2, 3))
+_J4 = (0, 0, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, -1, 0, 0)
+
+
+def _similitude_count(group):
+    """How many 4x4 keys m have t(m) J m = nu J, nu nonzero (try_similitude
+    on d*M); J m is m with rows 2, 3 raised and rows 0, 1 negated, lowered."""
+    count = 0
+    for m in group.scaled[1]:
+        gram = _product(tuple(z for i in range(4) for z in m[i::4]),
+                        m[8:] + tuple((-re, -im) for re, im in m[:8]), 1)
+        nu = gram[2]
+        count += any(nu) and gram == tuple((nu[0] * x, nu[1] * x) for x in _J4)
+    return count
 
 
 def gallery_report(cap=10000):
@@ -416,13 +414,13 @@ def gallery_report(cap=10000):
         "quotient_mod_sign_exponent": q_exponent,
         "twist_normalizes_involution_group": t_normalizes,
         "twist_fifth_power_is_identity": _mat.mat_eq(t5, ident),
-        "twist_fifth_power_is_scalar": _is_scalar(t5),
+        "twist_fifth_power_is_scalar": _is_scalar(_scale([t5])[1][0]),
         "scalars_in_involution_closure": [
             format_gaussian(x) for x in scalar_elements(a_grp)],
-        "similitude_count_full": int(_similitude_mask(full).sum()),
+        "similitude_count_full": _similitude_count(full),
         "odd_involution_conjugator_nu": format_gaussian(odd.nu),
-        "every_involution_closure_element_similitude": bool(
-            _similitude_mask(a_grp).all()),
+        "every_involution_closure_element_similitude":
+            _similitude_count(a_grp) == a_grp.order,
     }
 
 
@@ -448,7 +446,7 @@ def gl2_euler_factor(m):
     "det(1 - mT) = 1 - tr(m) T + det(m) T^2 as a degree-2 EulerFactor."
     m = _mat.freeze(m)
     tr = m[0][0] + m[1][1]
-    return EulerFactor(UPoly([_one_of(m), -tr, _mat.det(m)]))
+    return EulerFactor(UPoly([one_like(m[0][0]), -tr, _mat.det(m)]))
 
 
 def endoscopic_factor_check(a, b):

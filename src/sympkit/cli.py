@@ -12,8 +12,8 @@ odd prime or, for a family, an ell above 13, whose matrices do not pack into
 and 5, or a pool flag given to ceta --case <family>).
 --json switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
-uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice and
-p1reps never load numpy; nor does anything in hecke_l, rou_charpolys included.
+uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps
+and gallery never load numpy; nor does anything in hecke_l or artin_gallery.
 The CLI imports numpy only through those modules, so they compile before it
 loads; main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 """

@@ -17,8 +17,8 @@ permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The generator closure `mulclose`
 remains as the independent oracle and builds the subgroup families; its
 loop, _closure (Dimino's algorithm: whole cosets, one membership test per
-coset), works on sorted keys of any dtype and also closes the Q(i) gallery
-of artin_gallery.  The families (Levi factors, the checkerboard endoscopic
+coset), works on sorted keys; artin_gallery closes the Q(i) gallery with
+its own.  The families (Levi factors, the checkerboard endoscopic
 group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
 generators written from the structure, a membership predicate (a zero or
 block pattern) and a closed-form order, and for Case5-Case8 the involution
@@ -204,8 +204,8 @@ def _sorted_unique(keys):
 
 
 def _closure(sub, ngens, times, cap=None):
-    """The group generated by g_0, ..., g_(ngens-1), as sorted 1-D keys of
-    any sortable dtype (Dimino's algorithm).
+    """The group generated by g_0, ..., g_(ngens-1), as sorted 1-D keys
+    (Dimino's algorithm; the Q(i) gallery has its own, without numpy).
 
     `sub` holds the sorted keys of <g_0, ..., g_(m-1)> for some m (the
     identity alone for m = 0), and `times(keys, s)` the key of x.g_s for

@@ -13,12 +13,11 @@ Conventions fixed here and used everywhere else:
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import _mat
-from .exact_arith import (GaussianRational, Rational, UPoly, _Frozen, one_like,
+from .exact_arith import (GaussianRational, UPoly, _Frozen, one_like,
                           rational_sqrt)
 
 
@@ -195,15 +194,36 @@ def is_in_levi(g, which):
 # Weyl group combinatorics
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class _Record(_Frozen):
+    """A value equal to another of its class with the same slots, hashed as
+    the tuple of its slots and shown as Name(slot=value, ...)."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class WeylWord(_Record):
     """A word in the two Weyl generators, stored as a tuple over {1, 2}."""
 
-    word: tuple
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if not all(k in (1, 2) for k in self.word):
+    def __init__(self, word):
+        word = tuple(word)
+        if not all(k in (1, 2) for k in word):
             raise ValueError("a Weyl word has letters 1 and 2 only")
+        object.__setattr__(self, "word", word)
 
     def matrix(self, one=None):
         out = _mat.identity(4, Fraction(1) if one is None else one)
@@ -267,26 +287,21 @@ def weyl_act(w, t):
     return (t1, t2, t0)
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(_Record):
     """A character of the real torus: three sign bits and three exact exponents.
 
     chi(t) = eps1(t1)|t1|^s1 * eps2(t2)|t2|^s2 * eps0(t0)|t0|^s0 with each
     eps either trivial (+1) or the sign character (-1).
     """
 
-    eps1: int
-    eps2: int
-    eps0: int
-    s1: Rational = Fraction(0)
-    s2: Rational = Fraction(0)
-    s0: Rational = Fraction(0)
+    __slots__ = ("eps1", "eps2", "eps0", "s1", "s2", "s0")
 
-    def __post_init__(self):
-        if not all(e in (1, -1) for e in (self.eps1, self.eps2, self.eps0)):
+    def __init__(self, eps1, eps2, eps0, s1=0, s2=0, s0=0):
+        if not all(e in (1, -1) for e in (eps1, eps2, eps0)):
             raise ValueError("each sign eps must be 1 or -1")
-        for f in ("s1", "s2", "s0"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+        s1, s2, s0 = Fraction(s1), Fraction(s2), Fraction(s0)
+        for name, value in zip(self.__slots__, (eps1, eps2, eps0, s1, s2, s0)):
+            object.__setattr__(self, name, value)
 
 
 def chi_act(w, chi):

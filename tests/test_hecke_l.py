@@ -289,13 +289,22 @@ def test_rou_charpolys_frozen_counts():
     assert len(rou_charpolys(7)) == math.comb(15, 4) == 1365
 
 
-def _factor_digest(factors):
-    """SHA-256 of the sorted JSON coefficient vectors, each coefficient the
-    list of its power-basis entries as strings (the benchmark's canonical
-    form)."""
-    canon = sorted(json.dumps([[str(q) for q in f.coeff(k).coeffs]
-                               for k in range(f.degree + 1)])
-                   for f in factors)
+def _canonical(factors, from_rows):
+    """The sorted JSON coefficient vectors, each coefficient the list of its
+    power-basis entries as strings (the benchmark's canonical form).  They
+    are read off `Cyclotomic.coeffs`, or with from_rows off the integer row
+    num over den, which writes the same strings with no Fraction built for
+    an integer entry."""
+    def entries(c):
+        if not from_rows:
+            return [str(q) for q in c.coeffs]
+        return [str(n) if c.den == 1 else str(F(n, c.den)) for n in c.num]
+
+    return sorted(json.dumps([entries(f.coeff(k))
+                              for k in range(f.degree + 1)]) for f in factors)
+
+
+def _digest(canon):
     return hashlib.sha256("\n".join(canon).encode()).hexdigest()
 
 
@@ -312,9 +321,14 @@ def _factor_digest(factors):
 def test_rou_charpolys_frozen_digests(a, symplectic, count, digest):
     # frozen from the numpy-summed, Fraction-row implementation; 5985 is
     # C(18 + 3, 4), with 18 roots of unity of order < 8
+    # A = 8 reads the integer rows (about 2.9 million Fractions otherwise);
+    # at A = 7 both readings are taken and must agree
     factors = rou_charpolys(a, symplectic_only=symplectic)
     assert len(factors) == count
-    assert _factor_digest(factors) == digest
+    canon = _canonical(factors, from_rows=a == 8)
+    assert _digest(canon) == digest
+    if a == 7:
+        assert _canonical(factors, from_rows=True) == canon
 
 
 def test_density_ratio():

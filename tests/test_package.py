@@ -8,7 +8,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -128,18 +127,22 @@ def test_bare_import_loads_no_submodule():
     ("hecke", "--satake", "1,1,1", "--p", "3"),
     ("ylattice", "--ring", "gaussian", "--c", "2"),
     ("p1reps", "--p", "3", "--beta", "2"),
+    ("gallery", "solvable"),
+    ("gallery", "sym3"),
 ])
 def test_subcommand_runs_without_numpy(argv):
-    # dataclasses costs about 10 ms of import per task; only the numpy
-    # paths (through gsp4_core) may load it
+    # dataclasses costs about 10 ms of import per task, and the gallery's
+    # closures are its own, so finite_census stays unloaded too; gallery
+    # sym3 exits 1 because two printed identities fail (test_cli.py)
     got = probe(*argv)
-    assert got["code"] == 0 and not got["numpy"], got
+    assert got["code"] == int(argv == ("gallery", "sym3")), got
+    assert not got["numpy"], got
     assert not got["dataclasses"], got
+    assert "sympkit.finite_census" not in got["modules"], got
 
 
 @pytest.mark.parametrize("argv", [
     ("family", "--case", "LeviB", "--ell", "3"),
-    ("gallery", "solvable"),
     ("census", "--ell", "3", "--enumerate"),
 ])
 def test_subcommand_loads_numpy(argv):
@@ -154,7 +157,6 @@ def _without_blas_threads():
 
 @pytest.mark.parametrize("argv", [
     ("family", "--case", "LeviB", "--ell", "3"),
-    ("gallery", "solvable"),
 ])
 def test_numpy_subcommand_starts_no_thread_pool(argv):
     # the integer-only numpy work calls no BLAS: main runs OpenBLAS on one
@@ -197,12 +199,15 @@ def test_single_block_enumeration_starts_no_pool():
 
 def test_input_checks_survive_python_O():
     # under -O an assert is skipped, so these checks must raise by hand
-    code = ("from sympkit.artin_gallery import sym3_identities_check\n"
+    code = ("from sympkit import _mat\n"
+            "from sympkit.artin_gallery import sym3_identities_check\n"
             "from sympkit.gsp4_core import CharacterData, WeylWord\n"
             "for check, exc in ((lambda: WeylWord((3,)), ValueError),\n"
             "                   (lambda: CharacterData(2, 1, 1), ValueError),\n"
             "                   (lambda: sym3_identities_check(strict=True),\n"
-            "                    AssertionError)):\n"
+            "                    AssertionError),\n"
+            "                   (lambda: _mat.mat_pow(_mat.identity(2), -1),\n"
+            "                    ValueError)):\n"
             "    try:\n"
             "        check()\n"
             "    except exc:\n"
@@ -210,7 +215,7 @@ def test_input_checks_survive_python_O():
             "print(__debug__)")
     out = run_python(code, env=dict(os.environ, PYTHONOPTIMIZE="1"))
     assert out.split() == ["ValueError", "ValueError", "AssertionError",
-                           "False"]
+                           "ValueError", "False"]
 
 
 def test_rou_charpolys_runs_without_numpy():
@@ -268,9 +273,8 @@ def test_value_types_refuse_assignment_and_deletion(make, field):
     with pytest.raises(AttributeError):
         obj.no_such_field = 0
     assert getattr(obj, field) is value
-    # __slots__ = () on both bases keeps instances free of a __dict__; the
-    # two frozen dataclasses of gsp4_core are not slotted
-    assert hasattr(obj, "__dict__") == is_dataclass(obj)
+    # __slots__ = () on every base keeps instances free of a __dict__
+    assert not hasattr(obj, "__dict__")
 
 
 def _same(a, b):
