@@ -144,6 +144,7 @@ def test_subcommand_runs_without_numpy(argv):
 @pytest.mark.parametrize("argv", [
     ("family", "--case", "LeviB", "--ell", "3"),
     ("census", "--ell", "3", "--enumerate"),
+    ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4"),
 ])
 def test_subcommand_loads_numpy(argv):
     got = probe(*argv)
