@@ -17,12 +17,12 @@ permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The generator closure `mulclose`
 remains as the independent oracle and builds the subgroup families; its
 loop, _closure (Dimino's algorithm: whole cosets, one membership test per
-coset), works on sorted keys; artin_gallery closes the Q(i) gallery with
-its own.  The families (Levi factors, the checkerboard endoscopic
-group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
-generators written from the structure, a membership predicate (a zero or
-block pattern) and a closed-form order, and for Case5-Case8 the involution
-w that doubles the base.  A family or base is the closure of its
+coset), merges sorted keys in a buffer per stage; artin_gallery closes the
+Q(i) gallery with its own.  The families (Levi factors, the checkerboard
+endoscopic group, and Case5-Case9) come from one table, _FAMILIES: per tag
+a few generators written from the structure, a membership predicate (a zero
+or block pattern) and a closed-form order, and for Case5-Case8 the
+involution w that doubles the base.  A family or base is the closure of its
 generators, so a group; every element passing the predicate and the
 similitude test puts it inside the family, and a count equal to the order
 makes it whole, as for the full groups (_closed_family).  A doubled family
@@ -34,8 +34,8 @@ the keys, with no matrix unpacked: row r of m.g is row r of m times g, so
 one table per multiplier g, from each row field of a key (4 entries, 4
 ceil(log2 ell) bits) to the field of the product row, makes a product four
 lookups shifted into place (_row_tables, _products).  Every loop over the
-elements of a key array (the checks, nu_values, charpoly_census) unpacks
-_CHUNK_ROWS keys per pass, few enough that its temporaries stay in cache.
+elements of a key array (the checks, the similitude factors, the census)
+unpacks _CHUNK_ROWS keys per pass into one array, its temporaries in cache.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -104,15 +104,15 @@ def pack_matrices(mats, ell):
 
 def unpack_keys(keys, ell, dtype=np.int64):
     "(N,) uint64 keys -> (N, 4, 4) matrices."
-    keys = np.asarray(keys, dtype=np.uint64)
-    mask = np.uint64((1 << _bits_for(ell)) - 1)
-    out = (keys[:, None] >> _shifts(ell)) & mask
-    return out.astype(dtype).reshape(-1, 4, 4)
+    out = np.asarray(keys, dtype=np.uint64)[:, None] >> _shifts(ell)
+    out &= np.uint64((1 << _bits_for(ell)) - 1)
+    # every entry is below ell <= 13, so the int64 view is exact
+    return out.view(np.int64).astype(dtype, copy=False).reshape(-1, 4, 4)
 
 
 # Rows per pass of every loop over elements (GroupSet.matrices, the checks
-# of _closed_family and _enumerate_similitudes): the int64 matrices of one
-# pass take 512 KiB and its temporaries stay in cache.
+# of _closed_family and _enumerate_similitudes): the matrices of one pass
+# are one 512 KiB array and its temporaries stay in cache.
 _CHUNK_ROWS = 1 << 12
 
 
@@ -210,34 +210,40 @@ def _closure(sub, ngens, times, cap=None):
     `sub` holds the sorted keys of <g_0, ..., g_(m-1)> for some m (the
     identity alone for m = 0), and `times(keys, s)` the key of x.g_s for
     every key x, in order.  Stage j, unless g_j lies in it, extends the group
-    so far, H = <g_0, ..., g_(j-1)>, by whole right cosets H.r, each a block
+    so far, H = <g_0, ..., g_(j-1)>, by whole right cosets H.r, each a row
     listed in H's order.  A union of cosets holds a coset when it holds one
-    of its keys, so each round tests one key per new block times each g_s,
-    s <= j; a fresh one's coset is one `times` pass over the block, merged
-    before the next s (g_s permutes the cosets, so no block repeats).  The
-    stage ends when every coset times every g_s lies in the union: a finite
-    set holding 1 and closed under the generators, so the group they
-    generate.  Exceeding `cap` elements raises RuntimeError.
+    of its keys, so each round tests one key per row of the last block times
+    each g_s, s <= j; a fresh one's coset is one `times` pass over its row,
+    sorted into the stage's buffer and merged by a stable sort before the
+    next s (g_s permutes the cosets, so no row repeats).  The stage ends
+    when every coset times every g_s lies in the union: a finite set holding
+    1 and closed under the generators, so the group they generate.
+    Exceeding `cap` elements raises RuntimeError.
     """
-    seen = group = sub
+    seen = sub
     for j in range(ngens):
-        if _contains_sorted(seen, times(group[:1], j))[0]:
+        if _contains_sorted(seen, times(seen[:1], j))[0]:
             continue
-        blocks = [group[None]]
-        while blocks[-1].size:
+        block, buf = seen[None], seen[:0]  # a new buffer leaves H whole
+        while block.size:
             fresh = []
             for s in range(j + 1):
-                new = ~_contains_sorted(seen, times(blocks[-1][:, 0], s))
+                new = ~_contains_sorted(seen, times(block[:, 0], s))
                 if new.any():
-                    fresh.append(times(blocks[-1][new].ravel(), s))
-                    keys = np.sort(fresh[-1])
-                    seen = np.insert(seen, np.searchsorted(seen, keys), keys)
-                    if cap is not None and seen.size > cap:
+                    fresh.append(times(block[new].ravel(), s))
+                    n, m = seen.size, seen.size + fresh[-1].size
+                    if cap is not None and m > cap:
                         raise RuntimeError("closure cap exceeded (%d elements,"
-                                           " cap %d)" % (seen.size, cap))
-            blocks.append(np.concatenate(fresh or [group[:0]])
-                          .reshape(-1, group.size))
-        group = np.concatenate([b.ravel() for b in blocks])
+                                           " cap %d)" % (m, cap))
+                    if m > buf.size:  # unwritten pages of np.empty are free
+                        buf = np.empty(cap or 2 * m, dtype=np.uint64)
+                        buf[:n] = seen
+                    buf[n:m] = fresh[-1]
+                    buf[n:m].sort()
+                    seen = buf[:m]
+                    seen.sort(kind="stable")  # merges the two sorted runs
+            block = np.concatenate(fresh or [seen[:0]]).reshape(
+                -1, block.shape[1])
     return seen
 
 
@@ -280,11 +286,15 @@ def _key_closure(sub, gens, ell, cap):
 
 
 def mulclose(gens, ell, cap=None):
-    """Product closure of integer matrices mod ell, as sorted packed keys:
-    _key_closure from the identity (see _closure for cap)."""
+    """Product closure of invertible integer matrices mod ell, as sorted
+    packed keys: _key_closure from the identity (see _closure for cap)."""
     gens = np.asarray(gens, dtype=np.int64) % ell
     if gens.size == 0:
         raise ValueError("need at least one generator")
+    singular = np.flatnonzero(_det4(gens.reshape(-1, 4, 4)) % ell == 0)
+    if singular.size:
+        raise ValueError("generator %d is singular mod %d"
+                         % (singular[0], ell))
     return _key_closure(pack_matrices(np.eye(4, dtype=np.int64), ell), gens,
                         ell, cap)
 
@@ -340,19 +350,24 @@ class GroupSet(_Frozen):
         "Yield the elements as (N, 4, 4) int64 arrays in key order."
         return _unpacked(self._keys, self.ell)
 
-    def nu_values(self):
-        "Similitude factor of every element, aligned with key order."
-        parts = []
+    def _nu_chunks(self):
+        "The factor of every element, one array per _CHUNK_ROWS keys."
         for mats in self.matrices():
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")
-            parts.append(nu)
-        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+            yield nu
+
+    def nu_values(self):
+        "Similitude factor of every element, aligned with key order."
+        return np.concatenate([np.empty(0, np.int64), *self._nu_chunks()])
 
     def similitude_factors(self):
         "The factors nu that occur, ascending (np.unique would load numpy.ma)."
-        return np.flatnonzero(np.bincount(self.nu_values())).tolist()
+        occurs = np.zeros(self.ell, dtype=bool)
+        for nu in self._nu_chunks():
+            occurs[nu] = True
+        return np.flatnonzero(occurs).tolist()
 
     def subset_of(self, other):
         if self.ell != other.ell:
@@ -800,10 +815,10 @@ _FAMILIES = {
 }
 
 # The modelled peak resident memory of a family build, per element held
-# (the family, and the base of a doubled one): _closure's sorted group and
-# its merged copy, its blocks (the group in coset order) and the frontier
-# block of a round, the four row fields and product of a `times` pass over
-# it, and GroupSet's copy and the similitude factors of the report.
+# (the family, and the base of a doubled one): _closure's buffer and the
+# group of the stage before, the last block of a round and its new rows, the
+# four row fields and product of a `times` pass over them, and GroupSet's
+# copy.
 # tests/test_finite_census.py checks it against measured peaks.
 _CLOSURE_ELEMENT_BYTES = 64
 

@@ -48,6 +48,7 @@ from sympkit.finite_census import (
     _embed,
     _ext_params,
     _inverse_table,
+    _key_closure,
     _products,
     _row_tables,
     _similitude_info,
@@ -112,9 +113,21 @@ def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(7)
     for ell in (3, 5, 7, 11, 13):
         mats = rng.integers(0, ell, size=(64, 4, 4), dtype=np.int64)
+        mats[0] = ell - 1  # at ell = 11 and 13 its key uses all 64 bits
         keys = pack_matrices(mats, ell)
-        assert (unpack_keys(keys, ell) == mats).all()
         assert keys.dtype == np.uint64
+        # the reference: mask every field, then convert with a copy
+        bits = max(1, (ell - 1).bit_length())
+        shifts = np.uint64(bits) * np.arange(16, dtype=np.uint64)
+        fields = keys[:, None] >> shifts
+        want = (fields & np.uint64((1 << bits) - 1)).astype(np.int64)
+        got = unpack_keys(keys, ell)
+        assert got.dtype == np.int64 and got.shape == (64, 4, 4)
+        assert np.array_equal(got, want.reshape(-1, 4, 4))
+        assert np.array_equal(got, mats)
+        assert got.flags.writeable and not np.shares_memory(got, keys)
+        small = unpack_keys(keys, ell, dtype=np.int8)
+        assert small.dtype == np.int8 and np.array_equal(small, mats)
 
 
 def test_pack_matrices_layout_and_nu():
@@ -320,6 +333,33 @@ def test_closure_deterministic_across_orderings():
         assert np.array_equal(keys, mulclose(mats[::-1], 3))
 
 
+def test_mulclose_refuses_singular_generators():
+    # the coset argument of _closure needs a group: from a singular generator
+    # the closure listed repeated keys (292 keys, 263 of them distinct, here)
+    rng = np.random.default_rng(5)
+    gens = rng.integers(0, 3, (2, 4, 4))
+    gens[0][3] = 0
+    with pytest.raises(ValueError, match="generator 0 is singular mod 3"):
+        mulclose(gens, 3)
+    # singular mod ell only, and after an invertible generator
+    with pytest.raises(ValueError, match="generator 1 is singular mod 5"):
+        mulclose([np.eye(4, dtype=np.int64), np.diag([1, 1, 1, 5])], 5)
+
+
+def test_closures_are_strictly_increasing():
+    # neither merge of _closure drops a repeated key, and GroupSet would
+    # sort and dedupe a bad closure silently: check the keys as returned,
+    # from the identity and, for a doubled family, from the base
+    for ell in (3, 5):
+        for tag, (gens, _, order, w) in _FAMILIES.items():
+            keys = [mulclose(gens(ell), ell)]
+            if w is not None:
+                keys.append(_key_closure(keys[0], gens(ell) + [w], ell, None))
+            for k in keys:
+                assert k.dtype == np.uint64 and (k[1:] > k[:-1]).all(), tag
+            assert keys[-1].size == order(ell) * len(keys), (tag, ell)
+
+
 def test_row_table_products_match_the_matrix_products():
     # the reference is the matrix kernel: unpack, multiply, reduce, pack;
     # at ell = 11 and 13 the keys use every one of the 64 bits.  The inputs
@@ -442,8 +482,17 @@ def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
 
 def test_groupset_nu_values_rejects_non_similitudes():
     bad = GroupSet.from_matrices(np.triu(np.ones((4, 4), np.int64))[None], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-similitude"):
         bad.nu_values()
+    with pytest.raises(ValueError, match="non-similitude"):
+        bad.similitude_factors()
+
+
+def test_similitude_factors_are_the_factors_of_the_elements():
+    for tag in FAMILY_ORDERS_3:
+        g = family(tag)
+        assert g.similitude_factors() \
+            == np.flatnonzero(np.bincount(g.nu_values())).tolist(), tag
 
 
 # ---------------------------------------------------------------------------
@@ -1225,16 +1274,17 @@ def test_budget_model_bounds_the_family_peak_rss():
 
 
 def test_family_working_set_stays_small():
-    # the closure forms its products by row tables and every check unpacks
-    # a few thousand rows at a time, so the traced peak of Hen at ell = 5
-    # (57,600 elements, 450 KiB of keys) stays under 4 MiB
+    # the closure merges into one buffer and forms its products by row
+    # tables, and every check and the similitude factors unpack a few
+    # thousand rows at a time, so the traced peak of Hen at ell = 5 (57,600
+    # elements, 450 KiB of keys) stays under 2 MiB
     tracemalloc.start()
     try:
-        family_with_base(FamilySpec("Hen", 5))[0].nu_values()
+        family_with_base(FamilySpec("Hen", 5))[0].similitude_factors()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 2 << 20
 
 
 def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
