@@ -17,25 +17,31 @@ permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The generator closure `mulclose`
 remains as the independent oracle and builds the subgroup families; its
 loop, _closure (Dimino's algorithm: whole cosets, one membership test per
-coset), merges sorted keys in a buffer per stage; artin_gallery closes the
-Q(i) gallery with its own.  The families (Levi factors, the checkerboard
-endoscopic group, and Case5-Case9) come from one table, _FAMILIES: per tag
-a few generators written from the structure, a membership predicate (a zero
-or block pattern) and a closed-form order, and for Case5-Case8 the
-involution w that doubles the base.  A family or base is the closure of its
+coset), merges sorted keys in a buffer per stage and passes a round's
+fresh cosets on without a copy; artin_gallery closes the Q(i) gallery with
+its own.  The families (Levi factors, the checkerboard endoscopic group,
+and Case5-Case9) come from one table, _FAMILIES: per tag a few generators
+written from the structure, a membership predicate (a zero or block
+pattern) and a closed-form order, and for Case5-Case8 the involution w
+that doubles the base.  A family or base is the closure of its
 generators, so a group; every element passing the predicate and the
 similitude test puts it inside the family, and a count equal to the order
 makes it whole, as for the full groups (_closed_family).  A doubled family
 is the closure of the generators and w from the proven base, capped at and
-counted to twice its order.
+counted to twice its order.  Each family's GroupSet keeps its closure's
+buffer, not a copy, and the similitude factors its check marked, so the
+keys are read once after the closure.
 
 Every product of a listing (mulclose, _enumerate_similitudes) is formed on
 the keys, with no matrix unpacked: row r of m.g is row r of m times g, so
 one table per multiplier g, from each row field of a key (4 entries, 4
 ceil(log2 ell) bits) to the field of the product row, makes a product four
-lookups shifted into place (_row_tables, _products).  Every loop over the
-elements of a key array (the checks, the similitude factors, the census)
-unpacks _CHUNK_ROWS keys per pass into one array, its temporaries in cache.
+lookups shifted into place (_row_tables, _products), each row field
+extracted once into one scratch array that every table reads.  Every loop
+over the elements of a key array (the checks, the similitude factors, the
+census) unpacks _CHUNK_ROWS keys per pass into one array, its temporaries
+in cache: int16 for the similitude test and the membership predicates,
+int64 for the characteristic polynomials.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -49,6 +55,7 @@ from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import (
     _Frozen,
     _require_odd_prime,
+    _restore,
     quadratic_nonresidue,
     solve_sum_of_squares,
 )
@@ -103,23 +110,30 @@ def pack_matrices(mats, ell):
 
 
 def unpack_keys(keys, ell, dtype=np.int64):
-    "(N,) uint64 keys -> (N, 4, 4) matrices."
-    out = np.asarray(keys, dtype=np.uint64)[:, None] >> _shifts(ell)
-    out &= np.uint64((1 << _bits_for(ell)) - 1)
-    # every entry is below ell <= 13, so the int64 view is exact
-    return out.view(np.int64).astype(dtype, copy=False).reshape(-1, 4, 4)
+    """(N,) uint64 keys -> (N, 4, 4) matrices of the integer `dtype`.
+
+    The shifts are cast into the unsigned type of the same width as they
+    are formed, keeping their low bits, so no wider array is made; every
+    entry is below ell <= 13, so the `dtype` view is exact."""
+    dtype = np.dtype(dtype)
+    out = np.empty((np.size(keys), 16), dtype="u%d" % dtype.itemsize)
+    np.right_shift(np.asarray(keys, dtype=np.uint64)[:, None], _shifts(ell),
+                   out=out, casting="unsafe")
+    out &= (1 << _bits_for(ell)) - 1
+    return out.view(dtype).reshape(-1, 4, 4)
 
 
 # Rows per pass of every loop over elements (GroupSet.matrices, the checks
 # of _closed_family and _enumerate_similitudes): the matrices of one pass
-# are one 512 KiB array and its temporaries stay in cache.
+# are one array, 512 KiB in int64 and 128 KiB in the checks' int16, and its
+# temporaries stay in cache.
 _CHUNK_ROWS = 1 << 12
 
 
-def _unpacked(keys, ell):
-    "Yield the matrices of `keys` as (N, 4, 4) int64 arrays, _CHUNK_ROWS each."
+def _unpacked(keys, ell, dtype=np.int64):
+    "Yield the matrices of `keys` as (N, 4, 4) arrays, _CHUNK_ROWS each."
     for i in range(0, keys.size, _CHUNK_ROWS):
-        yield unpack_keys(keys[i:i + _CHUNK_ROWS], ell)
+        yield unpack_keys(keys[i:i + _CHUNK_ROWS], ell, dtype)
 
 
 def _omega(x, y):
@@ -133,8 +147,11 @@ def _similitude_info(mats, ell):
 
     Entry (i, j) of t(m) J m is omega(c_i, c_j) for the columns c_i, and the
     form is alternating, so the identity is the six column pairs i < j:
-    omega(c0, c2) = omega(c1, c3) = nu and zero on the other four."""
-    m = np.asarray(mats, dtype=np.int64)
+    omega(c0, c2) = omega(c1, c3) = nu and zero on the other four.  The
+    matrices are signed integers of at least 16 bits, in which the form
+    values, below 2 * 12^2 for entries below ell <= 13, are exact: the
+    checks pass int16, the census int64."""
+    m = np.asarray(mats)
     cols = [m[:, :, i] for i in range(4)]
     nu = _omega(cols[0], cols[2]) % ell
     mask = (nu != 0) & (_omega(cols[1], cols[3]) % ell == nu)
@@ -215,10 +232,11 @@ def _closure(sub, ngens, times, cap=None):
     of its keys, so each round tests one key per row of the last block times
     each g_s, s <= j; a fresh one's coset is one `times` pass over its row,
     sorted into the stage's buffer and merged by a stable sort before the
-    next s (g_s permutes the cosets, so no row repeats).  The stage ends
-    when every coset times every g_s lies in the union: a finite set holding
-    1 and closed under the generators, so the group they generate.
-    Exceeding `cap` elements raises RuntimeError.
+    next s (g_s permutes the cosets, so no row repeats).  A round's fresh
+    rows are the next block, passed on uncopied when one pass made them all.
+    The stage ends when every coset times every g_s lies in the union: a
+    finite set holding 1 and closed under the generators, so the group they
+    generate.  Exceeding `cap` elements raises RuntimeError.
     """
     seen = sub
     for j in range(ngens):
@@ -230,7 +248,8 @@ def _closure(sub, ngens, times, cap=None):
             for s in range(j + 1):
                 new = ~_contains_sorted(seen, times(block[:, 0], s))
                 if new.any():
-                    fresh.append(times(block[new].ravel(), s))
+                    fresh.append(times((block if new.all() else block[new])
+                                       .ravel(), s))
                     n, m = seen.size, seen.size + fresh[-1].size
                     if cap is not None and m > cap:
                         raise RuntimeError("closure cap exceeded (%d elements,"
@@ -242,7 +261,8 @@ def _closure(sub, ngens, times, cap=None):
                     buf[n:m].sort()
                     seen = buf[:m]
                     seen.sort(kind="stable")  # merges the two sorted runs
-            block = np.concatenate(fresh or [seen[:0]]).reshape(
+            block = (fresh[0] if len(fresh) == 1 else
+                     np.concatenate(fresh or [seen[:0]])).reshape(
                 -1, block.shape[1])
     return seen
 
@@ -263,16 +283,28 @@ def _row_tables(gens, ell):
 def _products(keys, tables, ell):
     """Keys of m.g for every m keyed in `keys` and every generator g, one
     block per table of _row_tables: four lookups per product, one per row
-    field, each shifted back into place."""
+    field, each shifted back into place.  A pass holds two scratch arrays of
+    `keys`' size: each field, extracted once for every table, and a lookup
+    to shift and merge."""
     width = 4 * _bits_for(ell)
     mask = np.uint64((1 << width) - 1)
-    shifts = [np.uint64(width * r) for r in range(4)]
-    fields = [((keys >> s) & mask).astype(np.intp) for s in shifts]
     out = np.empty((len(tables), keys.size), dtype=np.uint64)
-    for table, prod in zip(tables, out):
-        np.take(table, fields[0], out=prod)
-        for field, shift in zip(fields[1:], shifts[1:]):
-            prod |= table[field] << shift
+    field = np.empty(keys.size, dtype=np.uint64)
+    index = field.view(np.intp)  # a field is below 2^16, so the view is exact
+    looked = np.empty_like(field)
+    for r in range(4):
+        shift = np.uint64(width * r)
+        np.right_shift(keys, shift, out=field)
+        field &= mask
+        # mode="wrap" writes `out` directly (the default buffers it); every
+        # field indexes the table, so nothing wraps
+        for table, prod in zip(tables, out):
+            if r == 0:
+                table.take(index, out=prod, mode="wrap")
+            else:
+                table.take(index, out=looked, mode="wrap")
+                looked <<= shift
+                prod |= looked
     return out.ravel()
 
 
@@ -302,17 +334,27 @@ def mulclose(gens, ell, cap=None):
 class GroupSet(_Frozen):
     """A finalized set of packed matrices over F_ell (sorted uint64 keys)."""
 
-    __slots__ = ("ell", "_keys")
+    __slots__ = ("ell", "_keys", "_factors")
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
         arr = np.asarray(keys, dtype=np.uint64).reshape(-1)
-        # strictly increasing keys (a closure's) skip the sort; the copy
-        # leaves the caller's array writable
+        # strictly increasing keys skip the sort; the copy leaves the
+        # caller's array writable and its own
         arr = arr.copy() if (arr[1:] > arr[:-1]).all() else _sorted_unique(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
+        object.__setattr__(self, "_factors", None)
+
+    @classmethod
+    def _proven(cls, ell, keys, factors):
+        """The GroupSet of a family build: its closure's strictly increasing
+        `keys`, held by nothing else, kept without a copy, and the
+        similitude `factors` that its proof marked."""
+        keys.setflags(write=False)
+        return _restore(cls, [("ell", ell), ("_keys", keys),
+                              ("_factors", tuple(factors))])
 
     @classmethod
     def from_matrices(cls, mats, ell):
@@ -352,7 +394,7 @@ class GroupSet(_Frozen):
 
     def _nu_chunks(self):
         "The factor of every element, one array per _CHUNK_ROWS keys."
-        for mats in self.matrices():
+        for mats in _unpacked(self._keys, self.ell, np.int16):
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")
@@ -363,7 +405,11 @@ class GroupSet(_Frozen):
         return np.concatenate([np.empty(0, np.int64), *self._nu_chunks()])
 
     def similitude_factors(self):
-        "The factors nu that occur, ascending (np.unique would load numpy.ma)."
+        """The factors nu that occur, ascending: those its family build
+        marked, else marked here chunk by chunk (np.unique would load
+        numpy.ma)."""
+        if self._factors is not None:
+            return list(self._factors)
         occurs = np.zeros(self.ell, dtype=bool)
         for nu in self._nu_chunks():
             occurs[nu] = True
@@ -472,7 +518,7 @@ def _enumerate_similitudes(ell, scalars, threads):
         block[:] = _products(_products(bases[start:stop], h_tables, ell),
                              s_tables, ell).reshape(len(scalars), -1)
         for row, s in zip(block, scalars):
-            for mats in _unpacked(row, ell):
+            for mats in _unpacked(row, ell, np.int16):
                 ok, nu = _similitude_info(mats, ell)
                 if not (ok & (nu == s)).all():
                     raise AssertionError(
@@ -815,10 +861,10 @@ _FAMILIES = {
 }
 
 # The modelled peak resident memory of a family build, per element held
-# (the family, and the base of a doubled one): _closure's buffer and the
-# group of the stage before, the last block of a round and its new rows, the
-# four row fields and product of a `times` pass over them, and GroupSet's
-# copy.
+# (the family, and the base of a doubled one): _closure's buffer, which the
+# GroupSet keeps, and the group of the stage before, the last block of a
+# round and its new rows, and the row field and lookup scratch of a `times`
+# pass over them; 64 bytes leave headroom over these 48.
 # tests/test_finite_census.py checks it against measured peaks.
 _CLOSURE_ELEMENT_BYTES = 64
 
@@ -842,15 +888,20 @@ def _counted(close, order, name):
 
 
 def _closed_family(gens, inside, order, ell, name):
-    """Sorted keys of the closure of `gens` (a group), proven to be the
-    family of `order` elements that `inside` and the similitude test define
-    by a count equal to `order` and every key passing both; AssertionError
-    otherwise, and for a closure that outgrows `order`."""
+    """(keys, factors): the sorted keys of the closure of `gens` (a group),
+    proven to be the family of `order` elements that `inside` and the
+    similitude test define by a count equal to `order` and every key passing
+    both, and the similitude factors of its elements, ascending, marked in
+    the same pass; AssertionError otherwise, and for a closure that outgrows
+    `order`."""
     keys = _counted(lambda cap: mulclose(gens, ell, cap), order, name)
-    for mats in _unpacked(keys, ell):
-        if not (_similitude_info(mats, ell)[0] & inside(mats, ell)).all():
+    occurs = np.zeros(ell, dtype=bool)
+    for mats in _unpacked(keys, ell, np.int16):
+        ok, nu = _similitude_info(mats, ell)
+        if not (ok & inside(mats, ell)).all():
             raise AssertionError("%s: the generators leave the family" % name)
-    return keys
+        occurs[nu] = True
+    return keys, np.flatnonzero(occurs).tolist()
 
 
 def family_with_base(spec):
@@ -860,8 +911,9 @@ def family_with_base(spec):
     [[A, B], [uB, A]]; None for the others).  A doubled family is the
     closure of the generators and w from the proven base, a group of
     similitudes when w is one, and of twice the base's order by its count
-    (capped there).  A modelled peak RSS over DEFAULT_MAX_BYTES raises
-    ResourceLimit first."""
+    (capped there); it is base u base.w, so its factors are the base's
+    times 1 and nu(w), nu being a homomorphism.  A modelled peak RSS over
+    DEFAULT_MAX_BYTES raises ResourceLimit first."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
     held = n if w is None else 3 * n
@@ -871,15 +923,18 @@ def family_with_base(spec):
             "budget is %d" % (spec.tag, ell, held, _closure_bytes(held),
                               DEFAULT_MAX_BYTES))
     gens = gens(ell)
+    keys, factors = _closed_family(gens, inside, n, ell,
+                                   spec.tag + ("" if w is None else " base"))
+    base = GroupSet._proven(ell, keys, factors)
     if w is None:
-        return GroupSet(ell, _closed_family(gens, inside, n, ell,
-                                            spec.tag)), None
-    base = _closed_family(gens, inside, n, ell, spec.tag + " base")
-    keys = _counted(lambda cap: _key_closure(base, gens + [w], ell, cap),
+        return base, None
+    keys = _counted(lambda cap: _key_closure(base.keys, gens + [w], ell, cap),
                     2 * n, spec.tag)
-    if not _similitude_info(w[None] % ell, ell)[0][0]:
+    ok, nu = _similitude_info(w[None] % ell, ell)
+    if not ok[0]:
         raise AssertionError("%s: the generators leave the family" % spec.tag)
-    return GroupSet(ell, keys), GroupSet(ell, base)
+    factors = sorted({*factors, *(f * int(nu[0]) % ell for f in factors)})
+    return GroupSet._proven(ell, keys, factors), base
 
 
 def build_family(spec):

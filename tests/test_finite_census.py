@@ -126,8 +126,9 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(got, want.reshape(-1, 4, 4))
         assert np.array_equal(got, mats)
         assert got.flags.writeable and not np.shares_memory(got, keys)
-        small = unpack_keys(keys, ell, dtype=np.int8)
-        assert small.dtype == np.int8 and np.array_equal(small, mats)
+        for dtype in (np.int8, np.int16, np.uint64):
+            small = unpack_keys(keys, ell, dtype=dtype)
+            assert small.dtype == dtype and np.array_equal(small, mats)
 
 
 def test_pack_matrices_layout_and_nu():
@@ -224,9 +225,11 @@ def test_similitude_kernel_matches_the_gram_products():
     cases += [(ell, rng.integers(0, ell, size=(20000, 4, 4)))
               for ell in (3, 5, 13)]
     for ell, mats in cases:
-        ok, nu = _similitude_info(mats, ell)
         want_ok, want_nu = _gram_predicate(mats, ell)
-        assert np.array_equal(ok, want_ok) and np.array_equal(nu, want_nu)
+        # the checks pass int16 matrices, the census int64
+        for given in (mats, mats.astype(np.int16)):
+            ok, nu = _similitude_info(given, ell)
+            assert np.array_equal(ok, want_ok) and np.array_equal(nu, want_nu)
     assert _similitude_info(members, 3)[0].all()
     assert 0 < _similitude_info(moved, 3)[0].sum() < moved.shape[0]
 
@@ -476,8 +479,27 @@ def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
         g = GroupSet(3, given)
         assert np.array_equal(g.keys, keys)
         assert not g.keys.flags.writeable
-        given[0] = 0  # the caller's array stays writable, and its own
+        # the caller's array stays writable, and its own
+        assert given.flags.writeable and not np.shares_memory(g.keys, given)
+        given[0] = 0
         assert np.array_equal(g.keys, keys)
+
+
+def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
+    # a family build hands each closure's keys to its GroupSet: the base's
+    # and the doubled family's are each held once
+    closed = []
+    counted = finite_census._counted
+    monkeypatch.setattr(finite_census, "_counted",
+                        lambda *args: closed.append(counted(*args)) or closed[-1])
+    for tag in ("Hen", "Case7"):
+        closed.clear()
+        fam, base = family_with_base(FamilySpec(tag, 3))
+        held = [fam] if base is None else [base, fam]
+        assert len(closed) == len(held), tag
+        for g, keys in zip(held, closed):
+            assert np.shares_memory(g.keys, keys), tag
+            assert not g.keys.flags.writeable, tag
 
 
 def test_groupset_nu_values_rejects_non_similitudes():
@@ -1189,14 +1211,19 @@ FAMILY_ORDERS_5 = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
 
 
 def _assert_closures_equal_the_grids(ell, orders):
-    "Each family and base, proven by predicate and count, is its grid."
+    """Each family and base, proven by predicate and count, is its grid,
+    and the similitude factors its build marked (a doubled family's: the
+    base's times 1 and nu(w)) are those of the grid's elements."""
     for tag, order in orders.items():
         want, want_base = grid_keys(tag, ell)
         g, base = family_with_base(FamilySpec(tag, ell))
         assert g.order == order and np.array_equal(g.keys, want), tag
         assert (base is None) == (want_base is None), tag
-        if base is not None:
-            assert np.array_equal(base.keys, want_base), tag
+        for got, keys in ((g, want), (base, want_base)):
+            if got is not None:
+                assert np.array_equal(got.keys, keys), tag
+                assert got.similitude_factors() \
+                    == GroupSet(ell, keys).similitude_factors(), tag
 
 
 def test_every_family_at_ell_3_equals_the_grid_oracle():
@@ -1274,17 +1301,21 @@ def test_budget_model_bounds_the_family_peak_rss():
 
 
 def test_family_working_set_stays_small():
-    # the closure merges into one buffer and forms its products by row
-    # tables, and every check and the similitude factors unpack a few
-    # thousand rows at a time, so the traced peak of Hen at ell = 5 (57,600
-    # elements, 450 KiB of keys) stays under 2 MiB
-    tracemalloc.start()
-    try:
-        family_with_base(FamilySpec("Hen", 5))[0].similitude_factors()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    # the closure merges into one buffer, forms its products by row tables
+    # with two scratch arrays, and hands its keys to the GroupSet uncopied;
+    # the check unpacks a few thousand int16 rows at a time and marks the
+    # similitude factors.  So the whole `family` path of Hen at ell = 5
+    # (57,600 elements, 450 KiB of keys) traces under 1.3 MiB, and of the
+    # doubled Case7 (124,800 elements and a base of 62,400, 1.43 MiB of
+    # keys) under 2.75 MiB
+    for tag, bound in (("Hen", 1.3), ("Case7", 2.75)):
+        tracemalloc.start()
+        try:
+            family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (1 << 20), (tag, peak)
 
 
 def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
