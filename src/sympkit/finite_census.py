@@ -15,50 +15,62 @@ checked as a similitude, the sorted keys are distinct, and their count is
 the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
 permitted only when the modelled memory fits the budget) are supported;
 larger primes are refused outright.  The generator closure `mulclose`
-remains as the independent oracle and builds the subgroup families; its
-loop, _closure (Dimino's algorithm: whole cosets, one membership test per
-coset), merges sorted keys in a buffer per stage and passes a round's
-fresh cosets on without a copy; artin_gallery closes the Q(i) gallery with
-its own.  The families (Levi factors, the checkerboard endoscopic group,
-and Case5-Case9) come from one table, _FAMILIES: per tag a few generators
+remains as the independent oracle.  It and the subgroup families run on one
+engine, a base and strong generating set (_chain, deterministic
+Schreier-Sims): the base is e0, ..., e3, and level k holds the orbit of e_k
+under the strong generators that fix e0, ..., e_(k-1), found by a
+breadth-first search, with a transversal and its inverses.  The chain is
+complete when every Schreier generator sifts to the identity; the order is
+then the product of the orbit lengths, known before any key is listed.  The
+group is its own set of inverses, so each element is listed once as a
+product uinv_3 uinv_2 uinv_1 uinv_0, level by level along the Schreier trees
+(_listing); artin_gallery closes the Q(i) gallery with its own loop.
+
+The families (Levi factors, the checkerboard endoscopic group, and
+Case5-Case9) come from one table, _FAMILIES: per tag a few generators
 written from the structure, a membership predicate (a zero or block
 pattern) and a closed-form order, and for Case5-Case8 the involution w
-that doubles the base.  A family or base is the closure of its
-generators, so a group; every element passing the predicate and the
-similitude test puts it inside the family, and a count equal to the order
-makes it whole, as for the full groups (_closed_family).  A doubled family
-is the closure of the generators and w from the proven base, capped at and
-counted to twice its order.  Each family's GroupSet keeps its closure's
-buffer, not a copy, and the similitude factors its check marked, so the
-keys are read once after the closure.
+that doubles the base.  A family or base is the group its generators
+generate; its chain's order equal to the closed form, compared before any
+key is listed, makes it whole, and every listed element passing the
+predicate and the similitude test puts it inside the family, as for the
+full groups (_closed_family).  A doubled family's chain is the proven
+base's extended by w, of twice the base's order; no key of it is listed.
+A family's GroupSet holds its chain and the similitude factors its check
+marked, and lists and sorts its keys only when they are asked for.
 
-Every product of a listing (mulclose, _enumerate_similitudes) is formed on
-the keys, with no matrix unpacked: row r of m.g is row r of m times g, so
-one table per multiplier g, from each row field of a key (4 entries, 4
-ceil(log2 ell) bits) to the field of the product row, makes a product four
-lookups shifted into place (_row_tables, _products), each row field
-extracted once into one scratch array that every table reads.  Every loop
-over the elements of a key array (the checks, the similitude factors, the
-census) unpacks _CHUNK_ROWS keys per pass into one array, its temporaries
-in cache: int16 for the similitude test and the membership predicates,
-int64 for the characteristic polynomials.
+Every product of a listing (mulclose, the families, _enumerate_similitudes)
+is formed on the keys, with no matrix unpacked: row r of m.g is row r of m
+times g, so one table per multiplier g, from each row field of a key (4
+entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
+product four lookups shifted into place (_row_tables, _products); a chain's
+multipliers are the inverses of its strong generators.  Every loop over the
+elements of a listing or key array (the checks, the similitude factors, the
+census) unpacks _CHUNK_ROWS keys per pass into one entry-major array, its
+temporaries in cache: int16 for the similitude test and the membership
+predicates, int64 for the characteristic polynomials.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
 """
 
 import os
+from math import prod
 
-import numpy as np
-
+# the siblings first: run from a fresh checkout, a module compiled after
+# numpy is loaded adds its compile to the peak RSS that numpy has raised
+from ._mat import mat_inv
 from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import (
+    PrimeFieldElem,
     _Frozen,
     _require_odd_prime,
     _restore,
     quadratic_nonresidue,
     solve_sum_of_squares,
 )
+
+import numpy as np
 
 DEFAULT_MAX_BYTES = 512 << 20
 
@@ -71,6 +83,8 @@ _J4 = np.array(
 _SWAP = np.array(
     [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64
 )
+
+_EYE = np.eye(4, dtype=np.int64)
 
 
 class ResourceLimit(ValueError):
@@ -112,28 +126,48 @@ def pack_matrices(mats, ell):
 def unpack_keys(keys, ell, dtype=np.int64):
     """(N,) uint64 keys -> (N, 4, 4) matrices of the integer `dtype`.
 
-    The shifts are cast into the unsigned type of the same width as they
-    are formed, keeping their low bits, so no wider array is made; every
-    entry is below ell <= 13, so the `dtype` view is exact."""
+    The entries are formed entry-major, one contiguous row of N per entry of
+    a matrix, and returned as an (N, 4, 4) view of them: the checks read
+    whole entries, columns and blocks, each then a contiguous array.  The
+    shifts are cast into the unsigned type of the same width as they are
+    formed, keeping their low bits, so no wider array is made; every entry
+    is below ell <= 13, so the `dtype` view is exact."""
     dtype = np.dtype(dtype)
-    out = np.empty((np.size(keys), 16), dtype="u%d" % dtype.itemsize)
-    np.right_shift(np.asarray(keys, dtype=np.uint64)[:, None], _shifts(ell),
-                   out=out, casting="unsafe")
+    out = np.empty((16, np.size(keys)), dtype="u%d" % dtype.itemsize)
+    np.right_shift(np.asarray(keys, dtype=np.uint64)[None],
+                   _shifts(ell)[:, None], out=out, casting="unsafe")
     out &= (1 << _bits_for(ell)) - 1
-    return out.view(dtype).reshape(-1, 4, 4)
+    return out.view(dtype).T.reshape(-1, 4, 4)
 
 
 # Rows per pass of every loop over elements (GroupSet.matrices, the checks
-# of _closed_family and _enumerate_similitudes): the matrices of one pass
-# are one array, 512 KiB in int64 and 128 KiB in the checks' int16, and its
-# temporaries stay in cache.
-_CHUNK_ROWS = 1 << 12
+# of _closed_family and _enumerate_similitudes, a listing's _products passes
+# and a chain's batches of Schreier generators): the matrices of one pass are
+# one array, 256 KiB in int64 and 64 KiB in int16, and its temporaries stay
+# in cache.
+_CHUNK_ROWS = 1 << 11
 
 
-def _unpacked(keys, ell, dtype=np.int64):
-    "Yield the matrices of `keys` as (N, 4, 4) arrays, _CHUNK_ROWS each."
-    for i in range(0, keys.size, _CHUNK_ROWS):
-        yield unpack_keys(keys[i:i + _CHUNK_ROWS], ell, dtype)
+def _unpacked(blocks, ell, dtype=np.int64):
+    """Yield the matrices keyed in the arrays `blocks`, in order, as (N, 4, 4)
+    arrays of _CHUNK_ROWS each (the last one fewer): whole passes are cut
+    from a block, and the keys left over are gathered across blocks."""
+    buf, n = np.empty(_CHUNK_ROWS, dtype=np.uint64), 0
+    for keys in blocks:
+        start = min(keys.size, _CHUNK_ROWS - n) if n else 0
+        buf[n:n + start] = keys[:start]
+        n += start
+        if n == _CHUNK_ROWS:
+            yield unpack_keys(buf, ell, dtype)
+            n = 0
+        for i in range(start, keys.size, _CHUNK_ROWS):
+            part = keys[i:i + _CHUNK_ROWS]
+            if part.size < _CHUNK_ROWS:
+                buf[:part.size], n = part, part.size
+            else:
+                yield unpack_keys(part, ell, dtype)
+    if n:
+        yield unpack_keys(buf[:n], ell, dtype)
 
 
 def _omega(x, y):
@@ -220,82 +254,64 @@ def _sorted_unique(keys):
     return arr[keep]
 
 
-def _closure(sub, ngens, times, cap=None):
-    """The group generated by g_0, ..., g_(ngens-1), as sorted 1-D keys
-    (Dimino's algorithm; the Q(i) gallery has its own, without numpy).
+def _vectors(ell):
+    "Every vector of F_ell^4, as the columns of a (4, ell^4) int16 array."
+    return np.indices((ell,) * 4, dtype=np.int16).reshape(4, -1)
 
-    `sub` holds the sorted keys of <g_0, ..., g_(m-1)> for some m (the
-    identity alone for m = 0), and `times(keys, s)` the key of x.g_s for
-    every key x, in order.  Stage j, unless g_j lies in it, extends the group
-    so far, H = <g_0, ..., g_(j-1)>, by whole right cosets H.r, each a row
-    listed in H's order.  A union of cosets holds a coset when it holds one
-    of its keys, so each round tests one key per row of the last block times
-    each g_s, s <= j; a fresh one's coset is one `times` pass over its row,
-    sorted into the stage's buffer and merged by a stable sort before the
-    next s (g_s permutes the cosets, so no row repeats).  A round's fresh
-    rows are the next block, passed on uncopied when one pass made them all.
-    The stage ends when every coset times every g_s lies in the union: a
-    finite set holding 1 and closed under the generators, so the group they
-    generate.  Exceeding `cap` elements raises RuntimeError.
-    """
-    seen = sub
-    for j in range(ngens):
-        if _contains_sorted(seen, times(seen[:1], j))[0]:
-            continue
-        block, buf = seen[None], seen[:0]  # a new buffer leaves H whole
-        while block.size:
-            fresh = []
-            for s in range(j + 1):
-                new = ~_contains_sorted(seen, times(block[:, 0], s))
-                if new.any():
-                    fresh.append(times((block if new.all() else block[new])
-                                       .ravel(), s))
-                    n, m = seen.size, seen.size + fresh[-1].size
-                    if cap is not None and m > cap:
-                        raise RuntimeError("closure cap exceeded (%d elements,"
-                                           " cap %d)" % (m, cap))
-                    if m > buf.size:  # unwritten pages of np.empty are free
-                        buf = np.empty(cap or 2 * m, dtype=np.uint64)
-                        buf[:n] = seen
-                    buf[n:m] = fresh[-1]
-                    buf[n:m].sort()
-                    seen = buf[:m]
-                    seen.sort(kind="stable")  # merges the two sorted runs
-            block = (fresh[0] if len(fresh) == 1 else
-                     np.concatenate(fresh or [seen[:0]])).reshape(
-                -1, block.shape[1])
-    return seen
+
+def _apply(g, vecs, ell):
+    "g v mod ell for the columns v of `vecs`, by scaled columns of g (int16)."
+    g = (np.asarray(g) % ell).astype(np.int16)
+    out = g[:, :1] * vecs[0]
+    for k in range(1, 4):
+        out += g[:, k:k + 1] * vecs[k]
+    out %= ell
+    return out
+
+
+def _index(vecs, base):
+    "Each column v of the (4, R) array `vecs` as the number sum(v[k] base^k)."
+    out = vecs[3].astype(np.intp)
+    for k in (2, 1, 0):
+        out *= base
+        out += vecs[k]
+    return out
 
 
 def _row_tables(gens, ell):
     """Per generator g, the table from a row field x (the 4 * bits of one
     row of a key) to the field of x.g: row r of m.g is row r of m times g.
-    Each table is filled from the ell^4 rows alone, x.g mod ell for every
-    row x, its 4 entries packed by the shifts of a row field."""
-    weights = 1 << _shifts(ell)[:4].astype(np.int64)
-    rows = np.indices((ell,) * 4).reshape(4, -1).T
-    tables = np.zeros((len(gens), 1 << 4 * _bits_for(ell)), dtype=np.uint64)
+    Each table is filled from the ell^4 rows alone, x.g = t(g) x mod ell."""
+    rows, base = _vectors(ell), 1 << _bits_for(ell)
+    index = _index(rows, base)
+    tables = np.zeros((len(gens), base ** 4), dtype=np.uint64)
     for table, g in zip(tables, gens):
-        table[rows @ weights] = rows @ g % ell @ weights
+        table[index] = _index(_apply(np.transpose(g), rows, ell), base)
     return tables
 
 
-def _products(keys, tables, ell):
+def _products(keys, tables, ell, offset=None):
     """Keys of m.g for every m keyed in `keys` and every generator g, one
-    block per table of _row_tables: four lookups per product, one per row
-    field, each shifted back into place.  A pass holds two scratch arrays of
-    `keys`' size: each field, extracted once for every table, and a lookup
-    to shift and merge."""
+    block per table of _row_tables, or, given `offset`, of m.g for the
+    generator of table t only, for the i-th key and offset[i] = t << 4 bits
+    (the tables are then read as one): four lookups per product, one per
+    row field, each shifted back into place.  A pass holds two scratch
+    arrays of `keys`' size: each field, extracted once for every table, and
+    a lookup to shift and merge."""
     width = 4 * _bits_for(ell)
     mask = np.uint64((1 << width) - 1)
+    if offset is not None:
+        tables = tables.reshape(1, -1)
     out = np.empty((len(tables), keys.size), dtype=np.uint64)
     field = np.empty(keys.size, dtype=np.uint64)
-    index = field.view(np.intp)  # a field is below 2^16, so the view is exact
+    index = field.view(np.intp)  # a field is below 2^63, so the view is exact
     looked = np.empty_like(field)
     for r in range(4):
         shift = np.uint64(width * r)
         np.right_shift(keys, shift, out=field)
         field &= mask
+        if offset is not None:
+            field += offset
         # mode="wrap" writes `out` directly (the default buffers it); every
         # field indexes the table, so nothing wraps
         for table, prod in zip(tables, out):
@@ -308,33 +324,303 @@ def _products(keys, tables, ell):
     return out.ravel()
 
 
-def _key_closure(sub, gens, ell, cap):
-    """_closure of `gens` on packed keys from `sub` (see there); the
-    products are formed on the keys by one row table per generator
-    (_row_tables, built once per call), with no matrix unpacked."""
-    tables = _row_tables(gens, ell)
-    return _closure(sub, len(tables),
-                    lambda keys, s: _products(keys, tables[s:s + 1], ell), cap)
+# ---------------------------------------------------------------------------
+# the closure engine: a base and strong generating set (Schreier-Sims)
+
+
+def _inverses(gens, ell):
+    """The inverses of (m, 4, 4) matrices mod ell, by _mat.mat_inv over
+    PrimeFieldElem; ValueError names the first singular one."""
+    out = np.empty_like(gens)
+    for i, g in enumerate(gens):
+        try:
+            inv = mat_inv([[PrimeFieldElem(ell, int(x)) for x in row]
+                           for row in g])
+        except ZeroDivisionError:
+            raise ValueError("generator %d is singular mod %d" % (i, ell)) \
+                from None
+        out[i] = [[x.val for x in row] for row in inv]
+    return out
+
+
+def _actions(gens, ell):
+    """Per matrix g, the ell-adic index (_index in base ell) of g v for that
+    of every v in F_ell^4."""
+    vecs = _vectors(ell)[::-1]  # column i has the index i
+    return np.array([_index(_apply(g, vecs, ell), ell) for g in gens],
+                    dtype=np.int32).reshape(-1, ell ** 4)
+
+
+def _first_moved(gens):
+    "Per (4, 4) matrix, the first k with m e_k != e_k; 4 for the identity."
+    moved = (gens != _EYE).any(axis=1)
+    return np.where(moved.any(axis=1), moved.argmax(axis=1), 4)
+
+
+class _Level:
+    """Level k of a chain: strong generators `gens` (m, 4, 4) fixing e_0,
+    ..., e_(k-1), their inverses `inv` and _actions `act`; the `orbit` of
+    e_k (ell-adic indices) and `where`, each vector's position in it (-1
+    off it).  Point i was first reached as gens[via[i]] times point
+    parent[i], at depth[i] of the Schreier tree, so its transversal element
+    u[i] = gens[via[i]] u[parent[i]], and t(uinv[i]) = t(inv[via[i]])
+    t(uinv[parent[i]]): the pairs (u, t(uinv)) are products of the pairs
+    (g, t(g^-1)), held as (n, 2, 4, 4) int16 arrays reduced mod ell, in
+    which a product of two is exact.  The Schreier generators of the first
+    sifted[0] points by the first sifted[1] generators are known to sift."""
+
+    __slots__ = ("gens", "inv", "gpair", "act", "orbit", "where", "u",
+                 "uinv", "pair", "parent", "via", "depth", "sifted")
+
+    def __init__(self, k, ell):
+        "Level k with no strong generator: the orbit {e_k}."
+        self._pairs(np.empty((0, 2, 4, 4), dtype=np.int16),
+                    np.stack([_EYE, _EYE])[None].astype(np.int16))
+        self.act = np.empty((0, ell ** 4), dtype=np.int32)
+        self.orbit = np.full(1, ell ** k)
+        self.where = np.full(ell ** 4, -1, dtype=np.int32)
+        self.where[self.orbit] = 0
+        self.parent = self.via = np.full(1, -1, dtype=np.intp)
+        self.depth = np.zeros(1, dtype=np.intp)
+        self.sifted = (1, 0)
+
+    def _pairs(self, gpair, pair):
+        self.gpair, self.pair = gpair, pair
+        self.gens, self.inv = gpair[:, 0], gpair[:, 1].transpose(0, 2, 1)
+        self.u, self.uinv = pair[:, 0], pair[:, 1].transpose(0, 2, 1)
+
+    def extended(self, gens, inv, act, ell):
+        """This level with the strong generators `gens` added, its orbit
+        grown by a breadth-first search vectorized per round: the new
+        generators map the old orbit, then every generator the last round's
+        new points.  Of the images of one new vector, the one whose position
+        a scatter into `where` kept is taken.  The old points keep their
+        transversal, so their Schreier generators by the old generators
+        still sift."""
+        out = object.__new__(_Level)
+        gpair = np.concatenate(
+            [self.gpair, np.stack([gens, inv.transpose(0, 2, 1)], axis=1)])
+        out.act = np.concatenate([self.act, act])
+        out.where = self.where.copy()
+        out.sifted = self.sifted
+        rounds = [(self.orbit, self.pair, self.parent, self.via, self.depth)]
+        size, first = len(self.orbit), len(self.gpair)
+        front = np.arange(size)
+        while front.size:
+            orbit, pair, _, _, depth = rounds[-1]
+            images = out.act[first:, orbit].ravel()  # generator-major
+            new = np.flatnonzero(out.where[images] < 0)
+            out.where[images[new]] = new
+            new = new[out.where[images[new]] == new]
+            out.where[images[new]] = np.arange(size, size + new.size)
+            g, p = np.divmod(new, len(orbit))
+            g += first
+            rounds.append((images[new], gpair[g] @ pair[p] % ell, front[p], g,
+                           depth[p] + 1))
+            front, size, first = np.arange(size, size + new.size), \
+                size + new.size, 0
+        out.orbit, pair, out.parent, out.via, out.depth = (
+            np.concatenate(part) for part in zip(*rounds))
+        out._pairs(gpair, pair)
+        return out
+
+
+def _order(chain):
+    "The order of the group of a complete chain: the product of its orbits."
+    return prod(len(level.orbit) for level in chain)
+
+
+def _with(chain, gens, inv, low, ell):
+    """The chain with each of `gens` a strong generator of the levels from
+    `low` to the first base point it moves (of none, for the identity)."""
+    moved = _first_moved(gens)
+    act = _actions(gens, ell)
+    chain = list(chain)
+    for k in range(low, 4):
+        add = (moved >= k) & (moved < 4)
+        if add.any():
+            chain[k] = chain[k].extended(gens[add], inv[add], act[add], ell)
+    return chain
+
+
+def _sifts(h, chain, low, ell):
+    """Which (B, 4, 4) matrices `h`, each fixing e_0, ..., e_(low-1), sift
+    to the identity through the complete levels from `low`: at level j,
+    h e_j must lie in the orbit, and h becomes uinv h for its point.  Below
+    the last level whose orbit is more than {e_j} only the identity fixes
+    the base, so there h sifts when it is u of its point."""
+    moving = [j for j in range(low, 4) if len(chain[j].orbit) > 1]
+    if not moving:
+        return (h == _EYE).all(axis=(1, 2))
+    ok = True
+    for j in moving:
+        level = chain[j]
+        pos = level.where[_index(h[:, :, j].T, ell)]
+        ok &= pos >= 0  # off the orbit, -1 reads the last point
+        if j < moving[-1]:
+            h = level.uinv[pos] @ h % ell
+    # equal matrices, compared as four int64 words of four entries each
+    words = [x.reshape(-1, 16).view(np.int64) for x in (h, level.u[pos])]
+    return ok & (words[0] == words[1]).all(axis=1)
+
+
+def _residue(chain, i, start, ell):
+    """(stop, found): the Schreier generators uinv[q] s u[p] of level i, q
+    the point s p, from point `start` on, are sifted in batches of about
+    _CHUNK_ROWS, but for tree edges (the identity) and those level.sifted
+    covers.  found is None when all of them sift (level.sifted then covers
+    them all), else (j, r, r^-1) for the first r that does not, sifted to
+    the level j where it leaves the orbit, its batch from point `stop`."""
+    level = chain[i]
+    m, n = len(level.gens), len(level.orbit)
+    known, old = level.sifted
+    if old == m:
+        start = max(start, known)
+    per = max(1, _CHUNK_ROWS // max(m, 1))
+    for stop in range(start, n, per):
+        p = np.arange(stop, min(stop + per, n))
+        q = level.where[level.act[:, level.orbit[p]]]  # (m, len(p))
+        s = np.arange(m)[:, None]
+        s, a = np.nonzero(((level.parent[q] != p) | (level.via[q] != s))
+                          & ((p >= known) | (s >= old)))
+        h = level.uinv[q[s, a]] @ (level.gens[s] @ level.u[p[a]] % ell) % ell
+        bad = np.flatnonzero(~_sifts(h, chain, i + 1, ell))
+        if bad.size:
+            s, a = s[bad[0]], a[bad[0]]
+            r, rinv = h[bad[0]], (level.uinv[p[a]] @ level.inv[s] % ell
+                                  @ level.u[q[s, a]] % ell)
+            for j in range(i + 1, 4):
+                pos = chain[j].where[_index(r[:, j, None], ell)[0]]
+                if pos < 0:
+                    return stop, (j, r, rinv)
+                r = chain[j].uinv[pos] @ r % ell
+                rinv = rinv @ chain[j].u[pos] % ell
+            raise AssertionError("a Schreier generator sifted both ways")
+    level.sifted = (n, m)
+    return n, None
+
+
+def _chain(gens, ell, base=None, cap=None):
+    """A complete base and strong generating set of the group that the
+    (m, 4, 4) matrices `gens` generate mod ell, extending the complete chain
+    `base` when given (deterministic Schreier-Sims: C. C. Sims, 1970; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.4).
+
+    The base is e_0, ..., e_3, which only the identity fixes.  Each
+    generator joins the levels from 0 to the first base point it moves, and
+    the levels are checked from the deepest changed one up.  Level i is
+    complete when every Schreier generator sifts to the identity through
+    the levels below it; one that does not joins the levels from i + 1 to
+    where it stopped, and the check resumes there.  Level i is unchanged,
+    so its check later goes on from the batch where it stopped, and a
+    grown level keeps the Schreier generators that sifted before (their
+    deeper groups have only grown).  The order is then the product of the
+    orbit lengths (_order).  A product past `cap` stops the check: it
+    bounds the order from below."""
+    gens = (np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4) % ell).astype(
+        np.int16)
+    moved = _first_moved(gens)
+    chain = _with(base or [_Level(k, ell) for k in range(4)], gens,
+                  _inverses(gens, ell), 0, ell)
+    i = int(moved[moved < 4].max(initial=-1))
+    start = [0] * 4  # per level, the batch its check goes on from
+    while i >= 0 and (cap is None or _order(chain) <= cap):
+        start[i], found = _residue(chain, i, start[i], ell)
+        if found is None:
+            i -= 1
+        else:
+            j, r, rinv = found
+            chain = _with(chain, r[None], rinv[None], i + 1, ell)
+            start[i + 1:j + 1] = [0] * (j - i)
+            i = j
+    return chain
+
+
+def _tree_products(keys, level, ell, out=None):
+    """Yield `keys` times uinv[i] for every point i of `level`, in passes
+    of about _CHUNK_ROWS keys.  As uinv[i] = uinv[parent[i]] s^-1 for
+    s = gens[via[i]], a depth of the Schreier tree at a time, each point's
+    keys are its parent's times s^-1, by the row tables of the strong
+    generators' inverses (no table per point).  The blocks of points with
+    children are kept for the next depth; given `out` (len(level.orbit)
+    blocks), every block is written there and read back as a parent."""
+    tables = _row_tables(level.inv, ell)
+    offset = level.via.astype(np.uint64) << np.uint64(4 * _bits_for(ell))
+    inner = np.zeros(len(level.orbit), dtype=bool)  # points with children
+    inner[level.parent[1:]] = True
+    if out is None:
+        kept, row = keys[None], np.zeros(len(level.orbit), dtype=np.intp)
+    else:
+        kept, row = out.reshape(-1, keys.size), np.arange(len(level.orbit))
+        kept[0] = keys
+    yield keys
+    per = max(1, _CHUNK_ROWS // keys.size)
+    for depth in range(1, level.depth.max() + 1):
+        points = np.flatnonzero(level.depth == depth)
+        rows = row[level.parent[points]]  # the parents' rows in `kept`
+        if out is None:
+            keep = points[inner[points]]
+            after = np.empty((keep.size, keys.size), dtype=np.uint64)
+            row[keep] = np.arange(keep.size)
+        for i in range(0, points.size, per):
+            part = points[i:i + per]
+            block = _products(kept[rows[i:i + per]].ravel(), tables, ell,
+                              np.repeat(offset[part], keys.size))
+            yield block
+            block = block.reshape(part.size, -1)
+            if out is None:
+                after[row[part[inner[part]]]] = block[inner[part]]
+            else:
+                kept[part] = block
+        if out is None:
+            kept = after
+
+
+def _listing(chain, ell, out=None):
+    """The keys of every element of a complete chain's group, each once, in
+    passes (written to `out` when given).  The group is its own set of
+    inverses, so its elements are the products uinv_3 uinv_2 uinv_1 uinv_0
+    of one transversal inverse per level: from the identity, the keys so
+    far times each level's in turn, the deepest first (_tree_products)."""
+    keys = pack_matrices(_EYE, ell)
+    for level in chain[:0:-1]:
+        if len(level.orbit) > 1:
+            keys, deeper = np.empty(len(level.orbit) * keys.size,
+                                    dtype=np.uint64), keys
+            for _ in _tree_products(deeper, level, ell, keys):
+                pass
+    return _tree_products(keys, chain[0], ell, out)
+
+
+def _listed(chain, ell):
+    "The keys of a complete chain's group, listed into one array and sorted."
+    keys = np.empty(_order(chain), dtype=np.uint64)
+    for _ in _listing(chain, ell, keys):
+        pass
+    keys.sort()
+    return keys
 
 
 def mulclose(gens, ell, cap=None):
     """Product closure of invertible integer matrices mod ell, as sorted
-    packed keys: _key_closure from the identity (see _closure for cap)."""
-    gens = np.asarray(gens, dtype=np.int64) % ell
+    packed keys: the listing of their chain (_chain), sorted in place.  An
+    order above `cap` raises RuntimeError before any key is listed."""
+    gens = np.asarray(gens, dtype=np.int64)
     if gens.size == 0:
         raise ValueError("need at least one generator")
-    singular = np.flatnonzero(_det4(gens.reshape(-1, 4, 4)) % ell == 0)
-    if singular.size:
-        raise ValueError("generator %d is singular mod %d"
-                         % (singular[0], ell))
-    return _key_closure(pack_matrices(np.eye(4, dtype=np.int64), ell), gens,
-                        ell, cap)
+    chain = _chain(gens, ell, cap=cap)
+    if cap is not None and _order(chain) > cap:
+        raise RuntimeError("closure cap exceeded (%d elements, cap %d)"
+                           % (_order(chain), cap))
+    return _listed(chain, ell)
 
 
 class GroupSet(_Frozen):
-    """A finalized set of packed matrices over F_ell (sorted uint64 keys)."""
+    """A finalized set of packed matrices over F_ell (sorted uint64 keys).
+    A family's holds the complete chain of its group instead, and lists and
+    sorts the keys on first use."""
 
-    __slots__ = ("ell", "_keys", "_factors")
+    __slots__ = ("ell", "_keys", "_chain", "_factors")
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
@@ -345,15 +631,14 @@ class GroupSet(_Frozen):
         arr.setflags(write=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_keys", arr)
+        object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_factors", None)
 
     @classmethod
-    def _proven(cls, ell, keys, factors):
-        """The GroupSet of a family build: its closure's strictly increasing
-        `keys`, held by nothing else, kept without a copy, and the
-        similitude `factors` that its proof marked."""
-        keys.setflags(write=False)
-        return _restore(cls, [("ell", ell), ("_keys", keys),
+    def _proven(cls, ell, chain, factors):
+        """The GroupSet of a family build: the complete `chain` of its group
+        and the similitude `factors` that its proof marked."""
+        return _restore(cls, [("ell", ell), ("_keys", None), ("_chain", chain),
                               ("_factors", tuple(factors))])
 
     @classmethod
@@ -363,10 +648,16 @@ class GroupSet(_Frozen):
 
     @property
     def keys(self):
+        if self._keys is None:
+            keys = _listed(self._chain, self.ell)
+            keys.setflags(write=False)
+            object.__setattr__(self, "_keys", keys)
         return self._keys
 
     @property
     def order(self):
+        if self._keys is None:
+            return _order(self._chain)
         return int(self._keys.size)
 
     def __len__(self):
@@ -374,11 +665,11 @@ class GroupSet(_Frozen):
 
     def __eq__(self, other):
         if isinstance(other, GroupSet):
-            return self.ell == other.ell and np.array_equal(self._keys, other._keys)
+            return self.ell == other.ell and np.array_equal(self.keys, other.keys)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ell, self._keys.tobytes()))
+        return hash((self.ell, self.keys.tobytes()))
 
     def __contains__(self, item):
         if isinstance(item, (int, np.integer)):
@@ -386,15 +677,22 @@ class GroupSet(_Frozen):
         else:
             arr = np.asarray(item, dtype=np.int64).reshape(1, 4, 4) % self.ell
             key = pack_matrices(arr, self.ell)
-        return bool(_contains_sorted(self._keys, key)[0])
+        return bool(_contains_sorted(self.keys, key)[0])
 
     def matrices(self):
         "Yield the elements as (N, 4, 4) int64 arrays in key order."
-        return _unpacked(self._keys, self.ell)
+        return _unpacked([self.keys], self.ell)
+
+    def _blocks(self):
+        """The keys in blocks, in any order: the listing of a chain whose
+        keys are not yet listed, else the sorted keys."""
+        if self._keys is None:
+            return _listing(self._chain, self.ell)
+        return [self._keys]
 
     def _nu_chunks(self):
         "The factor of every element, one array per _CHUNK_ROWS keys."
-        for mats in _unpacked(self._keys, self.ell, np.int16):
+        for mats in _unpacked([self.keys], self.ell, np.int16):
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")
@@ -418,10 +716,10 @@ class GroupSet(_Frozen):
     def subset_of(self, other):
         if self.ell != other.ell:
             return False
-        return bool(_contains_sorted(other.keys, self._keys).all())
+        return bool(_contains_sorted(other.keys, self.keys).all())
 
     def __reduce__(self):  # rebuilt by __init__, so the keys stay read-only
-        return GroupSet, (self.ell, self._keys)
+        return GroupSet, (self.ell, self.keys)
 
     def __repr__(self):
         return "GroupSet(ell=%d, order=%d)" % (self.ell, self.order)
@@ -518,7 +816,7 @@ def _enumerate_similitudes(ell, scalars, threads):
         block[:] = _products(_products(bases[start:stop], h_tables, ell),
                              s_tables, ell).reshape(len(scalars), -1)
         for row, s in zip(block, scalars):
-            for mats in _unpacked(row, ell, np.int16):
+            for mats in _unpacked([row], ell, np.int16):
                 ok, nu = _similitude_info(mats, ell)
                 if not (ok & (nu == s)).all():
                     raise AssertionError(
@@ -618,10 +916,11 @@ def brute_similitude_scan():
 
 
 def charpoly_census(group):
-    "Exact CharPolyHistogram of a GroupSet; independent of iteration order."
+    """Exact CharPolyHistogram of a GroupSet, from its keys in blocks
+    (GroupSet._blocks): a census is independent of their order."""
     ell = group.ell
     counts = np.zeros(ell ** 5, dtype=np.int64)
-    for mats in group.matrices():
+    for mats in _unpacked(group._blocks(), ell):
         coeffs = charpoly_coeffs(mats, ell)
         ok, nu = _similitude_info(mats, ell)
         if not ok.all():
@@ -779,13 +1078,21 @@ def _case8_gens(ell):
 
 
 def _zero_off(*rows):
-    "The predicate: zero wherever the pattern `rows` ('1010', ...) has 0."
-    rows, cols = zip(*[(i, j) for i, row in enumerate(rows)
-                       for j, c in enumerate(row) if c == "0"])
-    return lambda m, ell: (m[:, rows, cols] == 0).all(axis=1)
+    """The predicate: zero wherever the pattern `rows` ('1010', ...) has 0,
+    tested one entry at a time (each a contiguous array, see unpack_keys)."""
+    zeros = [(i, j) for i, row in enumerate(rows)
+             for j, c in enumerate(row) if c == "0"]
+
+    def inside(m, ell):
+        ok = m[:, zeros[0][0], zeros[0][1]] == 0
+        for i, j in zeros[1:]:
+            ok &= m[:, i, j] == 0
+        return ok
+    return inside
 
 
 _IS_CHECKER = _zero_off("1010", "0101", "1010", "0101")
+_IS_CHECKER_EXCHANGED = _zero_off("0101", "1010", "0101", "1010")
 
 
 def _is_s_image(m, ell):
@@ -805,15 +1112,19 @@ def _is_u_image(m, ell):
 
 def _is_case9(m, ell):
     """X (x) Y with Y diagonal or antidiagonal: the checkerboard with
-    proportional blocks, before or after the exchange of columns."""
-    def even(m):
-        a, b = m[:, ::2, ::2].reshape(-1, 4), m[:, 1::2, 1::2].reshape(-1, 4)
-        ok = _IS_CHECKER(m, ell)
+    proportional blocks, before or after the exchange of columns.  m _EXCHANGE
+    has the columns 1, 0, 3, 2 of m, so it is read in that order, uncopied:
+    its checkerboard is the other zero pattern of m."""
+    def even(zeros, cols):
+        ok = zeros(m, ell)
+        a = [m[:, r, cols[c]] for r in (0, 2) for c in (0, 2)]
+        b = [m[:, r, cols[c]] for r in (1, 3) for c in (1, 3)]
         for i, j in _PAIRS:
-            ok &= (a[:, i] * b[:, j] - a[:, j] * b[:, i]) % ell == 0
+            ok &= (a[i] * b[j] - a[j] * b[i]) % ell == 0
         return ok
 
-    return even(m) | even(m @ _EXCHANGE)
+    return (even(_IS_CHECKER, (0, 1, 2, 3))
+            | even(_IS_CHECKER_EXCHANGED, (1, 0, 3, 2)))
 
 
 # tag -> (generators, membership predicate and closed-form order of the
@@ -860,12 +1171,13 @@ _FAMILIES = {
               _is_case9, lambda q: 4 * q * (q * q - 1) * (q - 1), None),
 }
 
-# The modelled peak resident memory of a family build, per element held
-# (the family, and the base of a doubled one): _closure's buffer, which the
-# GroupSet keeps, and the group of the stage before, the last block of a
-# round and its new rows, and the row field and lookup scratch of a `times`
-# pass over them; 64 bytes leave headroom over these 48.
-# tests/test_finite_census.py checks it against measured peaks.
+# The modelled peak resident memory of a family build, per element of the
+# family and of the base of a doubled one.  A build holds no key set: its
+# chains, one pass of the listing and the kept blocks of one depth of a
+# Schreier tree, so the model bounds its measured peaks from far above.  It
+# stays as the budget's threshold, which refuses Hen, Case6 and Case7 at
+# ell = 11 and 13 before any work.  tests/test_finite_census.py checks it
+# against measured peaks.
 _CLOSURE_ELEMENT_BYTES = 64
 
 
@@ -874,46 +1186,45 @@ def _closure_bytes(elements):
     return _PROCESS_BYTES + elements * _CLOSURE_ELEMENT_BYTES
 
 
-def _counted(close, order, name):
-    "The keys of close(cap=order); AssertionError unless exactly `order`."
-    try:
-        keys = close(order)
-    except RuntimeError:
+def _of_order(chain, order, name):
+    "The chain; AssertionError unless its group has exactly `order` elements."
+    n = _order(chain)
+    if n > order:
         raise AssertionError("%s: the generators give more than %d elements"
-                             % (name, order)) from None
-    if keys.size != order:
+                             % (name, order))
+    if n != order:
         raise AssertionError("%s: the generators give %d elements, not %d"
-                             % (name, keys.size, order))
-    return keys
+                             % (name, n, order))
+    return chain
 
 
 def _closed_family(gens, inside, order, ell, name):
-    """(keys, factors): the sorted keys of the closure of `gens` (a group),
+    """(chain, factors): the complete chain of the group `gens` generate,
     proven to be the family of `order` elements that `inside` and the
-    similitude test define by a count equal to `order` and every key passing
-    both, and the similitude factors of its elements, ascending, marked in
-    the same pass; AssertionError otherwise, and for a closure that outgrows
-    `order`."""
-    keys = _counted(lambda cap: mulclose(gens, ell, cap), order, name)
+    similitude test define by its order, compared with `order` before any
+    key is listed, and by every element of its listing passing both, and
+    the similitude factors of its elements, ascending, marked in the same
+    pass; AssertionError otherwise."""
+    chain = _of_order(_chain(gens, ell, cap=order), order, name)
     occurs = np.zeros(ell, dtype=bool)
-    for mats in _unpacked(keys, ell, np.int16):
+    for mats in _unpacked(_listing(chain, ell), ell, np.int16):
         ok, nu = _similitude_info(mats, ell)
         if not (ok & inside(mats, ell)).all():
             raise AssertionError("%s: the generators leave the family" % name)
         occurs[nu] = True
-    return keys, np.flatnonzero(occurs).tolist()
+    return chain, np.flatnonzero(occurs).tolist()
 
 
 def family_with_base(spec):
     """(family, base) named by `spec`, as GroupSets: _closed_family proves
     the family, or the index-2 base of a doubled one (Case5: the Siegel
     Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
-    [[A, B], [uB, A]]; None for the others).  A doubled family is the
-    closure of the generators and w from the proven base, a group of
-    similitudes when w is one, and of twice the base's order by its count
-    (capped there); it is base u base.w, so its factors are the base's
-    times 1 and nu(w), nu being a homomorphism.  A modelled peak RSS over
-    DEFAULT_MAX_BYTES raises ResourceLimit first."""
+    [[A, B], [uB, A]]; None for the others).  A doubled family's chain is
+    the base's extended by w, of twice the base's order by its chain; it is
+    then base u base.w, a group of similitudes when w is one, and its
+    factors are the base's times 1 and nu(w), nu being a homomorphism.  No
+    key is listed.  A modelled peak RSS over DEFAULT_MAX_BYTES raises
+    ResourceLimit first."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
     held = n if w is None else 3 * n
@@ -922,19 +1233,17 @@ def family_with_base(spec):
             "%s at ell = %d holds %d elements, ~%d bytes (modelled peak RSS); "
             "budget is %d" % (spec.tag, ell, held, _closure_bytes(held),
                               DEFAULT_MAX_BYTES))
-    gens = gens(ell)
-    keys, factors = _closed_family(gens, inside, n, ell,
-                                   spec.tag + ("" if w is None else " base"))
-    base = GroupSet._proven(ell, keys, factors)
+    chain, factors = _closed_family(gens(ell), inside, n, ell,
+                                    spec.tag + ("" if w is None else " base"))
+    base = GroupSet._proven(ell, chain, factors)
     if w is None:
         return base, None
-    keys = _counted(lambda cap: _key_closure(base.keys, gens + [w], ell, cap),
-                    2 * n, spec.tag)
+    chain = _of_order(_chain([w], ell, base=chain, cap=2 * n), 2 * n, spec.tag)
     ok, nu = _similitude_info(w[None] % ell, ell)
     if not ok[0]:
         raise AssertionError("%s: the generators leave the family" % spec.tag)
     factors = sorted({*factors, *(f * int(nu[0]) % ell for f in factors)})
-    return GroupSet._proven(ell, keys, factors), base
+    return GroupSet._proven(ell, chain, factors), base
 
 
 def build_family(spec):

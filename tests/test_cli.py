@@ -229,31 +229,33 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
 
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
-    # `family` and `ceta` close the base once, from the identity; the
-    # doubled family is a second closure that starts from the base's keys
+    # `family` and `ceta` build the base's chain once, from the generators;
+    # the doubled family's chain extends the base's by w, and is built once
     calls = []
-    closure = finite_census._closure
+    chain = finite_census._chain
 
-    def recorded(sub, ngens, times, cap=None):
-        calls.append((sub.size, cap))
-        return closure(sub, ngens, times, cap)
+    def recorded(gens, ell, base=None, cap=None):
+        out = chain(gens, ell, base, cap)
+        calls.append((len(gens), base and finite_census._order(base), cap,
+                      finite_census._order(out)))
+        return out
 
-    monkeypatch.setattr(finite_census, "_closure", recorded)
+    monkeypatch.setattr(finite_census, "_chain", recorded)
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
-    assert code == 0 and calls == [(1, 192), (192, 384)]
+    assert code == 0 and calls == [(3, None, 192, 192), (1, 192, 384, 384)]
     assert rep["results"]["order"] == 384
     assert rep["results"]["base_order"] == 192
     assert all(entry["pass"] for entry in rep["assertions"])
     calls.clear()
     code, _ = run_json(capsys, "ceta", "--case", "8", "--ell", "3",
                        "--eta", "1/4")
-    assert code == 0 and calls == [(1, 192), (192, 384)]
+    assert code == 0 and calls == [(3, None, 192, 192), (1, 192, 384, 384)]
 
 
 def test_family_over_the_memory_budget_is_a_usage_error(monkeypatch, capsys):
     # Hen at ell = 13 holds 57,238,272 elements: refused from the order
-    # alone, before any closure runs
-    monkeypatch.setattr(finite_census, "mulclose", None)
+    # alone, before any chain is built
+    monkeypatch.setattr(finite_census, "_chain", None)
     for argv in (("family", "--case", "Hen"),
                  ("ceta", "--case", "Hen", "--eta", "1/4")):
         code, out, err = run(capsys, *argv, "--ell", "13")

@@ -43,12 +43,14 @@ from sympkit.finite_census import (
     _ROT_PAIR,
     _SWAP,
     _all_gl2,
+    _chain,
     _closed_family,
     _closure_bytes,
     _embed,
     _ext_params,
     _inverse_table,
-    _key_closure,
+    _listing,
+    _order,
     _products,
     _row_tables,
     _similitude_info,
@@ -337,8 +339,9 @@ def test_closure_deterministic_across_orderings():
 
 
 def test_mulclose_refuses_singular_generators():
-    # the coset argument of _closure needs a group: from a singular generator
-    # the closure listed repeated keys (292 keys, 263 of them distinct, here)
+    # a chain needs the inverse of every generator, which _mat.mat_inv
+    # refuses for a singular one (a coset closure from this draw listed 292
+    # keys, 263 of them distinct)
     rng = np.random.default_rng(5)
     gens = rng.integers(0, 3, (2, 4, 4))
     gens[0][3] = 0
@@ -350,17 +353,22 @@ def test_mulclose_refuses_singular_generators():
 
 
 def test_closures_are_strictly_increasing():
-    # neither merge of _closure drops a repeated key, and GroupSet would
-    # sort and dedupe a bad closure silently: check the keys as returned,
-    # from the identity and, for a doubled family, from the base
+    # a listing is sorted, never deduplicated, and GroupSet would sort and
+    # dedupe a bad one silently: check the keys as mulclose returns them,
+    # and the listing of each chain, from the generators and, for a doubled
+    # family, extended from the base's, as one sorted array of its order
     for ell in (3, 5):
         for tag, (gens, _, order, w) in _FAMILIES.items():
-            keys = [mulclose(gens(ell), ell)]
+            chains = [_chain(gens(ell), ell)]
             if w is not None:
-                keys.append(_key_closure(keys[0], gens(ell) + [w], ell, None))
+                chains.append(_chain([w], ell, base=chains[0]))
+            keys = [mulclose(gens(ell), ell)]
+            keys += [np.sort(np.concatenate(list(_listing(c, ell))))
+                     for c in chains]
             for k in keys:
                 assert k.dtype == np.uint64 and (k[1:] > k[:-1]).all(), tag
-            assert keys[-1].size == order(ell) * len(keys), (tag, ell)
+            assert np.array_equal(keys[0], keys[1]), tag
+            assert keys[-1].size == order(ell) * len(chains), (tag, ell)
 
 
 def test_row_table_products_match_the_matrix_products():
@@ -486,20 +494,23 @@ def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
 
 
 def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
-    # a family build hands each closure's keys to its GroupSet: the base's
-    # and the doubled family's are each held once
-    closed = []
-    counted = finite_census._counted
-    monkeypatch.setattr(finite_census, "_counted",
-                        lambda *args: closed.append(counted(*args)) or closed[-1])
+    # a family build hands each chain to its GroupSet and lists no key:
+    # the base's and the doubled family's keys are listed on first use,
+    # once, and held without a copy
+    chains = []
+    chain = finite_census._chain
+    monkeypatch.setattr(finite_census, "_chain", lambda *args, **kwargs:
+                        chains.append(chain(*args, **kwargs)) or chains[-1])
     for tag in ("Hen", "Case7"):
-        closed.clear()
+        chains.clear()
         fam, base = family_with_base(FamilySpec(tag, 3))
         held = [fam] if base is None else [base, fam]
-        assert len(closed) == len(held), tag
-        for g, keys in zip(held, closed):
-            assert np.shares_memory(g.keys, keys), tag
-            assert not g.keys.flags.writeable, tag
+        assert [g._chain for g in held] == chains, tag
+        for g in held:
+            assert g._keys is None, tag
+            keys = g.keys
+            assert g.keys is keys and not keys.flags.writeable, tag
+            assert keys.size == g.order and (keys[1:] > keys[:-1]).all(), tag
 
 
 def test_groupset_nu_values_rejects_non_similitudes():
@@ -1089,7 +1100,8 @@ def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
     # normalize the base
     gens, inside, order, _ = _FAMILIES["Case8"]
     assert np.array_equal(mulclose(gens(3) + [_SWAP], 3), family("Case8").keys)
-    # at ell = 5 the closure outgrows the doubled base
+    # at ell = 5 the chain's order outgrows the doubled base, and mulclose
+    # says so before listing
     with pytest.raises(RuntimeError, match="closure cap exceeded"):
         mulclose(gens(5) + [_SWAP], 5, cap=2 * order(5))
 
@@ -1107,7 +1119,7 @@ def test_case9_pattern_union():
 
 def test_extend_by_guards(monkeypatch):
     # extending a group by one element must give a group of twice its order;
-    # the proof (_closed_family) refuses a closure that outgrows it
+    # the proof (_closed_family) refuses a chain whose order outgrows it
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
     everything = lambda m, ell: np.ones(len(m), bool)  # noqa: E731
@@ -1116,8 +1128,8 @@ def test_extend_by_guards(monkeypatch):
                                              "than 2 elements"):
         _closed_family([s2], everything, 2, 3, "x")
     # doubling the torus by a shear, which does not normalize it: the
-    # closure of the torus and the shear, started from the torus, outgrows
-    # the union torus u torus.shear (which would be no group)
+    # torus's chain extended by the shear outgrows the union
+    # torus u torus.shear (which would be no group)
     gens, diagonal, order, _ = _FAMILIES["LeviB"]
     shear = np.eye(4, dtype=np.int64)
     shear[0, 1] = 1
@@ -1152,18 +1164,18 @@ def test_verify_group_catches_defects(monkeypatch):
 
 
 def test_doubling_proof_guards(monkeypatch):
-    # a doubled family is the closure of the generators and w from its
-    # proven base of order N; the build asserts three things: the closure
-    # stays within the cap 2N, it counts exactly 2N, and w is a similitude.
-    # The count fails for a w inside the base: the block swap lies in the
-    # checkerboard group, so the closure stops at N = 1152 elements
+    # a doubled family's chain is its proven base's (of order N) extended by
+    # w; the build asserts three things before listing any key: the chain's
+    # order is at most 2N, it is exactly 2N, and w is a similitude.  The
+    # count fails for a w inside the base: the block swap lies in the
+    # checkerboard group, so the extended chain still has N = 1152 elements
     gens, inside, order, _ = _FAMILIES["Case6"]
     with monkeypatch.context() as patch:
         patch.setitem(_FAMILIES, "Case6", (gens, inside, order, _SWAP))
         with pytest.raises(AssertionError, match="Case6: the generators give "
                                                  "1152 elements, not 2304"):
             build_family(FamilySpec("Case6", 3))
-    # the cap fails for a w that normalizes the base but squares outside
+    # the bound fails for a w that normalizes the base but squares outside
     # it: the Weyl rotation r = (exchange).s2, a signed permutation,
     # normalizes the diagonal torus (N = 8), but r^2 swaps e1 with e3 and e2
     # with e4 (up to sign), so it is no diagonal matrix and <torus, r>
@@ -1180,15 +1192,15 @@ def test_doubling_proof_guards(monkeypatch):
                                                  "more than 16 elements"):
             build_family(FamilySpec("LeviB", 3))
     # the similitude test fails for diag(1, 1, 1, 2): it commutes with the
-    # torus and squares to 1 mod 3, so the closure counts exactly 2N, but it
-    # is no similitude, so the closure leaves the family
+    # torus and squares to 1 mod 3, so the chain has exactly 2N elements,
+    # but it is no similitude, so the group leaves the family
     with monkeypatch.context() as patch:
         patch.setitem(_FAMILIES, "LeviB",
                       (gens, diagonal, order, np.diag([1, 1, 1, 2])))
         with pytest.raises(AssertionError, match="LeviB: the generators "
                                                  "leave"):
             build_family(FamilySpec("LeviB", 3))
-    # the cap also fails for this similitude w, though w g t(w) and w^2 lie
+    # the bound also fails for this similitude w, though w g t(w) and w^2 lie
     # in the cyclic base <g> (N = 12) and w lies outside it: t(w) is no
     # inverse of w (w t(w) lies outside <g> too), w does not normalize <g>,
     # and <g, w> has 51,840 elements, far beyond 2N = 24
@@ -1269,6 +1281,22 @@ FAMILY_ORDERS_7 = {"LeviB": 6 ** 3, "LeviP": 6 * _gl2(7), "LeviQ": 6 * _gl2(7),
 LARGE_AT_7 = ("Hen", "Case6", "Case7")
 
 
+def test_chain_orders_are_the_closed_forms():
+    # the order a chain proves is the product of its orbit lengths; at
+    # ell = 7, 11 and 13 it is each family's closed form, and twice it for
+    # the chain of a doubled family extended from its base's by w.  At
+    # ell = 7 the closed forms are also the standard formulas above
+    for ell in (7, 11, 13):
+        for tag, (gens, _, order, w) in _FAMILIES.items():
+            chain = _chain(gens(ell), ell)
+            assert _order(chain) == order(ell), (tag, ell)
+            if w is not None:
+                assert _order(_chain([w], ell, base=chain)) == 2 * order(ell)
+            if ell == 7:
+                assert order(7) * (1 if w is None else 2) \
+                    == FAMILY_ORDERS_7[tag], tag
+
+
 def test_family_orders_at_ell_7():
     for tag, order in FAMILY_ORDERS_7.items():
         if tag not in LARGE_AT_7:
@@ -1301,14 +1329,14 @@ def test_budget_model_bounds_the_family_peak_rss():
 
 
 def test_family_working_set_stays_small():
-    # the closure merges into one buffer, forms its products by row tables
-    # with two scratch arrays, and hands its keys to the GroupSet uncopied;
-    # the check unpacks a few thousand int16 rows at a time and marks the
-    # similitude factors.  So the whole `family` path of Hen at ell = 5
-    # (57,600 elements, 450 KiB of keys) traces under 1.3 MiB, and of the
-    # doubled Case7 (124,800 elements and a base of 62,400, 1.43 MiB of
-    # keys) under 2.75 MiB
-    for tag, bound in (("Hen", 1.3), ("Case7", 2.75)):
+    # a family is proven from its chain: the listing streams its keys in
+    # passes of a few thousand, keeping only the blocks of tree points with
+    # children, and the check unpacks each pass into int16 rows and marks
+    # the similitude factors; no key set is held.  So the whole `family`
+    # path of Hen at ell = 5 (57,600 elements, 450 KiB of keys) traces
+    # under 0.85 MiB, and of the doubled Case7 (124,800 elements and a base
+    # of 62,400, 1.43 MiB of keys) under 1 MiB
+    for tag, bound in (("Hen", 0.85), ("Case7", 1.0)):
         tracemalloc.start()
         try:
             family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
@@ -1323,7 +1351,7 @@ def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("a closure ran")
 
-    monkeypatch.setattr(finite_census, "mulclose", no_closure)
+    monkeypatch.setattr(finite_census, "_chain", no_closure)
     need = _closure_bytes(57238272)
     assert need > finite_census.DEFAULT_MAX_BYTES
     with pytest.raises(ResourceLimit, match="Hen at ell = 13 holds 57238272 "

@@ -113,6 +113,19 @@ def test_unknown_attribute_raises():
     assert not hasattr(sympkit, "numpy")
 
 
+def test_finite_census_compiles_its_siblings_before_numpy():
+    # a child that runs from a fresh checkout compiles every sympkit module
+    # it imports; compiled after numpy, a module adds to the peak RSS that
+    # numpy has already raised, so finite_census imports its siblings first
+    # (sys.modules holds each module from the start of its import)
+    out = run_python("import json, sys\n"
+                     "import sympkit.finite_census\n"
+                     "print(json.dumps(list(sys.modules)))")
+    loaded = json.loads(out)
+    for name in ("sympkit.census", "sympkit.exact_arith", "sympkit._mat"):
+        assert loaded.index(name) < loaded.index("numpy"), name
+
+
 def test_bare_import_loads_no_submodule():
     assert probe("--bare-import")["modules"] == []
     out = run_python("import sympkit; print(sympkit.finite_census.__name__)")
