@@ -161,8 +161,15 @@ class PrimeFieldElem(_Field):
         object.__setattr__(self, "mod", mod)
         object.__setattr__(self, "val", val % mod)
 
+    def _make(self, val):
+        "An element of this field, whose modulus needs no second check."
+        out = object.__new__(PrimeFieldElem)
+        object.__setattr__(out, "mod", self.mod)
+        object.__setattr__(out, "val", val % self.mod)
+        return out
+
     def one(self):
-        return PrimeFieldElem(self.mod, 1)
+        return self._make(1)
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElem):
@@ -170,14 +177,14 @@ class PrimeFieldElem(_Field):
                 raise ValueError("mixed moduli: %d vs %d" % (self.mod, other.mod))
             return other
         if isinstance(other, int):
-            return PrimeFieldElem(self.mod, other)
+            return self._make(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.mod, self.val + o.val)
+        return self._make(self.val + o.val)
 
     __radd__ = __add__
 
@@ -185,28 +192,28 @@ class PrimeFieldElem(_Field):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.mod, self.val - o.val)
+        return self._make(self.val - o.val)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.mod, self.val * o.val)
+        return self._make(self.val * o.val)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.val == 0:
             raise ZeroDivisionError("inverse of 0 mod %d" % self.mod)
-        return PrimeFieldElem(self.mod, pow(self.val, -1, self.mod))
+        return self._make(pow(self.val, -1, self.mod))
 
     def __neg__(self):
-        return PrimeFieldElem(self.mod, -self.val)
+        return self._make(-self.val)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return PrimeFieldElem(self.mod, pow(self.val, n, self.mod))
+        return self._make(pow(self.val, n, self.mod))
 
     def __bool__(self):
         return self.val != 0

@@ -259,22 +259,25 @@ def _vectors(ell):
     return np.indices((ell,) * 4, dtype=np.int16).reshape(4, -1)
 
 
-def _apply(g, vecs, ell):
-    "g v mod ell for the columns v of `vecs`, by scaled columns of g (int16)."
-    g = (np.asarray(g) % ell).astype(np.int16)
-    out = g[:, :1] * vecs[0]
+def _apply(gens, vecs, ell):
+    """g v mod ell for each (4, 4) matrix g of `gens` and each column v of
+    the (4, R) int16 array `vecs`, as an (m, 4, R) int16 array of sums of
+    the columns of g scaled by the entries of v."""
+    g = (np.asarray(gens) % ell).astype(np.int16)[..., None]
+    out = g[:, :, 0] * vecs[0]
     for k in range(1, 4):
-        out += g[:, k:k + 1] * vecs[k]
+        out += g[:, :, k] * vecs[k]
     out %= ell
     return out
 
 
 def _index(vecs, base):
-    "Each column v of the (4, R) array `vecs` as the number sum(v[k] base^k)."
-    out = vecs[3].astype(np.intp)
+    """Each vector v of `vecs` (entries on the second last axis) as the
+    number sum(v[k] base^k)."""
+    out = vecs[..., 3, :].astype(np.intp)
     for k in (2, 1, 0):
         out *= base
-        out += vecs[k]
+        out += vecs[..., k, :]
     return out
 
 
@@ -283,10 +286,10 @@ def _row_tables(gens, ell):
     row of a key) to the field of x.g: row r of m.g is row r of m times g.
     Each table is filled from the ell^4 rows alone, x.g = t(g) x mod ell."""
     rows, base = _vectors(ell), 1 << _bits_for(ell)
-    index = _index(rows, base)
     tables = np.zeros((len(gens), base ** 4), dtype=np.uint64)
-    for table, g in zip(tables, gens):
-        table[index] = _index(_apply(np.transpose(g), rows, ell), base)
+    if len(gens):
+        tables[:, _index(rows, base)] = _index(
+            _apply(np.transpose(gens, (0, 2, 1)), rows, ell), base)
     return tables
 
 
@@ -332,10 +335,9 @@ def _inverses(gens, ell):
     """The inverses of (m, 4, 4) matrices mod ell, by _mat.mat_inv over
     PrimeFieldElem; ValueError names the first singular one."""
     out = np.empty_like(gens)
-    for i, g in enumerate(gens):
+    for i, g in enumerate(gens.tolist()):
         try:
-            inv = mat_inv([[PrimeFieldElem(ell, int(x)) for x in row]
-                           for row in g])
+            inv = mat_inv([[PrimeFieldElem(ell, x) for x in row] for row in g])
         except ZeroDivisionError:
             raise ValueError("generator %d is singular mod %d" % (i, ell)) \
                 from None
@@ -347,8 +349,7 @@ def _actions(gens, ell):
     """Per matrix g, the ell-adic index (_index in base ell) of g v for that
     of every v in F_ell^4."""
     vecs = _vectors(ell)[::-1]  # column i has the index i
-    return np.array([_index(_apply(g, vecs, ell), ell) for g in gens],
-                    dtype=np.int32).reshape(-1, ell ** 4)
+    return _index(_apply(gens, vecs, ell), ell).astype(np.int32)
 
 
 def _first_moved(gens):
@@ -480,9 +481,9 @@ def _residue(chain, i, start, ell):
     for stop in range(start, n, per):
         p = np.arange(stop, min(stop + per, n))
         q = level.where[level.act[:, level.orbit[p]]]  # (m, len(p))
-        s = np.arange(m)[:, None]
-        s, a = np.nonzero(((level.parent[q] != p) | (level.via[q] != s))
-                          & ((p >= known) | (s >= old)))
+        gen = np.arange(m)[:, None]
+        s, a = np.nonzero(((level.parent[q] != p) | (level.via[q] != gen))
+                          & ((p >= known) | (gen >= old)))
         h = level.uinv[q[s, a]] @ (level.gens[s] @ level.u[p[a]] % ell) % ell
         bad = np.flatnonzero(~_sifts(h, chain, i + 1, ell))
         if bad.size:
