@@ -46,9 +46,9 @@ entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
 product four lookups shifted into place (_row_tables, _products); a chain's
 multipliers are the inverses of its strong generators.  Every loop over the
 elements of a listing or key array (the checks, the similitude factors, the
-census) unpacks _CHUNK_ROWS keys per pass into one entry-major array, its
-temporaries in cache: int16 for the similitude test and the membership
-predicates, int64 for the characteristic polynomials.
+census) unpacks _CHUNK_ROWS keys per pass into one entry-major int16 array,
+its temporaries in cache: the similitude test, the membership predicates
+and the census's e1 and e2 are exact in int16.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
 which needs no listing and no numpy.
@@ -129,14 +129,25 @@ def unpack_keys(keys, ell, dtype=np.int64):
     The entries are formed entry-major, one contiguous row of N per entry of
     a matrix, and returned as an (N, 4, 4) view of them: the checks read
     whole entries, columns and blocks, each then a contiguous array.  The
-    shifts are cast into the unsigned type of the same width as they are
-    formed, keeping their low bits, so no wider array is made; every entry
-    is below ell <= 13, so the `dtype` view is exact."""
-    dtype = np.dtype(dtype)
-    out = np.empty((16, np.size(keys)), dtype="u%d" % dtype.itemsize)
-    np.right_shift(np.asarray(keys, dtype=np.uint64)[None],
-                   _shifts(ell)[:, None], out=out, casting="unsafe")
-    out &= (1 << _bits_for(ell)) - 1
+    rows are formed in the unsigned type of the same width as `dtype`, and
+    no array wider than the result and one N-word scratch is made (one call
+    shifting all 16 rows makes numpy cast or buffer through a wider one).
+    A 64-bit result doubles its rows: rows k..2k-1 are rows 0..k-1 shifted
+    by k entries.  A narrower result keeps the low bits of each row, shifted
+    from the keys into the scratch.  Every entry is below ell <= 13, so the
+    `dtype` view is exact."""
+    dtype, keys = np.dtype(dtype), np.asarray(keys, dtype=np.uint64)
+    bits = _bits_for(ell)
+    out = np.empty((16, keys.size), dtype="u%d" % dtype.itemsize)
+    if dtype.itemsize == 8:
+        out[0] = keys
+        for k in (1, 2, 4, 8):
+            np.right_shift(out[:k], bits * k, out[k:2 * k])
+    else:
+        scratch = np.empty_like(keys)
+        for row, shift in zip(out, _shifts(ell)):
+            row[...] = np.right_shift(keys, shift, scratch)
+    out &= (1 << bits) - 1
     return out.view(dtype).T.reshape(-1, 4, 4)
 
 
@@ -184,7 +195,7 @@ def _similitude_info(mats, ell):
     omega(c0, c2) = omega(c1, c3) = nu and zero on the other four.  The
     matrices are signed integers of at least 16 bits, in which the form
     values, below 2 * 12^2 for entries below ell <= 13, are exact: the
-    checks pass int16, the census int64."""
+    checks and the census pass int16."""
     m = np.asarray(mats)
     cols = [m[:, :, i] for i in range(4)]
     nu = _omega(cols[0], cols[2]) % ell
@@ -918,25 +929,32 @@ def brute_similitude_scan():
 
 def charpoly_census(group):
     """Exact CharPolyHistogram of a GroupSet, from its keys in blocks
-    (GroupSet._blocks): a census is independent of their order."""
+    (GroupSet._blocks): a census is independent of their order.
+
+    Each pass is one int16 unpack, checked as similitudes first.  For a
+    similitude of factor nu, det(1 - gT) is palindromic: c3 = nu c1 and
+    c4 = nu^2.  So a class is fixed by (c1, c2, nu), and only e1 and e2 are
+    formed, exact in int16 (|e1| <= 48 and |e2| <= 864 for entries below
+    13); the count runs over those ell^3 triples, whose index fits int16 at
+    every ell <= 13 (charpoly_coeffs, which forms all four, is the
+    reference of the tests)."""
     ell = group.ell
-    counts = np.zeros(ell ** 5, dtype=np.int64)
-    for mats in _unpacked(group._blocks(), ell):
-        coeffs = charpoly_coeffs(mats, ell)
-        ok, nu = _similitude_info(mats, ell)
+    counts = np.zeros(ell ** 3, dtype=np.int64)
+    for m in _unpacked(group._blocks(), ell, np.int16):
+        ok, nu = _similitude_info(m, ell)
         if not ok.all():
             raise ValueError("census input contains a non-similitude")
-        flat = (((coeffs[:, 0] * ell + coeffs[:, 1]) * ell + coeffs[:, 2])
-                * ell + coeffs[:, 3]) * ell + nu
-        counts += np.bincount(flat, minlength=ell ** 5)
+        e1 = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] + m[:, 3, 3]
+        e2 = sum(m[:, i, i] * m[:, j, j] - m[:, i, j] * m[:, j, i]
+                 for i, j in _PAIRS)
+        counts += np.bincount(((-e1 % ell) * ell + e2 % ell) * ell + nu,
+                              minlength=ell ** 3)
     classes, nu_classes = {}, {}
     for flat in np.flatnonzero(counts):
         n = int(counts[flat])
         rest, nu = divmod(int(flat), ell)
-        rest, c4 = divmod(rest, ell)
-        rest, c3 = divmod(rest, ell)
         c1, c2 = divmod(rest, ell)
-        key = (c1, c2, c3, c4)
+        key = (c1, c2, nu * c1 % ell, nu * nu % ell)
         nu_classes[key + (nu,)] = n
         classes[key] = classes.get(key, 0) + n
     return CharPolyHistogram(ell, classes, nu_classes)

@@ -131,6 +131,20 @@ def test_pack_unpack_roundtrip():
         for dtype in (np.int8, np.int16, np.uint64):
             small = unpack_keys(keys, ell, dtype=dtype)
             assert small.dtype == dtype and np.array_equal(small, mats)
+    # one pass of the checks and the census: 2,048 keys make no array wider
+    # than the result and one 2,048-word scratch, plus 2 KiB of array
+    # objects (the 16 rows shifted in one call went through a wider
+    # transient: 258 KiB for the 64 KiB int16 result)
+    keys = pack_matrices(rng.integers(0, 5, size=(2048, 4, 4)), 5)
+    for dtype in (np.int16, np.int64):
+        unpack_keys(keys, 5, dtype)
+        tracemalloc.start()
+        try:
+            got = unpack_keys(keys, 5, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + keys.nbytes + 2048, (dtype, peak)
 
 
 def test_pack_matrices_layout_and_nu():
@@ -589,6 +603,37 @@ def test_census_csv_shape():
         parts = [int(x) for x in row.split(",")]
         assert len(parts) == 6
         assert all(0 <= x < 3 for x in parts[:5])
+
+
+def _coefficient_census(group):
+    "nu_classes from charpoly_coeffs and _similitude_info, all in int64."
+    ell, counts = group.ell, np.zeros(group.ell ** 5, dtype=np.int64)
+    for mats in group.matrices():
+        ok, nu = _similitude_info(mats, ell)
+        assert ok.all()
+        c = charpoly_coeffs(mats, ell)
+        flat = (((c[:, 0] * ell + c[:, 1]) * ell + c[:, 2]) * ell
+                + c[:, 3]) * ell + nu
+        counts += np.bincount(flat, minlength=ell ** 5)
+    return {tuple(int(x) for x in np.unravel_index(i, (ell,) * 5)):
+            int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+def test_census_equals_the_coefficient_reference():
+    # the census forms e1 and e2 only, in int16, and reads c3 = nu c1 and
+    # c4 = nu^2 off the similitude factor; the reference forms all four
+    # coefficients.  LeviB at ell = 13 (1,728 elements) is at the largest
+    # prime that packs, where an index over all five values (13^5) would
+    # overflow int16
+    groups = [build_family(FamilySpec(tag, ell))
+              for ell in (3, 5) for tag in _FAMILIES]
+    groups += [gsp4_3(), build_family(FamilySpec("LeviB", 13))]
+    for g in groups:
+        assert charpoly_census(g).nu_classes == _coefficient_census(g), g
+    bad = GroupSet.from_matrices(np.triu(np.ones((4, 4), np.int64))[None], 3)
+    with pytest.raises(ValueError, match="census input contains a "
+                                         "non-similitude"):
+        charpoly_census(bad)
 
 
 def test_census_histogram_consistency_guard():
@@ -1333,17 +1378,26 @@ def test_family_working_set_stays_small():
     # passes of a few thousand, keeping only the blocks of tree points with
     # children, and the check unpacks each pass into int16 rows and marks
     # the similitude factors; no key set is held.  So the whole `family`
-    # path of Hen at ell = 5 (57,600 elements, 450 KiB of keys) traces
-    # under 0.85 MiB, and of the doubled Case7 (124,800 elements and a base
-    # of 62,400, 1.43 MiB of keys) under 1 MiB
-    for tag, bound in (("Hen", 0.85), ("Case7", 1.0)):
+    # path of Hen at ell = 5 (57,600 elements, 450 KiB of keys) traces at
+    # 0.56 MiB, and of the doubled Case7 (124,800 elements and a base of
+    # 62,400, 1.43 MiB of keys) at 0.68 MiB.  The `ceta` path takes its
+    # census from the same int16 passes, so Hen's traces at 0.56 MiB too.
+    # Each bound is its peak plus 0.07 MiB
+    def family_path(tag):
+        return family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
+
+    for name, bound, run in (
+            ("Hen", 0.63, lambda: family_path("Hen")),
+            ("Case7", 0.75, lambda: family_path("Case7")),
+            ("Hen census", 0.63,
+             lambda: charpoly_census(build_family(FamilySpec("Hen", 5))))):
         tracemalloc.start()
         try:
-            family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * (1 << 20), (tag, peak)
+        assert peak < bound * (1 << 20), (name, peak)
 
 
 def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
