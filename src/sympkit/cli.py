@@ -8,14 +8,15 @@ such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
 odd prime or, for a family, an ell above 13, whose matrices do not pack into
 64-bit keys, a rational argument with a zero denominator, a family or
---enumerate run over its memory budget, --enumerate at an ell other than 3
-and 5, or a pool flag given to ceta --case <family>).
---json switches any subcommand to the versioned JSON report {schema, command,
-timestamp, results, assertions}.  Each subcommand imports the modules it
-uses when it runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps
-and gallery never load numpy; nor does anything in hecke_l or artin_gallery.
-The CLI imports numpy only through those modules, so they compile before it
-loads; main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+--enumerate run whose memory model, 96 MiB and 8 bytes per element, is over
+its budget, --enumerate at an ell other than 3 and 5, or a pool flag given
+to ceta --case <family>; --threads has no other effect).  --json switches
+any subcommand to the versioned JSON report {schema, command, timestamp,
+results, assertions}.  Each subcommand imports the modules it uses when it
+runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps and gallery
+never load numpy; nor does anything in hecke_l or artin_gallery.  The CLI
+imports numpy only through those modules, so they compile before it loads;
+main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
@@ -68,21 +69,20 @@ def _fmt(x):
 
 def _census(args, group):
     """The closed-form census of `group` ("gsp4" or "sp4") and, under
-    --enumerate, the assertion that the enumerated group's census equals it
-    (--threads and --budget-mb govern that enumeration)."""
+    --enumerate, the assertion that the census of the group listed from its
+    chain equals it (--budget-mb governs that listing)."""
     from .census import closed_form_census
 
     hist = closed_form_census(args.ell, group)
     if not args.enumerate:
         return hist, []
     from .finite_census import (DEFAULT_MAX_BYTES, charpoly_census,
-                                enumerate_gsp4, enumerate_sp4, resolve_threads)
+                                enumerate_gsp4, enumerate_sp4)
 
     enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
     budget = (DEFAULT_MAX_BYTES if args.budget_mb is None
               else args.budget_mb << 20)
-    listed = enum(args.ell, threads=resolve_threads(args.threads),
-                  max_bytes=budget)
+    listed = enum(args.ell, max_bytes=budget)
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
@@ -360,13 +360,15 @@ def build_parser():
                         help="emit the versioned JSON report")
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--enumerate", action="store_true",
-                      help="also enumerate the group (ell 3 or 5) and assert "
-                           "that its census equals the closed form")
+                      help="also list the group from its generators' chain "
+                           "(ell 3 or 5) and assert that its census equals "
+                           "the closed form")
     pool.add_argument("--threads", type=int, default=None,
-                      help="worker threads of --enumerate "
-                           "(default: SYMPKIT_THREADS or 1)")
+                      help="accepted for compatibility; no effect (every "
+                           "run is single-threaded)")
     pool.add_argument("--budget-mb", type=int, default=None,
-                      help="memory budget of --enumerate (MiB, default 512)")
+                      help="memory budget of --enumerate (MiB, default 512), "
+                           "against 96 MiB plus 8 bytes per element")
 
     top = argparse.ArgumentParser(
         prog="sympkit",

@@ -4,57 +4,53 @@ Everything here is integer numpy: matrices over F_ell are (N, 4, 4) arrays of
 small nonnegative ints, and each matrix is packed row-major into one uint64
 key (ceil(log2 ell) bits per entry, so ell <= 13: larger primes raise
 ValueError).  All set arithmetic is on sorted key arrays, which makes every
-result deterministic regardless of chunking, thread count, or generator
-ordering.
+result deterministic regardless of chunking or generator ordering.
 
-The full groups are listed directly: an element of Sp4 is an ordered
-symplectic basis (its columns), built from a pair (c0, c2) with
-omega(c0, c2) = 1 and a symplectic basis of its complement moved by SL2
-(_enumerate_similitudes).  The listing is proven, not assumed: every key is
-checked as a similitude, the sorted keys are distinct, and their count is
-the order formula.  ell = 3 (about 1e5 elements) and ell = 5 (about 1e7,
-permitted only when the modelled memory fits the budget) are supported;
-larger primes are refused outright.  The generator closure `mulclose`
-remains as the independent oracle.  It and the subgroup families run on one
-engine, a base and strong generating set (_chain, deterministic
-Schreier-Sims): the base is e0, ..., e3, and level k holds the orbit of e_k
-under the strong generators that fix e0, ..., e_(k-1), found by a
-breadth-first search, with a transversal and its inverses.  The chain is
-complete when every Schreier generator sifts to the identity; the order is
-then the product of the orbit lengths, known before any key is listed.  The
-group is its own set of inverses, so each element is listed once as a
-product uinv_3 uinv_2 uinv_1 uinv_0, level by level along the Schreier trees
-(_listing); artin_gallery closes the Q(i) gallery with its own loop.
+Every group here, full or a family, is listed by one engine, a base and
+strong generating set (_chain, deterministic Schreier-Sims): the base is e0,
+..., e3, and level k holds the orbit of e_k under the strong generators that
+fix e0, ..., e_(k-1), found by a breadth-first search, with a transversal
+and its inverses.  The chain is complete when every Schreier generator sifts
+to the identity; the order is then the product of the orbit lengths, known
+before any key is listed.  The group is its own set of inverses, so each
+element is listed once as a product uinv_3 uinv_2 uinv_1 uinv_0, level by
+level along the Schreier trees (_listing); artin_gallery closes the Q(i)
+gallery with its own loop.  `mulclose` lists and sorts a chain's keys.
 
-The families (Levi factors, the checkerboard endoscopic group, and
-Case5-Case9) come from one table, _FAMILIES: per tag a few generators
-written from the structure, a membership predicate (a zero or block
-pattern) and a closed-form order, and for Case5-Case8 the involution w
-that doubles the base.  A family or base is the group its generators
+Sp4 and GSp4 (ell = 3 and 5; larger primes are refused) are the groups of
+four generators from the Siegel and Klingen Levis, and diag(1, 1, g, g) for
+GSp4, proven whole without a listing: every generator is a similitude (of
+factor 1 for Sp4) and the chain's order is the order formula
+(_full_group).  The families (Levi factors, the checkerboard endoscopic
+group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
+generators written from the structure, a membership predicate (a zero or
+block pattern) and a closed-form order, and for Case5-Case8 the involution
+w that doubles the base.  A family or base is the group its generators
 generate; its chain's order equal to the closed form, compared before any
 key is listed, makes it whole, and every listed element passing the
-predicate and the similitude test puts it inside the family, as for the
-full groups (_closed_family).  A doubled family's chain is the proven
-base's extended by w, of twice the base's order; no key of it is listed.
-A family's GroupSet holds its chain and the similitude factors its check
-marked, and lists and sorts its keys only when they are asked for.
+predicate and the similitude test puts it inside the family
+(_closed_family).  A doubled family's chain is the proven base's extended
+by w, of twice the base's order; no key of it is listed.  Such a GroupSet
+holds its chain and similitude factors, and lists and sorts its keys only
+when they are asked for.  A listing's memory is modelled as one key per
+element (_within_budget).
 
-Every product of a listing (mulclose, the families, _enumerate_similitudes)
-is formed on the keys, with no matrix unpacked: row r of m.g is row r of m
-times g, so one table per multiplier g, from each row field of a key (4
-entries, 4 ceil(log2 ell) bits) to the field of the product row, makes a
-product four lookups shifted into place (_row_tables, _products); a chain's
-multipliers are the inverses of its strong generators.  Every loop over the
-elements of a listing or key array (the checks, the similitude factors, the
-census) unpacks _CHUNK_ROWS keys per pass into one entry-major int16 array,
-its temporaries in cache: the similitude test, the membership predicates
-and the census's e1 and e2 are exact in int16.
+Every product of a listing is formed on the keys, with no matrix unpacked:
+row r of m.g is row r of m times g, so one table per multiplier g, from
+each row field of a key (4 entries, 4 ceil(log2 ell) bits) to the field of
+the product row, makes a product four lookups shifted into place
+(_row_tables, _products); a chain's multipliers are the inverses of its
+strong generators.  Every loop over the elements of a listing or key array
+(the checks, the similitude factors, the census) unpacks _CHUNK_ROWS keys
+per pass into one entry-major int16 array, its temporaries in cache: the
+similitude test, the membership predicates and the census's e1 and e2 are
+exact in int16.
 
 charpoly_census of an enumeration is the oracle of census.closed_form_census,
-which needs no listing and no numpy.
+which needs no listing and no numpy; it checks every element as a
+similitude once more as it counts.
 """
 
-import os
 from math import prod
 
 # the siblings first: run from a fresh checkout, a module compiled after
@@ -91,16 +87,6 @@ class ResourceLimit(ValueError):
     "An enumeration would exceed the configured memory budget."
 
 
-def resolve_threads(threads=None):
-    "Explicit argument, else the SYMPKIT_THREADS environment variable, else 1."
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SYMPKIT_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # packed keys
 
@@ -118,9 +104,17 @@ def _shifts(ell):
 
 
 def pack_matrices(mats, ell):
-    "(N, 4, 4) entries in [0, ell) -> (N,) uint64 keys, row-major."
-    arr = np.asarray(mats, dtype=np.uint64).reshape(-1, 16)
-    return (arr << _shifts(ell)).sum(axis=1, dtype=np.uint64)
+    """(N, 4, 4) entries in [0, ell) -> (N,) uint64 keys, row-major.  Each
+    entry column is cast and shifted into place through one N-word scratch,
+    so no array wider than the keys and the scratch is made."""
+    arr = np.asarray(mats).reshape(-1, 16)
+    out = np.zeros(arr.shape[0], dtype=np.uint64)
+    scratch = np.empty_like(out)
+    for k, shift in enumerate(_shifts(ell)):
+        scratch[...] = arr[:, k]
+        scratch <<= shift
+        out |= scratch
+    return out
 
 
 def unpack_keys(keys, ell, dtype=np.int64):
@@ -152,8 +146,8 @@ def unpack_keys(keys, ell, dtype=np.int64):
 
 
 # Rows per pass of every loop over elements (GroupSet.matrices, the checks
-# of _closed_family and _enumerate_similitudes, a listing's _products passes
-# and a chain's batches of Schreier generators): the matrices of one pass are
+# of _closed_family, a listing's _products passes and a chain's batches of
+# Schreier generators): the matrices of one pass are
 # one array, 256 KiB in int64 and 64 KiB in int16, and its temporaries stay
 # in cache.
 _CHUNK_ROWS = 1 << 11
@@ -629,8 +623,8 @@ def mulclose(gens, ell, cap=None):
 
 class GroupSet(_Frozen):
     """A finalized set of packed matrices over F_ell (sorted uint64 keys).
-    A family's holds the complete chain of its group instead, and lists and
-    sorts the keys on first use."""
+    A proven group's (a family or a full group) holds the complete chain of
+    the group instead, and lists and sorts the keys on first use."""
 
     __slots__ = ("ell", "_keys", "_chain", "_factors")
 
@@ -648,8 +642,8 @@ class GroupSet(_Frozen):
 
     @classmethod
     def _proven(cls, ell, chain, factors):
-        """The GroupSet of a family build: the complete `chain` of its group
-        and the similitude `factors` that its proof marked."""
+        """The GroupSet of a proven group: the complete `chain` of the group
+        and the similitude `factors` that its proof found."""
         return _restore(cls, [("ell", ell), ("_keys", None), ("_chain", chain),
                               ("_factors", tuple(factors))])
 
@@ -747,147 +741,74 @@ def _primitive_root(ell):
                 if len({pow(g, k, ell) for k in range(1, ell)}) == ell - 1)
 
 
-def _check_enum_prime(ell):
+# The modelled peak resident memory of a listing: the interpreter with numpy
+# loaded, and one key per element, the most a listing ever holds (the sorted
+# keys of GroupSet.keys; a census or a family check streams its passes).
+# tests/test_finite_census.py checks it against measured peaks.
+_PROCESS_BYTES = 96 << 20
+
+
+def _within_budget(name, elements, max_bytes):
+    "ResourceLimit unless the modelled peak RSS of `elements` fits max_bytes."
+    need = _PROCESS_BYTES + 8 * elements
+    if need > max_bytes:
+        raise ResourceLimit(
+            "%s holds %d elements, ~%d bytes (modelled peak RSS); budget is %d"
+            % (name, elements, need, max_bytes))
+
+
+def _full_gens(ell, name):
+    """Generators of Sp4(F_ell): T and W in the SL2 of the Siegel Levi (as
+    in LeviP) and in the SL2 on (e1, e3) (as in LeviQ); for GSp4(F_ell),
+    also diag(1, 1, g, g) for the primitive root g."""
+    gens = [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
+            _embed(((0, 1), _W), ((2, 3), _W)),
+            _embed(((1, 3), _T)), _embed(((1, 3), _W))]
+    return gens + (_diags(ell, (0, 0, 1, 1)) if name == "GSp4" else [])
+
+
+def _full_group(ell, name, order, factors, max_bytes):
+    """The group that _full_gens generates, as a GroupSet of its chain,
+    proven to be the group `name` of the similitudes whose factors lie in
+    `factors` ((1,) or every unit), of order(ell) elements: it lies inside,
+    as every generator is such a similitude, and it is all of it, as its
+    chain's order is the order formula; AssertionError otherwise.  Its
+    factors are then `factors`, nu mapping the whole group onto them.  No
+    key is listed."""
     _require_odd_prime(ell)
     if ell not in _ENUM_PRIMES:
         raise ValueError(
             "full enumeration is supported for ell in %r only (order ~%.1e)"
             % (_ENUM_PRIMES, float(gsp4_order(ell))))
+    n = order(ell)
+    _within_budget("%s at ell = %d" % (name, ell), n, max_bytes)
+    gens = np.array(_full_gens(ell, name), dtype=np.int64) % ell
+    ok, nu = _similitude_info(gens, ell)
+    if not (ok.all() and set(nu.tolist()) <= set(factors)):
+        raise AssertionError("%s: a generator is no similitude of factor in "
+                             "%s" % (name, list(factors)))
+    chain = _of_order(_chain(gens, ell, cap=n), n, name)
+    return GroupSet._proven(ell, chain, factors)
 
 
-# The modelled peak resident memory of a full enumeration: the interpreter
-# with numpy loaded, then per element the listed key and the sorted copy,
-# mask and distinct keys of _sorted_unique, and per thread one block's
-# scratch.  tests/test_finite_census.py checks it against measured peaks.
-_PROCESS_BYTES = 96 << 20
-_ELEMENT_BYTES = 8 + 8 + 1 + 8
-_BLOCK_BYTES = 32 << 20
-
-# (c0, c2) pairs are handled in blocks of about this many Sp4 rows; ell = 3
-# is a single block
-_BLOCK_ROWS = 1 << 16
+def enumerate_sp4(ell, max_bytes=DEFAULT_MAX_BYTES):
+    """Sp4(F_ell), the similitudes of factor 1, for ell = 3 and 5, proven
+    from the chain of its generators (_full_group): order
+    ell^4 (ell^2 - 1)(ell^4 - 1).  A modelled peak RSS over max_bytes
+    raises ResourceLimit first."""
+    return _full_group(ell, "Sp4", sp4_order, (1,), max_bytes)
 
 
-def enumeration_bytes(order, threads=None):
-    "Modelled peak RSS, in bytes, of enumerating `order` elements."
-    return (_PROCESS_BYTES + order * _ELEMENT_BYTES
-            + resolve_threads(threads) * _BLOCK_BYTES)
-
-
-def _symplectic_pairs(ell):
-    "Every (c0, c2) with omega(c0, c2) = 1, from the table of form values."
-    vecs = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
-    first, second = np.nonzero(_omega(vecs[:, None], vecs[None]) % ell == 1)
-    return vecs[first], vecs[second]
-
-
-def _complement_bases(c0, c2, ell):
-    """A symplectic basis (u1, u2) of the complement of span(c0, c2), per row.
-
-    P(v) = v - omega(v, c2) c0 + omega(v, c0) c2 projects onto the
-    complement; u1 is the first nonzero P(e_i), u2 the first P(e_i) that
-    pairs with u1, scaled so that omega(u1, u2) = 1."""
-    rows = np.arange(c0.shape[0])
-    eye = np.eye(4, dtype=np.int64)
-    proj = (eye - _omega(eye, c2[:, None])[..., None] * c0[:, None]
-            + _omega(eye, c0[:, None])[..., None] * c2[:, None]) % ell
-    u1 = proj[rows, proj.any(axis=2).argmax(axis=1)]
-    pairing = _omega(u1[:, None], proj) % ell
-    i2 = (pairing != 0).argmax(axis=1)
-    scale = _inverse_table(ell)[pairing[rows, i2]]
-    return u1, proj[rows, i2] * scale[:, None] % ell
-
-
-def _enumerate_similitudes(ell, scalars, threads):
-    """Keys of every matrix B.h.diag(1, 1, s, s), where B = (c0, u1, c2, u2)
-    is a symplectic basis (its columns), h in SL2 acts on columns 1 and 3
-    and s runs over `scalars`.
-
-    Every pair (c0, c2) with omega(c0, c2) = 1 gets a symplectic basis
-    (u1, u2) of its complement, so the B.h are every symplectic basis;
-    scaling the last two columns by s makes nu = s.  The products are formed
-    on the packed keys of B by row tables (_products): one pass by the
-    |SL2| tables of h, one by the tables of diag(1, 1, s, s).  Blocks of
-    pairs fill disjoint slices of one array (on a thread pool when there is
-    more than one block), so the keys are the same for any thread count.
-    Every key is unpacked and checked to be a similitude of factor s."""
-    c0, c2 = _symplectic_pairs(ell)
-    u1, u2 = _complement_bases(c0, c2, ell)
-    bases = pack_matrices(np.stack([c0, u1, c2, u2], axis=2), ell)
-    del c0, c2, u1, u2  # only the keys are read from here on: a lower peak
-    gl2, det = _all_gl2(ell)
-    h_tables = _row_tables([_embed(((1, 3), h)) for h in gl2[det == 1]], ell)
-    s_tables = _row_tables([np.diag([1, 1, s, s]) for s in scalars], ell)
-    width = len(h_tables) * len(scalars)
-    out = np.empty(bases.size * width, dtype=np.uint64)
-    per = max(1, _BLOCK_ROWS // len(h_tables))
-
-    def fill(start):
-        stop = min(start + per, bases.size)
-        block = out[start * width:stop * width].reshape(len(scalars), -1)
-        block[:] = _products(_products(bases[start:stop], h_tables, ell),
-                             s_tables, ell).reshape(len(scalars), -1)
-        for row, s in zip(block, scalars):
-            for mats in _unpacked([row], ell, np.int16):
-                ok, nu = _similitude_info(mats, ell)
-                if not (ok & (nu == s)).all():
-                    raise AssertionError(
-                        "enumeration built a matrix that is not a similitude "
-                        "of factor %d" % s)
-
-    starts = range(0, bases.size, per)
-    nthreads = resolve_threads(threads)
-    if nthreads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
-    return out
-
-
-def _full_group(ell, scalars, order, threads, max_bytes):
-    """The group listed by _enumerate_similitudes, proven to be all of it:
-    its keys are similitudes of the listed factors, and the distinct keys
-    number exactly `order`, the order of the group."""
-    need = enumeration_bytes(order, threads)
-    if need > max_bytes:
-        raise ResourceLimit(
-            "enumeration of %d elements needs ~%d bytes (modelled peak RSS); "
-            "budget is %d" % (order, need, max_bytes))
-    group = GroupSet(ell, _enumerate_similitudes(ell, scalars, threads))
-    if group.order != order:
-        raise AssertionError(
-            "enumeration produced %d elements, expected %d"
-            % (group.order, order))
-    return group
-
-
-def enumerate_sp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
-    """The full group with nu = 1 over F_ell, listed as symplectic bases.
-
-    Order ell^4 (ell^2 - 1)(ell^4 - 1); ell = 3 is cheap, ell = 5 builds
-    roughly ten million elements and is allowed only when
-    enumeration_bytes fits max_bytes.
-    """
-    _check_enum_prime(ell)
-    return _full_group(ell, (1,), sp4_order(ell), threads, max_bytes)
-
-
-def enumerate_gsp4(ell, threads=None, max_bytes=DEFAULT_MAX_BYTES):
-    """As enumerate_sp4 times the cosets diag(1, 1, g^k, g^k) for a
-    primitive root g: order (ell-1) |Sp4|."""
-    _check_enum_prime(ell)
-    gamma = _primitive_root(ell)
-    return _full_group(ell, [pow(gamma, k, ell) for k in range(ell - 1)],
-                       gsp4_order(ell), threads, max_bytes)
+def enumerate_gsp4(ell, max_bytes=DEFAULT_MAX_BYTES):
+    "GSp4(F_ell), as enumerate_sp4: (ell - 1) |Sp4| elements, every factor."
+    return _full_group(ell, "GSp4", gsp4_order, range(1, ell), max_bytes)
 
 
 def brute_similitude_scan():
     """Scan all 3^16 matrices over F_3 for t(m) J m = nu J, nu a unit.
 
-    The independent oracle for the enumerations and the generator closure:
+    The independent oracle of the chain listings at ell = 3, of
+    enumerate_sp4/gsp4 and of the generator closure of other generators:
     returns (nu = 1 set, all-similitude set).  The identity says
     omega(c_i, c_j) = nu J_ij for every pair of columns, so a matrix whose
     (c0, c2) pair, or whose c1 against them, already fails is skipped with
@@ -996,12 +917,6 @@ def _ext_params(ell):
     u = quadratic_nonresidue(ell)
     a, b = solve_sum_of_squares(u)
     return u.val, a.val, b.val
-
-
-def _inverse_table(ell):
-    "inv[x] = x^-1 mod ell for every unit x (inv[0] = 0)."
-    return np.array([0] + [pow(x, -1, ell) for x in range(1, ell)],
-                    dtype=np.int64)
 
 
 def _all_gl2(ell):
@@ -1190,21 +1105,6 @@ _FAMILIES = {
               _is_case9, lambda q: 4 * q * (q * q - 1) * (q - 1), None),
 }
 
-# The modelled peak resident memory of a family build, per element of the
-# family and of the base of a doubled one.  A build holds no key set: its
-# chains, one pass of the listing and the kept blocks of one depth of a
-# Schreier tree, so the model bounds its measured peaks from far above.  It
-# stays as the budget's threshold, which refuses Hen, Case6 and Case7 at
-# ell = 11 and 13 before any work.  tests/test_finite_census.py checks it
-# against measured peaks.
-_CLOSURE_ELEMENT_BYTES = 64
-
-
-def _closure_bytes(elements):
-    "Modelled peak RSS, in bytes, of a family build holding `elements`."
-    return _PROCESS_BYTES + elements * _CLOSURE_ELEMENT_BYTES
-
-
 def _of_order(chain, order, name):
     "The chain; AssertionError unless its group has exactly `order` elements."
     n = _order(chain)
@@ -1246,12 +1146,8 @@ def family_with_base(spec):
     ResourceLimit first."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
-    held = n if w is None else 3 * n
-    if _closure_bytes(held) > DEFAULT_MAX_BYTES:
-        raise ResourceLimit(
-            "%s at ell = %d holds %d elements, ~%d bytes (modelled peak RSS); "
-            "budget is %d" % (spec.tag, ell, held, _closure_bytes(held),
-                              DEFAULT_MAX_BYTES))
+    _within_budget("%s at ell = %d" % (spec.tag, ell),
+                   n if w is None else 2 * n, DEFAULT_MAX_BYTES)
     chain, factors = _closed_family(gens(ell), inside, n, ell,
                                     spec.tag + ("" if w is None else " base"))
     base = GroupSet._proven(ell, chain, factors)

@@ -13,13 +13,16 @@ generator table, a hand computation on the entries), and it carries its
 derivation in a comment next to the assertion.
 """
 
+import contextlib
+import io
+import json
 import random
 import resource
 import sys
 import time
 from fractions import Fraction
 
-from sympkit import _mat
+from sympkit import _mat, cli, finite_census
 from sympkit.artin_gallery import (
     SYM3_P,
     gallery_generators,
@@ -75,11 +78,10 @@ def _sp4_3():
     return _CACHE["sp4"]
 
 
-def _gsp4_3(threads=1):
-    key = ("gsp4", threads)
-    if key not in _CACHE:
-        _CACHE[key] = enumerate_gsp4(3, threads=threads)
-    return _CACHE[key]
+def _gsp4_3():
+    if "gsp4" not in _CACHE:
+        _CACHE["gsp4"] = enumerate_gsp4(3)
+    return _CACHE["gsp4"]
 
 
 def _want(failures, cond, msg):
@@ -395,16 +397,45 @@ def test_criterion_11_lattice_sieve():
              failures)
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(monkeypatch, tmp_path):
     failures = []
-    base = _gsp4_3(threads=1)
-    for threads in (2, 8):
-        other = _gsp4_3(threads=threads)
+    base = _gsp4_3()
+    # the same group from its generators in another order: a chain of other
+    # strong generators, but the same keys
+    full_gens = finite_census._full_gens
+    rng = random.Random(12)
+    for label, reorder in (("reversed", lambda gens: gens[::-1]),
+                           ("shuffled", lambda gens: rng.sample(gens,
+                                                                len(gens)))):
+        monkeypatch.setattr(finite_census, "_full_gens",
+                            lambda ell, name: reorder(full_gens(ell, name)))
+        other = enumerate_gsp4(3)
         _want(failures, base.keys.tobytes() == other.keys.tobytes(),
-              "closure keys differ between 1 and %d threads" % threads)
+              "GSp4(F_3) keys differ with the generators %s" % label)
         _want(failures,
               charpoly_census(base).csv_rows()
               == charpoly_census(other).csv_rows(),
-              "census CSV differs between 1 and %d threads" % threads)
-    _verdict(12, "bit-identical closure and census across 1/2/8 threads",
-             failures)
+              "census CSV differs with the generators %s" % label)
+    monkeypatch.undo()
+    # no run starts a pool: --threads and SYMPKIT_THREADS change nothing
+    runs = [(["--threads", str(t)], None) for t in (1, 2, 8)]
+    runs.append(([], "2"))
+    outputs = []
+    for k, (flags, env) in enumerate(runs):
+        if env is None:
+            monkeypatch.delenv("SYMPKIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SYMPKIT_THREADS", env)
+        path = tmp_path / ("census-%d.csv" % k)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["census", "--ell", "3", "--enumerate", "--json",
+                             "--csv", str(path), *flags])
+        report = json.loads(out.getvalue())
+        outputs.append((code, path.read_bytes(), report["assertions"]))
+        _want(failures, code == 0,
+              "census --enumerate %r exits %d" % (flags, code))
+    _want(failures, all(o == outputs[0] for o in outputs),
+          "census --ell 3 --enumerate --csv output differs across "
+          "--threads 1/2/8 and SYMPKIT_THREADS")
+    _verdict(12, "bit-identical keys and census across generator orders "
+                 "and thread settings", failures)

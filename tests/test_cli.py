@@ -225,7 +225,24 @@ def test_census_wrong_closure_order_is_an_internal_failure(monkeypatch,
     monkeypatch.setattr(finite_census, "gsp4_order", lambda ell: order(ell) + 1)
     code, _, err = run(capsys, "census", "--ell", "3", "--enumerate")
     assert code == 1
-    assert "enumeration produced 103680 elements, expected 103681" in err
+    assert "GSp4: the generators give 103680 elements, not 103681" in err
+
+
+def test_enumeration_from_bad_generators_is_an_internal_failure(monkeypatch,
+                                                                capsys):
+    # a generator of factor 2 among Sp4's, and the SL2 of the Siegel Levi
+    # alone, a proper subgroup: the proof fails, which is no usage error
+    full_gens = finite_census._full_gens
+    for edit, says in (
+            (lambda gens: gens + [np.diag([1, 1, 2, 2])],
+             "Sp4: a generator is no similitude of factor in [1]"),
+            (lambda gens: gens[:2],
+             "Sp4: the generators give 24 elements, not 51840")):
+        monkeypatch.setattr(finite_census, "_full_gens",
+                            lambda ell, name: edit(full_gens(ell, name)))
+        code, out, err = run(capsys, "ceta", "--case", "sp4", "--ell", "3",
+                             "--eta", "1/4", "--enumerate")
+        assert code == 1 and out == "" and says in err, err
 
 
 def test_family_enumerates_its_base_once(monkeypatch, capsys):
@@ -442,14 +459,23 @@ def test_usage_errors(capsys):
     assert run(capsys, "census", "--ell", "9")[0] == 2  # not a prime
     # the closed form runs at any odd prime; the enumeration only at 3 and 5
     assert run(capsys, "census", "--ell", "7", "--enumerate")[0] == 2
-    assert run(capsys, "census", "--ell", "5",
-               "--enumerate")[0] == 2  # over the default budget
+    # GSp4(F_5), 96 MiB and 37,440,000 keys, is modelled at 382 MiB
+    assert run(capsys, "census", "--ell", "5", "--enumerate",
+               "--budget-mb", "300")[0] == 2
     code, _, err = run(capsys, "ylattice", "--ring", "z", "--c", "1/0")
     assert code == 2 and err.startswith("error:")
 
 
 def test_threads_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("SYMPKIT_THREADS", "2")
-    code, rep = run_json(capsys, "census", "--ell", "3")
-    assert code == 0
-    assert rep["results"]["order"] == 103680
+    # no run starts a pool, so SYMPKIT_THREADS, even unparsable, changes
+    # neither the report nor the exit code
+    argv = ("census", "--ell", "3", "--enumerate")
+    monkeypatch.delenv("SYMPKIT_THREADS", raising=False)
+    code, want = run_json(capsys, *argv)
+    assert code == 0 and want["results"]["order"] == 103680
+    for value in ("2", "many"):
+        monkeypatch.setenv("SYMPKIT_THREADS", value)
+        code, rep = run_json(capsys, *argv)
+        assert code == 0
+        assert (rep["results"], rep["assertions"]) == (want["results"],
+                                                       want["assertions"])

@@ -28,32 +28,32 @@ from sympkit.finite_census import (
     embed_gl2_siegel,
     enumerate_gsp4,
     enumerate_sp4,
-    enumeration_bytes,
     family_with_base,
     gl2_charpoly_census,
     gsp4_order,
     mulclose,
     pack_matrices,
-    resolve_threads,
     sp4_order,
     unpack_keys,
     _EXCHANGE,
     _FAMILIES,
     _NEG_LOWER,
+    _PROCESS_BYTES,
     _ROT_PAIR,
     _SWAP,
     _all_gl2,
     _chain,
     _closed_family,
-    _closure_bytes,
     _embed,
     _ext_params,
-    _inverse_table,
+    _full_gens,
     _listing,
+    _omega,
     _order,
     _products,
     _row_tables,
     _similitude_info,
+    _unpacked,
 )
 
 _CACHE = {}
@@ -75,6 +75,11 @@ def census_3():
     if "census_3" not in _CACHE:
         _CACHE["census_3"] = charpoly_census(gsp4_3())
     return _CACHE["census_3"]
+
+
+def _modelled_bytes(elements):
+    "The modelled peak RSS of a listing of `elements`: one key each."
+    return _PROCESS_BYTES + 8 * elements
 
 
 def family(tag, ell=3):
@@ -145,6 +150,18 @@ def test_pack_unpack_roundtrip():
         finally:
             tracemalloc.stop()
         assert peak <= got.nbytes + keys.nbytes + 2048, (dtype, peak)
+    # packing them casts and shifts one entry column at a time through one
+    # 2,048-word scratch (an (N, 16) uint64 copy and its shift traced
+    # 591,440 bytes for the 16 KiB of keys)
+    mats = unpack_keys(keys, 5)
+    tracemalloc.start()
+    try:
+        got = pack_matrices(mats, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, keys)
+    assert peak <= 2 * keys.nbytes + 2048, peak
 
 
 def test_pack_matrices_layout_and_nu():
@@ -288,7 +305,7 @@ def _generator_closure(ell, with_similitude):
 
 def test_brute_scan_matches_generator_closures():
     # the oracle chain: the brute-force scan checks the generator closure,
-    # and the closure checks the direct enumeration
+    # and the closure checks the chain listing of the full groups
     scan_sp, scan_gsp = brute_similitude_scan()
     closure_sp = _generator_closure(3, False)
     closure_gsp = _generator_closure(3, True)
@@ -298,38 +315,118 @@ def test_brute_scan_matches_generator_closures():
     assert np.array_equal(closure_gsp, gsp4_3().keys)
 
 
-def test_enumeration_blocks_and_threads_give_identical_keys(monkeypatch):
-    # ell = 3 is one block; smaller blocks spread it over the thread pool
-    want_sp, want_gsp = sp4_3(), gsp4_3()
-    monkeypatch.setattr(finite_census, "_BLOCK_ROWS", 24 * 100)
-    for threads in (1, 2, 3):
-        assert enumerate_sp4(3, threads=threads) == want_sp
-        assert enumerate_gsp4(3, threads=threads) == want_gsp
+# The symplectic-basis oracle of the full groups: an element of Sp4 is an
+# ordered symplectic basis (its columns), so the groups are listed here from
+# the bases, with no generators and no chain.
 
 
-def test_enumeration_rejects_a_wrong_basis(monkeypatch):
-    pairs = finite_census._symplectic_pairs
-    bases = finite_census._complement_bases
-    # (u2, u1) in place of (u1, u2) gives omega(c1, c3) = -1 != nu
-    monkeypatch.setattr(finite_census, "_complement_bases",
-                        lambda c0, c2, ell: bases(c0, c2, ell)[::-1])
-    with pytest.raises(AssertionError, match="not a similitude of factor 1"):
+def _inverse_table(ell):
+    "inv[x] = x^-1 mod ell for every unit x (inv[0] = 0)."
+    return np.array([0] + [pow(x, -1, ell) for x in range(1, ell)],
+                    dtype=np.int64)
+
+
+def _symplectic_pairs(ell):
+    "Every (c0, c2) with omega(c0, c2) = 1, from the table of form values."
+    vecs = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
+    first, second = np.nonzero(_omega(vecs[:, None], vecs[None]) % ell == 1)
+    return vecs[first], vecs[second]
+
+
+def _complement_bases(c0, c2, ell):
+    """A symplectic basis (u1, u2) of the complement of span(c0, c2), per row.
+
+    P(v) = v - omega(v, c2) c0 + omega(v, c0) c2 projects onto the
+    complement; u1 is the first nonzero P(e_i), u2 the first P(e_i) that
+    pairs with u1, scaled so that omega(u1, u2) = 1."""
+    rows = np.arange(c0.shape[0])
+    eye = np.eye(4, dtype=np.int64)
+    proj = (eye - _omega(eye, c2[:, None])[..., None] * c0[:, None]
+            + _omega(eye, c0[:, None])[..., None] * c2[:, None]) % ell
+    u1 = proj[rows, proj.any(axis=2).argmax(axis=1)]
+    pairing = _omega(u1[:, None], proj) % ell
+    i2 = (pairing != 0).argmax(axis=1)
+    scale = _inverse_table(ell)[pairing[rows, i2]]
+    return u1, proj[rows, i2] * scale[:, None] % ell
+
+
+def _symplectic_bases(ell, scalars):
+    """Keys of every matrix B.h.diag(1, 1, s, s), where B = (c0, u1, c2, u2)
+    is a symplectic basis (its columns), h in SL2 acts on columns 1 and 3
+    and s runs over `scalars`, each checked to be a similitude of factor s.
+
+    Every pair (c0, c2) with omega(c0, c2) = 1 gets a symplectic basis
+    (u1, u2) of its complement, so the B.h are every symplectic basis;
+    scaling the last two columns by s makes nu = s.  The products are formed
+    on the packed keys of B by row tables (_products, checked against the
+    matrix products): one pass by the |SL2| tables of h, one by the tables
+    of diag(1, 1, s, s), for blocks of about 2^16 bases times h."""
+    c0, c2 = _symplectic_pairs(ell)
+    u1, u2 = _complement_bases(c0, c2, ell)
+    bases = pack_matrices(np.stack([c0, u1, c2, u2], axis=2), ell)
+    gl2, det = _all_gl2(ell)
+    h_tables = _row_tables([_embed(((1, 3), h)) for h in gl2[det == 1]], ell)
+    s_tables = _row_tables([np.diag([1, 1, s, s]) for s in scalars], ell)
+    width = len(h_tables)
+    out = np.empty((len(scalars), bases.size * width), dtype=np.uint64)
+    per = max(1, (1 << 16) // width)
+    for start in range(0, bases.size, per):
+        part = bases[start:start + per]
+        out[:, start * width:(start + part.size) * width] = _products(
+            _products(part, h_tables, ell), s_tables, ell).reshape(
+                len(scalars), -1)
+    for row, s in zip(out, scalars):
+        for mats in _unpacked([row], ell, np.int16):
+            ok, nu = _similitude_info(mats, ell)
+            assert (ok & (nu == s)).all(), s
+    return out.ravel()
+
+
+def _same_as_the_oracle(group, scalars):
+    "Whether the symplectic bases of factors `scalars` are `group`'s keys."
+    keys = _symplectic_bases(group.ell, scalars)
+    keys.sort()
+    return np.array_equal(keys, group.keys)
+
+
+def test_symplectic_bases_equal_the_chain_listing():
+    # every ordered symplectic basis, distinct and as many as the group
+    # order, is an element of the listing of the chain, and no other is
+    assert _same_as_the_oracle(sp4_3(), [1])
+    assert _same_as_the_oracle(gsp4_3(), [1, 2])
+
+
+def test_enumeration_refuses_bad_generators(monkeypatch):
+    # the proof of a full group: every generator a similitude (of factor 1
+    # for Sp4), and the chain's order the order formula
+    def with_gens(edit):
+        monkeypatch.setattr(finite_census, "_full_gens",
+                            lambda ell, name: edit(_full_gens(ell, name)))
+
+    with_gens(lambda gens: gens + [np.diag([1, 1, 2, 2])])
+    with pytest.raises(AssertionError, match=r"Sp4: a generator is no "
+                                             r"similitude of factor in \[1\]"):
         enumerate_sp4(3)
-
-    # columns 2 and 3 doubled: as many matrices as Sp4 has, every one a
-    # similitude, but of factor 2
-    def doubled_pairs(ell):
-        c0, c2 = pairs(ell)
-        return c0, 2 * c2 % ell
-
-    def doubled_bases(c0, c2, ell):  # 2 * 2 = 1 mod 3
-        u1, u2 = bases(c0, 2 * c2 % ell, ell)
-        return u1, 2 * u2 % ell
-
-    monkeypatch.setattr(finite_census, "_symplectic_pairs", doubled_pairs)
-    monkeypatch.setattr(finite_census, "_complement_bases", doubled_bases)
-    with pytest.raises(AssertionError, match="not a similitude of factor 1"):
+    assert enumerate_gsp4(3).order == gsp4_order(3)
+    with_gens(lambda gens: gens + [np.diag([1, 1, 1, 2])])
+    with pytest.raises(AssertionError, match="GSp4: a generator is no "
+                                             "similitude"):
+        enumerate_gsp4(3)
+    # the SL2 of the Siegel Levi alone, and with diag(1, 1, g, g)
+    with_gens(lambda gens: gens[:2] + gens[4:])
+    with pytest.raises(AssertionError, match="Sp4: the generators give 24 "
+                                             "elements, not 51840"):
         enumerate_sp4(3)
+    with pytest.raises(AssertionError, match="GSp4: the generators give 48 "
+                                             "elements, not 103680"):
+        enumerate_gsp4(3)
+
+
+def test_full_groups_read_the_factors_of_their_proof():
+    for group, factors in ((enumerate_sp4(3), [1]),
+                           (enumerate_gsp4(3), [1, 2])):
+        assert group.similitude_factors() == factors
+        assert group._keys is None
 
 
 def _perm_matrix(*images):
@@ -389,7 +486,8 @@ def test_row_table_products_match_the_matrix_products():
     # the reference is the matrix kernel: unpack, multiply, reduce, pack;
     # at ell = 11 and 13 the keys use every one of the 64 bits.  The inputs
     # are each family's generators (and w), and the multipliers of the
-    # enumeration: h in SL2 on columns 1 and 3, and diag(1, 1, s, s)
+    # symplectic-basis oracle: h in SL2 on columns 1 and 3, and
+    # diag(1, 1, s, s)
     rng = np.random.default_rng(20261018)
     for ell in (3, 5, 7, 11, 13):
         keys = pack_matrices(rng.integers(0, ell, (500, 4, 4)), ell)
@@ -398,7 +496,7 @@ def test_row_table_products_match_the_matrix_products():
         inputs = [(tag, gens(ell) + ([] if w is None else [w]))
                   for tag, (gens, _, _, w) in _FAMILIES.items()]
         gl2, det = _all_gl2(ell)
-        inputs.append(("enumeration",
+        inputs.append(("symplectic bases",
                        [_embed(((1, 3), h)) for h in gl2[det == 1]]
                        + [np.diag([1, 1, s, s]) for s in range(1, ell)]))
         for tag, gens in inputs:
@@ -421,12 +519,16 @@ def test_enumeration_refuses_large_primes():
         enumerate_sp4(2)
 
 
-def test_enumeration_memory_budget():
-    need = enumeration_bytes(gsp4_order(5))
-    assert need > 512 << 20  # the ell = 5 similitude group, at the default
-    with pytest.raises(ResourceLimit, match="needs ~%d bytes" % need):
-        enumerate_gsp4(5)
-    with pytest.raises(ResourceLimit):
+def test_enumeration_memory_budget(monkeypatch):
+    # one key per element: GSp4(F_5) is modelled at 382 MiB, within the
+    # default budget; a smaller budget refuses it before any chain is built
+    monkeypatch.setattr(finite_census, "_chain", None)
+    need = _modelled_bytes(gsp4_order(5))
+    assert need == (96 << 20) + 8 * 37440000 < finite_census.DEFAULT_MAX_BYTES
+    with pytest.raises(ResourceLimit, match="GSp4 at ell = 5 holds 37440000 "
+                                            "elements, ~%d bytes" % need):
+        enumerate_gsp4(5, max_bytes=need - 1)
+    with pytest.raises(ResourceLimit, match="Sp4 at ell = 5 holds 9360000"):
         enumerate_sp4(5, max_bytes=1 << 20)
 
 
@@ -447,23 +549,33 @@ def _child_peak_bytes(*argv):
 
 
 def test_budget_model_bounds_the_census_peak_rss():
-    for threads in (1, 2):
-        peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "3",
-                                 "--enumerate", "--threads", str(threads))
-        assert 0 < peak <= enumeration_bytes(gsp4_order(3), threads)
+    peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "3",
+                             "--enumerate")
+    assert 0 < peak <= _modelled_bytes(gsp4_order(3))
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=5: the enumeration, its peak RSS and the "
-                           "generator-closure oracle take about 7 s")
-def test_sp4_5_order_gated():
-    threads = resolve_threads()
-    g = enumerate_sp4(5, threads=threads, max_bytes=1 << 30)
-    assert g.order == sp4_order(5) == 9360000
+                    reason="ell=5: the census and the key set of GSp4(F_5) "
+                           "in child processes, about 7 s")
+def test_budget_model_bounds_the_enumeration_peak_rss_gated():
+    need = _modelled_bytes(gsp4_order(5))
+    peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "5",
+                             "--enumerate")
+    assert 0 < peak <= need
     peak = _child_peak_bytes(
-        "-c", "from sympkit.finite_census import enumerate_sp4; "
-              "enumerate_sp4(5, threads=%d, max_bytes=1 << 30)" % threads)
-    assert peak <= enumeration_bytes(sp4_order(5), threads)
+        "-c", "from sympkit.finite_census import enumerate_gsp4; "
+              "enumerate_gsp4(5).keys")
+    assert 0 < peak <= need
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell=5: the listing and its two oracles, the "
+                           "symplectic bases and the generator closure, "
+                           "take about 3 s")
+def test_sp4_5_order_gated():
+    g = enumerate_sp4(5)
+    assert g.order == sp4_order(5) == 9360000
+    assert _same_as_the_oracle(g, [1])
     assert np.array_equal(_generator_closure(5, False), g.keys)
 
 
@@ -657,19 +769,22 @@ def test_closed_form_equals_enumeration_at_3():
 
 
 def test_closed_form_equals_enumeration_sp4_5():
-    listed = enumerate_sp4(5, threads=resolve_threads(), max_bytes=1 << 30)
+    listed = enumerate_sp4(5)
     assert _same_census(closed_form_census(5, "sp4"), charpoly_census(listed))
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="GSp4(F_5): 37,440,000 elements, listed and closed, "
-                           "about 1.5 GiB")
+                    reason="GSp4(F_5): 37,440,000 elements, listed, "
+                           "closed and built from symplectic bases, about "
+                           "0.7 GiB")
 def test_closed_form_equals_enumeration_gsp4_5_gated():
-    listed = enumerate_gsp4(5, threads=resolve_threads(), max_bytes=2 << 30)
+    listed = enumerate_gsp4(5)
     census = closed_form_census(5, "gsp4")
     assert _same_census(census, charpoly_census(listed))
     assert len(census.nu_classes) == 100
-    # the generator closure checks the direct enumeration, as at ell = 3
+    # the symplectic bases and the generator closure check the listing, as
+    # at ell = 3
+    assert _same_as_the_oracle(listed, range(1, 5))
     assert np.array_equal(_generator_closure(5, True), listed.keys)
 
 
@@ -1330,8 +1445,11 @@ def test_chain_orders_are_the_closed_forms():
     # the order a chain proves is the product of its orbit lengths; at
     # ell = 7, 11 and 13 it is each family's closed form, and twice it for
     # the chain of a doubled family extended from its base's by w.  At
-    # ell = 7 the closed forms are also the standard formulas above
+    # ell = 7 the closed forms are also the standard formulas above.  The
+    # generators of the full groups give their orders too
     for ell in (7, 11, 13):
+        for name, order in (("Sp4", sp4_order), ("GSp4", gsp4_order)):
+            assert _order(_chain(_full_gens(ell, name), ell)) == order(ell)
         for tag, (gens, _, order, w) in _FAMILIES.items():
             chain = _chain(gens(ell), ell)
             assert _order(chain) == order(ell), (tag, ell)
@@ -1357,20 +1475,18 @@ def test_family_orders_at_ell_7_gated():
         assert base is None or g.order == 2 * base.order
         peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
                                  "--ell", "7")
-        held = g.order + (0 if base is None else base.order)
-        assert 0 < peak <= _closure_bytes(held), tag
+        assert 0 < peak <= _modelled_bytes(g.order), tag
 
 
 def test_budget_model_bounds_the_family_peak_rss():
-    # the largest family at ell = 5 and a doubled family at ell = 7, each
-    # holding the family and its base (3/2 of the family's order), and Hen
-    # at ell = 7, which is no doubled family and holds 677,376 elements
+    # the largest family at ell = 5, a doubled family at ell = 7, and Hen at
+    # ell = 7 (677,376 elements), each modelled by one key per element of
+    # the family
     for tag, ell in (("Case7", 5), ("Case8", 7), ("Hen", 7)):
         peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
                                  "--ell", str(ell))
         order = {5: FAMILY_ORDERS_5, 7: FAMILY_ORDERS_7}[ell][tag]
-        held = order if _FAMILIES[tag][3] is None else order * 3 // 2
-        assert 0 < peak <= _closure_bytes(held), (tag, ell)
+        assert 0 < peak <= _modelled_bytes(order), (tag, ell)
 
 
 def test_family_working_set_stays_small():
@@ -1406,25 +1522,11 @@ def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
         raise AssertionError("a closure ran")
 
     monkeypatch.setattr(finite_census, "_chain", no_closure)
-    need = _closure_bytes(57238272)
+    need = _modelled_bytes(57238272)
     assert need > finite_census.DEFAULT_MAX_BYTES
     with pytest.raises(ResourceLimit, match="Hen at ell = 13 holds 57238272 "
                                             "elements, ~%d bytes" % need):
         build_family(FamilySpec("Hen", 13))
-
-
-# ---------------------------------------------------------------------------
-# thread plumbing
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("SYMPKIT_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("SYMPKIT_THREADS", "6")
-    assert resolve_threads() == 6
-    assert resolve_threads(2) == 2
-    assert resolve_threads(0) == 1
 
 
 # ---------------------------------------------------------------------------

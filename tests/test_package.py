@@ -30,9 +30,8 @@ EAGER_ALL = [
     "brute_similitude_scan", "build_family", "c_eta_M", "charpoly_census",
     "charpoly_coeffs", "closed_form_census", "embed_gl2_siegel",
     "enumerate_P1_reps", "enumerate_gsp4", "enumerate_sp4",
-    "enumeration_bytes", "family_with_base", "gl2_charpoly_census",
-    "gsp4_order", "mulclose", "pack_matrices", "resolve_threads",
-    "sp4_order", "unpack_keys",
+    "family_with_base", "gl2_charpoly_census", "gsp4_order", "mulclose",
+    "pack_matrices", "sp4_order", "unpack_keys",
     "EulerFactor", "HeckeData", "LatticeRing", "SatakeParams", "check_int",
     "density_ratio", "endoscopic_spin_factor", "enumerate_Y", "hecke_poly",
     "lambda_p2", "read_eigen_csv", "rou_charpolys", "satake_to_hecke",
@@ -171,10 +170,11 @@ def _without_blas_threads():
 
 @pytest.mark.parametrize("argv", [
     ("family", "--case", "LeviB", "--ell", "3"),
+    ("census", "--ell", "3", "--enumerate", "--threads", "2"),
 ])
 def test_numpy_subcommand_starts_no_thread_pool(argv):
     # the integer-only numpy work calls no BLAS: main runs OpenBLAS on one
-    # thread, and only a threaded enumeration imports concurrent.futures
+    # thread, and no path imports concurrent.futures, whatever --threads says
     got = probe(*argv, env=_without_blas_threads())
     assert got["code"] == 0 and got["numpy"], got
     assert got["blas_threads"] == "1" and not got["futures"], got
@@ -192,23 +192,6 @@ def test_library_import_leaves_the_environment_alone():
                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
                      env=_without_blas_threads())
     assert out.strip() == "None"
-
-
-def test_single_block_enumeration_starts_no_pool():
-    # ell = 3 lists its symplectic bases in one block, so two threads have
-    # nothing to share and no pool is made; the report is the one-thread one
-    argv = ("census", "--ell", "3", "--enumerate", "--json")
-    code = ("import contextlib, io, json, sys\n"
-            "from sympkit import cli\n"
-            "buf = io.StringIO()\n"
-            "with contextlib.redirect_stdout(buf):\n"
-            "    code = cli.main(sys.argv[1:])\n"
-            "report = json.loads(buf.getvalue())\n"
-            "print(json.dumps([code, report['results'], report['assertions'],"
-            " 'concurrent.futures' in sys.modules]))")
-    one = json.loads(run_python(code, *argv, "--threads", "1"))
-    two = json.loads(run_python(code, *argv, "--threads", "2"))
-    assert two == one and one[0] == 0 and not two[3], two
 
 
 def test_input_checks_survive_python_O():
