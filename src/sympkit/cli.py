@@ -7,10 +7,10 @@ or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
 odd prime or, for a family, an ell above 13, whose matrices do not pack into
-64-bit keys, a rational argument with a zero denominator, a family or
---enumerate run whose memory model, 96 MiB and 8 bytes per element, is over
-its budget, --enumerate at an ell other than 3 and 5, or a pool flag given
-to ceta --case <family>; --threads has no other effect).  --json switches
+64-bit keys, a rational argument with a zero denominator, an --enumerate
+run whose memory model, 96 MiB and 8 bytes per element, is over its budget,
+--enumerate at an ell other than 3 and 5, or a pool flag given to ceta
+--case <family>; --threads has no other effect).  --json switches
 any subcommand to the versioned JSON report {schema, command, timestamp,
 results, assertions}.  Each subcommand imports the modules it uses when it
 runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps and gallery
@@ -57,6 +57,13 @@ def _number(text, gaussian=False):
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
+def _budget_mb(text):
+    "A --budget-mb value, a positive whole number of MiB, in bytes."
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError("must be positive, not %s" % text)
+    return int(text) << 20
+
+
 def _fmt(x):
     if isinstance(x, GaussianRational):
         return format_gaussian(x)
@@ -80,9 +87,7 @@ def _census(args, group):
                                 enumerate_gsp4, enumerate_sp4)
 
     enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
-    budget = (DEFAULT_MAX_BYTES if args.budget_mb is None
-              else args.budget_mb << 20)
-    listed = enum(args.ell, max_bytes=budget)
+    listed = enum(args.ell, max_bytes=args.budget_mb or DEFAULT_MAX_BYTES)
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
@@ -366,7 +371,7 @@ def build_parser():
     pool.add_argument("--threads", type=int, default=None,
                       help="accepted for compatibility; no effect (every "
                            "run is single-threaded)")
-    pool.add_argument("--budget-mb", type=int, default=None,
+    pool.add_argument("--budget-mb", type=_budget_mb, default=None,
                       help="memory budget of --enumerate (MiB, default 512), "
                            "against 96 MiB plus 8 bytes per element")
 

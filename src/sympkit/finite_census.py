@@ -32,8 +32,7 @@ predicate and the similitude test puts it inside the family
 (_closed_family).  A doubled family's chain is the proven base's extended
 by w, of twice the base's order; no key of it is listed.  Such a GroupSet
 holds its chain and similitude factors, and lists and sorts its keys only
-when they are asked for.  A listing's memory is modelled as one key per
-element (_within_budget).
+when they are asked for, priced at one key per element (_within_budget).
 
 Every product of a listing is formed on the keys, with no matrix unpacked:
 row r of m.g is row r of m times g, so one table per multiplier g, from
@@ -232,9 +231,7 @@ def charpoly_coeffs(mats, ell):
     e2 = sum(m[:, i, i] * m[:, j, j] - m[:, i, j] * m[:, j, i] for i, j in _PAIRS)
     e3 = sum(_minor3(m, t, t) for t in _TRIPLES)
     e4 = _det4(m)
-    return np.stack(
-        [(-e1) % ell, e2 % ell, (-e3) % ell, e4 % ell], axis=1
-    )
+    return np.stack([(-e1) % ell, e2 % ell, (-e3) % ell, e4 % ell], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +627,7 @@ class GroupSet(_Frozen):
 
     def __init__(self, ell, keys):
         _require_odd_prime(ell)
+        _bits_for(ell)
         arr = np.asarray(keys, dtype=np.uint64).reshape(-1)
         # strictly increasing keys skip the sort; the copy leaves the
         # caller's array writable and its own
@@ -655,6 +653,7 @@ class GroupSet(_Frozen):
     @property
     def keys(self):
         if self._keys is None:
+            _within_budget(repr(self), self.order, DEFAULT_MAX_BYTES)
             keys = _listed(self._chain, self.ell)
             keys.setflags(write=False)
             object.__setattr__(self, "_keys", keys)
@@ -679,6 +678,8 @@ class GroupSet(_Frozen):
 
     def __contains__(self, item):
         if isinstance(item, (int, np.integer)):
+            if not 0 <= item < 1 << 64:
+                return False
             key = np.array([item], dtype=np.uint64)
         else:
             arr = np.asarray(item, dtype=np.int64).reshape(1, 4, 4) % self.ell
@@ -741,10 +742,9 @@ def _primitive_root(ell):
                 if len({pow(g, k, ell) for k in range(1, ell)}) == ell - 1)
 
 
-# The modelled peak resident memory of a listing: the interpreter with numpy
-# loaded, and one key per element, the most a listing ever holds (the sorted
-# keys of GroupSet.keys; a census or a family check streams its passes).
-# tests/test_finite_census.py checks it against measured peaks.
+# The modelled peak RSS of a held key set (GroupSet.keys; _full_group prices
+# a full group by it): the interpreter with numpy loaded, and one key per
+# element.  tests/test_finite_census.py checks it against measured peaks.
 _PROCESS_BYTES = 96 << 20
 
 
@@ -838,10 +838,8 @@ def brute_similitude_scan():
         keys = pack_matrices(mats[ok].astype(np.int64), 3)
         gsp_parts.append(keys)
         sp_parts.append(keys[nu[ok] == 1])
-    return (
-        GroupSet(3, np.concatenate(sp_parts)),
-        GroupSet(3, np.concatenate(gsp_parts)),
-    )
+    return tuple(GroupSet(3, np.concatenate(parts))
+                 for parts in (sp_parts, gsp_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -1142,12 +1140,9 @@ def family_with_base(spec):
     the base's extended by w, of twice the base's order by its chain; it is
     then base u base.w, a group of similitudes when w is one, and its
     factors are the base's times 1 and nu(w), nu being a homomorphism.  No
-    key is listed.  A modelled peak RSS over DEFAULT_MAX_BYTES raises
-    ResourceLimit first."""
+    key is listed: the build only streams the chain's listing."""
     gens, inside, order, w = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
-    _within_budget("%s at ell = %d" % (spec.tag, ell),
-                   n if w is None else 2 * n, DEFAULT_MAX_BYTES)
     chain, factors = _closed_family(gens(ell), inside, n, ell,
                                     spec.tag + ("" if w is None else " base"))
     base = GroupSet._proven(ell, chain, factors)

@@ -269,16 +269,18 @@ def test_family_enumerates_its_base_once(monkeypatch, capsys):
     assert code == 0 and calls == [(3, None, 192, 192), (1, 192, 384, 384)]
 
 
-def test_family_over_the_memory_budget_is_a_usage_error(monkeypatch, capsys):
-    # Hen at ell = 13 holds 57,238,272 elements: refused from the order
-    # alone, before any chain is built
-    monkeypatch.setattr(finite_census, "_chain", None)
+def test_family_at_ell_13_reaches_its_chain(monkeypatch, capsys):
+    # Hen at ell = 13 holds 57,238,272 elements, but a build holds no key
+    # set: no budget refuses it, and its chain is built
+    def no_chain(*args, **kwargs):
+        raise RuntimeError("the chain was reached")
+
+    monkeypatch.setattr(finite_census, "_chain", no_chain)
     for argv in (("family", "--case", "Hen"),
                  ("ceta", "--case", "Hen", "--eta", "1/4")):
         code, out, err = run(capsys, *argv, "--ell", "13")
-        assert code == 2 and out == ""
-        assert "Hen at ell = 13 holds 57238272 elements" in err
-        assert "budget is %d" % finite_census.DEFAULT_MAX_BYTES in err
+        assert code == 1 and out == ""
+        assert "internal error: the chain was reached" in err
 
 
 def test_family_refuses_primes_beyond_the_key_width(capsys):
@@ -462,6 +464,12 @@ def test_usage_errors(capsys):
     # GSp4(F_5), 96 MiB and 37,440,000 keys, is modelled at 382 MiB
     assert run(capsys, "census", "--ell", "5", "--enumerate",
                "--budget-mb", "300")[0] == 2
+    # a budget of no memory is refused by the parser, naming the flag
+    for mb in ("-1", "0"):
+        code, out, err = run(capsys, "census", "--ell", "3", "--enumerate",
+                             "--budget-mb", mb)
+        assert code == 2 and out == ""
+        assert "argument --budget-mb: must be positive, not %s" % mb in err
     code, _, err = run(capsys, "ylattice", "--ring", "z", "--c", "1/0")
     assert code == 2 and err.startswith("error:")
 

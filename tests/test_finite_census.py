@@ -619,6 +619,17 @@ def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
         assert np.array_equal(g.keys, keys)
 
 
+def test_groupset_refuses_wide_primes_and_out_of_range_keys():
+    # ell = 17 is refused as FamilySpec refuses it, not on first use; an
+    # integer no uint64 holds is no key of the set
+    with pytest.raises(ValueError, match="ell = 17 does not pack"):
+        GroupSet(17, [1, 2, 3])
+    g = family("LeviB")
+    assert int(g.keys[0]) in g
+    for key in (-1, 2 ** 64, np.int64(-1)):
+        assert key not in g
+
+
 def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
     # a family build hands each chain to its GroupSet and lists no key:
     # the base's and the doubled family's keys are listed on first use,
@@ -1432,12 +1443,19 @@ def _gl2(q):
     return (q * q - 1) * (q * q - q)  # Carter: |GL2(q)|
 
 
-# orders at ell = 7 from the standard formulas: |SL2(q)| = q (q^2 - 1),
-# |U2(q)| = q (q^2 - 1)(q + 1), and the similitude factor adds ell - 1
-FAMILY_ORDERS_7 = {"LeviB": 6 ** 3, "LeviP": 6 * _gl2(7), "LeviQ": 6 * _gl2(7),
-                   "Case5": 12 * _gl2(7), "Case8": 2 * 6 * 7 * 48 * 8,
-                   "Case9": 4 * _gl2(7), "Hen": 6 * (7 * 48) ** 2,
-                   "Case6": 12 * (7 * 48) ** 2, "Case7": 12 * 49 * 2400}
+def _family_orders(q):
+    """The order of each family at the prime q from the standard formulas:
+    |SL2(q)| = q (q^2 - 1), |U2(q)| = q (q^2 - 1)(q + 1), |SL2(q^2)| =
+    q^2 (q^4 - 1), and the similitude factor adds q - 1."""
+    sl2 = q * (q * q - 1)
+    return {"LeviB": (q - 1) ** 3, "LeviP": (q - 1) * _gl2(q),
+            "LeviQ": (q - 1) * _gl2(q), "Case5": 2 * (q - 1) * _gl2(q),
+            "Case8": 2 * (q - 1) * sl2 * (q + 1), "Case9": 4 * _gl2(q),
+            "Hen": (q - 1) * sl2 ** 2, "Case6": 2 * (q - 1) * sl2 ** 2,
+            "Case7": 2 * (q - 1) * q * q * (q ** 4 - 1)}
+
+
+FAMILY_ORDERS_7 = _family_orders(7)
 LARGE_AT_7 = ("Hen", "Case6", "Case7")
 
 
@@ -1478,15 +1496,23 @@ def test_family_orders_at_ell_7_gated():
         assert 0 < peak <= _modelled_bytes(g.order), tag
 
 
-def test_budget_model_bounds_the_family_peak_rss():
-    # the largest family at ell = 5, a doubled family at ell = 7, and Hen at
-    # ell = 7 (677,376 elements), each modelled by one key per element of
-    # the family
-    for tag, ell in (("Case7", 5), ("Case8", 7), ("Hen", 7)):
-        peak = _child_peak_bytes("-m", "sympkit.cli", "family", "--case", tag,
-                                 "--ell", str(ell))
-        order = {5: FAMILY_ORDERS_5, 7: FAMILY_ORDERS_7}[ell][tag]
-        assert 0 < peak <= _modelled_bytes(order), (tag, ell)
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell=13: every family, and the census of Case7 "
+                           "(115,839,360 elements) in a child, about 50 s")
+def test_every_family_at_ell_13_gated():
+    # the largest prime that packs: each build streams its listing and
+    # holds no key set, and the worst run of all, the census of Case7,
+    # stays inside the default budget as a single CLI child
+    orders = _family_orders(13)
+    assert [orders[t] for t in ("Hen", "Case6", "Case7")] \
+        == [57238272, 114476544, 115839360]
+    for tag, order in orders.items():
+        g, base = family_with_base(FamilySpec(tag, 13))
+        assert g.order == order, tag
+        assert base is None or g.order == 2 * base.order, tag
+    peak = _child_peak_bytes("-m", "sympkit.cli", "ceta", "--case", "7",
+                             "--ell", "13", "--eta", "1/4")
+    assert 0 < peak < finite_census.DEFAULT_MAX_BYTES
 
 
 def test_family_working_set_stays_small():
@@ -1516,17 +1542,39 @@ def test_family_working_set_stays_small():
         assert peak < bound * (1 << 20), (name, peak)
 
 
-def test_family_over_the_budget_is_refused_before_any_work(monkeypatch):
-    # Hen at ell = 13 has 12 * (13 * 168)^2 = 57,238,272 elements
-    def no_closure(*args, **kwargs):
-        raise AssertionError("a closure ran")
+def test_family_at_ell_13_is_built_whatever_its_order(monkeypatch):
+    # Hen at ell = 13 has 12 * (13 * 168)^2 = 57,238,272 elements, 533 MiB
+    # at one key each; the build holds no key set, so nothing prices it and
+    # the build goes on to its chain
+    def no_chain(*args, **kwargs):
+        raise RuntimeError("the chain was reached")
 
-    monkeypatch.setattr(finite_census, "_chain", no_closure)
-    need = _modelled_bytes(57238272)
-    assert need > finite_census.DEFAULT_MAX_BYTES
-    with pytest.raises(ResourceLimit, match="Hen at ell = 13 holds 57238272 "
-                                            "elements, ~%d bytes" % need):
+    monkeypatch.setattr(finite_census, "_chain", no_chain)
+    assert _modelled_bytes(57238272) > finite_census.DEFAULT_MAX_BYTES
+    with pytest.raises(RuntimeError, match="the chain was reached"):
         build_family(FamilySpec("Hen", 13))
+
+
+def test_only_a_held_key_set_is_priced(monkeypatch):
+    # a budget below Hen at ell = 3 (1152 keys) still builds the family,
+    # its factors and its census from the listing; its sorted keys, one
+    # per element, are refused before any is listed
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the keys were listed")
+
+    need = _modelled_bytes(1152)
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need - 1)
+    monkeypatch.setattr(finite_census, "_listed", no_listing)
+    g, _ = family_with_base(FamilySpec("Hen", 3))
+    assert g.order == 1152 and g.similitude_factors() == [1, 2]
+    assert charpoly_census(g).total == 1152
+    with pytest.raises(ResourceLimit, match=r"GroupSet\(ell=3, order=1152\) "
+                                            "holds 1152 elements, ~%d bytes"
+                                            % need):
+        g.keys
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need)
+    with pytest.raises(AssertionError, match="the keys were listed"):
+        g.keys
 
 
 # ---------------------------------------------------------------------------
