@@ -26,9 +26,9 @@ _EXPORTS = {
     "census": """CharPolyHistogram c_eta_M closed_form_census enumerate_P1_reps
         gsp4_order sp4_order""",
     "finite_census": """FamilySpec GroupSet ResourceLimit brute_similitude_scan
-        build_family charpoly_census charpoly_coeffs embed_gl2_siegel
-        enumerate_gsp4 enumerate_sp4 family_with_base gl2_charpoly_census
-        mulclose pack_matrices unpack_keys""",
+        build_family charpoly_census charpoly_coeffs enumerate_gsp4
+        enumerate_sp4 family_with_base gl2_charpoly_census mulclose
+        pack_matrices unpack_keys""",
     "hecke_l": """EulerFactor HeckeData LatticeRing SatakeParams check_int
         density_ratio endoscopic_spin_factor enumerate_Y hecke_poly lambda_p2
         read_eigen_csv rou_charpolys satake_to_hecke spin_factor std5_factor

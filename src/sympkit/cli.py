@@ -7,10 +7,9 @@ or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
 odd prime or, for a family, an ell above 13, whose matrices do not pack into
-64-bit keys, a rational argument with a zero denominator, an --enumerate
-run whose memory model, 96 MiB and 8 bytes per element, is over its budget,
---enumerate at an ell other than 3 and 5, or a pool flag given to ceta
---case <family>; --threads has no other effect).  --json switches
+64-bit keys, a rational argument with a zero denominator, --enumerate at
+an ell other than 3 and 5, or a pool flag given to ceta --case <family>;
+--threads has no other effect).  --json switches
 any subcommand to the versioned JSON report {schema, command, timestamp,
 results, assertions}.  Each subcommand imports the modules it uses when it
 runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps and gallery
@@ -57,13 +56,6 @@ def _number(text, gaussian=False):
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
-def _budget_mb(text):
-    "A --budget-mb value, a positive whole number of MiB, in bytes."
-    if int(text) <= 0:
-        raise argparse.ArgumentTypeError("must be positive, not %s" % text)
-    return int(text) << 20
-
-
 def _fmt(x):
     if isinstance(x, GaussianRational):
         return format_gaussian(x)
@@ -77,17 +69,16 @@ def _fmt(x):
 def _census(args, group):
     """The closed-form census of `group` ("gsp4" or "sp4") and, under
     --enumerate, the assertion that the census of the group listed from its
-    chain equals it (--budget-mb governs that listing)."""
+    chain equals it."""
     from .census import closed_form_census
 
     hist = closed_form_census(args.ell, group)
     if not args.enumerate:
         return hist, []
-    from .finite_census import (DEFAULT_MAX_BYTES, charpoly_census,
-                                enumerate_gsp4, enumerate_sp4)
+    from .finite_census import charpoly_census, enumerate_gsp4, enumerate_sp4
 
     enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
-    listed = enum(args.ell, max_bytes=args.budget_mb or DEFAULT_MAX_BYTES)
+    listed = enum(args.ell)
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
@@ -161,10 +152,9 @@ def _cmd_ceta(args):
         hist, oracle = _census(args, low)
         name = low
     else:
-        if args.enumerate or args.threads is not None \
-                or args.budget_mb is not None:
-            raise ValueError("--enumerate, --threads and --budget-mb apply "
-                             "to --case gsp4 and sp4 only")
+        if args.enumerate or args.threads is not None:
+            raise ValueError("--enumerate and --threads apply to --case gsp4 "
+                             "and sp4 only")
         from .finite_census import FamilySpec, build_family, charpoly_census
 
         spec = FamilySpec(_family_tag(args.case), args.ell)
@@ -371,9 +361,6 @@ def build_parser():
     pool.add_argument("--threads", type=int, default=None,
                       help="accepted for compatibility; no effect (every "
                            "run is single-threaded)")
-    pool.add_argument("--budget-mb", type=_budget_mb, default=None,
-                      help="memory budget of --enumerate (MiB, default 512), "
-                           "against 96 MiB plus 8 bytes per element")
 
     top = argparse.ArgumentParser(
         prog="sympkit",

@@ -32,7 +32,7 @@ predicate and the similitude test puts it inside the family
 (_closed_family).  A doubled family's chain is the proven base's extended
 by w, of twice the base's order; no key of it is listed.  Such a GroupSet
 holds its chain and similitude factors, and lists and sorts its keys only
-when they are asked for, priced at one key per element (_within_budget).
+when they are asked for, priced at one key per element (GroupSet.keys).
 
 Every product of a listing is formed on the keys, with no matrix unpacked:
 row r of m.g is row r of m times g, so one table per multiplier g, from
@@ -69,6 +69,11 @@ import numpy as np
 
 DEFAULT_MAX_BYTES = 512 << 20
 
+# The modelled peak RSS of a held key set (GroupSet.keys): the interpreter
+# with numpy loaded, and one key per element.  tests/test_finite_census.py
+# checks it against measured peaks.
+_PROCESS_BYTES = 96 << 20
+
 _ENUM_PRIMES = (3, 5)
 
 _J4 = np.array(
@@ -83,7 +88,7 @@ _EYE = np.eye(4, dtype=np.int64)
 
 
 class ResourceLimit(ValueError):
-    "An enumeration would exceed the configured memory budget."
+    "A group's key set would exceed the default memory budget."
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +658,12 @@ class GroupSet(_Frozen):
     @property
     def keys(self):
         if self._keys is None:
-            _within_budget(repr(self), self.order, DEFAULT_MAX_BYTES)
+            need = _PROCESS_BYTES + 8 * self.order
+            if need > DEFAULT_MAX_BYTES:
+                raise ResourceLimit(
+                    "%r holds %d elements, ~%d bytes (modelled peak RSS); "
+                    "budget is %d"
+                    % (self, self.order, need, DEFAULT_MAX_BYTES))
             keys = _listed(self._chain, self.ell)
             keys.setflags(write=False)
             object.__setattr__(self, "_keys", keys)
@@ -670,7 +680,8 @@ class GroupSet(_Frozen):
 
     def __eq__(self, other):
         if isinstance(other, GroupSet):
-            return self.ell == other.ell and np.array_equal(self.keys, other.keys)
+            return (self.ell == other.ell and self.order == other.order
+                    and np.array_equal(self.keys, other.keys))
         return NotImplemented
 
     def __hash__(self):
@@ -742,21 +753,6 @@ def _primitive_root(ell):
                 if len({pow(g, k, ell) for k in range(1, ell)}) == ell - 1)
 
 
-# The modelled peak RSS of a held key set (GroupSet.keys; _full_group prices
-# a full group by it): the interpreter with numpy loaded, and one key per
-# element.  tests/test_finite_census.py checks it against measured peaks.
-_PROCESS_BYTES = 96 << 20
-
-
-def _within_budget(name, elements, max_bytes):
-    "ResourceLimit unless the modelled peak RSS of `elements` fits max_bytes."
-    need = _PROCESS_BYTES + 8 * elements
-    if need > max_bytes:
-        raise ResourceLimit(
-            "%s holds %d elements, ~%d bytes (modelled peak RSS); budget is %d"
-            % (name, elements, need, max_bytes))
-
-
 def _full_gens(ell, name):
     """Generators of Sp4(F_ell): T and W in the SL2 of the Siegel Levi (as
     in LeviP) and in the SL2 on (e1, e3) (as in LeviQ); for GSp4(F_ell),
@@ -767,7 +763,7 @@ def _full_gens(ell, name):
     return gens + (_diags(ell, (0, 0, 1, 1)) if name == "GSp4" else [])
 
 
-def _full_group(ell, name, order, factors, max_bytes):
+def _full_group(ell, name, order, factors):
     """The group that _full_gens generates, as a GroupSet of its chain,
     proven to be the group `name` of the similitudes whose factors lie in
     `factors` ((1,) or every unit), of order(ell) elements: it lies inside,
@@ -781,7 +777,6 @@ def _full_group(ell, name, order, factors, max_bytes):
             "full enumeration is supported for ell in %r only (order ~%.1e)"
             % (_ENUM_PRIMES, float(gsp4_order(ell))))
     n = order(ell)
-    _within_budget("%s at ell = %d" % (name, ell), n, max_bytes)
     gens = np.array(_full_gens(ell, name), dtype=np.int64) % ell
     ok, nu = _similitude_info(gens, ell)
     if not (ok.all() and set(nu.tolist()) <= set(factors)):
@@ -791,17 +786,16 @@ def _full_group(ell, name, order, factors, max_bytes):
     return GroupSet._proven(ell, chain, factors)
 
 
-def enumerate_sp4(ell, max_bytes=DEFAULT_MAX_BYTES):
+def enumerate_sp4(ell):
     """Sp4(F_ell), the similitudes of factor 1, for ell = 3 and 5, proven
     from the chain of its generators (_full_group): order
-    ell^4 (ell^2 - 1)(ell^4 - 1).  A modelled peak RSS over max_bytes
-    raises ResourceLimit first."""
-    return _full_group(ell, "Sp4", sp4_order, (1,), max_bytes)
+    ell^4 (ell^2 - 1)(ell^4 - 1).  No key is listed until .keys is read."""
+    return _full_group(ell, "Sp4", sp4_order, (1,))
 
 
-def enumerate_gsp4(ell, max_bytes=DEFAULT_MAX_BYTES):
+def enumerate_gsp4(ell):
     "GSp4(F_ell), as enumerate_sp4: (ell - 1) |Sp4| elements, every factor."
-    return _full_group(ell, "GSp4", gsp4_order, range(1, ell), max_bytes)
+    return _full_group(ell, "GSp4", gsp4_order, range(1, ell))
 
 
 def brute_similitude_scan():
@@ -1170,11 +1164,3 @@ def gl2_charpoly_census(ell):
     flat = (-tr) % ell * ell + det
     counts = np.bincount(flat, minlength=ell * ell)
     return {divmod(int(i), ell): int(counts[i]) for i in np.flatnonzero(counts)}
-
-
-def embed_gl2_siegel(ell):
-    """GL2 embedded block-diagonally with nu = 1, A paired with t(A)^-1: the
-    kernel of nu on the proven LeviP family [[A, 0], [0, nu t(A)^-1]], so a
-    group of order |GL2(F_ell)|."""
-    levi = build_family(FamilySpec("LeviP", ell))
-    return GroupSet(ell, levi.keys[levi.nu_values() == 1])

@@ -1,15 +1,17 @@
 """End-to-end checks of the command-line driver."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sympkit import census, finite_census
 from sympkit.census import c_eta_M
-from sympkit.cli import main
+from sympkit.cli import build_parser, main
 from sympkit.finite_census import (
     FamilySpec,
     build_family,
@@ -306,25 +308,35 @@ def test_runtime_errors_are_internal_failures(monkeypatch, capsys):
 
 
 def test_family_takes_no_pool_flags(capsys):
-    for flag in ("--threads", "--budget-mb"):
-        code, _, err = run(capsys, "family", "--case", "Hen", "--ell", "3",
-                           flag, "2")
-        assert code == 2 and "unrecognized arguments" in err
+    code, _, err = run(capsys, "family", "--case", "Hen", "--ell", "3",
+                       "--threads", "2")
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_ceta_family_takes_no_pool_flags(capsys):
-    # a family census enumerates no full group, so the flags of that
-    # enumeration are usage errors there, as --enumerate is
-    for flags in (("--threads", "2"), ("--budget-mb", "1")):
-        code, out, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
-                             "--eta", "1/4", *flags)
-        assert code == 2 and out == "" and flags[0] in err
-    # the full groups keep accepting them, with or without --enumerate
+    # a family census enumerates no full group, so --threads is a usage
+    # error there, as --enumerate is
+    code, out, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
+                         "--eta", "1/4", "--threads", "2")
+    assert code == 2 and out == ""
+    assert "--enumerate and --threads apply to --case gsp4 and sp4" in err
+    # the full groups keep accepting it, with or without --enumerate
     for argv in (("census", "--ell", "3"),
                  ("ceta", "--case", "gsp4", "--ell", "3", "--eta", "1/4")):
-        code, _ = run_json(capsys, *argv, "--threads", "2",
-                           "--budget-mb", "64")
+        code, _ = run_json(capsys, *argv, "--threads", "2")
         assert code == 0
+
+
+def test_enumeration_is_not_priced(monkeypatch, capsys):
+    # the census streams the listing and holds no key set, so no budget
+    # refuses --enumerate, not even one of a single byte
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1)
+    for argv in (("census", "--ell", "3"),
+                 ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4")):
+        code, rep = run_json(capsys, *argv, "--enumerate")
+        assert code == 0
+        by_anchor = {e["anchor"]: e["pass"] for e in rep["assertions"]}
+        assert by_anchor["closed-form-equals-enumeration"]
 
 
 def test_ceta_matches_library(capsys):
@@ -461,15 +473,12 @@ def test_usage_errors(capsys):
     assert run(capsys, "census", "--ell", "9")[0] == 2  # not a prime
     # the closed form runs at any odd prime; the enumeration only at 3 and 5
     assert run(capsys, "census", "--ell", "7", "--enumerate")[0] == 2
-    # GSp4(F_5), 96 MiB and 37,440,000 keys, is modelled at 382 MiB
-    assert run(capsys, "census", "--ell", "5", "--enumerate",
-               "--budget-mb", "300")[0] == 2
-    # a budget of no memory is refused by the parser, naming the flag
-    for mb in ("-1", "0"):
-        code, out, err = run(capsys, "census", "--ell", "3", "--enumerate",
+    # no memory budget is settable: the parser refuses --budget-mb
+    for ell, mb in (("5", "300"), ("3", "64"), ("3", "-1")):
+        code, out, err = run(capsys, "census", "--ell", ell, "--enumerate",
                              "--budget-mb", mb)
         assert code == 2 and out == ""
-        assert "argument --budget-mb: must be positive, not %s" % mb in err
+        assert "unrecognized arguments: --budget-mb %s" % mb in err
     code, _, err = run(capsys, "ylattice", "--ring", "z", "--c", "1/0")
     assert code == 2 and err.startswith("error:")
 
@@ -487,3 +496,19 @@ def test_threads_env_override(monkeypatch, capsys):
         assert code == 0
         assert (rep["results"], rep["assertions"]) == (want["results"],
                                                        want["assertions"])
+
+
+def test_readme_usage_names_only_accepted_flags():
+    # every --flag in the README's "Command line" block is one the parser
+    # takes for that subcommand, so a removed flag cannot linger there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    lines = [line.split() for line in block.splitlines() if line.strip()]
+    assert [words[1] for words in lines] == list(subparsers.choices)
+    for words in lines:
+        accepted = subparsers.choices[words[1]]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words)):
+            assert flag in accepted, (words[1], flag)

@@ -25,7 +25,6 @@ from sympkit.finite_census import (
     build_family,
     charpoly_census,
     charpoly_coeffs,
-    embed_gl2_siegel,
     enumerate_gsp4,
     enumerate_sp4,
     family_with_base,
@@ -520,16 +519,29 @@ def test_enumeration_refuses_large_primes():
 
 
 def test_enumeration_memory_budget(monkeypatch):
-    # one key per element: GSp4(F_5) is modelled at 382 MiB, within the
-    # default budget; a smaller budget refuses it before any chain is built
-    monkeypatch.setattr(finite_census, "_chain", None)
+    # one key per element: GSp4(F_5)'s sorted keys are modelled at 382 MiB,
+    # within the default budget.  Only those keys are priced: below it the
+    # group is still proven from its chain, with its order and factors, and
+    # its keys are refused before any is listed
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the keys were listed")
+
     need = _modelled_bytes(gsp4_order(5))
     assert need == (96 << 20) + 8 * 37440000 < finite_census.DEFAULT_MAX_BYTES
-    with pytest.raises(ResourceLimit, match="GSp4 at ell = 5 holds 37440000 "
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need - 1)
+    monkeypatch.setattr(finite_census, "_listed", no_listing)
+    g = enumerate_gsp4(5)
+    assert g.order == 37440000 and g.similitude_factors() == [1, 2, 3, 4]
+    with pytest.raises(ResourceLimit, match=r"GroupSet\(ell=5, order="
+                                            r"37440000\) holds 37440000 "
                                             "elements, ~%d bytes" % need):
-        enumerate_gsp4(5, max_bytes=need - 1)
-    with pytest.raises(ResourceLimit, match="Sp4 at ell = 5 holds 9360000"):
-        enumerate_sp4(5, max_bytes=1 << 20)
+        g.keys
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1 << 20)
+    g = enumerate_sp4(5)
+    assert g.order == 9360000 and g.similitude_factors() == [1]
+    with pytest.raises(ResourceLimit,
+                       match=r"GroupSet\(ell=5, order=9360000\)"):
+        g.keys
 
 
 def _child_peak_bytes(*argv):
@@ -887,6 +899,14 @@ def test_gl2_charpoly_census_max():
         counts = gl2_charpoly_census(ell)
         assert max(counts.values()) == ell * ell + ell
         assert sum(counts.values()) == (ell * ell - 1) * (ell * ell - ell)
+
+
+def embed_gl2_siegel(ell):
+    """GL2 embedded block-diagonally with nu = 1, A paired with t(A)^-1: the
+    kernel of nu on the proven LeviP family [[A, 0], [0, nu t(A)^-1]], so a
+    group of order |GL2(F_ell)|."""
+    levi = build_family(FamilySpec("LeviP", ell))
+    return GroupSet(ell, levi.keys[levi.nu_values() == 1])
 
 
 def test_embed_gl2_siegel_census():
@@ -1575,6 +1595,18 @@ def test_only_a_held_key_set_is_priced(monkeypatch):
     monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need)
     with pytest.raises(AssertionError, match="the keys were listed"):
         g.keys
+
+
+def test_groups_of_unequal_order_compare_without_keys(monkeypatch):
+    # groups of another prime or order differ whatever their keys, so ==
+    # lists none: with no key set affordable, LeviB and Case9 at ell = 3
+    # (8 and 192 elements) still compare unequal; equal orders need the keys
+    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1)
+    levi_b = build_family(FamilySpec("LeviB", 3))
+    assert not levi_b == build_family(FamilySpec("Case9", 3))
+    assert levi_b != build_family(FamilySpec("LeviB", 5))
+    with pytest.raises(ResourceLimit):
+        levi_b == build_family(FamilySpec("LeviB", 3))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ EAGER_ALL = [
     "weyl_act", "weyl_orbit_and_stabilizer", "weyl_words",
     "CharPolyHistogram", "FamilySpec", "GroupSet", "ResourceLimit",
     "brute_similitude_scan", "build_family", "c_eta_M", "charpoly_census",
-    "charpoly_coeffs", "closed_form_census", "embed_gl2_siegel",
-    "enumerate_P1_reps", "enumerate_gsp4", "enumerate_sp4",
+    "charpoly_coeffs", "closed_form_census", "enumerate_P1_reps",
+    "enumerate_gsp4", "enumerate_sp4",
     "family_with_base", "gl2_charpoly_census", "gsp4_order", "mulclose",
     "pack_matrices", "sp4_order", "unpack_keys",
     "EulerFactor", "HeckeData", "LatticeRing", "SatakeParams", "check_int",
