@@ -1,9 +1,10 @@
-"""The characteristic-polynomial census of Sp4/GSp4(F_ell) in closed form.
+"""The characteristic-polynomial census of Sp4/GSp4(F_ell) and of seven
+subgroup families in closed form.
 
 Pure Python, with no numpy: the group orders, the CharPolyHistogram,
-closed_form_census, the coverage count c_eta_M and the projective-line
-representatives of enumerate_P1_reps.  finite_census holds the
-enumerations that check the closed form.
+closed_form_census, the GL2 census gl2_charpoly_census, the coverage count
+c_eta_M and the projective-line representatives of enumerate_P1_reps.
+finite_census holds the enumerations that check the closed forms.
 
 closed_form_census lists no element.  An element g = s u (Jordan
 decomposition) with multiplier nu and char poly f lies in the semisimple
@@ -21,11 +22,44 @@ Sp_e(ell^d) when every root has lambda^2 = nu, U_e(ell^(d/2)) when
 h = h^nu otherwise, and GL_e(ell^d) for a pair {h, h^nu} of distinct
 factors, taken once.  f is the char poly of an element exactly when the
 ranks sum to 2; it is keyed by det(1 - gT) = (-a, b, -nu a, nu^2) and nu.
+
+The families are built from 2x2 blocks, and c(t, d), the number of A in
+GL2(F_ell) with trace t and determinant d, is ell^2 + ell, ell^2 - ell or
+ell^2 as t^2 - 4d is a nonzero square, a non-square or 0: the classes of
+a split, a non-split and a repeated eigenvalue (W. Fulton and J. Harris,
+Representation Theory, 1991, sec. 5.2; R. W. Carter, Finite Groups of Lie
+Type, 1985).  With f(t, d) = 1 - tT + dT^2, each family's census is a sum
+over its block parameters (FAMILY_FORMS, _family_terms).  Each row gives
+the elements, then det(1 - gT), nu and the count, for A of trace t and
+determinant d:
+
+    LeviB  diag(t1, t2, nu/t1, nu/t2):
+           f(t1 + nu/t1, nu) f(t2 + nu/t2, nu), nu, 1
+    LeviP  [[A, 0], [0, nu t(A)^-1]]:
+           f(t, d) f(nu t/d, nu^2/d), nu, c(t, d)
+    LeviQ  t on e1, B of trace s and determinant nu on (e2, e4), nu/t on e3:
+           f(t + nu/t, nu) f(s, nu), nu, c(s, nu)
+    Hen    the checkerboard (A, B), of traces t1 and t2, det A = det B = d:
+           f(t1, d) f(t2, d), d, c(t1, d) c(t2, d)
+    Case5  LeviP, and its coset by the block swap, s the trace of A W:
+           1 + nu (s^2 - 2d)/d T^2 + nu^2 T^4, -nu, c(s, d)
+    Case6  Hen, and its coset by the exchange, det(1 - AB T^2):
+           1 - sT^2 + d^2 T^4, d, |SL2| c(s, d^2)
+    Case9  X (x) Y for Y = I; diag(1, -1) or antidiag(1, 1); antidiag(1, -1):
+           f(t, d)^2; f(t, d) f(-t, d); 1 + (t^2 - 2d) T^2 + d^2 T^4,
+           d, c(t, d); 2 c(t, d); c(t, d)
+
+Case7 and Case8 have no closed form here.  Their bases are GL2(F_ell^2)
+with determinant in F_ell^x and the unitary similitudes; the class of an
+element X sigma of their w-coset (sigma the conjugation of F_ell^2) turns
+on the class of X sigma(X), and counting the X by that class is Shintani
+descent (T. Shintani, J. Math. Soc. Japan 28, 1976).  Their census is the
+listing's (finite_census.charpoly_census).
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 
 from .exact_arith import _Frozen, _require_odd_prime, is_odd_prime
@@ -123,20 +157,89 @@ def _centralizer_factor(kind, d, e, ell):
     return order, k * e * e, k * e
 
 
-def closed_form_census(ell, group):
-    """The CharPolyHistogram of Sp4(F_ell) (group "sp4") or GSp4(F_ell)
-    ("gsp4") for any odd prime ell, without listing a single element; equal
-    to charpoly_census(enumerate_<group>(ell)), which is its oracle.  Each
-    count is the formula of the module docstring, with C_Sp(s) the product
-    of the _centralizer_factor of each factor of f."""
-    _require_odd_prime(ell)
-    if group not in ("sp4", "gsp4"):
-        raise ValueError("group must be 'sp4' or 'gsp4', not %r" % (group,))
+def _legendre(ell):
+    """(chi, root): the Legendre symbol of each residue mod ell and a square
+    root of each square, as lists."""
     chi = [-1] * ell
     root = [0] * ell
     for r in range(ell):
         chi[r * r % ell], root[r * r % ell] = 1, r
     chi[0] = 0
+    return chi, root
+
+
+def _gl2_count(ell):
+    "c(t, d) of the module docstring, for d != 0 mod ell."
+    chi = _legendre(ell)[0]
+    return lambda t, d: ell * ell + ell * chi[(t * t - 4 * d) % ell]
+
+
+def gl2_charpoly_census(ell):
+    """Census of det(1 - AT) = 1 + c1 T + c2 T^2 over all of GL2(F_ell):
+    a dict (c1, c2) -> count, each c(-c1, c2) of the module docstring.  The
+    largest class has ell^2 + ell members."""
+    _require_odd_prime(ell)
+    c = _gl2_count(ell)
+    return {(-t % ell, d): c(t, d) for t in range(ell) for d in range(1, ell)}
+
+
+# the families whose census closed_form_census computes (module docstring)
+FAMILY_FORMS = ("LeviB", "LeviP", "LeviQ", "Hen", "Case5", "Case6", "Case9")
+
+
+def _pair(t1, d1, t2, d2, ell):
+    "(c1, c2, c3, c4) of f(t1, d1) f(t2, d2) (module docstring) mod ell."
+    return ((-t1 - t2) % ell, (d1 + d2 + t1 * t2) % ell,
+            -(t1 * d2 + t2 * d1) % ell, d1 * d2 % ell)
+
+
+def _family_terms(tag, ell):
+    """((c1, c2, c3, c4) of det(1 - gT), nu, count) over the parameters of
+    the family `tag`, by the table of the module docstring."""
+    c = _gl2_count(ell)
+    inv = [0] + [pow(x, -1, ell) for x in range(1, ell)]
+    field, units = range(ell), range(1, ell)
+
+    def even(a, b):  # 1 + a T^2 + b T^4
+        return (0, a % ell, 0, b % ell)
+
+    if tag == "LeviB":
+        return ((_pair(t1 + nu * inv[t1], nu, t2 + nu * inv[t2], nu, ell),
+                 nu, 1) for t1 in units for t2 in units for nu in units)
+    if tag == "LeviP":
+        return ((_pair(t, d, nu * t * inv[d], nu * nu * inv[d], ell), nu,
+                 c(t, d)) for t in field for d in units for nu in units)
+    if tag == "LeviQ":
+        return ((_pair(t + nu * inv[t], nu, s, nu, ell), nu, c(s, nu))
+                for t in units for s in field for nu in units)
+    if tag == "Hen":
+        return ((_pair(t1, d, t2, d, ell), d, c(t1, d) * c(t2, d))
+                for t1 in field for t2 in field for d in units)
+    if tag == "Case5":
+        return chain(_family_terms("LeviP", ell), (
+            (even(nu * (s * s - 2 * d) * inv[d], nu * nu), ell - nu, c(s, d))
+            for s in field for d in units for nu in units))
+    if tag == "Case6":
+        sl2 = ell * (ell * ell - 1)
+        return chain(_family_terms("Hen", ell), (
+            (even(-s, d * d), d, sl2 * c(s, d * d))
+            for s in field for d in units))
+    if tag == "Case9":
+        return ((poly, d, k * c(t, d))
+                for t in field for d in units
+                for poly, k in ((_pair(t, d, t, d, ell), 1),
+                                (_pair(t, d, -t, d, ell), 2),
+                                (even(t * t - 2 * d, d * d), 1)))
+    raise ValueError("group must be 'sp4', 'gsp4' or one of %s, not %r"
+                     % (", ".join(FAMILY_FORMS), tag))
+
+
+def _group_terms(ell, group):
+    """((c1, c2, c3, c4) of det(1 - gT), nu, count) over the char polys of
+    Sp4(F_ell) or GSp4(F_ell), each count the formula of the module
+    docstring, with C_Sp(s) the product of the _centralizer_factor of each
+    factor of f."""
+    chi, root = _legendre(ell)
     sp4 = sp4_order(ell)
     counts = {}  # factor types -> count, or None when the ranks miss 2
 
@@ -148,17 +251,26 @@ def closed_form_census(ell, group):
                              if sum(p[2] for p in parts) == 2 else None)
         return counts[types]
 
-    nu_classes = {}
     for nu in (range(1, ell) if group == "gsp4" else (1,)):
         for a in range(ell):
             for b in range(ell):
                 n = count(_factor_types(a, b, nu, ell, chi, root))
                 if n is not None:
-                    nu_classes[(-a % ell, b, -nu * a % ell, nu * nu % ell,
-                                nu)] = n
-    classes = {}
-    for key, n in nu_classes.items():
-        classes[key[:4]] = classes.get(key[:4], 0) + n
+                    yield (-a % ell, b, -nu * a % ell, nu * nu % ell), nu, n
+
+
+def closed_form_census(ell, group):
+    """The CharPolyHistogram of Sp4(F_ell) (group "sp4"), GSp4(F_ell)
+    ("gsp4") or a family of FAMILY_FORMS (its tag) for any odd prime ell,
+    without listing a single element; equal to the charpoly_census of
+    enumerate_<group>(ell) or of build_family, its oracle."""
+    _require_odd_prime(ell)
+    terms = (_group_terms(ell, group) if group in ("sp4", "gsp4")
+             else _family_terms(group, ell))
+    nu_classes, classes = {}, {}
+    for poly, nu, n in terms:
+        nu_classes[poly + (nu,)] = nu_classes.get(poly + (nu,), 0) + n
+        classes[poly] = classes.get(poly, 0) + n
     return CharPolyHistogram(ell, classes, nu_classes)
 
 

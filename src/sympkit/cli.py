@@ -6,16 +6,19 @@ Exit code 0 means every embedded check passed, 1 means at least one failed
 or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
-odd prime or, for a family, an ell above 13, whose matrices do not pack into
-64-bit keys, a rational argument with a zero denominator, --enumerate at
-an ell other than 3 and 5, or a pool flag given to ceta --case <family>;
---threads has no other effect).  --json switches
-any subcommand to the versioned JSON report {schema, command, timestamp,
-results, assertions}.  Each subcommand imports the modules it uses when it
-runs, so census, ceta --case gsp4|sp4, hecke, ylattice, p1reps and gallery
-never load numpy; nor does anything in hecke_l or artin_gallery.  The CLI
-imports numpy only through those modules, so they compile before it loads;
-main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+odd prime or, for a family that is listed (family, ceta --case 7|8, and
+--enumerate), an ell above 13, whose matrices do not pack into 64-bit keys,
+a rational argument with a zero denominator, --enumerate at an ell other
+than 3 and 5 for gsp4|sp4, --threads with ceta --case <family>, or
+--enumerate with ceta --case 7|8; --threads has no other effect).  --json
+switches any subcommand to the versioned JSON report {schema, command,
+timestamp, results, assertions}.  Each subcommand imports the modules it
+uses when it runs, so census, ceta --case gsp4|sp4 and ceta --case <a family
+of census.FAMILY_FORMS> without --enumerate, hecke, ylattice, p1reps and
+gallery never load numpy; nor does anything in hecke_l or artin_gallery.
+The CLI imports numpy only through those modules, so they compile before
+it loads; main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
+set.
 """
 
 import argparse
@@ -67,18 +70,22 @@ def _fmt(x):
 
 
 def _census(args, group):
-    """The closed-form census of `group` ("gsp4" or "sp4") and, under
-    --enumerate, the assertion that the census of the group listed from its
-    chain equals it."""
+    """The closed-form census of `group` ("gsp4", "sp4" or a family tag of
+    census.FAMILY_FORMS) and, under --enumerate, the assertion that the
+    census of the group listed from its chain equals it."""
     from .census import closed_form_census
 
     hist = closed_form_census(args.ell, group)
     if not args.enumerate:
         return hist, []
-    from .finite_census import charpoly_census, enumerate_gsp4, enumerate_sp4
+    from .finite_census import (FamilySpec, build_family, charpoly_census,
+                                enumerate_gsp4, enumerate_sp4)
 
-    enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
-    listed = enum(args.ell)
+    if group in ("gsp4", "sp4"):
+        enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
+        listed = enum(args.ell)
+    else:
+        listed = build_family(FamilySpec(group, args.ell))
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
@@ -144,22 +151,23 @@ def _cmd_family(args):
 
 
 def _cmd_ceta(args):
-    from .census import _greedy_cover, c_eta_M
+    from .census import FAMILY_FORMS, _greedy_cover, c_eta_M
 
     eta = _number(args.eta)
     low = args.case.strip().lower()
-    if low in ("gsp4", "sp4"):
-        hist, oracle = _census(args, low)
-        name = low
-    else:
-        if args.enumerate or args.threads is not None:
-            raise ValueError("--enumerate and --threads apply to --case gsp4 "
-                             "and sp4 only")
+    full = low in ("gsp4", "sp4")
+    name = low if full else _family_tag(args.case)
+    if not full and (args.threads is not None
+                     or args.enumerate and name not in FAMILY_FORMS):
+        raise ValueError("--threads applies to --case gsp4 and sp4 only, "
+                         "--enumerate to those and LeviB, LeviP, LeviQ, Hen, "
+                         "5, 6 and 9")
+    if full or name in FAMILY_FORMS:
+        hist, oracle = _census(args, name)
+    else:  # Case7 and Case8 have no closed form (the census docstring)
         from .finite_census import FamilySpec, build_family, charpoly_census
 
-        spec = FamilySpec(_family_tag(args.case), args.ell)
-        name = spec.tag
-        hist = charpoly_census(build_family(spec))
+        hist = charpoly_census(build_family(FamilySpec(name, args.ell)))
         oracle = []
     count = c_eta_M(hist, eta)
     need = (1 - eta) * hist.total
@@ -356,8 +364,8 @@ def build_parser():
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--enumerate", action="store_true",
                       help="also list the group from its generators' chain "
-                           "(ell 3 or 5) and assert that its census equals "
-                           "the closed form")
+                           "(ell 3 or 5; a family at ell <= 13) and assert "
+                           "that its census equals the closed form")
     pool.add_argument("--threads", type=int, default=None,
                       help="accepted for compatibility; no effect (every "
                            "run is single-threaded)")

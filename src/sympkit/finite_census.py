@@ -45,9 +45,9 @@ per pass into one entry-major int16 array, its temporaries in cache: the
 similitude test, the membership predicates and the census's e1 and e2 are
 exact in int16.
 
-charpoly_census of an enumeration is the oracle of census.closed_form_census,
-which needs no listing and no numpy; it checks every element as a
-similitude once more as it counts.
+charpoly_census of an enumeration or a family is the oracle of
+census.closed_form_census, which needs no listing and no numpy; it checks
+every element as a similitude once more as it counts.
 """
 
 from math import prod
@@ -911,14 +911,6 @@ def _ext_params(ell):
     return u.val, a.val, b.val
 
 
-def _all_gl2(ell):
-    "(N, 2, 2) of every invertible 2x2, plus the (N,) determinants."
-    grid = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
-    det = (grid[:, 0] * grid[:, 3] - grid[:, 1] * grid[:, 2]) % ell
-    keep = det != 0
-    return grid[keep].reshape(-1, 2, 2), det[keep]
-
-
 # the index-2 families are base u base.w for one signed permutation w each
 # (t(w) = w^-1).  The block swap [[0, I], [I, 0]] genuinely extends the
 # Siegel Levi (Case5), but it lies INSIDE both the checkerboard group (its
@@ -1154,13 +1146,3 @@ def build_family(spec):
     "The explicit subgroup named by `spec`, as a GroupSet (family_with_base)."
     return family_with_base(spec)[0]
 
-
-def gl2_charpoly_census(ell):
-    """Census of det(1 - AT) = 1 + c1 T + c2 T^2 over all of GL2(F_ell):
-    a dict (c1, c2) -> count.  The largest class has ell^2 + ell members."""
-    _require_odd_prime(ell)
-    gl2, det = _all_gl2(ell)
-    tr = (gl2[:, 0, 0] + gl2[:, 1, 1]) % ell
-    flat = (-tr) % ell * ell + det
-    counts = np.bincount(flat, minlength=ell * ell)
-    return {divmod(int(i), ell): int(counts[i]) for i in np.flatnonzero(counts)}

@@ -31,7 +31,8 @@ from sympkit.artin_gallery import (
     quotient_by_sign,
     sym3_swap_image,
 )
-from sympkit.census import c_eta_M, enumerate_P1_reps
+from sympkit.census import (c_eta_M, enumerate_P1_reps,
+                            gl2_charpoly_census)
 from sympkit.exact_arith import GaussianRational, PrimeFieldElem
 from sympkit.finite_census import (
     FamilySpec,
@@ -40,7 +41,6 @@ from sympkit.finite_census import (
     enumerate_gsp4,
     enumerate_sp4,
     family_with_base,
-    gl2_charpoly_census,
     gsp4_order,
     sp4_order,
 )

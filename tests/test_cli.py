@@ -127,11 +127,13 @@ def test_family_non_similitude_member_is_an_internal_failure(monkeypatch,
 
 def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
                                                           capsys):
-    # that group has no census; the family is built by the package, so this
-    # is an internal failure (exit 1), not a usage error (exit 2)
+    # that group has no census; --enumerate lists the family the package
+    # builds, so this is an internal failure (exit 1), not a usage error
+    # (exit 2).  Without --enumerate the census is LeviB's closed form, which
+    # lists nothing
     _levi_b_with_a_non_similitude(monkeypatch)
     code, out, err = run(capsys, "ceta", "--case", "LeviB", "--ell", "3",
-                         "--eta", "1/4")
+                         "--eta", "1/4", "--enumerate")
     assert code == 1 and out == ""
     assert "LeviB: the generators leave the family" in err
 
@@ -189,7 +191,8 @@ def test_census_beyond_the_enumerated_primes(capsys):
 
 def test_enumerate_flag_adds_the_oracle_anchor(capsys):
     for argv in (("census", "--ell", "3"),
-                 ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4")):
+                 ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4"),
+                 ("ceta", "--case", "Case6", "--ell", "3", "--eta", "1/4")):
         _, plain = run_json(capsys, *argv)
         code, checked = run_json(capsys, *argv, "--enumerate")
         assert code == 0 and checked["results"] == plain["results"]
@@ -198,6 +201,29 @@ def test_enumerate_flag_adds_the_oracle_anchor(capsys):
     code, _, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
                        "--eta", "1/4", "--enumerate")
     assert code == 2 and "--enumerate" in err
+
+
+def test_enumerate_checks_a_family_closed_form(monkeypatch, capsys):
+    # a closed form that moves one element between two classes keeps its
+    # total, so the coverage anchors still pass; only the census of the
+    # listing tells
+    closed = census.closed_form_census
+
+    def moved(ell, group):
+        hist = closed(ell, group)
+        nu_classes = dict(hist.nu_classes)
+        first, second = sorted(nu_classes)[:2]
+        nu_classes[first] += 1
+        nu_classes[second] -= 1
+        return census.CharPolyHistogram(ell, hist.classes, nu_classes)
+
+    monkeypatch.setattr(census, "closed_form_census", moved)
+    argv = ("ceta", "--case", "Hen", "--ell", "3", "--eta", "1/4")
+    assert run_json(capsys, *argv)[0] == 0
+    code, rep = run_json(capsys, *argv, "--enumerate")
+    assert code == 1
+    assert [e["anchor"] for e in rep["assertions"] if not e["pass"]] \
+        == ["closed-form-equals-enumeration"]
 
 
 def test_census_anchors_check_the_histogram(monkeypatch, capsys):
@@ -272,28 +298,38 @@ def test_family_enumerates_its_base_once(monkeypatch, capsys):
 
 
 def test_family_at_ell_13_reaches_its_chain(monkeypatch, capsys):
-    # Hen at ell = 13 holds 57,238,272 elements, but a build holds no key
-    # set: no budget refuses it, and its chain is built
+    # Hen at ell = 13 holds 57,238,272 elements, and Case7 115,839,360, but a
+    # build holds no key set: no budget refuses it, and its chain is built.
+    # ceta --case Hen reads its closed form and builds no chain at all
     def no_chain(*args, **kwargs):
         raise RuntimeError("the chain was reached")
 
     monkeypatch.setattr(finite_census, "_chain", no_chain)
     for argv in (("family", "--case", "Hen"),
-                 ("ceta", "--case", "Hen", "--eta", "1/4")):
+                 ("ceta", "--case", "7", "--eta", "1/4")):
         code, out, err = run(capsys, *argv, "--ell", "13")
         assert code == 1 and out == ""
         assert "internal error: the chain was reached" in err
+    code, rep = run_json(capsys, "ceta", "--case", "Hen", "--ell", "13",
+                         "--eta", "1/4")
+    assert code == 0 and rep["results"]["order"] == 57238272
 
 
 def test_family_refuses_primes_beyond_the_key_width(capsys):
     # at ell = 17 an entry takes 5 bits and 16 of them overflow a 64-bit key:
-    # a usage error (FamilySpec refuses it before any grid is built)
+    # a usage error wherever a family is listed (FamilySpec refuses it before
+    # any chain is built); a closed-form census lists nothing, so it runs
     for argv in (("family", "--case", "LeviB"),
-                 ("ceta", "--case", "LeviB", "--eta", "1/4")):
+                 ("ceta", "--case", "7", "--eta", "1/4"),
+                 ("ceta", "--case", "LeviB", "--eta", "1/4", "--enumerate")):
         code, out, err = run(capsys, *argv, "--ell", "17")
         assert code == 2 and out == ""
         assert "ell = 17 does not pack into 64-bit keys" in err
     assert run(capsys, "family", "--case", "LeviB", "--ell", "13")[0] == 0
+    code, rep = run_json(capsys, "ceta", "--case", "LeviB", "--ell", "17",
+                         "--eta", "1/4")
+    assert code == 0 and all(e["pass"] for e in rep["assertions"])
+    assert rep["results"]["order"] == finite_census._FAMILIES["LeviB"][2](17)
 
 
 def test_runtime_errors_are_internal_failures(monkeypatch, capsys):
@@ -315,11 +351,15 @@ def test_family_takes_no_pool_flags(capsys):
 
 def test_ceta_family_takes_no_pool_flags(capsys):
     # a family census enumerates no full group, so --threads is a usage
-    # error there, as --enumerate is
-    code, out, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
-                         "--eta", "1/4", "--threads", "2")
-    assert code == 2 and out == ""
-    assert "--enumerate and --threads apply to --case gsp4 and sp4" in err
+    # error there, as --enumerate is for the families listed without a
+    # closed form
+    says = ("--threads applies to --case gsp4 and sp4 only, --enumerate to "
+            "those and LeviB, LeviP, LeviQ, Hen, 5, 6 and 9")
+    for case, flag in (("7", "--threads 2"), ("Hen", "--threads 2"),
+                       ("7", "--enumerate"), ("8", "--enumerate")):
+        code, out, err = run(capsys, "ceta", "--case", case, "--ell", "3",
+                             "--eta", "1/4", *flag.split())
+        assert code == 2 and out == "" and says in err, (case, flag)
     # the full groups keep accepting it, with or without --enumerate
     for argv in (("census", "--ell", "3"),
                  ("ceta", "--case", "gsp4", "--ell", "3", "--eta", "1/4")):

@@ -13,7 +13,13 @@ import pytest
 
 import sympkit
 from sympkit import finite_census
-from sympkit.census import c_eta_M, closed_form_census, enumerate_P1_reps
+from sympkit.census import (
+    FAMILY_FORMS,
+    c_eta_M,
+    closed_form_census,
+    enumerate_P1_reps,
+    gl2_charpoly_census,
+)
 from sympkit.exact_arith import PrimeFieldElem, is_odd_prime
 from sympkit.gsp4_core import similitude_generator, standard_generators
 from sympkit.finite_census import (
@@ -28,7 +34,6 @@ from sympkit.finite_census import (
     enumerate_gsp4,
     enumerate_sp4,
     family_with_base,
-    gl2_charpoly_census,
     gsp4_order,
     mulclose,
     pack_matrices,
@@ -40,7 +45,6 @@ from sympkit.finite_census import (
     _PROCESS_BYTES,
     _ROT_PAIR,
     _SWAP,
-    _all_gl2,
     _chain,
     _closed_family,
     _embed,
@@ -843,8 +847,32 @@ def test_closed_form_rejects_bad_input():
     for ell in (2, 9, 1):
         with pytest.raises(ValueError):
             closed_form_census(ell, "sp4")
-    with pytest.raises(ValueError, match="group must be"):
-        closed_form_census(3, "gl4")
+    # Case7 and Case8 have no closed form: their census is the listing's
+    for group in ("gl4", "Case7", "Case8"):
+        with pytest.raises(ValueError, match="group must be"):
+            closed_form_census(3, group)
+
+
+def _closed_forms_equal_the_listing(ell):
+    for tag in FAMILY_FORMS:
+        listed = charpoly_census(build_family(FamilySpec(tag, ell)))
+        assert _same_census(closed_form_census(ell, tag), listed), (tag, ell)
+
+
+def test_family_closed_forms_equal_the_listing():
+    # the census of each family's listing, proven by its chain and checked
+    # element by element, is the oracle of its closed form; Case7's and
+    # Case8's w-cosets have none, so the listing is their only census
+    for ell in (3, 5, 7):
+        _closed_forms_equal_the_listing(ell)
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell = 11 and 13: the listings of Hen and Case6 "
+                           "(57 and 114 million elements at 13), about 65 s")
+def test_family_closed_forms_equal_the_listing_gated():
+    for ell in (11, 13):
+        _closed_forms_equal_the_listing(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +927,28 @@ def test_gl2_charpoly_census_max():
         counts = gl2_charpoly_census(ell)
         assert max(counts.values()) == ell * ell + ell
         assert sum(counts.values()) == (ell * ell - 1) * (ell * ell - ell)
+
+
+def _all_gl2(ell):
+    """(N, 2, 2) of every invertible 2x2 over F_ell, plus the (N,)
+    determinants: the grid that the parameter listers below, the
+    symplectic-basis oracle and the GL2 census's oracle run over."""
+    grid = np.indices((ell,) * 4, dtype=np.int64).reshape(4, -1).T
+    det = (grid[:, 0] * grid[:, 3] - grid[:, 1] * grid[:, 2]) % ell
+    keep = det != 0
+    return grid[keep].reshape(-1, 2, 2), det[keep]
+
+
+def test_gl2_charpoly_census_equals_the_grid():
+    # the discriminant count c(t, d) against a count of every matrix of
+    # GL2(F_ell), keyed by det(1 - AT) = 1 - tT + dT^2
+    for ell in (3, 5, 7, 11, 13):
+        gl2, det = _all_gl2(ell)
+        flat = (-(gl2[:, 0, 0] + gl2[:, 1, 1]) % ell) * ell + det
+        counts = np.bincount(flat, minlength=ell * ell)
+        grid = {divmod(int(i), ell): int(counts[i])
+                for i in np.flatnonzero(counts)}
+        assert gl2_charpoly_census(ell) == grid, ell
 
 
 def embed_gl2_siegel(ell):

@@ -141,11 +141,19 @@ def test_bare_import_loads_no_submodule():
     ("p1reps", "--p", "3", "--beta", "2"),
     ("gallery", "solvable"),
     ("gallery", "sym3"),
+    ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "LeviP", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "LeviQ", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "Hen", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "5", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "6", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "9", "--ell", "3", "--eta", "1/4"),
 ])
 def test_subcommand_runs_without_numpy(argv):
     # dataclasses costs about 10 ms of import per task, and the gallery's
     # closures are its own, so finite_census stays unloaded too; gallery
-    # sym3 exits 1 because two printed identities fail (test_cli.py)
+    # sym3 exits 1 because two printed identities fail (test_cli.py).  A
+    # family with a closed form (census.FAMILY_FORMS) is not listed
     got = probe(*argv)
     assert got["code"] == int(argv == ("gallery", "sym3")), got
     assert not got["numpy"], got
@@ -156,7 +164,8 @@ def test_subcommand_runs_without_numpy(argv):
 @pytest.mark.parametrize("argv", [
     ("family", "--case", "LeviB", "--ell", "3"),
     ("census", "--ell", "3", "--enumerate"),
-    ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4", "--enumerate"),
 ])
 def test_subcommand_loads_numpy(argv):
     got = probe(*argv)
@@ -223,6 +232,16 @@ def test_rou_charpolys_runs_without_numpy():
         "len(rou_charpolys(6, symplectic_only=True))]\n"
         "print(json.dumps([n, 'numpy' in sys.modules]))"))
     assert out == [[126, 86], False]
+
+
+def test_gl2_charpoly_census_runs_without_numpy():
+    # its home is census, beside the family closed forms that share its count
+    out = json.loads(run_python(
+        "import json, sys\n"
+        "from sympkit import gl2_charpoly_census\n"
+        "n = sum(gl2_charpoly_census(13).values())\n"
+        "print(json.dumps([n, 'numpy' in sys.modules]))"))
+    assert out == [(13 * 13 - 1) * (13 * 13 - 13), False]
 
 
 def _identity(n, one):
