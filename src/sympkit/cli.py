@@ -6,11 +6,11 @@ Exit code 0 means every embedded check passed, 1 means at least one failed
 or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
-odd prime or, for a family that is listed (family, ceta --case 7|8, and
---enumerate), an ell above 13, whose matrices do not pack into 64-bit keys,
-a rational argument with a zero denominator, --enumerate at an ell other
-than 3 and 5 for gsp4|sp4, --threads with ceta --case <family>, or
---enumerate with ceta --case 7|8; --threads has no other effect).  --json
+odd prime or, for a family (family, ceta --case 7|8, and --enumerate), an
+ell above 13, where a family's keys, listed for its census, do not pack
+into 64 bits, a rational argument with a zero denominator, --enumerate at an
+ell other than 3 and 5 for gsp4|sp4, --threads with ceta --case <family>,
+or --enumerate with ceta --case 7|8; --threads has no other effect).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
 uses when it runs, so census, ceta --case gsp4|sp4 and ceta --case <a family
@@ -137,9 +137,9 @@ def _cmd_family(args):
     }
     assertions = [
         # both hold by construction and check nothing further: the build
-        # raises AssertionError (exit 1) unless every element of the closure
-        # of the generators passes its predicate and the similitude test, the
-        # count equals its order, and a doubled family's w is a similitude
+        # raises AssertionError (exit 1) unless its linear conditions are
+        # closed under products, every generator meets them (an extension's
+        # need not) and is a similitude, and the chain has the closed order
         ("closure-verified", True),
         ("members-are-similitudes", True),
     ]

@@ -23,16 +23,16 @@ GSp4, proven whole without a listing: every generator is a similitude (of
 factor 1 for Sp4) and the chain's order is the order formula
 (_full_group).  The families (Levi factors, the checkerboard endoscopic
 group, and Case5-Case9) come from one table, _FAMILIES: per tag a few
-generators written from the structure, a membership predicate (a zero or
-block pattern) and a closed-form order, and for Case5-Case8 the involution
-w that doubles the base.  A family or base is the group its generators
-generate; its chain's order equal to the closed form, compared before any
-key is listed, makes it whole, and every listed element passing the
-predicate and the similitude test puts it inside the family
-(_closed_family).  A doubled family's chain is the proven base's extended
-by w, of twice the base's order; no key of it is listed.  Such a GroupSet
-holds its chain and similitude factors, and lists and sorts its keys only
-when they are asked for, priced at one key per element (GroupSet.keys).
+generators written from the structure, linear conditions on the entries (a
+zero or block pattern) and a closed-form order, and for Case5-Case9 the
+generators that extend that base, with their index.  A family or base is
+the group its generators generate, proven without a listing: the space V of
+its conditions is closed under products, every generator lies in V n GSp4,
+and the chain's order is the closed form (_closed_family).  An extended
+family's chain is the base's extended by its generators, of the index times
+the base's order.  Such a GroupSet holds its chain and similitude factors,
+and lists and sorts its keys only when they are asked for, priced at one
+key per element (GroupSet.keys).
 
 Every product of a listing is formed on the keys, with no matrix unpacked:
 row r of m.g is row r of m times g, so one table per multiplier g, from
@@ -40,21 +40,20 @@ each row field of a key (4 entries, 4 ceil(log2 ell) bits) to the field of
 the product row, makes a product four lookups shifted into place
 (_row_tables, _products); a chain's multipliers are the inverses of its
 strong generators.  Every loop over the elements of a listing or key array
-(the checks, the similitude factors, the census) unpacks _CHUNK_ROWS keys
+(the similitude factors of a key set, the census) unpacks _CHUNK_ROWS keys
 per pass into one entry-major int16 array, its temporaries in cache: the
-similitude test, the membership predicates and the census's e1 and e2 are
-exact in int16.
+similitude test and the census's e1 and e2 are exact in int16.
 
 charpoly_census of an enumeration or a family is the oracle of
 census.closed_form_census, which needs no listing and no numpy; it checks
-every element as a similitude once more as it counts.
+every element as a similitude as it counts.
 """
 
 from math import prod
 
 # the siblings first: run from a fresh checkout, a module compiled after
 # numpy is loaded adds its compile to the peak RSS that numpy has raised
-from ._mat import mat_inv
+from ._mat import mat_inv, row_reduce
 from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import (
     PrimeFieldElem,
@@ -149,11 +148,10 @@ def unpack_keys(keys, ell, dtype=np.int64):
     return out.view(dtype).T.reshape(-1, 4, 4)
 
 
-# Rows per pass of every loop over elements (GroupSet.matrices, the checks
-# of _closed_family, a listing's _products passes and a chain's batches of
-# Schreier generators): the matrices of one pass are
-# one array, 256 KiB in int64 and 64 KiB in int16, and its temporaries stay
-# in cache.
+# Rows per pass of every loop over elements (GroupSet.matrices, the census,
+# a listing's _products passes and a chain's batches of Schreier
+# generators): the matrices of one pass are one array, 256 KiB in int64 and
+# 64 KiB in int16, and its temporaries stay in cache.
 _CHUNK_ROWS = 1 << 11
 
 
@@ -708,28 +706,22 @@ class GroupSet(_Frozen):
             return _listing(self._chain, self.ell)
         return [self._keys]
 
-    def _nu_chunks(self):
-        "The factor of every element, one array per _CHUNK_ROWS keys."
+    def nu_values(self):
+        "Similitude factor of every element, aligned with key order."
+        out = [np.empty(0, np.int64)]
         for mats in _unpacked([self.keys], self.ell, np.int16):
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")
-            yield nu
-
-    def nu_values(self):
-        "Similitude factor of every element, aligned with key order."
-        return np.concatenate([np.empty(0, np.int64), *self._nu_chunks()])
+            out.append(nu)
+        return np.concatenate(out)
 
     def similitude_factors(self):
-        """The factors nu that occur, ascending: those its family build
-        marked, else marked here chunk by chunk (np.unique would load
-        numpy.ma)."""
-        if self._factors is not None:
-            return list(self._factors)
-        occurs = np.zeros(self.ell, dtype=bool)
-        for nu in self._nu_chunks():
-            occurs[nu] = True
-        return np.flatnonzero(occurs).tolist()
+        """The factors nu that occur, ascending: those its proof found, else
+        those of nu_values (np.unique would load numpy.ma)."""
+        if self._factors is None:
+            return np.flatnonzero(np.bincount(self.nu_values())).tolist()
+        return list(self._factors)
 
     def subset_of(self, other):
         if self.ell != other.ell:
@@ -990,104 +982,76 @@ def _case8_gens(ell):
     return [np.kron(one, x) + np.kron([[0, 1], [u, 0]], y) for x, y in pairs]
 
 
-# Membership predicates, (N, 4, 4) matrices mod ell -> (N,) bool: the zero
-# or block pattern of a family.  With the similitude test each defines its
-# family (or base) as a set, of the order in its _FAMILIES row.
+# Linear conditions: rows of 16 coefficients of the entries read row-major,
+# whose sums vanish mod ell.  _E[i, j] is m[i, j] = 0, and _P, _Q, _R, _S
+# hold those of p, q, r, s in the four 2x2 blocks [[p, q], [r, s]].
+_E = np.eye(16, dtype=np.int64).reshape(4, 4, 16)
+_P, _Q, _R, _S = _E[::2, ::2], _E[::2, 1::2], _E[1::2, ::2], _E[1::2, 1::2]
 
 
-def _zero_off(*rows):
-    """The predicate: zero wherever the pattern `rows` ('1010', ...) has 0,
-    tested one entry at a time (each a contiguous array, see unpack_keys)."""
-    zeros = [(i, j) for i, row in enumerate(rows)
-             for j, c in enumerate(row) if c == "0"]
-
-    def inside(m, ell):
-        ok = m[:, zeros[0][0], zeros[0][1]] == 0
-        for i, j in zeros[1:]:
-            ok &= m[:, i, j] == 0
-        return ok
-    return inside
+def _zeros(*rows):
+    "m[i, j] = 0 wherever the pattern `rows` ('1010', ...) has 0."
+    return lambda ell: _E[np.array([list(row) for row in rows]) == "0"]
 
 
-_IS_CHECKER = _zero_off("1010", "0101", "1010", "0101")
-_IS_CHECKER_EXCHANGED = _zero_off("0101", "1010", "0101", "1010")
-
-
-def _is_s_image(m, ell):
+def _s_blocks(ell):
     "Every 2x2 block [[p, q], [r, s]] has r = q and b (p - s) = 2 a q."
     _, a, b = _ext_params(ell)
-    p, q = m[:, ::2, ::2], m[:, ::2, 1::2]
-    r, s = m[:, 1::2, ::2], m[:, 1::2, 1::2]
-    return ((r == q) & ((b * (p - s) - 2 * a * q) % ell == 0)).all(axis=(1, 2))
+    return [_R - _Q, b * (_P - _S) - 2 * a * _Q]
 
 
-def _is_u_image(m, ell):
-    "[[A, B], [uB, A]]."
-    u = _ext_params(ell)[0]
-    return ((m[:, 2:, 2:] == m[:, :2, :2]).all(axis=(1, 2))
-            & ((m[:, 2:, :2] - u * m[:, :2, 2:]) % ell == 0).all(axis=(1, 2)))
-
-
-def _is_case9(m, ell):
-    """X (x) Y with Y diagonal or antidiagonal: the checkerboard with
-    proportional blocks, before or after the exchange of columns.  m _EXCHANGE
-    has the columns 1, 0, 3, 2 of m, so it is read in that order, uncopied:
-    its checkerboard is the other zero pattern of m."""
-    def even(zeros, cols):
-        ok = zeros(m, ell)
-        a = [m[:, r, cols[c]] for r in (0, 2) for c in (0, 2)]
-        b = [m[:, r, cols[c]] for r in (1, 3) for c in (1, 3)]
-        for i, j in _PAIRS:
-            ok &= (a[i] * b[j] - a[j] * b[i]) % ell == 0
-        return ok
-
-    return (even(_IS_CHECKER, (0, 1, 2, 3))
-            | even(_IS_CHECKER_EXCHANGED, (1, 0, 3, 2)))
-
-
-# tag -> (generators, membership predicate and closed-form order of the
-# family, or of its index-2 base when it is doubled; the involution w that
-# doubles it to base u base.w, or None).  The orders are standard (R. W.
-# Carter, Finite Groups of Lie Type, 1985).
+# tag -> (generators, linear conditions and closed-form order of the family,
+# or of the base that its extension extends; the extension: None, or the
+# generators that extend the base and the index of the base in the family).
+# The orders are standard (R. W. Carter, Finite Groups of Lie Type, 1985).
 _LEVI_P = (  # [[A, 0], [0, t(A)^-1]], A = T, W, diag(g, 1); diag(1, 1, g, g)
     lambda ell: [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
                  _embed(((0, 1), _W), ((2, 3), _W)),
                  *_diags(ell, (1, 0, -1, 0), (0, 0, 1, 1))],
-    _zero_off("1100", "1100", "0011", "0011"),
+    _zeros("1100", "1100", "0011", "0011"),
     lambda q: q * (q * q - 1) * (q - 1) ** 2)
 _HEN = (  # checkerboard (A, I), (I, A) for A = T, W; (D, D) for D = diag(g, 1)
     lambda ell: [*(_embed((i, a)) for a in (_T, _W) for i in ((0, 2), (1, 3))),
                  *_diags(ell, (1, 1, 0, 0))],
-    _IS_CHECKER, lambda q: (q - 1) * (q * (q * q - 1)) ** 2)
+    _zeros("1010", "0101", "1010", "0101"),
+    lambda q: (q - 1) * (q * (q * q - 1)) ** 2)
 _FAMILIES = {
     # the torus diag(t1, t2, nu/t1, nu/t2)
     "LeviB": (lambda ell: _diags(ell, (1, 0, -1, 0), (0, 1, 0, -1),
                                  (0, 0, 1, 1)),
-              _zero_off("1000", "0100", "0010", "0001"),
+              _zeros("1000", "0100", "0010", "0001"),
               lambda q: (q - 1) ** 3, None),
     "LeviP": (*_LEVI_P, None),
     # t on e1, B on (e2, e4) and det(B)/t on e3, for (t, B) = (1, T),
     # (1, W), (1, diag(g, 1)) and (g, I)
     "LeviQ": (lambda ell: [_embed(((1, 3), _T)), _embed(((1, 3), _W)),
                            *_diags(ell, (0, 1, 1, 0), (1, 0, -1, 0))],
-              _zero_off("1000", "0101", "0010", "0101"),
+              _zeros("1000", "0101", "0010", "0101"),
               lambda q: q * (q * q - 1) * (q - 1) ** 2, None),
     "Hen": (*_HEN, None),
-    "Case5": (*_LEVI_P, _SWAP),
-    "Case6": (*_HEN, _EXCHANGE),
+    "Case5": (*_LEVI_P, ([_SWAP], 2)),
+    "Case6": (*_HEN, ([_EXCHANGE], 2)),
     # the base: GL2(F_ell^2) with determinant in F_ell^x
-    "Case7": (_case7_gens, _is_s_image,
-              lambda q: (q - 1) * q * q * (q ** 4 - 1), _ROT_PAIR),
-    # the base: the similitudes of the unitary group U2(F_ell)
-    "Case8": (_case8_gens, _is_u_image,
-              lambda q: (q - 1) * (q + 1) * q * (q * q - 1), _NEG_LOWER),
+    "Case7": (_case7_gens, _s_blocks,
+              lambda q: (q - 1) * q * q * (q ** 4 - 1), ([_ROT_PAIR], 2)),
+    # the base: the similitudes of the unitary group U2(F_ell), [[A, B],
+    # [uB, A]]: the lower right block is A, the lower left u B
+    "Case8": (_case8_gens,
+              lambda ell: [_E[2:, 2:] - _E[:2, :2],
+                           _E[2:, :2] - _ext_params(ell)[0] * _E[:2, 2:]],
+              lambda q: (q - 1) * (q + 1) * q * (q * q - 1),
+              ([_NEG_LOWER], 2)),
     # X (x) Y for X in GL2 and Y = diag(1, +-1) or antidiag(1, +-1): the
-    # generators X (x) I for X = T, W, diag(g, 1), I (x) diag(1, -1) and
-    # I (x) antidiag(1, 1) = _EXCHANGE
+    # base X (x) I for X = T, W, diag(g, 1), extended by I (x) diag(1, -1)
+    # and I (x) antidiag(1, 1) = _EXCHANGE, a Klein group K that commutes
+    # with the base and meets it trivially: index 4 makes the family base.K
     "Case9": (lambda ell: [_embed(((0, 2), a), ((1, 3), a)) for a in (_T, _W)]
-              + _diags(ell, (1, 1, 0, 0)) + [np.diag([1, -1] * 2), _EXCHANGE],
-              _is_case9, lambda q: 4 * q * (q * q - 1) * (q - 1), None),
+              + _diags(ell, (1, 1, 0, 0)),
+              lambda ell: [_Q, _R, _P - _S],  # every block a scalar x I
+              lambda q: q * (q * q - 1) * (q - 1),
+              ([np.diag([1, -1] * 2), _EXCHANGE], 4)),
 }
+
 
 def _of_order(chain, order, name):
     "The chain; AssertionError unless its group has exactly `order` elements."
@@ -1101,45 +1065,79 @@ def _of_order(chain, order, name):
     return chain
 
 
-def _closed_family(gens, inside, order, ell, name):
-    """(chain, factors): the complete chain of the group `gens` generate,
-    proven to be the family of `order` elements that `inside` and the
-    similitude test define by its order, compared with `order` before any
-    key is listed, and by every element of its listing passing both, and
-    the similitude factors of its elements, ascending, marked in the same
-    pass; AssertionError otherwise."""
+def _space(conditions, ell):
+    """A basis, (d, 4, 4), of the matrices that meet the k x 16 `conditions`
+    mod ell: one per free column of their reduced form (_mat.row_reduce)."""
+    red, pivots = row_reduce([[PrimeFieldElem(ell, x) for x in row]
+                              for row in conditions.tolist()])
+    free = [c for c in range(16) if c not in pivots]
+    basis = np.eye(16, dtype=np.int64)[free]
+    for row, p in zip(red, pivots):
+        basis[:, p] = [-row[f].val % ell for f in free]
+    return basis.reshape(-1, 4, 4)
+
+
+def _breaks(mats, conditions, ell):
+    "Which of the matrices `mats` (..., 4, 4) break one of the `conditions`."
+    return (np.reshape(mats, (-1, 16)) @ conditions.T % ell != 0).any(axis=1)
+
+
+def _factors(gens, ell, name, known=()):
+    """The subgroup of F_ell^x that the factors `known` and those of the
+    matrices `gens` generate, ascending; AssertionError, naming `name`,
+    unless each of `gens` is a similitude."""
+    ok, nu = _similitude_info(np.asarray(gens, dtype=np.int64) % ell, ell)
+    if not ok.all():
+        raise AssertionError("%s: the generators leave the family (generator "
+                             "%d is no similitude)" % (name, np.argmin(ok)))
+    out = {1}
+    for x in [*known, *nu.tolist()]:
+        out = {a * pow(x, k, ell) % ell for a in out for k in range(ell - 1)}
+    return sorted(out)
+
+
+def _closed_family(gens, conditions, order, ell, name):
+    """(chain, factors): the chain of the group that `gens` generate, proven
+    to be the family S = V n GSp4 of `order` elements, V the space that the
+    linear `conditions` (k x 16) cut out, and the factors of S, which nu, a
+    homomorphism, maps the generators' onto (_factors); AssertionError,
+    naming `name`, otherwise.  No element is listed: V is closed under
+    products, checked on those of its basis (_space, at most 64), so S is a
+    group; every generator lies in S, so the group does, each of its
+    elements being a product of generators; and its order is |S|."""
+    conditions = np.asarray(conditions, dtype=np.int64).reshape(-1, 16) % ell
+    basis = _space(conditions, ell)
+    if _breaks(basis[:, None] @ basis[None] % ell, conditions, ell).any():
+        raise AssertionError("%s: the space of its conditions is not closed "
+                             "under products" % name)
     chain = _of_order(_chain(gens, ell, cap=order), order, name)
-    occurs = np.zeros(ell, dtype=bool)
-    for mats in _unpacked(_listing(chain, ell), ell, np.int16):
-        ok, nu = _similitude_info(mats, ell)
-        if not (ok & inside(mats, ell)).all():
-            raise AssertionError("%s: the generators leave the family" % name)
-        occurs[nu] = True
-    return chain, np.flatnonzero(occurs).tolist()
+    outside = np.flatnonzero(_breaks(gens, conditions, ell))
+    if outside.size:
+        raise AssertionError("%s: the generators leave the family (generator "
+                             "%d breaks its conditions)" % (name, outside[0]))
+    return chain, _factors(gens, ell, name)
 
 
 def family_with_base(spec):
-    """(family, base) named by `spec`, as GroupSets: _closed_family proves
-    the family, or the index-2 base of a doubled one (Case5: the Siegel
-    Levi; Case6: the checkerboard group; Case7: the S-block image; Case8:
-    [[A, B], [uB, A]]; None for the others).  A doubled family's chain is
-    the base's extended by w, of twice the base's order by its chain; it is
-    then base u base.w, a group of similitudes when w is one, and its
-    factors are the base's times 1 and nu(w), nu being a homomorphism.  No
-    key is listed: the build only streams the chain's listing."""
-    gens, inside, order, w = _FAMILIES[spec.tag]
+    """(family, base) named by `spec`, as GroupSets, with no key listed:
+    _closed_family proves the family, or the base of an extended one, whose
+    chain extended by the extension's similitudes, to the index times its
+    order, is the family's.  A doubled family (index 2) is base u base.w,
+    and its base is returned (Case5: the Siegel Levi; Case6: the
+    checkerboard group; Case7: the S-block image; Case8: [[A, B], [uB,
+    A]]); None for the others, Case9's base GL2 (x) I included."""
+    gens, conditions, order, extension = _FAMILIES[spec.tag]
     ell, n = spec.ell, order(spec.ell)
-    chain, factors = _closed_family(gens(ell), inside, n, ell,
-                                    spec.tag + ("" if w is None else " base"))
+    name = spec.tag + ("" if extension is None else " base")
+    chain, factors = _closed_family(gens(ell), conditions(ell), n, ell, name)
     base = GroupSet._proven(ell, chain, factors)
-    if w is None:
+    if extension is None:
         return base, None
-    chain = _of_order(_chain([w], ell, base=chain, cap=2 * n), 2 * n, spec.tag)
-    ok, nu = _similitude_info(w[None] % ell, ell)
-    if not ok[0]:
-        raise AssertionError("%s: the generators leave the family" % spec.tag)
-    factors = sorted({*factors, *(f * int(nu[0]) % ell for f in factors)})
-    return GroupSet._proven(ell, chain, factors), base
+    more, index = extension
+    chain = _of_order(_chain(more, ell, base=chain, cap=index * n),
+                      index * n, spec.tag)
+    factors = _factors(more, ell, spec.tag, factors)
+    return GroupSet._proven(ell, chain, factors), base if index == 2 else None
 
 
 def build_family(spec):

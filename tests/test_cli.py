@@ -117,8 +117,8 @@ def _levi_b_with_a_non_similitude(monkeypatch):
 
 def test_family_non_similitude_member_is_an_internal_failure(monkeypatch,
                                                              capsys):
-    # the similitude test is part of the family's predicate, so the build
-    # fails before any report is printed
+    # the proof tests every generator as a similitude, so the build fails
+    # before any report is printed
     _levi_b_with_a_non_similitude(monkeypatch)
     code, out, err = run(capsys, "family", "--case", "LeviB", "--ell", "3")
     assert code == 1 and out == ""

@@ -13,6 +13,7 @@ import pytest
 
 import sympkit
 from sympkit import finite_census
+from sympkit.cli import main
 from sympkit.census import (
     FAMILY_FORMS,
     c_eta_M,
@@ -469,20 +470,22 @@ def test_mulclose_refuses_singular_generators():
 def test_closures_are_strictly_increasing():
     # a listing is sorted, never deduplicated, and GroupSet would sort and
     # dedupe a bad one silently: check the keys as mulclose returns them,
-    # and the listing of each chain, from the generators and, for a doubled
-    # family, extended from the base's, as one sorted array of its order
+    # and the listing of each chain, from the generators and, for an
+    # extended family, extended from the base's, as one sorted array of its
+    # order
     for ell in (3, 5):
-        for tag, (gens, _, order, w) in _FAMILIES.items():
-            chains = [_chain(gens(ell), ell)]
-            if w is not None:
-                chains.append(_chain([w], ell, base=chains[0]))
+        for tag, (gens, _, order, extension) in _FAMILIES.items():
+            chains, index = [_chain(gens(ell), ell)], 1
+            if extension is not None:
+                more, index = extension
+                chains.append(_chain(more, ell, base=chains[0]))
             keys = [mulclose(gens(ell), ell)]
             keys += [np.sort(np.concatenate(list(_listing(c, ell))))
                      for c in chains]
             for k in keys:
                 assert k.dtype == np.uint64 and (k[1:] > k[:-1]).all(), tag
             assert np.array_equal(keys[0], keys[1]), tag
-            assert keys[-1].size == order(ell) * len(chains), (tag, ell)
+            assert keys[-1].size == order(ell) * index, (tag, ell)
 
 
 def test_row_table_products_match_the_matrix_products():
@@ -496,8 +499,8 @@ def test_row_table_products_match_the_matrix_products():
         keys = pack_matrices(rng.integers(0, ell, (500, 4, 4)), ell)
         keys[:2] = pack_matrices([np.zeros((4, 4), np.int64),
                                   np.full((4, 4), ell - 1)], ell)
-        inputs = [(tag, gens(ell) + ([] if w is None else [w]))
-                  for tag, (gens, _, _, w) in _FAMILIES.items()]
+        inputs = [(tag, gens(ell) + ([] if ext is None else ext[0]))
+                  for tag, (gens, _, _, ext) in _FAMILIES.items()]
         gl2, det = _all_gl2(ell)
         inputs.append(("symplectic bases",
                        [_embed(((1, 3), h)) for h in gl2[det == 1]]
@@ -860,16 +863,17 @@ def _closed_forms_equal_the_listing(ell):
 
 
 def test_family_closed_forms_equal_the_listing():
-    # the census of each family's listing, proven by its chain and checked
-    # element by element, is the oracle of its closed form; Case7's and
-    # Case8's w-cosets have none, so the listing is their only census
+    # the census of each family's listing, proven by its linear conditions
+    # and its chain, each element checked as a similitude by the census, is
+    # the oracle of its closed form; Case7's and Case8's w-cosets have none,
+    # so the listing is their only census
     for ell in (3, 5, 7):
         _closed_forms_equal_the_listing(ell)
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell = 11 and 13: the listings of Hen and Case6 "
-                           "(57 and 114 million elements at 13), about 65 s")
+                           "(57 and 114 million elements at 13), about 32 s")
 def test_family_closed_forms_equal_the_listing_gated():
     for ell in (11, 13):
         _closed_forms_equal_the_listing(ell)
@@ -1129,7 +1133,7 @@ def _family_case9(ell):
 
 def grid_keys(tag, ell):
     "Sorted keys of the grid listing of a family and of its base (or None)."
-    mats, w = GRIDS[tag](ell) % ell, _FAMILIES[tag][3]
+    mats, w = GRIDS[tag](ell) % ell, DOUBLINGS.get(tag)
     if w is None:
         return GroupSet.from_matrices(mats, ell).keys, None
     union = np.concatenate([mats, mats @ (w % ell) % ell])
@@ -1137,6 +1141,9 @@ def grid_keys(tag, ell):
             GroupSet.from_matrices(mats, ell).keys)
 
 
+# the involution w of each doubled family, whose grid lists its base
+DOUBLINGS = {"Case5": _SWAP, "Case6": _EXCHANGE, "Case7": _ROT_PAIR,
+             "Case8": _NEG_LOWER}
 GRIDS = {"LeviB": _family_levi_b, "LeviP": _family_levi_p,
          "LeviQ": _family_levi_q, "Hen": _family_hen, "Case5": _family_levi_p,
          "Case6": _family_hen, "Case7": _family_case7_base,
@@ -1314,7 +1321,7 @@ def test_case8_conditions_and_orders():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=11 and 13: about 5 s")
+                    reason="ell=11 and 13: about 0.3 s")
 def test_case8_generators_close_at_ell_11_and_13_gated():
     # the searched generators of _case8_gens reach the whole base at the
     # largest primes that pack
@@ -1339,7 +1346,7 @@ def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
     # at ell=3 the canonical non-residue is -1, whose square is 1, and the
     # block swap gives the same doubled group; at ell=5 it does not even
     # normalize the base
-    gens, inside, order, _ = _FAMILIES["Case8"]
+    gens, _, order, _ = _FAMILIES["Case8"]
     assert np.array_equal(mulclose(gens(3) + [_SWAP], 3), family("Case8").keys)
     # at ell = 5 the chain's order outgrows the doubled base, and mulclose
     # says so before listing
@@ -1358,23 +1365,27 @@ def test_case9_pattern_union():
     assert build_family(FamilySpec("Case9", 5)).order == 1920
 
 
+# the conditions of no condition: their space is every 4 x 4 matrix
+NO_CONDITION = [[0] * 16]
+
+
 def test_extend_by_guards(monkeypatch):
     # extending a group by one element must give a group of twice its order;
     # the proof (_closed_family) refuses a chain whose order outgrows it
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
-    everything = lambda m, ell: np.ones(len(m), bool)  # noqa: E731
     # s2 has order 4, so {1, s2} misses s2^2: <s2> outgrows 2 elements
     with pytest.raises(AssertionError, match="x: the generators give more "
                                              "than 2 elements"):
-        _closed_family([s2], everything, 2, 3, "x")
+        _closed_family([s2], NO_CONDITION, 2, 3, "x")
     # doubling the torus by a shear, which does not normalize it: the
     # torus's chain extended by the shear outgrows the union
     # torus u torus.shear (which would be no group)
     gens, diagonal, order, _ = _FAMILIES["LeviB"]
     shear = np.eye(4, dtype=np.int64)
     shear[0, 1] = 1
-    monkeypatch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, shear))
+    monkeypatch.setitem(_FAMILIES, "LeviB",
+                        (gens, diagonal, order, ([shear], 2)))
     with pytest.raises(AssertionError, match="LeviB: the generators give "
                                              "more than 16 elements"):
         build_family(FamilySpec("LeviB", 3))
@@ -1382,25 +1393,28 @@ def test_extend_by_guards(monkeypatch):
 
 def test_verify_group_catches_defects(monkeypatch):
     # the proof (_closed_family) raises AssertionError, naming the family,
-    # when the generators leave the predicate, outgrow the order, or fall
+    # when the generators leave the conditions, outgrow the order, or fall
     # short of it
     s2 = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                    [0, 0, 1, 0], [0, -1, 0, 0]], dtype=np.int64)
     _, diagonal, _, _ = _FAMILIES["LeviB"]
     # s2 is no diagonal matrix; it has order 4, so <s2> outgrows {1, s2}
-    with pytest.raises(AssertionError, match="x: the generators leave"):
-        _closed_family([s2], diagonal, 4, 3, "x")
+    with pytest.raises(AssertionError, match="x: the generators leave the "
+                                             "family \\(generator 0 breaks"):
+        _closed_family([s2], diagonal(3), 4, 3, "x")
     with pytest.raises(AssertionError, match="x: the generators give more "
                                              "than 2 elements"):
-        _closed_family([s2], diagonal, 2, 3, "x")
+        _closed_family([s2], diagonal(3), 2, 3, "x")
     with pytest.raises(AssertionError, match="x: the generators give 4 "
                                              "elements, not 8"):
-        _closed_family([s2], lambda m, ell: np.ones(len(m), bool), 8, 3, "x")
+        _closed_family([s2], NO_CONDITION, 8, 3, "x")
     # a member that is no similitude: {1, diag(1, 1, 1, 2)} is a diagonal
     # group mod 3 of the declared order
     monkeypatch.setitem(_FAMILIES, "LeviB", (
         lambda ell: [np.diag([1, 1, 1, 2])], diagonal, lambda q: 2, None))
-    with pytest.raises(AssertionError, match="LeviB: the generators leave"):
+    with pytest.raises(AssertionError, match="LeviB: the generators leave the "
+                                             "family \\(generator 0 is no "
+                                             "similitude"):
         build_family(FamilySpec("LeviB", 3))
 
 
@@ -1412,7 +1426,7 @@ def test_doubling_proof_guards(monkeypatch):
     # checkerboard group, so the extended chain still has N = 1152 elements
     gens, inside, order, _ = _FAMILIES["Case6"]
     with monkeypatch.context() as patch:
-        patch.setitem(_FAMILIES, "Case6", (gens, inside, order, _SWAP))
+        patch.setitem(_FAMILIES, "Case6", (gens, inside, order, ([_SWAP], 2)))
         with pytest.raises(AssertionError, match="Case6: the generators give "
                                                  "1152 elements, not 2304"):
             build_family(FamilySpec("Case6", 3))
@@ -1428,7 +1442,7 @@ def test_doubling_proof_guards(monkeypatch):
     torus = family("LeviB")
     assert all(r @ g @ r.T in torus for g in gens(3)) and r @ r not in torus
     with monkeypatch.context() as patch:
-        patch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, r))
+        patch.setitem(_FAMILIES, "LeviB", (gens, diagonal, order, ([r], 2)))
         with pytest.raises(AssertionError, match="LeviB: the generators give "
                                                  "more than 16 elements"):
             build_family(FamilySpec("LeviB", 3))
@@ -1437,7 +1451,7 @@ def test_doubling_proof_guards(monkeypatch):
     # but it is no similitude, so the group leaves the family
     with monkeypatch.context() as patch:
         patch.setitem(_FAMILIES, "LeviB",
-                      (gens, diagonal, order, np.diag([1, 1, 1, 2])))
+                      (gens, diagonal, order, ([np.diag([1, 1, 1, 2])], 2)))
         with pytest.raises(AssertionError, match="LeviB: the generators "
                                                  "leave"):
             build_family(FamilySpec("LeviB", 3))
@@ -1451,8 +1465,7 @@ def test_doubling_proof_guards(monkeypatch):
     assert cyclic.order == 12 and w @ w.T % 3 not in cyclic
     assert w @ g @ w.T in cyclic and w @ w in cyclic and w not in cyclic
     monkeypatch.setitem(_FAMILIES, "LeviB", (
-        lambda ell: [g], lambda m, ell: np.ones(len(m), bool),
-        lambda q: 12, w))
+        lambda ell: [g], lambda ell: NO_CONDITION, lambda q: 12, ([w], 2)))
     with pytest.raises(AssertionError, match="LeviB: the generators give "
                                              "more than 24 elements"):
         build_family(FamilySpec("LeviB", 3))
@@ -1464,9 +1477,9 @@ FAMILY_ORDERS_5 = {"LeviB": 64, "LeviP": 1920, "LeviQ": 1920, "Hen": 57600,
 
 
 def _assert_closures_equal_the_grids(ell, orders):
-    """Each family and base, proven by predicate and count, is its grid,
-    and the similitude factors its build marked (a doubled family's: the
-    base's times 1 and nu(w)) are those of the grid's elements."""
+    """Each family and base, proven by its linear conditions and count, is
+    its grid, and the similitude factors that its proof generated from its
+    generators' are those of the grid's elements."""
     for tag, order in orders.items():
         want, want_base = grid_keys(tag, ell)
         g, base = family_with_base(FamilySpec(tag, ell))
@@ -1487,26 +1500,82 @@ def test_every_family_at_ell_5_is_proven_in_full():
     _assert_closures_equal_the_grids(5, FAMILY_ORDERS_5)
 
 
+def _predicate(conditions, ell):
+    """The membership test that linear conditions (rows of 16 coefficients
+    on the entries, read row-major) define: (N, 4, 4) -> (N,) bool."""
+    rows = np.array(conditions, dtype=np.int64).reshape(-1, 16) % ell
+    return lambda m: (np.asarray(m, dtype=np.int64).reshape(-1, 16)
+                      @ rows.T % ell == 0).all(axis=1)
+
+
 def test_predicates_define_sets_of_the_family_orders(monkeypatch):
-    # the argument by count needs the predicate that each closure is checked
-    # with (one per family: a doubled family checks its base) to define,
-    # with the similitude test, a set of exactly the order it is counted
-    # against: at ell = 3 every such set lies in GSp4(F_3), so count its
-    # members there
+    # the argument by count needs the conditions that each proof reads (one
+    # per family: an extended family proves its base) to define, with the
+    # similitude test, a set of exactly the order it is counted against: at
+    # ell = 3 every such set lies in GSp4(F_3), so count its members there
     mats = np.concatenate(list(gsp4_3().matrices()))
     proofs = []
     proof = finite_census._closed_family
 
-    def recorded(gens, inside, order, ell, name):
-        proofs.append((inside, order, name))
-        return proof(gens, inside, order, ell, name)
+    def recorded(gens, conditions, order, ell, name):
+        proofs.append((conditions, order, name))
+        return proof(gens, conditions, order, ell, name)
 
     monkeypatch.setattr(finite_census, "_closed_family", recorded)
     for tag in FAMILY_ORDERS_3:
         family_with_base(FamilySpec(tag, 3))
     assert len(proofs) == len(FAMILY_ORDERS_3)
-    for inside, order, name in proofs:
-        assert inside(mats, 3).sum() == order, name
+    for conditions, order, name in proofs:
+        assert _predicate(conditions, 3)(mats).sum() == order, name
+
+
+def _streamed_factors(chain, ell, inside=None):
+    """Stream the listing of a chain, check every element as a similitude
+    (and by `inside`), and return the factors that occur, ascending."""
+    occurs = np.zeros(ell, dtype=bool)
+    for mats in _unpacked(_listing(chain, ell), ell, np.int16):
+        ok, nu = _similitude_info(mats, ell)
+        if inside is not None:
+            ok &= inside(mats)
+        assert ok.all()
+        occurs[nu] = True
+    return np.flatnonzero(occurs).tolist()
+
+
+def test_every_listed_element_lies_in_its_family():
+    # the oracle of the proof from the linear structure, which lists
+    # nothing: every element of each base's listing satisfies the
+    # conditions of its row and is a similitude, every element of an
+    # extended family's is a similitude, and the factors that occur are
+    # those the proof generated from its generators' factors
+    for ell in (3, 5, 7):
+        for tag, (gens, conditions, order, extension) in _FAMILIES.items():
+            chain, factors = _closed_family(
+                gens(ell), conditions(ell), order(ell), ell, tag)
+            assert _streamed_factors(
+                chain, ell, _predicate(conditions(ell), ell)) == factors, tag
+            if extension is not None:
+                g = build_family(FamilySpec(tag, ell))
+                assert _streamed_factors(g._chain, ell) \
+                    == g.similitude_factors(), tag
+
+
+def test_linear_conditions_are_closed_under_products():
+    # each row's space V has dimension 4 (LeviB, Case9's base), 6 (LeviQ) or
+    # 8 (the others) at every prime that packs, and the product of any two
+    # of its matrices lies in it (here: of random combinations of its basis)
+    dims = {"LeviB": 4, "LeviQ": 6, "Case9": 4}
+    rng = np.random.default_rng(33)
+    for ell in (3, 5, 7, 11, 13):
+        for tag, (_, conditions, _, _) in _FAMILIES.items():
+            rows = np.array(conditions(ell)).reshape(-1, 16) % ell
+            basis = finite_census._space(rows, ell)
+            assert len(basis) == dims.get(tag, 8), (tag, ell)
+            inside = _predicate(rows, ell)
+            assert inside(basis).all(), (tag, ell)
+            x, y = (np.tensordot(rng.integers(0, ell, (50, len(basis))),
+                                 basis, 1) % ell for _ in range(2))
+            assert inside(x @ y % ell).all(), (tag, ell)
 
 
 def _gl2(q):
@@ -1531,21 +1600,119 @@ LARGE_AT_7 = ("Hen", "Case6", "Case7")
 
 def test_chain_orders_are_the_closed_forms():
     # the order a chain proves is the product of its orbit lengths; at
-    # ell = 7, 11 and 13 it is each family's closed form, and twice it for
-    # the chain of a doubled family extended from its base's by w.  At
+    # ell = 7, 11 and 13 it is each family's closed form, and its index
+    # times it for the chain of an extended family, from its base's.  At
     # ell = 7 the closed forms are also the standard formulas above.  The
     # generators of the full groups give their orders too
     for ell in (7, 11, 13):
         for name, order in (("Sp4", sp4_order), ("GSp4", gsp4_order)):
             assert _order(_chain(_full_gens(ell, name), ell)) == order(ell)
-        for tag, (gens, _, order, w) in _FAMILIES.items():
-            chain = _chain(gens(ell), ell)
+        for tag, (gens, _, order, extension) in _FAMILIES.items():
+            chain, index = _chain(gens(ell), ell), 1
             assert _order(chain) == order(ell), (tag, ell)
-            if w is not None:
-                assert _order(_chain([w], ell, base=chain)) == 2 * order(ell)
+            if extension is not None:
+                more, index = extension
+                assert _order(_chain(more, ell, base=chain)) \
+                    == index * order(ell)
             if ell == 7:
-                assert order(7) * (1 if w is None else 2) \
-                    == FAMILY_ORDERS_7[tag], tag
+                assert order(7) * index == FAMILY_ORDERS_7[tag], tag
+
+
+def test_a_build_lists_nothing(monkeypatch, capsys):
+    # a family is proven from its generators, its linear conditions and its
+    # chain's order, so no build lists an element: with the listing
+    # refused, every family at ell = 3, 5 and 7 has its order, every unit
+    # as a factor and, if doubled, a base of half its order
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a key was listed")
+
+    monkeypatch.setattr(finite_census, "_listing", no_listing)
+    for ell, orders in ((3, FAMILY_ORDERS_3), (5, FAMILY_ORDERS_5),
+                        (7, FAMILY_ORDERS_7)):
+        units = list(range(1, ell))
+        for tag, order in orders.items():
+            g, base = family_with_base(FamilySpec(tag, ell))
+            assert g.order == order, (tag, ell)
+            assert g.similitude_factors() == units, (tag, ell)
+            if tag in EXTENDED_TAGS:
+                assert base.order == order // 2, (tag, ell)
+                assert base.similitude_factors() == units, (tag, ell)
+            else:
+                assert base is None, (tag, ell)
+    for tag in FAMILY_ORDERS_3:
+        assert main(["family", "--case", tag, "--ell", "3", "--json"]) == 0
+    capsys.readouterr()
+
+
+def _refusals():
+    """(tag, row, message) per refusal of the proof: the build of `tag` at
+    ell = 3 from the _FAMILIES row `row` raises AssertionError(message)."""
+    levi_b, case9 = _FAMILIES["LeviB"], _FAMILIES["Case9"]
+    # span(I, E01, E10): every diagonal entry equal, and zero off the
+    # diagonal but at (0, 1) and (1, 0); E01 E10 = E00 lies outside it
+    unit = finite_census._E
+    span = ([unit[i, i] - unit[0, 0] for i in (1, 2, 3)]
+            + [unit[i, j] for i in range(4) for j in range(4)
+               if i != j and i + j != 1])
+    return [
+        ("LeviB", (lambda ell: [np.eye(4, dtype=np.int64)],
+                   lambda ell: span, lambda q: 1, None),
+         "LeviB: the space of its conditions is not closed under products"),
+        # the swap closes, with the other two generators, to a group of
+        # LeviB's order, but it breaks the diagonal pattern
+        ("LeviB", (lambda ell: levi_b[0](ell)[:-1] + [_SWAP], *levi_b[1:]),
+         "LeviB: the generators leave the family (generator 2 breaks its "
+         "conditions)"),
+        # {1, diag(1, 1, 1, 2)} is a diagonal group mod 3 of the declared
+        # order, but its generator pairs e1 with e3 by 1 and e2 with e4 by 2
+        ("LeviB", (lambda ell: [np.diag([1, 1, 1, 2])], levi_b[1],
+                   lambda q: 2, None),
+         "LeviB: the generators leave the family (generator 0 is no "
+         "similitude)"),
+        # -I lies in the base GL2 (x) I, so the Klein group's second
+        # generator adds nothing, and the index is 2, not 4
+        ("Case9", (*case9[:3], ([np.diag([1, -1] * 2),
+                                 -np.eye(4, dtype=np.int64)], 4)),
+         "Case9: the generators give 96 elements, not 192"),
+    ]
+
+
+def test_the_proof_refuses_what_it_cannot_prove(monkeypatch, capsys):
+    # each refusal names the family, and the CLI reports it as an internal
+    # failure (exit 1) with the message on stderr and no report
+    for tag, row, message in _refusals():
+        with monkeypatch.context() as patch:
+            patch.setitem(_FAMILIES, tag, row)
+            with pytest.raises(AssertionError) as info:
+                family_with_base(FamilySpec(tag, 3))
+            assert str(info.value) == message
+            code = main(["family", "--case", tag, "--ell", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", "assertion failed: %s\n" % message)
+
+
+def test_the_proof_refusals_survive_python_O():
+    # under -O an assert is skipped, so the proof raises by hand
+    script = ("import contextlib, io, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from sympkit import finite_census\n"
+              "from sympkit.cli import main\n"
+              "from test_finite_census import _refusals\n"
+              "for tag, row, message in _refusals():\n"
+              "    finite_census._FAMILIES[tag] = row\n"
+              "    err = io.StringIO()\n"
+              "    with contextlib.redirect_stderr(err):\n"
+              "        code = main(['family', '--case', tag, '--ell', '3'])\n"
+              "    print(code, err.getvalue() == 'assertion failed: %s\\n'\n"
+              "                                   % message)\n"
+              "print(__debug__)")
+    src = str(Path(sympkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent)],
+        env=dict(os.environ, PYTHONPATH=path, PYTHONOPTIMIZE="1"),
+        check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.split("\n") == ["1 True"] * len(_refusals()) + ["False", ""]
 
 
 def test_family_orders_at_ell_7():
@@ -1555,7 +1722,7 @@ def test_family_orders_at_ell_7():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=7: 0.7M-1.4M elements, seconds each")
+                    reason="ell=7: a `family` child per family, about 1 s")
 def test_family_orders_at_ell_7_gated():
     for tag in LARGE_AT_7:
         g, base = family_with_base(FamilySpec(tag, 7))
@@ -1568,10 +1735,10 @@ def test_family_orders_at_ell_7_gated():
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=13: every family, and the census of Case7 "
-                           "(115,839,360 elements) in a child, about 50 s")
+                           "(115,839,360 elements) in a child, about 25 s")
 def test_every_family_at_ell_13_gated():
-    # the largest prime that packs: each build streams its listing and
-    # holds no key set, and the worst run of all, the census of Case7,
+    # the largest prime that packs: each build lists nothing and holds no
+    # key set, and the worst run of all, the census of Case7,
     # stays inside the default budget as a single CLI child
     orders = _family_orders(13)
     assert [orders[t] for t in ("Hen", "Case6", "Case7")] \
@@ -1586,21 +1753,21 @@ def test_every_family_at_ell_13_gated():
 
 
 def test_family_working_set_stays_small():
-    # a family is proven from its chain: the listing streams its keys in
-    # passes of a few thousand, keeping only the blocks of tree points with
-    # children, and the check unpacks each pass into int16 rows and marks
-    # the similitude factors; no key set is held.  So the whole `family`
-    # path of Hen at ell = 5 (57,600 elements, 450 KiB of keys) traces at
-    # 0.56 MiB, and of the doubled Case7 (124,800 elements and a base of
-    # 62,400, 1.43 MiB of keys) at 0.68 MiB.  The `ceta` path takes its
-    # census from the same int16 passes, so Hen's traces at 0.56 MiB too.
-    # Each bound is its peak plus 0.07 MiB
+    # a family is proven from its linear conditions and its chain, and
+    # lists nothing; no key set is held.  So the whole `family` path of Hen
+    # at ell = 5 (57,600 elements, 450 KiB of keys) traces at 0.11 MiB, and
+    # of the doubled Case7 (124,800 elements and a base of 62,400, 1.43 MiB
+    # of keys) at 0.34 MiB, the chain's arrays.  The census streams the
+    # listing in passes of a few thousand keys, keeping only the blocks of
+    # tree points with children, and unpacks each pass into int16 rows, so
+    # Hen's `ceta --enumerate` path traces at 0.56 MiB.  Each bound is its
+    # peak plus 0.07 MiB
     def family_path(tag):
         return family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
 
     for name, bound, run in (
-            ("Hen", 0.63, lambda: family_path("Hen")),
-            ("Case7", 0.75, lambda: family_path("Case7")),
+            ("Hen", 0.18, lambda: family_path("Hen")),
+            ("Case7", 0.41, lambda: family_path("Case7")),
             ("Hen census", 0.63,
              lambda: charpoly_census(build_family(FamilySpec("Hen", 5))))):
         tracemalloc.start()
@@ -1626,9 +1793,9 @@ def test_family_at_ell_13_is_built_whatever_its_order(monkeypatch):
 
 
 def test_only_a_held_key_set_is_priced(monkeypatch):
-    # a budget below Hen at ell = 3 (1152 keys) still builds the family,
-    # its factors and its census from the listing; its sorted keys, one
-    # per element, are refused before any is listed
+    # a budget below Hen at ell = 3 (1152 keys) still builds the family
+    # and its factors, and its census from the listing; its sorted keys,
+    # one per element, are refused before any is listed
     def no_listing(*args, **kwargs):
         raise AssertionError("the keys were listed")
 
