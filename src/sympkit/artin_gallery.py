@@ -382,14 +382,14 @@ def _similitude_count(group):
     return count
 
 
-def gallery_report(cap=10000):
+def gallery_report():
     """Exact structural facts about the gallery: similitude factors, closure
     orders, the mod-sign quotient, normalization and oddness verdicts, and
     the scalar subgroup.  Pure computation; no expected values baked in."""
     gens = gallery_generators()
     a_gens = [gens[k] for k in ("A1", "A2", "A3", "A4", "A5")]
-    a_grp = group_closure(a_gens, cap=cap)
-    full = group_closure(a_gens + [gens["T"]], cap=cap)
+    a_grp = group_closure(a_gens)
+    full = group_closure(a_gens + [gens["T"]])
 
     nu = {}
     for name in ("A1", "A2", "A3", "A4", "A5", "T"):

@@ -59,12 +59,6 @@ def _number(text, gaussian=False):
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
-def _fmt(x):
-    if isinstance(x, GaussianRational):
-        return format_gaussian(x)
-    return format_rational(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (results, assertions)
 
@@ -211,11 +205,11 @@ def _cmd_hecke(args):
     one = one_like(h.eps)
     results = {
         "p": args.p,
-        "a1": _fmt(h.a1),
-        "a2": _fmt(h.a2),
-        "eps": _fmt(h.eps),
-        "c_p": _fmt(c),
-        "lambda_p2": _fmt(lambda_p2(h, c)),
+        "a1": format_gaussian(h.a1),
+        "a2": format_gaussian(h.a2),
+        "eps": format_gaussian(h.eps),
+        "c_p": format_gaussian(c),
+        "lambda_p2": format_gaussian(lambda_p2(h, c)),
         "spin_factor": spin.to_json_dict(),
         "std5_factor": std5.to_json_dict(),
     }

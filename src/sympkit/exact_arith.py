@@ -6,10 +6,13 @@ Gaussian rationals Q(i) are order 4 of the cyclotomic kernel: a
 GaussianRational is a Cyclotomic fixed at Phi_4 = x^2 + 1, so Q(i) and
 Q(zeta_L) share one integer-row arithmetic.  Everything downstream is
 generic over these domains; all values are immutable after construction
-(every value type of the package derives from _Frozen).
+(every value type of the package derives from _Frozen).  The record types
+of the package derive from _Record, one slot-wise equality and hash.
 """
 
+import cmath
 import functools
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -69,6 +72,29 @@ class _Frozen:
         names = [n for c in type(self).__mro__ for n in getattr(c, "__slots__", ())]
         return _restore, (type(self), [(n, getattr(self, n))
                                        for n in names if hasattr(self, n)])
+
+
+class _Record(_Frozen):
+    """A value equal to another of its class with the same slots, hashed as
+    the value of its one slot or the tuple of its slots, and shown as
+    Name(slot=value, ...).  Each subclass reads its slots through one
+    getter, `_key`, built when the class is."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._key(self) == self._key(other))
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class _Field(_Frozen):
@@ -241,15 +267,10 @@ def quadratic_nonresidue(ell):
     raise ValueError("no non-residue mod %d" % ell)  # unreachable for odd prime
 
 
-def solve_sum_of_squares(u, ell=None):
-    """Lexicographically smallest (a, b), both nonzero, with a^2+b^2 = u in F_l.
-
-    u may be a PrimeFieldElem (ell inferred) or an int together with ell.
-    """
-    if isinstance(u, PrimeFieldElem):
-        ell, u = u.mod, u.val
-    _require_odd_prime(ell)
-    u %= ell
+def solve_sum_of_squares(u):
+    """Lexicographically smallest (a, b), both nonzero, with a^2+b^2 = u in
+    F_l, for a PrimeFieldElem u of F_l."""
+    ell, u = u.mod, u.val
     for a in range(1, ell):
         for b in range(1, ell):
             if (a * a + b * b) % ell == u:
@@ -273,7 +294,7 @@ def _promote(coeffs):
     return list(coeffs)
 
 
-class UPoly(_Frozen):
+class UPoly(_Record):
     """Univariate polynomial, constant term first.
 
     Normalized so the stored leading coefficient is nonzero (the zero
@@ -355,14 +376,6 @@ class UPoly(_Frozen):
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -530,6 +543,12 @@ class Cyclotomic(_Field):
 
     def __bool__(self):
         return any(self.num)
+
+    def __abs__(self):
+        # float modulus under zeta_L -> exp(2 pi i / L); used only by
+        # floating diagnostics
+        return abs(sum(n * cmath.exp(2j * cmath.pi * k / self.order)
+                       for k, n in enumerate(self.num))) / self.den
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -58,6 +58,7 @@ from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import (
     PrimeFieldElem,
     _Frozen,
+    _Record,
     _require_odd_prime,
     _restore,
     quadratic_nonresidue,
@@ -480,8 +481,6 @@ def _residue(chain, i, start, ell):
     level = chain[i]
     m, n = len(level.gens), len(level.orbit)
     known, old = level.sifted
-    if old == m:
-        start = max(start, known)
     per = max(1, _CHUNK_ROWS // max(m, 1))
     for stop in range(start, n, per):
         p = np.arange(stop, min(stop + per, n))
@@ -869,7 +868,7 @@ def charpoly_census(group):
 # subgroup families
 
 
-class FamilySpec(_Frozen):
+class FamilySpec(_Record):
     """Which explicit subgroup (a tag of _FAMILIES) to build over which
     prime; the prime must pack into 64-bit keys (ell <= 13)."""
 
@@ -882,14 +881,6 @@ class FamilySpec(_Frozen):
         _bits_for(ell)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "ell", ell)
-
-    def __eq__(self, other):
-        if isinstance(other, FamilySpec):
-            return (self.tag, self.ell) == (other.tag, other.ell)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tag, self.ell))
 
     def __repr__(self):
         return "FamilySpec(%r, %d)" % (self.tag, self.ell)

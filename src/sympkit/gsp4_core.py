@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from . import _mat
-from .exact_arith import (GaussianRational, UPoly, _Frozen, one_like,
-                          rational_sqrt)
+from .exact_arith import (GaussianRational, UPoly, _Frozen, _Record,
+                          one_like, rational_sqrt)
 
 
 class NotSimilitude(ValueError):
@@ -128,10 +128,6 @@ def weyl_s2(one=None):
     return ((one, z, z, z), (z, z, z, one), (z, z, one, z), (z, -one, z, z))
 
 
-S1 = weyl_s1()
-S2 = weyl_s2()
-
-
 def char_poly(g):
     """det(1 - g T) as a degree <= 4 UPoly with constant term 1.
 
@@ -192,26 +188,6 @@ def is_in_levi(g, which):
 
 # ---------------------------------------------------------------------------
 # Weyl group combinatorics
-
-
-class _Record(_Frozen):
-    """A value equal to another of its class with the same slots, hashed as
-    the tuple of its slots and shown as Name(slot=value, ...)."""
-
-    __slots__ = ()
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class WeylWord(_Record):
@@ -445,7 +421,7 @@ def lambda_rep(k1, k2, g):
     return _mat.transpose(_mat.freeze(cols))
 
 
-class SiegelPoint(_Frozen):
+class SiegelPoint(_Record):
     """A point of the degree-2 upper half-space: Z symmetric 2x2 over the
     Gaussian rationals with positive definite imaginary part (checked by
     leading principal minors, exactly)."""
@@ -466,12 +442,6 @@ class SiegelPoint(_Frozen):
 
     def imag(self):
         return tuple(tuple(x.im for x in row) for row in self.Z)
-
-    def __eq__(self, other):
-        return isinstance(other, SiegelPoint) and self.Z == other.Z
-
-    def __hash__(self):
-        return hash(self.Z)
 
     def __repr__(self):
         return "SiegelPoint(%r)" % (self.Z,)
@@ -507,8 +477,9 @@ def moebius(gamma, Z):
 
 
 # ---------------------------------------------------------------------------
-# Standard generators (used by the census builders and by tests that need
-# generic similitudes over exact fields)
+# Standard generators of Sp4 and GSp4 over any exact field, for tests that
+# need generic similitudes (finite_census._full_gens builds the full groups
+# that a census lists)
 
 
 def unipotent_alpha(c):

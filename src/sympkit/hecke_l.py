@@ -31,9 +31,9 @@ from .exact_arith import (
     GaussianRational,
     UPoly,
     _Frozen,
+    _Record,
     cyclotomic_polynomial,
     format_gaussian,
-    format_rational,
     is_odd_prime,
     lcm_upto,
     one_like,
@@ -106,7 +106,7 @@ class HeckeData(_Frozen):
             self.a1, self.a2, self.eps, self.p)
 
 
-class EulerFactor(_Frozen):
+class EulerFactor(_Record):
     """A reciprocal local factor: polynomial in T with constant term 1.
 
     Degree 4 for spin factors (c3 = eps c1, c4 = eps^2 when attached to a
@@ -138,14 +138,6 @@ class EulerFactor(_Frozen):
             return NotImplemented
         return EulerFactor(self.poly * other.poly)
 
-    def __eq__(self, other):
-        if not isinstance(other, EulerFactor):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
     def to_json_dict(self):
         return {"degree": self.degree,
                 "coeffs": [_coeff_str(c) for c in self.coeffs]}
@@ -155,10 +147,8 @@ class EulerFactor(_Frozen):
 
 
 def _coeff_str(c):
-    if isinstance(c, GaussianRational):
+    if isinstance(c, (int, Fraction, GaussianRational)):
         return format_gaussian(c)
-    if isinstance(c, (int, Fraction)):
-        return format_rational(c)
     return repr(c)
 
 
@@ -216,7 +206,7 @@ def lambda_p2(h, c_p):
     return h.a1 * h.a1 - h.eps * Fraction(1, h.p) - h.eps * (c_p + one)
 
 
-class LatticeRing(_Frozen):
+class LatticeRing(_Record):
     """One of the three integer lattices Z, Z[i], Z[omega] (omega a primitive
     cube root of unity), with exact membership tests and bounded enumeration
     by the sup of squared absolute values over all complex embeddings."""
@@ -228,12 +218,6 @@ class LatticeRing(_Frozen):
         if tag not in self._TAGS:
             raise ValueError("unknown lattice ring %r (want Z, Zi or Zw)" % (tag,))
         object.__setattr__(self, "tag", tag)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeRing) and self.tag == other.tag
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return "LatticeRing(%r)" % (self.tag,)

@@ -345,6 +345,17 @@ def test_density_ratio():
     assert density_ratio([(p, 4) for p in primes], 1.2) > 2
 
 
+def test_density_ratio_of_a_cyclotomic_eigenvalue():
+    # an Artin trace is a sum of roots of unity: |1 + zeta_5|^2 is
+    # 2 + 2 cos(2 pi / 5) under zeta_5 -> exp(2 pi i / 5)
+    got = density_ratio([(2, Cyclotomic.root_of_unity(5, 1) + 1)], 1.5)
+    want = (2 + 2 * math.cos(2 * math.pi / 5)) / 2 ** 1.5 / math.log(2)
+    assert abs(got - want) < 1e-12
+    # 1 + x in Q[x]/Phi_4 is 1 + i
+    assert abs(density_ratio([(2, Cyclotomic(4, [1, 1]))], 1.5)
+               - density_ratio([(2, GaussianRational(1, 1))], 1.5)) < 1e-12
+
+
 def test_endoscopic_spin_factor():
     f1 = EulerFactor(UPoly([1, -1, 1]))
     f2 = EulerFactor(UPoly([1, 1, 1]))

@@ -327,3 +327,34 @@ def test_value_types_copy_and_pickle(make):
             assert hash(twin) == hash(obj)
         if isinstance(obj, sympkit.GroupSet):
             assert not twin.keys.flags.writeable
+
+
+# (a factory of one value from its fields, the fields of one value, the
+# fields of another that differs from it in one field)
+RECORDS = [
+    ("UPoly", sympkit.UPoly, ([1, 2],), ([1, 3],)),
+    ("EulerFactor", sympkit.EulerFactor, ([1, 2],), ([1, 3],)),
+    ("LatticeRing", sympkit.LatticeRing, ("Zi",), ("Zw",)),
+    ("SiegelPoint", sympkit.SiegelPoint,
+     (_identity(2, sympkit.GaussianRational.i()),),
+     (((sympkit.GaussianRational(1, 1), 0),
+       (0, sympkit.GaussianRational.i())),)),
+    ("FamilySpec", sympkit.FamilySpec, ("LeviB", 3), ("LeviB", 5)),
+    ("WeylWord", sympkit.WeylWord, ((1, 2),), ((2, 1),)),
+    ("CharacterData", sympkit.CharacterData, (1, -1, 1), (1, -1, -1)),
+]
+
+
+@pytest.mark.parametrize("make, fields, other", [r[1:] for r in RECORDS],
+                         ids=[r[0] for r in RECORDS])
+def test_record_types_share_one_slotwise_equality(make, fields, other):
+    from sympkit.exact_arith import _Record
+
+    assert make.__eq__ is _Record.__eq__
+    assert make.__hash__ is _Record.__hash__
+    a, b = make(*fields), make(*fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make(*other)
+    slots = tuple(getattr(a, name) for name in type(a).__slots__)
+    assert a != slots and a != None  # noqa: E711
+
