@@ -3,7 +3,8 @@
 Subpackages split by concern: exact coefficient domains (exact_arith), the
 similitude group and its parabolic combinatorics (gsp4_core), the
 closed-form censuses of Sp4/GSp4 and seven subgroup families over prime
-fields (census), enumerations over prime fields (finite_census),
+fields (census), the explicit subgroup families and their Schreier-Sims
+chain (families), enumerations over prime fields (finite_census),
 Hecke/Satake Euler factors (hecke_l), and explicit four-dimensional
 Galois-type galleries (artin_gallery).
 
@@ -26,9 +27,10 @@ _EXPORTS = {
         weyl_orbit_and_stabilizer weyl_words""",
     "census": """CharPolyHistogram c_eta_M closed_form_census enumerate_P1_reps
         gl2_charpoly_census gsp4_order sp4_order""",
-    "finite_census": """FamilySpec GroupSet ResourceLimit brute_similitude_scan
-        build_family charpoly_census charpoly_coeffs enumerate_gsp4
-        enumerate_sp4 family_with_base mulclose pack_matrices unpack_keys""",
+    "families": "FamilySpec GroupSet build_family family_with_base",
+    "finite_census": """ResourceLimit brute_similitude_scan charpoly_census
+        charpoly_coeffs enumerate_gsp4 enumerate_sp4 mulclose pack_matrices
+        unpack_keys""",
     "hecke_l": """EulerFactor HeckeData LatticeRing SatakeParams check_int
         density_ratio endoscopic_spin_factor enumerate_Y hecke_poly lambda_p2
         read_eigen_csv rou_charpolys satake_to_hecke spin_factor std5_factor

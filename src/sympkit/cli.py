@@ -13,12 +13,9 @@ ell other than 3 and 5 for gsp4|sp4, --threads with ceta --case <family>,
 or --enumerate with ceta --case 7|8; --threads has no other effect).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
-uses when it runs, so census, ceta --case gsp4|sp4 and ceta --case <a family
-of census.FAMILY_FORMS> without --enumerate, hecke, ylattice, p1reps and
-gallery never load numpy; nor does anything in hecke_l or artin_gallery.
-The CLI imports numpy only through those modules, so they compile before
-it loads; main runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
-set.
+uses when it runs, so only ceta --case 7|8 and --enumerate, which list a
+group (finite_census), load numpy, after the modules they use compile; main
+runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
@@ -119,7 +116,7 @@ def _cmd_census(args):
 
 
 def _cmd_family(args):
-    from .finite_census import FamilySpec, family_with_base
+    from .families import FamilySpec, family_with_base
 
     spec = FamilySpec(_family_tag(args.case), args.ell)
     grp, base = family_with_base(spec)

@@ -177,8 +177,8 @@ def parse_gaussian(s):
     return GaussianRational(re, Fraction(im_part))
 
 
-class PrimeFieldElem(_Field):
-    """An element of F_l, l an odd prime."""
+class PrimeFieldElem(_Field, _Record):
+    """An element of F_l, l an odd prime; it equals only one of the same F_l."""
 
     __slots__ = ("mod", "val")
 
@@ -243,15 +243,6 @@ class PrimeFieldElem(_Field):
 
     def __bool__(self):
         return self.val != 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.val == o.val
-
-    def __hash__(self):
-        return hash((self.mod, self.val))
 
     def __repr__(self):
         return "PrimeFieldElem(%d, %d)" % (self.mod, self.val)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sympkit import census, finite_census
+from sympkit import census, families, finite_census
 from sympkit.census import c_eta_M
 from sympkit.cli import build_parser, main
 from sympkit.finite_census import (
@@ -277,15 +277,15 @@ def test_family_enumerates_its_base_once(monkeypatch, capsys):
     # `family` and `ceta` build the base's chain once, from the generators;
     # the doubled family's chain extends the base's by w, and is built once
     calls = []
-    chain = finite_census._chain
+    chain = families._chain
 
     def recorded(gens, ell, base=None, cap=None):
         out = chain(gens, ell, base, cap)
-        calls.append((len(gens), base and finite_census._order(base), cap,
-                      finite_census._order(out)))
+        calls.append((len(gens), base and families._order(base), cap,
+                      families._order(out)))
         return out
 
-    monkeypatch.setattr(finite_census, "_chain", recorded)
+    monkeypatch.setattr(families, "_chain", recorded)
     code, rep = run_json(capsys, "family", "--case", "8", "--ell", "3")
     assert code == 0 and calls == [(3, None, 192, 192), (1, 192, 384, 384)]
     assert rep["results"]["order"] == 384
@@ -304,7 +304,7 @@ def test_family_at_ell_13_reaches_its_chain(monkeypatch, capsys):
     def no_chain(*args, **kwargs):
         raise RuntimeError("the chain was reached")
 
-    monkeypatch.setattr(finite_census, "_chain", no_chain)
+    monkeypatch.setattr(families, "_chain", no_chain)
     for argv in (("family", "--case", "Hen"),
                  ("ceta", "--case", "7", "--eta", "1/4")):
         code, out, err = run(capsys, *argv, "--ell", "13")

@@ -150,12 +150,15 @@ def test_prime_field_basics():
     assert (a - b).val == 5
     assert (a / b).val == (3 * pow(5, -1, 7)) % 7
     assert (-a).val == 4
-    assert a ** 6 == 1
-    assert a == 3 and 3 == a
+    assert a ** 6 == a.one()
+    # an element equals only an element of the same field, so that equal
+    # values hash alike; arithmetic with an int coerces it
+    assert a == PrimeFieldElem(7, 10) and a + 7 == a
+    assert a != 3 and 3 != a and a != PrimeFieldElem(5, 3)
     # every nonzero element is invertible
     for v in range(1, 7):
         x = PrimeFieldElem(7, v)
-        assert x * x.inverse() == 1
+        assert x * x.inverse() == x.one()
     with pytest.raises(ZeroDivisionError):
         PrimeFieldElem(7, 0).inverse()
 
@@ -181,9 +184,9 @@ def test_quadratic_nonresidue_pinned():
 
 
 def test_solve_sum_of_squares_pinned():
-    assert solve_sum_of_squares(quadratic_nonresidue(3)) == (1, 1)
-    assert solve_sum_of_squares(quadratic_nonresidue(5)) == (1, 1)
-    assert solve_sum_of_squares(quadratic_nonresidue(7)) == (1, 3)
+    for ell, pair in ((3, (1, 1)), (5, (1, 1)), (7, (1, 3))):
+        a, b = solve_sum_of_squares(quadratic_nonresidue(ell))
+        assert (a.val, b.val) == pair
     for ell in (3, 5, 7, 11, 13):
         a, b = solve_sum_of_squares(quadratic_nonresidue(ell))
         assert a and b
@@ -325,7 +328,7 @@ FIELD_IDS = ["GaussianRational", "PrimeFieldElem", "Cyclotomic", "Cyclotomic4"]
 def test_field_derived_operators(z):
     assert 1 - z == -(z - 1)
     assert 1 / z == z.inverse()
-    assert z / z == 1
+    assert z / z == z.one()
     assert z ** -3 == z.inverse() ** 3
     assert z ** 5 == z * z * z * z * z
     assert z ** 0 == z.one()

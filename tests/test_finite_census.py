@@ -1,5 +1,6 @@
 """Tests for the packed enumeration machinery and the explicit families."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sympkit
-from sympkit import finite_census
+from sympkit import families, finite_census
 from sympkit.cli import main
 from sympkit.census import (
     FAMILY_FORMS,
@@ -654,8 +655,8 @@ def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
     # the base's and the doubled family's keys are listed on first use,
     # once, and held without a copy
     chains = []
-    chain = finite_census._chain
-    monkeypatch.setattr(finite_census, "_chain", lambda *args, **kwargs:
+    chain = families._chain
+    monkeypatch.setattr(families, "_chain", lambda *args, **kwargs:
                         chains.append(chain(*args, **kwargs)) or chains[-1])
     for tag in ("Hen", "Case7"):
         chains.clear()
@@ -1136,7 +1137,7 @@ def grid_keys(tag, ell):
     mats, w = GRIDS[tag](ell) % ell, DOUBLINGS.get(tag)
     if w is None:
         return GroupSet.from_matrices(mats, ell).keys, None
-    union = np.concatenate([mats, mats @ (w % ell) % ell])
+    union = np.concatenate([mats, mats @ (np.array(w) % ell) % ell])
     return (GroupSet.from_matrices(union, ell).keys,
             GroupSet.from_matrices(mats, ell).keys)
 
@@ -1214,7 +1215,7 @@ def test_case5_extension_is_genuine():
 def test_case6_exchange_swaps_checkerboard_factors():
     hen = family("Hen")
     mats = np.stack([m for c in hen.matrices() for m in c])
-    conj = _EXCHANGE[None] @ mats @ _EXCHANGE[None] % 3
+    conj = np.array(_EXCHANGE)[None] @ mats @ np.array(_EXCHANGE)[None] % 3
     # conjugation permutes the checkerboard: the two interleaved blocks trade
     swapped = mats.copy()
     swapped[:, 0::2][:, :, 0::2] = mats[:, 1::2][:, :, 1::2]
@@ -1229,7 +1230,7 @@ def test_case7_rotation_realizes_field_conjugation():
     mats = np.stack([m for c in base.matrices() for m in c])
     inv = np.array([[0, -1, 0, 0], [1, 0, 0, 0],
                     [0, 0, 0, -1], [0, 0, 1, 0]], dtype=np.int64)
-    conj = (inv[None] % 3) @ mats @ (_ROT_PAIR[None] % 3) % 3
+    conj = (inv[None] % 3) @ mats @ (np.array(_ROT_PAIR)[None] % 3) % 3
     # blockwise: [[p, q], [q, s]] -> [[s, -q], [-q, p]], the quadratic
     # conjugate of the S-block
     expect = mats.copy()
@@ -1334,7 +1335,8 @@ def test_case8_generators_close_at_ell_11_and_13_gated():
 def test_case8_extension_negates_upper_block():
     base = family_base("Case8")
     mats = np.stack([m for c in base.matrices() for m in c])
-    conj = (_NEG_LOWER[None] % 3) @ mats @ (_NEG_LOWER[None] % 3) % 3
+    w = np.array(_NEG_LOWER)[None] % 3
+    conj = w @ mats @ w % 3
     expect = mats.copy()
     expect[:, 0:2, 2:4] = (-mats[:, 0:2, 2:4]) % 3
     expect[:, 2:4, 0:2] = (-mats[:, 2:4, 0:2]) % 3
@@ -1515,13 +1517,13 @@ def test_predicates_define_sets_of_the_family_orders(monkeypatch):
     # ell = 3 every such set lies in GSp4(F_3), so count its members there
     mats = np.concatenate(list(gsp4_3().matrices()))
     proofs = []
-    proof = finite_census._closed_family
+    proof = families._closed_family
 
     def recorded(gens, conditions, order, ell, name):
         proofs.append((conditions, order, name))
         return proof(gens, conditions, order, ell, name)
 
-    monkeypatch.setattr(finite_census, "_closed_family", recorded)
+    monkeypatch.setattr(families, "_closed_family", recorded)
     for tag in FAMILY_ORDERS_3:
         family_with_base(FamilySpec(tag, 3))
     assert len(proofs) == len(FAMILY_ORDERS_3)
@@ -1618,6 +1620,114 @@ def test_chain_orders_are_the_closed_forms():
                 assert order(7) * index == FAMILY_ORDERS_7[tag], tag
 
 
+# (orbit lengths per level, SHA-256 of the sorted keys as little-endian
+# uint64) of the chain of every family and base at ell = 3, 5 and 7, and of
+# Sp4 and GSp4 at ell = 3, frozen from the vectorized numpy chain that the
+# pure-Python one replaced: a chain that drops or repeats an element fails
+# here even where its order and its census agree
+LISTING_PINS = {
+    ("LeviB", 3): ((2, 2, 2, 1),
+                   "1440202cf422b1666ddc9ebd5256ee00b3605b189a32bd3c9b45073dec8cec3c"),
+    ("LeviP", 3): ((8, 6, 2, 1),
+                   "8fb63e17a7fadc180d59b3f34b499ce2ea018641523bfb1c8dd7d17cb34c2cda"),
+    ("LeviQ", 3): ((2, 8, 2, 3),
+                   "4818ba91c46fdee38f310e3b1e47ce155ad9402485880118b13776b6417cef0e"),
+    ("Hen", 3): ((8, 8, 6, 3),
+                 "c6b2e1cf7ae49051954d54d0afa12e9636cfc2f29612b2f17f5cb50c36b8fc2b"),
+    ("Case5", 3): ((16, 6, 2, 1),
+                   "b7e860910a4f00c0248ea659fcffea977c220330b2fafd8d63caccd10d8be829"),
+    ("Case5 base", 3): ((8, 6, 2, 1),
+                        "8fb63e17a7fadc180d59b3f34b499ce2ea018641523bfb1c8dd7d17cb34c2cda"),
+    ("Case6", 3): ((16, 8, 6, 3),
+                   "f243c4b1eacec050d84d0171e77f8c7f773b4002bb284df14c949c765c9f07ca"),
+    ("Case6 base", 3): ((8, 8, 6, 3),
+                        "c6b2e1cf7ae49051954d54d0afa12e9636cfc2f29612b2f17f5cb50c36b8fc2b"),
+    ("Case7", 3): ((80, 2, 18, 1),
+                   "86c8f45c1cb796458cb12417ffbb96a02714ee638d313449ad40b46c2fa1863b"),
+    ("Case7 base", 3): ((80, 1, 18, 1),
+                        "ed1dfdf4d888aacc44ed641f1a4ffea05d4d5d286b80acbe00fd68076bd46e27"),
+    ("Case8", 3): ((48, 4, 2, 1),
+                   "609677a18b4f3737ff84307f65b0ebaec8ca0b9eec0d8638f1e011d2101d0e2a"),
+    ("Case8 base", 3): ((48, 4, 1, 1),
+                        "c5da0e5b603a4e4e019a5f7df4ef8405de518735f24087bf0428fd78b59a5e16"),
+    ("Case9", 3): ((16, 2, 6, 1),
+                   "de8aca3fd345e1ba0f7f43ac0e920158229ebf0a6ebe97727e26f809678c85cf"),
+    ("LeviB", 5): ((4, 4, 4, 1),
+                   "c808db8eafa64255d65711bfd862d0e670ebccedea7e36912c5a26e45574859f"),
+    ("LeviP", 5): ((24, 20, 4, 1),
+                   "d790074191cc0d19ed725dae34febb67981daf9d15286c6dd42284c9f3f51a5d"),
+    ("LeviQ", 5): ((4, 24, 4, 5),
+                   "835f7b7400ccfa757fa0fc818d5d4ec73bea0b29e5fa161a47b51c53ab47dbcd"),
+    ("Hen", 5): ((24, 24, 20, 5),
+                 "32d8ea3f7fba82dbd3bd484b34aac9ec60060fe1215c4bef473f3ec767ae0d2b"),
+    ("Case5", 5): ((48, 20, 4, 1),
+                   "2c69fe48b1fe419eeed0b8ca90712cf331f57bd34df71b5d7796bf577107adcb"),
+    ("Case5 base", 5): ((24, 20, 4, 1),
+                        "d790074191cc0d19ed725dae34febb67981daf9d15286c6dd42284c9f3f51a5d"),
+    ("Case6", 5): ((48, 24, 20, 5),
+                   "ea017f29eb49430bfbb3fbb8290e4124e1f3d326a5bd8472dac29641e4c99ae6"),
+    ("Case6 base", 5): ((24, 24, 20, 5),
+                        "32d8ea3f7fba82dbd3bd484b34aac9ec60060fe1215c4bef473f3ec767ae0d2b"),
+    ("Case7", 5): ((624, 2, 100, 1),
+                   "c4932115a19f6340c1853b58fe6f360e30b8c772ab98f6a888f5944def41d4ed"),
+    ("Case7 base", 5): ((624, 1, 100, 1),
+                        "5dc6784a02f171706820a4fbcff984cb1629245f8fbd9bf95e758e5bdf26757c"),
+    ("Case8", 5): ((480, 6, 2, 1),
+                   "12874dc29984e7c8caef63998bce3026936adaf523630c7fa8e8b17b24045c3d"),
+    ("Case8 base", 5): ((480, 6, 1, 1),
+                        "23cf05317a12f0ea0c2e6e1b7c7ef59373e70d36eae1535b9ddae4e4597511aa"),
+    ("Case9", 5): ((48, 2, 20, 1),
+                   "5bbda58bc56918777cc880758bd9175c883af22dbb9f84fd4f110c5326e6eca3"),
+    ("LeviB", 7): ((6, 6, 6, 1),
+                   "72d2893d9ab772ba11567ed7632f9ce63333488374b0889de437510a50042a58"),
+    ("LeviP", 7): ((48, 42, 6, 1),
+                   "442540cee7e7a7b26041f00b0349a467fc33491f3ee12194086117b7ed503cfa"),
+    ("LeviQ", 7): ((6, 48, 6, 7),
+                   "e635975bf5c93598902e5eeeb9f4b3acde21dce2d248bb2c145e3f0aaef846fc"),
+    ("Hen", 7): ((48, 48, 42, 7),
+                 "978e0f8d9c6b6d8f4f2b15a45256c004040caaf1b165802bcae3c1f4fba20373"),
+    ("Case5", 7): ((96, 42, 6, 1),
+                   "19c8289378b009c0864b84ab8c08f846818e85c39264d5e4578014d98753d452"),
+    ("Case5 base", 7): ((48, 42, 6, 1),
+                        "442540cee7e7a7b26041f00b0349a467fc33491f3ee12194086117b7ed503cfa"),
+    ("Case6", 7): ((96, 48, 42, 7),
+                   "aa3b91bf3e0c8109503a5593e3ee1cce153f150e2a8cfb7af6bf1cf6ff9640aa"),
+    ("Case6 base", 7): ((48, 48, 42, 7),
+                        "978e0f8d9c6b6d8f4f2b15a45256c004040caaf1b165802bcae3c1f4fba20373"),
+    ("Case7", 7): ((2400, 2, 294, 1),
+                   "1fe863caf76caacd9e10899d90dd10de30e51bbd0a9c3ade2e4523df35d4c935"),
+    ("Case7 base", 7): ((2400, 1, 294, 1),
+                        "2b530eb5dd2e112311018b72ecb6961164595af873d6c38991a65eb36b720224"),
+    ("Case8", 7): ((2016, 8, 2, 1),
+                   "d60fb6802e97a8683ebcc6f0afdb98d84680a5dd4562ae1da7a34179825b8b0a"),
+    ("Case8 base", 7): ((2016, 8, 1, 1),
+                        "3eea484c7aaf8bb14a102c40922a74f439406ca7f4938092e163ba888469ef45"),
+    ("Case9", 7): ((96, 2, 42, 1),
+                   "8e08eebc101b1da01a30da9a7ca91c93851ae553bddcf5e44272e4ed13ca1a12"),
+    ("Sp4", 3): ((80, 24, 9, 3),
+                 "f98852789628d8b95bc9eefa345624797312202e54f9f7299c50a15524dc0054"),
+    ("GSp4", 3): ((80, 24, 18, 3),
+                  "a0206ef3e32b15b361d6e856101e161fb20b2a7ec9acec9172ae79149bcf30e8"),
+}
+
+
+def test_listings_are_pinned():
+    def pin(group):
+        digest = hashlib.sha256(group.keys.astype("<u8").tobytes())
+        return (tuple(len(level.orbit) for level in group._chain),
+                digest.hexdigest())
+
+    got = {("Sp4", 3): pin(enumerate_sp4(3)),
+           ("GSp4", 3): pin(enumerate_gsp4(3))}
+    for ell in (3, 5, 7):
+        for tag in FAMILY_ORDERS_3:
+            g, base = family_with_base(FamilySpec(tag, ell))
+            got[tag, ell] = pin(g)
+            if base is not None:
+                got[tag + " base", ell] = pin(base)
+    assert got == LISTING_PINS
+
+
 def test_a_build_lists_nothing(monkeypatch, capsys):
     # a family is proven from its generators, its linear conditions and its
     # chain's order, so no build lists an element: with the listing
@@ -1650,7 +1760,7 @@ def _refusals():
     levi_b, case9 = _FAMILIES["LeviB"], _FAMILIES["Case9"]
     # span(I, E01, E10): every diagonal entry equal, and zero off the
     # diagonal but at (0, 1) and (1, 0); E01 E10 = E00 lies outside it
-    unit = finite_census._E
+    unit = np.eye(16, dtype=np.int64).reshape(4, 4, 16)  # m[i, j] = 0
     span = ([unit[i, i] - unit[0, 0] for i in (1, 2, 3)]
             + [unit[i, j] for i in range(4) for j in range(4)
                if i != j and i + j != 1])
@@ -1786,7 +1896,7 @@ def test_family_at_ell_13_is_built_whatever_its_order(monkeypatch):
     def no_chain(*args, **kwargs):
         raise RuntimeError("the chain was reached")
 
-    monkeypatch.setattr(finite_census, "_chain", no_chain)
+    monkeypatch.setattr(families, "_chain", no_chain)
     assert _modelled_bytes(57238272) > finite_census.DEFAULT_MAX_BYTES
     with pytest.raises(RuntimeError, match="the chain was reached"):
         build_family(FamilySpec("Hen", 13))

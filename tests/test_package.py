@@ -6,8 +6,10 @@ import importlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,8 @@ def test_finite_census_compiles_its_siblings_before_numpy():
                      "import sympkit.finite_census\n"
                      "print(json.dumps(list(sys.modules)))")
     loaded = json.loads(out)
-    for name in ("sympkit.census", "sympkit.exact_arith", "sympkit._mat"):
+    for name in ("sympkit.census", "sympkit.exact_arith", "sympkit._mat",
+                 "sympkit.families"):
         assert loaded.index(name) < loaded.index("numpy"), name
 
 
@@ -148,12 +151,17 @@ def test_bare_import_loads_no_submodule():
     ("ceta", "--case", "5", "--ell", "3", "--eta", "1/4"),
     ("ceta", "--case", "6", "--ell", "3", "--eta", "1/4"),
     ("ceta", "--case", "9", "--ell", "3", "--eta", "1/4"),
+    *(("family", "--case", tag, "--ell", "3")
+      for tag in ("LeviB", "LeviP", "LeviQ", "Hen", "5", "6", "7", "8", "9")),
+    ("family", "--case", "7", "--ell", "5"),
+    ("family", "--case", "8", "--ell", "5"),
 ])
 def test_subcommand_runs_without_numpy(argv):
     # dataclasses costs about 10 ms of import per task, and the gallery's
     # closures are its own, so finite_census stays unloaded too; gallery
     # sym3 exits 1 because two printed identities fail (test_cli.py).  A
-    # family with a closed form (census.FAMILY_FORMS) is not listed
+    # family with a closed form (census.FAMILY_FORMS) is not listed, and a
+    # family build lists nothing: its chain is pure Python (families)
     got = probe(*argv)
     assert got["code"] == int(argv == ("gallery", "sym3")), got
     assert not got["numpy"], got
@@ -162,12 +170,13 @@ def test_subcommand_runs_without_numpy(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("family", "--case", "LeviB", "--ell", "3"),
     ("census", "--ell", "3", "--enumerate"),
     ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
     ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4", "--enumerate"),
+    ("ceta", "--case", "8", "--ell", "3", "--eta", "1/4"),
 ])
 def test_subcommand_loads_numpy(argv):
+    # a census of Case7 or Case8, or under --enumerate, lists its group
     got = probe(*argv)
     assert got["code"] == 0 and got["numpy"], got
 
@@ -178,7 +187,7 @@ def _without_blas_threads():
 
 
 @pytest.mark.parametrize("argv", [
-    ("family", "--case", "LeviB", "--ell", "3"),
+    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
     ("census", "--ell", "3", "--enumerate", "--threads", "2"),
 ])
 def test_numpy_subcommand_starts_no_thread_pool(argv):
@@ -192,7 +201,7 @@ def test_numpy_subcommand_starts_no_thread_pool(argv):
 
 def test_user_set_blas_threads_are_kept():
     env = dict(_without_blas_threads(), OPENBLAS_NUM_THREADS="3")
-    got = probe("family", "--case", "LeviB", "--ell", "3", env=env)
+    got = probe("ceta", "--case", "7", "--ell", "3", "--eta", "1/4", env=env)
     assert got["code"] == 0 and got["blas_threads"] == "3", got
 
 
@@ -358,3 +367,31 @@ def test_record_types_share_one_slotwise_equality(make, fields, other):
     slots = tuple(getattr(a, name) for name in type(a).__slots__)
     assert a != slots and a != None  # noqa: E711
 
+
+
+def test_equal_values_hash_alike():
+    # Python requires a == b to imply hash(a) == hash(b).  Each value of each
+    # exact domain, drawn small so that equal pairs are common, is compared
+    # both ways with values of its domain and with ints and Fractions.  Two
+    # Cyclotomic orders still refuse to compare (ROADMAP item 5), so each
+    # Cyclotomic draw keeps one order
+    rng = random.Random(35)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+
+    domains = [
+        lambda: sympkit.PrimeFieldElem(rng.choice((5, 7)), rng.randint(-8, 8)),
+        lambda: sympkit.GaussianRational(rational(), rng.choice((0, 1))),
+        lambda: sympkit.Cyclotomic(12, [rational(), rng.choice((0, 1))]),
+        lambda: sympkit.UPoly([rational(), rng.choice((0, 1))]),
+    ] + [make for _, make, _ in VALUES]
+    plain = [*range(-8, 9), *(Fraction(n, 2) for n in range(-8, 9))]
+    for draw in domains:
+        values = [draw() for _ in range(40)]
+        for a in values:
+            for b in values + plain:
+                if a == b or b == a:
+                    assert hash(a) == hash(b), (a, b)
+    assert len({sympkit.PrimeFieldElem(7, 1), 1, 8}) == 3
+    assert sympkit.PrimeFieldElem(7, 1) != 1 and 8 != sympkit.PrimeFieldElem(7, 1)
