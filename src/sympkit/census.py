@@ -1,4 +1,4 @@
-"""The characteristic-polynomial census of Sp4/GSp4(F_ell) and of seven
+"""The characteristic-polynomial census of Sp4/GSp4(F_ell) and of the nine
 subgroup families in closed form.
 
 Pure Python, with no numpy: the group orders, the CharPolyHistogram,
@@ -49,12 +49,26 @@ determinant d:
            f(t, d)^2; f(t, d) f(-t, d); 1 + (t^2 - 2d) T^2 + d^2 T^4,
            d, c(t, d); 2 c(t, d); c(t, d)
 
-Case7 and Case8 have no closed form here.  Their bases are GL2(F_ell^2)
-with determinant in F_ell^x and the unitary similitudes; the class of an
-element X sigma of their w-coset (sigma the conjugation of F_ell^2) turns
-on the class of X sigma(X), and counting the X by that class is Shintani
-descent (T. Shintani, J. Math. Soc. Japan 28, 1976).  Their census is the
-listing's (finite_census.charpoly_census).
+Case7 and Case8 double bases over F_q = F_ell(sqrt u) (q = ell^2, u the least
+non-residue) by a w acting as sigma, the conjugation of F_q; N f(a, b) =
+f(a, b) f(sigma a, sigma b) over F_ell, and z is a square iff N(z) is (chi):
+
+    Case7  X in GL2(F_q) of trace x + y sqrt u and det d in F_ell^x:
+           N f(x + y sqrt u, d), d, q^2 + q chi(N((x + y sqrt u)^2 - 4d))
+    Case8  z A, z in F_q^x / F_ell^x: N f(z t, z^2 d), N(z) d, c(t, d)
+    coset  by w: 1 + tT^2 + nu^2 T^4, nu, (ell^3 + ell or ell + 1) c(t, nu^2)
+
+Case8's base (unitary similitudes) is conjugate to F_q^x GL2(F_ell): both
+keep a hermitian form up to scalars, of order (ell + 1)|GL2|.  sqrt u
+commutes with a base and anticommutes with w, so Xw is conjugate to -Xw.
+Case7's coset is Shintani descent (T. Shintani, J. Math. Soc. Japan 28,
+1976): X sigma(X) takes sigma-classes of GL2(F_q) to classes of GL2(F_ell),
+centralizers kept; det X in F_ell^x keeps 2/(ell + 1) of each.  Case8's
+g = z A sigma is A (x) m on F_ell^2 (x) F_q, m(x) = z sigma(x), m^2 = n =
+N(z): det(1 - gT) = det(1 - n A^2 T^2), nu = e n det A (e = +-1 fixed).
+n has ell + 1 roots z, g is (z c, A/c) for ell - 1 c: so (ell + 1)/(ell - 1)
+times the A with tr(A)^2 = r det A, r = 2 - e t/nu, which over det A = d is
+sum (1 + chi(r d))(ell^2 + ell chi(d (r - 4))) = (ell - 1) c(t, nu^2).
 """
 
 from bisect import bisect_left
@@ -184,7 +198,8 @@ def gl2_charpoly_census(ell):
 
 
 # the families whose census closed_form_census computes (module docstring)
-FAMILY_FORMS = ("LeviB", "LeviP", "LeviQ", "Hen", "Case5", "Case6", "Case9")
+FAMILY_FORMS = ("LeviB", "LeviP", "LeviQ", "Hen", "Case5", "Case6", "Case7",
+                "Case8", "Case9")
 
 
 def _pair(t1, d1, t2, d2, ell):
@@ -224,6 +239,26 @@ def _family_terms(tag, ell):
         return chain(_family_terms("Hen", ell), (
             (even(-s, d * d), d, sl2 * c(s, d * d))
             for s in field for d in units))
+    if tag in ("Case7", "Case8"):
+        chi, q = _legendre(ell)[0], ell * ell
+        u = chi.index(-1)  # the least non-residue
+        def norm(a0, a1, b0, b1):  # N f(a0 + a1 sqrt u, b0 + b1 sqrt u)
+            return (-2 * a0 % ell, (2 * b0 + a0 * a0 - u * a1 * a1) % ell,
+                    -2 * (a0 * b0 - u * a1 * b1) % ell,
+                    (b0 * b0 - u * b1 * b1) % ell)
+
+        if tag == "Case7":
+            base = ((norm(x, y, d, 0), d, q * q + q * chi[
+                ((x * x + u * y * y - 4 * d) ** 2 - 4 * u * x * x * y * y) % ell])
+                for x in field for y in field for d in units)
+        else:  # z = 1 + y sqrt u, or sqrt u
+            base = ((norm(a * t, b * t, (a * a + u * b * b) * d, 2 * a * b * d),
+                     (a * a - u * b * b) * d % ell, c(t, d))
+                    for a, b in [(1, y) for y in field] + [(0, 1)]
+                    for t in field for d in units)
+        k = ell * (q + 1) if tag == "Case7" else ell + 1
+        return chain(base, ((even(t, nu * nu), nu, k * c(t, nu * nu))
+                            for t in field for nu in units))
     if tag == "Case9":
         return ((poly, d, k * c(t, d))
                 for t in field for d in units

@@ -6,16 +6,15 @@ Exit code 0 means every embedded check passed, 1 means at least one failed
 or an internal invariant or limit broke (an AssertionError or RuntimeError,
 such as a closure cap; the message goes to stderr), 2 means the invocation
 itself was bad (unknown flags, values out of range such as an ell that is no
-odd prime or, for a family (family, ceta --case 7|8, and --enumerate), an
-ell above 13, where a family's keys, listed for its census, do not pack
-into 64 bits, a rational argument with a zero denominator, --enumerate at an
-ell other than 3 and 5 for gsp4|sp4, --threads with ceta --case <family>,
-or --enumerate with ceta --case 7|8; --threads has no other effect).  --json
+odd prime or, for a family (family, and ceta --enumerate), an ell above 13,
+where a family's keys do not pack into 64 bits, a rational argument with a
+zero denominator, --enumerate at an ell other than 3 and 5 for gsp4|sp4, or
+--threads with ceta --case <family>; --threads has no other effect).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
-uses when it runs, so only ceta --case 7|8 and --enumerate, which list a
-group (finite_census), load numpy, after the modules they use compile; main
-runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+uses when it runs: only --enumerate, which lists a group (finite_census),
+loads numpy, once those modules compile; main runs OpenBLAS on one thread
+unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
@@ -61,22 +60,20 @@ def _number(text, gaussian=False):
 
 
 def _census(args, group):
-    """The closed-form census of `group` ("gsp4", "sp4" or a family tag of
-    census.FAMILY_FORMS) and, under --enumerate, the assertion that the
-    census of the group listed from its chain equals it."""
+    """The closed-form census of `group` ("gsp4", "sp4" or a family tag)
+    and, under --enumerate, the assertion that the census of the group
+    listed from its chain equals it."""
     from .census import closed_form_census
 
     hist = closed_form_census(args.ell, group)
     if not args.enumerate:
         return hist, []
-    from .finite_census import (FamilySpec, build_family, charpoly_census,
-                                enumerate_gsp4, enumerate_sp4)
+    from .families import FamilySpec, build_family
+    from .finite_census import charpoly_census, enumerate_gsp4, enumerate_sp4
 
-    if group in ("gsp4", "sp4"):
-        enum = enumerate_gsp4 if group == "gsp4" else enumerate_sp4
-        listed = enum(args.ell)
-    else:
-        listed = build_family(FamilySpec(group, args.ell))
+    enum = {"gsp4": enumerate_gsp4, "sp4": enumerate_sp4}.get(group)
+    listed = (enum(args.ell) if enum
+              else build_family(FamilySpec(group, args.ell)))
     return hist, [("closed-form-equals-enumeration",
                    charpoly_census(listed).nu_classes == hist.nu_classes)]
 
@@ -142,24 +139,15 @@ def _cmd_family(args):
 
 
 def _cmd_ceta(args):
-    from .census import FAMILY_FORMS, _greedy_cover, c_eta_M
+    from .census import _greedy_cover, c_eta_M
 
     eta = _number(args.eta)
     low = args.case.strip().lower()
     full = low in ("gsp4", "sp4")
     name = low if full else _family_tag(args.case)
-    if not full and (args.threads is not None
-                     or args.enumerate and name not in FAMILY_FORMS):
-        raise ValueError("--threads applies to --case gsp4 and sp4 only, "
-                         "--enumerate to those and LeviB, LeviP, LeviQ, Hen, "
-                         "5, 6 and 9")
-    if full or name in FAMILY_FORMS:
-        hist, oracle = _census(args, name)
-    else:  # Case7 and Case8 have no closed form (the census docstring)
-        from .finite_census import FamilySpec, build_family, charpoly_census
-
-        hist = charpoly_census(build_family(FamilySpec(name, args.ell)))
-        oracle = []
+    if not full and args.threads is not None:
+        raise ValueError("--threads applies to --case gsp4 and sp4 only")
+    hist, oracle = _census(args, name)
     count = c_eta_M(hist, eta)
     need = (1 - eta) * hist.total
     trace = [{"coeffs": list(coeffs), "count": n, "covered": covered}

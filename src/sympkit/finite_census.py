@@ -31,9 +31,6 @@ from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .exact_arith import _require_odd_prime
 from .families import (GroupSet, _bits_for, _chain, _diags, _embed, _nu,
                        _of_order, _order, _T, _T_DUAL, _W)
-from .families import (  # noqa: F401 (re-exported from their former home)
-    _EXCHANGE, _FAMILIES, _NEG_LOWER, _ROT_PAIR, _SWAP, FamilySpec,
-    _closed_family, _ext_params, _space, build_family, family_with_base)
 
 import numpy as np
 

@@ -34,13 +34,11 @@ from sympkit.artin_gallery import (
 from sympkit.census import (c_eta_M, enumerate_P1_reps,
                             gl2_charpoly_census)
 from sympkit.exact_arith import GaussianRational, PrimeFieldElem
+from sympkit.families import FamilySpec, build_family, family_with_base
 from sympkit.finite_census import (
-    FamilySpec,
-    build_family,
     charpoly_census,
     enumerate_gsp4,
     enumerate_sp4,
-    family_with_base,
     gsp4_order,
     sp4_order,
 )

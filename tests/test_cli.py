@@ -12,12 +12,8 @@ import pytest
 from sympkit import census, families, finite_census
 from sympkit.census import c_eta_M
 from sympkit.cli import build_parser, main
-from sympkit.finite_census import (
-    FamilySpec,
-    build_family,
-    charpoly_census,
-    enumerate_gsp4,
-)
+from sympkit.families import FamilySpec, build_family
+from sympkit.finite_census import charpoly_census, enumerate_gsp4
 from sympkit.hecke_l import LatticeRing, enumerate_Y
 
 
@@ -101,8 +97,8 @@ def test_family_tag_spellings(capsys):
 
 def _patch_row(monkeypatch, tag, gens=None, order=None):
     "Replace the generators or the order formula of a _FAMILIES row."
-    row = finite_census._FAMILIES[tag]
-    monkeypatch.setitem(finite_census._FAMILIES, tag, (
+    row = families._FAMILIES[tag]
+    monkeypatch.setitem(families._FAMILIES, tag, (
         row[0] if gens is None else gens, row[1],
         row[2] if order is None else order, row[3]))
 
@@ -141,7 +137,7 @@ def test_ceta_non_similitude_member_is_an_internal_failure(monkeypatch,
 def test_family_with_a_dropped_generator_falls_short(monkeypatch, capsys):
     # without its last generator each family (or base) closes to a proper
     # subgroup, whose count misses the order
-    for tag, (gens, _, _, _) in finite_census._FAMILIES.items():
+    for tag, (gens, _, _, _) in families._FAMILIES.items():
         with monkeypatch.context() as patch:
             _patch_row(patch, tag, gens=lambda ell, gens=gens: gens(ell)[:-1])
             code, out, err = run(capsys, "family", "--case", tag, "--ell", "3")
@@ -154,9 +150,9 @@ def test_family_with_a_generator_outside_the_pattern_fails(monkeypatch,
                                                            capsys):
     # each swap closes, with the other generators, to a group of the
     # family's order, but it breaks the zero pattern
-    for tag, w in (("LeviB", finite_census._SWAP),
-                   ("Hen", finite_census._EXCHANGE)):
-        gens = finite_census._FAMILIES[tag][0]
+    for tag, w in (("LeviB", families._SWAP),
+                   ("Hen", families._EXCHANGE)):
+        gens = families._FAMILIES[tag][0]
         with monkeypatch.context() as patch:
             _patch_row(patch, tag,
                        gens=lambda ell, g=gens, w=w: g(ell)[:-1] + [w])
@@ -168,7 +164,7 @@ def test_family_with_a_generator_outside_the_pattern_fails(monkeypatch,
 def test_family_with_a_wrong_order_fails(monkeypatch, capsys):
     # one more than the order: the count falls short; one less: the closure
     # outgrows its cap
-    for tag, (_, _, order, _) in finite_census._FAMILIES.items():
+    for tag, (_, _, order, _) in families._FAMILIES.items():
         for shift, says in ((1, "elements, not"), (-1, "give more than")):
             with monkeypatch.context() as patch:
                 _patch_row(patch, tag,
@@ -192,15 +188,13 @@ def test_census_beyond_the_enumerated_primes(capsys):
 def test_enumerate_flag_adds_the_oracle_anchor(capsys):
     for argv in (("census", "--ell", "3"),
                  ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4"),
-                 ("ceta", "--case", "Case6", "--ell", "3", "--eta", "1/4")):
+                 ("ceta", "--case", "Case6", "--ell", "3", "--eta", "1/4"),
+                 ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4")):
         _, plain = run_json(capsys, *argv)
         code, checked = run_json(capsys, *argv, "--enumerate")
         assert code == 0 and checked["results"] == plain["results"]
         assert checked["assertions"] == plain["assertions"] + [
             {"anchor": "closed-form-equals-enumeration", "pass": True}]
-    code, _, err = run(capsys, "ceta", "--case", "7", "--ell", "3",
-                       "--eta", "1/4", "--enumerate")
-    assert code == 2 and "--enumerate" in err
 
 
 def test_enumerate_checks_a_family_closed_form(monkeypatch, capsys):
@@ -293,26 +287,25 @@ def test_family_enumerates_its_base_once(monkeypatch, capsys):
     assert all(entry["pass"] for entry in rep["assertions"])
     calls.clear()
     code, _ = run_json(capsys, "ceta", "--case", "8", "--ell", "3",
-                       "--eta", "1/4")
+                       "--eta", "1/4", "--enumerate")
     assert code == 0 and calls == [(3, None, 192, 192), (1, 192, 384, 384)]
 
 
 def test_family_at_ell_13_reaches_its_chain(monkeypatch, capsys):
     # Hen at ell = 13 holds 57,238,272 elements, and Case7 115,839,360, but a
     # build holds no key set: no budget refuses it, and its chain is built.
-    # ceta --case Hen reads its closed form and builds no chain at all
+    # ceta reads their closed forms and builds no chain at all
     def no_chain(*args, **kwargs):
         raise RuntimeError("the chain was reached")
 
     monkeypatch.setattr(families, "_chain", no_chain)
-    for argv in (("family", "--case", "Hen"),
-                 ("ceta", "--case", "7", "--eta", "1/4")):
-        code, out, err = run(capsys, *argv, "--ell", "13")
-        assert code == 1 and out == ""
-        assert "internal error: the chain was reached" in err
-    code, rep = run_json(capsys, "ceta", "--case", "Hen", "--ell", "13",
-                         "--eta", "1/4")
-    assert code == 0 and rep["results"]["order"] == 57238272
+    code, out, err = run(capsys, "family", "--case", "Hen", "--ell", "13")
+    assert code == 1 and out == ""
+    assert "internal error: the chain was reached" in err
+    for case, order in (("Hen", 57238272), ("7", 115839360)):
+        code, rep = run_json(capsys, "ceta", "--case", case, "--ell", "13",
+                             "--eta", "1/4")
+        assert code == 0 and rep["results"]["order"] == order
 
 
 def test_family_refuses_primes_beyond_the_key_width(capsys):
@@ -320,16 +313,19 @@ def test_family_refuses_primes_beyond_the_key_width(capsys):
     # a usage error wherever a family is listed (FamilySpec refuses it before
     # any chain is built); a closed-form census lists nothing, so it runs
     for argv in (("family", "--case", "LeviB"),
-                 ("ceta", "--case", "7", "--eta", "1/4"),
+                 ("ceta", "--case", "7", "--eta", "1/4", "--enumerate"),
                  ("ceta", "--case", "LeviB", "--eta", "1/4", "--enumerate")):
         code, out, err = run(capsys, *argv, "--ell", "17")
         assert code == 2 and out == ""
         assert "ell = 17 does not pack into 64-bit keys" in err
     assert run(capsys, "family", "--case", "LeviB", "--ell", "13")[0] == 0
-    code, rep = run_json(capsys, "ceta", "--case", "LeviB", "--ell", "17",
-                         "--eta", "1/4")
-    assert code == 0 and all(e["pass"] for e in rep["assertions"])
-    assert rep["results"]["order"] == finite_census._FAMILIES["LeviB"][2](17)
+    # Case7 is its base, of the row's order, doubled by w
+    for case, tag, index in (("LeviB", "LeviB", 1), ("7", "Case7", 2)):
+        code, rep = run_json(capsys, "ceta", "--case", case, "--ell", "17",
+                             "--eta", "1/4")
+        assert code == 0 and all(e["pass"] for e in rep["assertions"])
+        assert rep["results"]["order"] \
+            == index * families._FAMILIES[tag][2](17)
 
 
 def test_runtime_errors_are_internal_failures(monkeypatch, capsys):
@@ -351,15 +347,12 @@ def test_family_takes_no_pool_flags(capsys):
 
 def test_ceta_family_takes_no_pool_flags(capsys):
     # a family census enumerates no full group, so --threads is a usage
-    # error there, as --enumerate is for the families listed without a
-    # closed form
-    says = ("--threads applies to --case gsp4 and sp4 only, --enumerate to "
-            "those and LeviB, LeviP, LeviQ, Hen, 5, 6 and 9")
-    for case, flag in (("7", "--threads 2"), ("Hen", "--threads 2"),
-                       ("7", "--enumerate"), ("8", "--enumerate")):
+    # error there
+    says = "--threads applies to --case gsp4 and sp4 only"
+    for case in ("7", "8", "Hen"):
         code, out, err = run(capsys, "ceta", "--case", case, "--ell", "3",
-                             "--eta", "1/4", *flag.split())
-        assert code == 2 and out == "" and says in err, (case, flag)
+                             "--eta", "1/4", "--threads", "2")
+        assert code == 2 and out == "" and err == "error: %s\n" % says, case
     # the full groups keep accepting it, with or without --enumerate
     for argv in (("census", "--ell", "3"),
                  ("ceta", "--case", "gsp4", "--ell", "3", "--eta", "1/4")):

@@ -24,33 +24,35 @@ from sympkit.census import (
 )
 from sympkit.exact_arith import PrimeFieldElem, is_odd_prime
 from sympkit.gsp4_core import similitude_generator, standard_generators
+from sympkit.families import (
+    FamilySpec,
+    build_family,
+    family_with_base,
+    _EXCHANGE,
+    _FAMILIES,
+    _NEG_LOWER,
+    _ROT_PAIR,
+    _SWAP,
+    _closed_family,
+    _ext_params,
+)
 from sympkit.finite_census import (
     CharPolyHistogram,
-    FamilySpec,
     GroupSet,
     ResourceLimit,
     brute_similitude_scan,
-    build_family,
     charpoly_census,
     charpoly_coeffs,
     enumerate_gsp4,
     enumerate_sp4,
-    family_with_base,
     gsp4_order,
     mulclose,
     pack_matrices,
     sp4_order,
     unpack_keys,
-    _EXCHANGE,
-    _FAMILIES,
-    _NEG_LOWER,
     _PROCESS_BYTES,
-    _ROT_PAIR,
-    _SWAP,
     _chain,
-    _closed_family,
     _embed,
-    _ext_params,
     _full_gens,
     _listing,
     _omega,
@@ -851,10 +853,21 @@ def test_closed_form_rejects_bad_input():
     for ell in (2, 9, 1):
         with pytest.raises(ValueError):
             closed_form_census(ell, "sp4")
-    # Case7 and Case8 have no closed form: their census is the listing's
-    for group in ("gl4", "Case7", "Case8"):
-        with pytest.raises(ValueError, match="group must be"):
-            closed_form_census(3, group)
+    with pytest.raises(ValueError, match="group must be"):
+        closed_form_census(3, "gl4")
+
+
+def test_every_family_has_a_closed_form():
+    # so no family's census falls back to a listing
+    assert FAMILY_FORMS == tuple(_FAMILIES)
+
+
+def test_case7_and_case8_closed_form_totals():
+    # each is its base, of the row's order, doubled by w; nothing is listed
+    for ell in filter(is_odd_prime, range(3, 32)):
+        for tag in ("Case7", "Case8"):
+            assert closed_form_census(ell, tag).total \
+                == 2 * _FAMILIES[tag][2](ell), (tag, ell)
 
 
 def _closed_forms_equal_the_listing(ell):
@@ -866,15 +879,15 @@ def _closed_forms_equal_the_listing(ell):
 def test_family_closed_forms_equal_the_listing():
     # the census of each family's listing, proven by its linear conditions
     # and its chain, each element checked as a similitude by the census, is
-    # the oracle of its closed form; Case7's and Case8's w-cosets have none,
-    # so the listing is their only census
+    # the oracle of its closed form, for all nine families
     for ell in (3, 5, 7):
         _closed_forms_equal_the_listing(ell)
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell = 11 and 13: the listings of Hen and Case6 "
-                           "(57 and 114 million elements at 13), about 32 s")
+                    reason="ell = 11 and 13: the listings of all nine "
+                           "families (Hen, Case6 and Case7: 57, 114 and 116 "
+                           "million elements at 13), about 60 s")
 def test_family_closed_forms_equal_the_listing_gated():
     for ell in (11, 13):
         _closed_forms_equal_the_listing(ell)
@@ -1571,7 +1584,7 @@ def test_linear_conditions_are_closed_under_products():
     for ell in (3, 5, 7, 11, 13):
         for tag, (_, conditions, _, _) in _FAMILIES.items():
             rows = np.array(conditions(ell)).reshape(-1, 16) % ell
-            basis = finite_census._space(rows, ell)
+            basis = families._space(rows, ell)
             assert len(basis) == dims.get(tag, 8), (tag, ell)
             inside = _predicate(rows, ell)
             assert inside(basis).all(), (tag, ell)
@@ -1805,11 +1818,11 @@ def test_the_proof_refusals_survive_python_O():
     # under -O an assert is skipped, so the proof raises by hand
     script = ("import contextlib, io, sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
-              "from sympkit import finite_census\n"
+              "from sympkit import families\n"
               "from sympkit.cli import main\n"
               "from test_finite_census import _refusals\n"
               "for tag, row, message in _refusals():\n"
-              "    finite_census._FAMILIES[tag] = row\n"
+              "    families._FAMILIES[tag] = row\n"
               "    err = io.StringIO()\n"
               "    with contextlib.redirect_stderr(err):\n"
               "        code = main(['family', '--case', tag, '--ell', '3'])\n"
@@ -1844,12 +1857,13 @@ def test_family_orders_at_ell_7_gated():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=13: every family, and the census of Case7 "
-                           "(115,839,360 elements) in a child, about 25 s")
+                    reason="ell=13: every family, and the census of Case7's "
+                           "listing (115,839,360 elements) in a child, "
+                           "about 25 s")
 def test_every_family_at_ell_13_gated():
     # the largest prime that packs: each build lists nothing and holds no
-    # key set, and the worst run of all, the census of Case7,
-    # stays inside the default budget as a single CLI child
+    # key set, and the worst listing that remains, the census of Case7 under
+    # --enumerate, stays inside the default budget as a single CLI child
     orders = _family_orders(13)
     assert [orders[t] for t in ("Hen", "Case6", "Case7")] \
         == [57238272, 114476544, 115839360]
@@ -1858,7 +1872,7 @@ def test_every_family_at_ell_13_gated():
         assert g.order == order, tag
         assert base is None or g.order == 2 * base.order, tag
     peak = _child_peak_bytes("-m", "sympkit.cli", "ceta", "--case", "7",
-                             "--ell", "13", "--eta", "1/4")
+                             "--ell", "13", "--eta", "1/4", "--enumerate")
     assert 0 < peak < finite_census.DEFAULT_MAX_BYTES
 
 

@@ -155,12 +155,14 @@ def test_bare_import_loads_no_submodule():
       for tag in ("LeviB", "LeviP", "LeviQ", "Hen", "5", "6", "7", "8", "9")),
     ("family", "--case", "7", "--ell", "5"),
     ("family", "--case", "8", "--ell", "5"),
+    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "8", "--ell", "3", "--eta", "1/4"),
 ])
 def test_subcommand_runs_without_numpy(argv):
     # dataclasses costs about 10 ms of import per task, and the gallery's
     # closures are its own, so finite_census stays unloaded too; gallery
-    # sym3 exits 1 because two printed identities fail (test_cli.py).  A
-    # family with a closed form (census.FAMILY_FORMS) is not listed, and a
+    # sym3 exits 1 because two printed identities fail (test_cli.py).  Every
+    # family has a closed form (census.FAMILY_FORMS) and is not listed, and a
     # family build lists nothing: its chain is pure Python (families)
     got = probe(*argv)
     assert got["code"] == int(argv == ("gallery", "sym3")), got
@@ -171,12 +173,12 @@ def test_subcommand_runs_without_numpy(argv):
 
 @pytest.mark.parametrize("argv", [
     ("census", "--ell", "3", "--enumerate"),
-    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4", "--enumerate"),
     ("ceta", "--case", "LeviB", "--ell", "3", "--eta", "1/4", "--enumerate"),
-    ("ceta", "--case", "8", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "8", "--ell", "3", "--eta", "1/4", "--enumerate"),
 ])
 def test_subcommand_loads_numpy(argv):
-    # a census of Case7 or Case8, or under --enumerate, lists its group
+    # only a census under --enumerate lists its group
     got = probe(*argv)
     assert got["code"] == 0 and got["numpy"], got
 
@@ -187,7 +189,7 @@ def _without_blas_threads():
 
 
 @pytest.mark.parametrize("argv", [
-    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4"),
+    ("ceta", "--case", "7", "--ell", "3", "--eta", "1/4", "--enumerate"),
     ("census", "--ell", "3", "--enumerate", "--threads", "2"),
 ])
 def test_numpy_subcommand_starts_no_thread_pool(argv):
@@ -201,7 +203,8 @@ def test_numpy_subcommand_starts_no_thread_pool(argv):
 
 def test_user_set_blas_threads_are_kept():
     env = dict(_without_blas_threads(), OPENBLAS_NUM_THREADS="3")
-    got = probe("ceta", "--case", "7", "--ell", "3", "--eta", "1/4", env=env)
+    got = probe("ceta", "--case", "7", "--ell", "3", "--eta", "1/4",
+                "--enumerate", env=env)
     assert got["code"] == 0 and got["blas_threads"] == "3", got
 
 
