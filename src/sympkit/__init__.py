@@ -28,9 +28,8 @@ _EXPORTS = {
     "census": """CharPolyHistogram c_eta_M closed_form_census enumerate_P1_reps
         gl2_charpoly_census gsp4_order sp4_order""",
     "families": "FamilySpec GroupSet build_family family_with_base",
-    "finite_census": """ResourceLimit brute_similitude_scan charpoly_census
-        charpoly_coeffs enumerate_gsp4 enumerate_sp4 mulclose pack_matrices
-        unpack_keys""",
+    "finite_census": """charpoly_census charpoly_coeffs enumerate_gsp4
+        enumerate_sp4 mulclose pack_matrices unpack_keys""",
     "hecke_l": """EulerFactor HeckeData LatticeRing SatakeParams check_int
         density_ratio endoscopic_spin_factor enumerate_Y hecke_poly lambda_p2
         read_eigen_csv rou_charpolys satake_to_hecke spin_factor std5_factor

@@ -3,17 +3,19 @@ chain in pure Python: nothing here loads numpy.
 
 A chain's matrices are 16 ints mod ell (an entry fits a byte), column by
 column: column c is m[4c:4c + 4].  A family is the group its generators
-generate (_FAMILIES), proven without a listing (_closed_family); its
-GroupSet lists its keys (finite_census, numpy) only when asked for them.
+generate (_FAMILIES), proven without a listing (_closed_family).  Its
+GroupSet is its chain: membership, inclusion and equality sift through it;
+only the census lists the group (finite_census, numpy).
 """
 
 from array import array
 from itertools import product
 from math import prod
+from operator import index
 
 from ._mat import mat_inv, mat_mul, row_reduce
 from .exact_arith import (PrimeFieldElem, _Frozen, _Record, _require_odd_prime,
-                          _restore, quadratic_nonresidue, solve_sum_of_squares)
+                          quadratic_nonresidue, solve_sum_of_squares)
 
 
 def _bits_for(ell):
@@ -248,95 +250,64 @@ def _nu(m, ell):
 
 
 class GroupSet(_Frozen):
-    """A finalized set of packed matrices over F_ell (sorted uint64 keys).
-    A proven group (a family or a full group) holds its complete chain
-    instead, and lists and sorts the keys (finite_census, numpy) on use."""
+    """A proven group over F_ell (a family or a full group): its complete
+    `chain` and the similitude `factors` that its proof found.  Membership,
+    inclusion and equality sift through the chain (_sifts), so none lists a
+    key; only the census lists the group (finite_census, numpy)."""
 
-    __slots__ = ("ell", "_keys", "_chain", "_factors")
+    __slots__ = ("ell", "_chain", "_factors")
 
-    def __init__(self, ell, keys):
-        from .finite_census import _sorted_unique, np
-        _require_odd_prime(ell)
-        _bits_for(ell)
-        arr = np.asarray(keys, dtype=np.uint64).reshape(-1)
-        # increasing keys skip the sort; the copy leaves the caller's own
-        arr = arr.copy() if (arr[1:] > arr[:-1]).all() else _sorted_unique(arr)
-        arr.setflags(write=False)
-        for name, value in zip(self.__slots__, (ell, arr, None, None)):
+    def __init__(self, ell, chain, factors):
+        for name, value in zip(self.__slots__, (ell, chain, tuple(factors))):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _proven(cls, ell, chain, factors):
-        """The GroupSet of a proven group: the complete `chain` of the group
-        and the similitude `factors` that its proof found."""
-        return _restore(cls, [("ell", ell), ("_keys", None), ("_chain", chain),
-                              ("_factors", tuple(factors))])
-
-    @classmethod
-    def from_matrices(cls, mats, ell):
-        from .finite_census import np, pack_matrices
-        return cls(ell, pack_matrices(np.asarray(mats, np.int64) % ell, ell))
-
-    @property
-    def keys(self):
-        if self._keys is None:
-            from .finite_census import (DEFAULT_MAX_BYTES, _PROCESS_BYTES,
-                                        ResourceLimit, _listed)
-            need = _PROCESS_BYTES + 8 * self.order
-            if need > DEFAULT_MAX_BYTES:
-                raise ResourceLimit(
-                    "%r holds %d elements, ~%d bytes (modelled peak RSS); "
-                    "budget is %d" % (self, self.order, need, DEFAULT_MAX_BYTES))
-            keys = _listed(self._chain, self.ell)
-            keys.setflags(write=False)
-            object.__setattr__(self, "_keys", keys)
-        return self._keys
 
     @property
     def order(self):
-        return _order(self._chain) if self._keys is None else self._keys.size
+        return _order(self._chain)
 
     def __len__(self):
         return self.order
 
+    def _holds(self, m):
+        "Whether the matrix m of 16 ints mod ell sifts to 1 through the chain."
+        return _sifts(_columns(m), [(level.where, level.uinv)
+                                    for level in self._chain], self.ell)
+
+    def __contains__(self, item):
+        """Whether the 4x4 integer matrix `item` lies in the group: it sifts
+        to the identity, which alone fixes the base (Sims' membership test);
+        anything else is no member."""
+        try:
+            rows = [[index(x) for x in row] for row in item]
+        except TypeError:
+            return False
+        return ([len(row) for row in rows] == [4] * 4
+                and self._holds(_matrix(rows, self.ell)))
+
+    def subset_of(self, other):
+        "Whether every generator of this group (level 0's) lies in `other`."
+        return self.ell == other.ell and all(
+            other._holds(g) for g in self._chain[0].gens)
+
     def __eq__(self, other):
         if isinstance(other, GroupSet):
             return (self.ell == other.ell and self.order == other.order
-                    and bool((self.keys == other.keys).all()))
+                    and self.subset_of(other))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ell, self.keys.tobytes()))
+        return hash((self.ell, self.order))
 
-    def __contains__(self, item):
-        from .finite_census import _contains_sorted, np, pack_matrices
-        if isinstance(item, (int, np.integer)):
-            if not 0 <= item < 1 << 64:
-                return False
-            key = np.array([item], dtype=np.uint64)
-        else:
-            arr = np.asarray(item, dtype=np.int64).reshape(1, 4, 4) % self.ell
-            key = pack_matrices(arr, self.ell)
-        return bool(_contains_sorted(self.keys, key)[0])
-
-    def matrices(self):
-        "Yield the elements as (N, 4, 4) int64 arrays in key order."
-        from .finite_census import _unpacked
-
-        return _unpacked([self.keys], self.ell)
     def _blocks(self):
-        """The keys in blocks, in any order: the listing of a chain whose
-        keys are not yet listed, else the sorted keys."""
-        if self._keys is None:
-            from .finite_census import _listing
-            return _listing(self._chain, self.ell)
-        return [self._keys]
+        "The keys in blocks, in listing order (finite_census._listing)."
+        from .finite_census import _listing
+        return _listing(self._chain, self.ell)
 
     def nu_values(self):
-        "Similitude factor of every element, aligned with key order."
+        "Similitude factor of every element, in listing order."
         from .finite_census import _similitude_info, _unpacked, np
         out = [np.empty(0, np.int64)]
-        for mats in _unpacked([self.keys], self.ell, np.int16):
+        for mats in _unpacked(self._blocks(), self.ell, np.int16):
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")
@@ -344,20 +315,8 @@ class GroupSet(_Frozen):
         return np.concatenate(out)
 
     def similitude_factors(self):
-        """The factors nu that occur, ascending: those its proof found, else
-        those of nu_values (np.unique would load numpy.ma)."""
-        if self._factors is None:
-            from .finite_census import np
-            return np.flatnonzero(np.bincount(self.nu_values())).tolist()
+        "The factors nu that occur, ascending: those its proof found."
         return list(self._factors)
-
-    def subset_of(self, other):
-        from .finite_census import _contains_sorted
-        return self.ell == other.ell and bool(
-            _contains_sorted(other.keys, self.keys).all())
-
-    def __reduce__(self):  # rebuilt by __init__, so the keys stay read-only
-        return GroupSet, (self.ell, self.keys)
 
     def __repr__(self):
         return "GroupSet(ell=%d, order=%d)" % (self.ell, self.order)
@@ -640,14 +599,14 @@ def family_with_base(spec):
     ell, n = spec.ell, order(spec.ell)
     name = spec.tag + ("" if extension is None else " base")
     chain, factors = _closed_family(gens(ell), conditions(ell), n, ell, name)
-    base = GroupSet._proven(ell, chain, factors)
+    base = GroupSet(ell, chain, factors)
     if extension is None:
         return base, None
     more, index = extension
     chain = _of_order(_chain(more, ell, base=chain, cap=index * n),
                       index * n, spec.tag)
     factors = _factors(more, ell, spec.tag, factors)
-    return GroupSet._proven(ell, chain, factors), base if index == 2 else None
+    return GroupSet(ell, chain, factors), base if index == 2 else None
 
 
 def build_family(spec):

@@ -2,9 +2,8 @@
 
 Every key operation is here, in integer numpy: a matrix over F_ell is packed
 row-major into one uint64 key (ceil(log2 ell) bits per entry, so ell <= 13:
-larger primes raise ValueError), and all set arithmetic is on sorted key
-arrays, deterministic regardless of chunking or generator ordering.  The
-families, their chain and GroupSet live in families, which loads no numpy.
+larger primes raise ValueError).  The families, their chain and GroupSet,
+which is its chain and holds no key, live in families, which loads no numpy.
 A group is its own set of inverses, so each element of a chain's group is
 listed once as a product uinv_3 uinv_2 uinv_1 uinv_0, level by level along
 the Schreier trees (_listing).  Sp4 and GSp4 (ell = 3 and 5) are the groups
@@ -17,10 +16,10 @@ row r of m.g is row r of m times g, so one table per multiplier g, from
 each row field of a key (4 entries, 4 ceil(log2 ell) bits) to the field of
 the product row, makes a product four lookups shifted into place
 (_row_tables, _products); a chain's multipliers are the inverses of its
-strong generators.  Every loop over the elements of a listing or key array
-(the similitude factors of a key set, the census) unpacks _CHUNK_ROWS keys
-per pass into one entry-major int16 array, its temporaries in cache: the
-similitude test and the census's e1 and e2 are exact in int16.
+strong generators.  Every loop over the elements of a listing
+(GroupSet.nu_values, the census) unpacks _CHUNK_ROWS keys per pass into one
+entry-major int16 array, its temporaries in cache: the similitude test and
+the census's e1 and e2 are exact in int16.
 charpoly_census of an enumeration or a family is the oracle of
 census.closed_form_census; it checks every element as a similitude.
 """
@@ -34,22 +33,7 @@ from .families import (GroupSet, _bits_for, _chain, _diags, _embed, _nu,
 
 import numpy as np
 
-DEFAULT_MAX_BYTES = 512 << 20
-
-# The modelled peak RSS of a held key set (GroupSet.keys): the interpreter
-# with numpy loaded, and one key per element.  tests/test_finite_census.py
-# checks it against measured peaks.
-_PROCESS_BYTES = 96 << 20
-
 _ENUM_PRIMES = (3, 5)
-
-_J4 = np.array(
-    [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64
-)
-
-
-class ResourceLimit(ValueError):
-    "A group's key set would exceed the default memory budget."
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +86,7 @@ def unpack_keys(keys, ell, dtype=np.int64):
     return out.view(dtype).T.reshape(-1, 4, 4)
 
 
-# Rows per pass of every loop over elements (GroupSet.matrices, the census
+# Rows per pass of every loop over elements (GroupSet.nu_values, the census
 # and a listing's _products passes): the matrices of one pass are one array,
 # 256 KiB in int64 and 64 KiB in int16, and its temporaries stay in cache.
 _CHUNK_ROWS = 1 << 11
@@ -192,24 +176,6 @@ def charpoly_coeffs(mats, ell):
 
 # ---------------------------------------------------------------------------
 # closure machinery
-
-
-def _contains_sorted(sorted_ref, keys):
-    if sorted_ref.size == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(sorted_ref, keys)
-    idx[idx == sorted_ref.size] = sorted_ref.size - 1
-    return sorted_ref[idx] == keys
-
-
-def _sorted_unique(keys):
-    """The distinct keys of a 1-D array in increasing order, by one sort
-    (np.unique hashes since numpy 2.3, which is many times slower)."""
-    arr = np.sort(keys, axis=None)
-    keep = np.empty(arr.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    return arr[keep]
 
 
 def _vectors(ell):
@@ -398,57 +364,19 @@ def _full_group(ell, name, order, factors):
         raise AssertionError("%s: a generator is no similitude of factor in "
                              "%s" % (name, list(factors)))
     chain = _of_order(_chain(gens, ell, cap=n), n, name)
-    return GroupSet._proven(ell, chain, factors)
+    return GroupSet(ell, chain, factors)
 
 
 def enumerate_sp4(ell):
     """Sp4(F_ell), the similitudes of factor 1, for ell = 3 and 5, proven
     from the chain of its generators (_full_group): order
-    ell^4 (ell^2 - 1)(ell^4 - 1).  No key is listed until .keys is read."""
+    ell^4 (ell^2 - 1)(ell^4 - 1).  No key is listed but by its census."""
     return _full_group(ell, "Sp4", sp4_order, (1,))
 
 
 def enumerate_gsp4(ell):
     "GSp4(F_ell), as enumerate_sp4: (ell - 1) |Sp4| elements, every factor."
     return _full_group(ell, "GSp4", gsp4_order, range(1, ell))
-
-
-def brute_similitude_scan():
-    """Scan all 3^16 matrices over F_3 for t(m) J m = nu J, nu a unit.
-
-    The independent oracle of the chain listings at ell = 3, of
-    enumerate_sp4/gsp4 and of the generator closure of other generators:
-    returns (nu = 1 set, all-similitude set).  The identity says
-    omega(c_i, c_j) = nu J_ij for every pair of columns, so a matrix whose
-    (c0, c2) pair, or whose c1 against them, already fails is skipped with
-    all its completions: (c0, c2) need omega(c0, c2) a unit, c1 needs
-    omega(c0, c1) = omega(c1, c2) = 0, and every surviving (c0, c1, c2)
-    with each of the 81 columns c3 is tested by the full Gram identity.
-    The predicate is the same as a flat scan's; no group theory is used.
-    Only ell = 3 is tractable this way.
-    """
-    j = (_J4 % 3).astype(np.int16)
-    vecs = np.indices((3,) * 4, dtype=np.int16).reshape(4, -1).T
-    form = vecs @ j @ vecs.T % 3  # form[a, b] = t(v_a) J v_b
-    a0, a2 = np.nonzero(form != 0)
-    pair, a1 = np.nonzero((form[a0] == 0) & (form[:, a2].T == 0))
-    a0, a2 = a0[pair], a2[pair]
-    sp_parts, gsp_parts = [], []
-    batch = 1 << 12  # (c0, c1, c2) triples per pass: 331,776 candidates
-    for start in range(0, a0.size, batch):
-        heads = [vecs[a[start:start + batch]] for a in (a0, a1, a2)]
-        cols = [np.repeat(h, vecs.shape[0], axis=0) for h in heads]
-        cols.append(np.tile(vecs, (heads[0].shape[0], 1)))
-        mats = np.stack(cols, axis=2)
-        jm = np.matmul(j, mats) % 3
-        gram = np.matmul(mats.transpose(0, 2, 1), jm) % 3
-        nu = gram[:, 0, 2]
-        ok = (gram == nu[:, None, None] * j % 3).all(axis=(1, 2)) & (nu != 0)
-        keys = pack_matrices(mats[ok].astype(np.int64), 3)
-        gsp_parts.append(keys)
-        sp_parts.append(keys[nu[ok] == 1])
-    return tuple(GroupSet(3, np.concatenate(parts))
-                 for parts in (sp_parts, gsp_parts))
 
 
 # ---------------------------------------------------------------------------

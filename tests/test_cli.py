@@ -360,10 +360,9 @@ def test_ceta_family_takes_no_pool_flags(capsys):
         assert code == 0
 
 
-def test_enumeration_is_not_priced(monkeypatch, capsys):
-    # the census streams the listing and holds no key set, so no budget
-    # refuses --enumerate, not even one of a single byte
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1)
+def test_enumeration_is_not_priced(capsys):
+    # the census streams the listing and holds no key set, and no memory
+    # budget is left to refuse --enumerate
     for argv in (("census", "--ell", "3"),
                  ("ceta", "--case", "sp4", "--ell", "3", "--eta", "1/4")):
         code, rep = run_json(capsys, *argv, "--enumerate")

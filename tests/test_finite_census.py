@@ -38,9 +38,6 @@ from sympkit.families import (
 )
 from sympkit.finite_census import (
     CharPolyHistogram,
-    GroupSet,
-    ResourceLimit,
-    brute_similitude_scan,
     charpoly_census,
     charpoly_coeffs,
     enumerate_gsp4,
@@ -50,7 +47,6 @@ from sympkit.finite_census import (
     pack_matrices,
     sp4_order,
     unpack_keys,
-    _PROCESS_BYTES,
     _chain,
     _embed,
     _full_gens,
@@ -62,6 +58,8 @@ from sympkit.finite_census import (
     _similitude_info,
     _unpacked,
 )
+
+from keysets import KeySet, generated, matrices, sorted_keys
 
 _CACHE = {}
 
@@ -85,8 +83,13 @@ def census_3():
 
 
 def _modelled_bytes(elements):
-    "The modelled peak RSS of a listing of `elements`: one key each."
-    return _PROCESS_BYTES + 8 * elements
+    """The one-key memory model of a group's sorted keys: 96 MiB for the
+    interpreter with numpy loaded, and one key (8 bytes) per element."""
+    return (96 << 20) + 8 * elements
+
+
+# the key budget of 512 MiB that the measured peaks are held below
+_BUDGET = 512 << 20
 
 
 def family(tag, ell=3):
@@ -179,12 +182,12 @@ def test_pack_matrices_layout_and_nu():
     assert int(keys[0]) == 1 + (1 << 10) + (1 << 20) + (1 << 30)
     assert int(keys[1]) == 1 + (1 << 10) + (2 << 20) + (2 << 30)
     assert (unpack_keys(keys, 3) == np.stack([ident, scal])).all()
-    assert list(GroupSet(3, keys).nu_values()) == [1, 2]
+    assert list(KeySet(3, keys).nu_values()) == [1, 2]
 
 
 def test_nu_values_rejects_non_similitude():
     with pytest.raises(ValueError, match="non-similitude"):
-        GroupSet.from_matrices(np.ones((1, 4, 4), dtype=np.int64), 3).nu_values()
+        KeySet.from_matrices(np.ones((1, 4, 4), dtype=np.int64), 3).nu_values()
 
 
 def test_packing_rejects_wide_primes():
@@ -254,7 +257,7 @@ def _gram_predicate(mats, ell):
 
 def test_similitude_kernel_matches_the_gram_products():
     rng = np.random.default_rng(5)
-    members = np.concatenate(list(gsp4_3().matrices()))
+    members = np.concatenate(list(matrices(gsp4_3())))
     members = members[rng.choice(members.shape[0], 5000, replace=False)]
     # one entry of each member moved: near misses on both sides of the test
     moved = members.copy()
@@ -310,16 +313,59 @@ def _generator_closure(ell, with_similitude):
     return mulclose(mats, ell)
 
 
+_J4 = np.array(
+    [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64
+)
+
+
+def brute_similitude_scan():
+    """Scan all 3^16 matrices over F_3 for t(m) J m = nu J, nu a unit.
+
+    The independent oracle of the chain listings at ell = 3, of
+    enumerate_sp4/gsp4 and of the generator closure of other generators:
+    returns the sorted keys of (nu = 1 set, all-similitude set).  The
+    identity says omega(c_i, c_j) = nu J_ij for every pair of columns, so a
+    matrix whose (c0, c2) pair, or whose c1 against them, already fails is
+    skipped with all its completions: (c0, c2) need omega(c0, c2) a unit,
+    c1 needs omega(c0, c1) = omega(c1, c2) = 0, and every surviving
+    (c0, c1, c2) with each of the 81 columns c3 is tested by the full Gram
+    identity.  The predicate is the same as a flat scan's; no group theory
+    is used.  Only ell = 3 is tractable this way.
+    """
+    j = (_J4 % 3).astype(np.int16)
+    vecs = np.indices((3,) * 4, dtype=np.int16).reshape(4, -1).T
+    form = vecs @ j @ vecs.T % 3  # form[a, b] = t(v_a) J v_b
+    a0, a2 = np.nonzero(form != 0)
+    pair, a1 = np.nonzero((form[a0] == 0) & (form[:, a2].T == 0))
+    a0, a2 = a0[pair], a2[pair]
+    sp_parts, gsp_parts = [], []
+    batch = 1 << 12  # (c0, c1, c2) triples per pass: 331,776 candidates
+    for start in range(0, a0.size, batch):
+        heads = [vecs[a[start:start + batch]] for a in (a0, a1, a2)]
+        cols = [np.repeat(h, vecs.shape[0], axis=0) for h in heads]
+        cols.append(np.tile(vecs, (heads[0].shape[0], 1)))
+        mats = np.stack(cols, axis=2)
+        jm = np.matmul(j, mats) % 3
+        gram = np.matmul(mats.transpose(0, 2, 1), jm) % 3
+        nu = gram[:, 0, 2]
+        ok = (gram == nu[:, None, None] * j % 3).all(axis=(1, 2)) & (nu != 0)
+        keys = pack_matrices(mats[ok].astype(np.int64), 3)
+        gsp_parts.append(keys)
+        sp_parts.append(keys[nu[ok] == 1])
+    return tuple(np.sort(np.concatenate(parts))
+                 for parts in (sp_parts, gsp_parts))
+
+
 def test_brute_scan_matches_generator_closures():
     # the oracle chain: the brute-force scan checks the generator closure,
     # and the closure checks the chain listing of the full groups
     scan_sp, scan_gsp = brute_similitude_scan()
     closure_sp = _generator_closure(3, False)
     closure_gsp = _generator_closure(3, True)
-    assert np.array_equal(scan_sp.keys, closure_sp)
-    assert np.array_equal(scan_gsp.keys, closure_gsp)
-    assert np.array_equal(closure_sp, sp4_3().keys)
-    assert np.array_equal(closure_gsp, gsp4_3().keys)
+    assert np.array_equal(scan_sp, closure_sp)
+    assert np.array_equal(scan_gsp, closure_gsp)
+    assert np.array_equal(closure_sp, sorted_keys(sp4_3()))
+    assert np.array_equal(closure_gsp, sorted_keys(gsp4_3()))
 
 
 # The symplectic-basis oracle of the full groups: an element of Sp4 is an
@@ -393,7 +439,7 @@ def _same_as_the_oracle(group, scalars):
     "Whether the symplectic bases of factors `scalars` are `group`'s keys."
     keys = _symplectic_bases(group.ell, scalars)
     keys.sort()
-    return np.array_equal(keys, group.keys)
+    return np.array_equal(keys, sorted_keys(group))
 
 
 def test_symplectic_bases_equal_the_chain_listing():
@@ -429,11 +475,14 @@ def test_enumeration_refuses_bad_generators(monkeypatch):
         enumerate_gsp4(3)
 
 
-def test_full_groups_read_the_factors_of_their_proof():
+def test_full_groups_read_the_factors_of_their_proof(monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a key was listed")
+
+    monkeypatch.setattr(finite_census, "_listing", no_listing)
     for group, factors in ((enumerate_sp4(3), [1]),
                            (enumerate_gsp4(3), [1, 2])):
         assert group.similitude_factors() == factors
-        assert group._keys is None
 
 
 def _perm_matrix(*images):
@@ -442,7 +491,7 @@ def _perm_matrix(*images):
 
 
 def test_closure_deterministic_across_orderings():
-    gens = np.stack([m for chunk in family("LeviP").matrices() for m in chunk][:6])
+    gens = np.stack([m for chunk in matrices(family("LeviP")) for m in chunk][:6])
     base = mulclose(gens, 3)
     assert np.array_equal(base, mulclose(gens[::-1], 3))
     # every coset times every generator: a loop that multiplies only by the
@@ -471,7 +520,7 @@ def test_mulclose_refuses_singular_generators():
 
 
 def test_closures_are_strictly_increasing():
-    # a listing is sorted, never deduplicated, and GroupSet would sort and
+    # a listing is sorted, never deduplicated, and a KeySet would sort and
     # dedupe a bad one silently: check the keys as mulclose returns them,
     # and the listing of each chain, from the generators and, for an
     # extended family, extended from the base's, as one sorted array of its
@@ -528,32 +577,6 @@ def test_enumeration_refuses_large_primes():
         enumerate_sp4(2)
 
 
-def test_enumeration_memory_budget(monkeypatch):
-    # one key per element: GSp4(F_5)'s sorted keys are modelled at 382 MiB,
-    # within the default budget.  Only those keys are priced: below it the
-    # group is still proven from its chain, with its order and factors, and
-    # its keys are refused before any is listed
-    def no_listing(*args, **kwargs):
-        raise AssertionError("the keys were listed")
-
-    need = _modelled_bytes(gsp4_order(5))
-    assert need == (96 << 20) + 8 * 37440000 < finite_census.DEFAULT_MAX_BYTES
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need - 1)
-    monkeypatch.setattr(finite_census, "_listed", no_listing)
-    g = enumerate_gsp4(5)
-    assert g.order == 37440000 and g.similitude_factors() == [1, 2, 3, 4]
-    with pytest.raises(ResourceLimit, match=r"GroupSet\(ell=5, order="
-                                            r"37440000\) holds 37440000 "
-                                            "elements, ~%d bytes" % need):
-        g.keys
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1 << 20)
-    g = enumerate_sp4(5)
-    assert g.order == 9360000 and g.similitude_factors() == [1]
-    with pytest.raises(ResourceLimit,
-                       match=r"GroupSet\(ell=5, order=9360000\)"):
-        g.keys
-
-
 def _child_peak_bytes(*argv):
     """Peak RSS of `python argv...` with sympkit importable, read by a
     wrapper process through getrusage(RUSAGE_CHILDREN), so that no other
@@ -585,8 +608,8 @@ def test_budget_model_bounds_the_enumeration_peak_rss_gated():
                              "--enumerate")
     assert 0 < peak <= need
     peak = _child_peak_bytes(
-        "-c", "from sympkit.finite_census import enumerate_gsp4; "
-              "enumerate_gsp4(5).keys")
+        "-c", "from sympkit.finite_census import _listed, enumerate_gsp4; "
+              "_listed(enumerate_gsp4(5)._chain, 5)")
     assert 0 < peak <= need
 
 
@@ -598,7 +621,7 @@ def test_sp4_5_order_gated():
     g = enumerate_sp4(5)
     assert g.order == sp4_order(5) == 9360000
     assert _same_as_the_oracle(g, [1])
-    assert np.array_equal(_generator_closure(5, False), g.keys)
+    assert np.array_equal(_generator_closure(5, False), sorted_keys(g))
 
 
 # ---------------------------------------------------------------------------
@@ -609,53 +632,43 @@ def test_groupset_contains_and_from_matrices():
     g = family("LeviB")
     ident = np.eye(4, dtype=np.int64)
     assert ident in g
-    assert int(pack_matrices(ident[None], 3)[0]) in g
     assert np.diag([1, 2, 1, 2]).astype(np.int64) in g
     assert _SWAP not in g
-    again = GroupSet.from_matrices(
-        np.stack([m for chunk in g.matrices() for m in chunk]), 3)
-    assert again == g
-    assert hash(again) == hash(g)
+    # its elements, in key order, are members and pack back to its keys
+    mats = np.concatenate(list(matrices(g)))
+    assert all(m in g for m in mats)
+    again = KeySet.from_matrices(mats, 3)
+    assert np.array_equal(again.keys, sorted_keys(g))
 
 
 def test_groupset_immutable_and_sorted():
     g = family("LeviB")
     with pytest.raises(AttributeError):
         g.ell = 5
-    assert (np.diff(g.keys.astype(np.int64)) > 0).all()
-    with pytest.raises(ValueError):
-        g.keys[0] = 0  # the key array is read-only
+    with pytest.raises(AttributeError):
+        g._chain = None
+    # the listing holds each element once: its sorted keys strictly increase
+    assert (np.diff(sorted_keys(g).astype(np.int64)) > 0).all()
 
 
-def test_groupset_sorts_dedupes_and_leaves_the_input_alone():
-    keys = family("LeviB").keys
-    shuffled = np.random.default_rng(7).permutation(keys)
-    # strictly increasing (kept as given), sorted with duplicates, unsorted
-    for given in (keys.copy(), np.repeat(keys, 2), shuffled):
-        g = GroupSet(3, given)
-        assert np.array_equal(g.keys, keys)
-        assert not g.keys.flags.writeable
-        # the caller's array stays writable, and its own
-        assert given.flags.writeable and not np.shares_memory(g.keys, given)
-        given[0] = 0
-        assert np.array_equal(g.keys, keys)
-
-
-def test_groupset_refuses_wide_primes_and_out_of_range_keys():
-    # ell = 17 is refused as FamilySpec refuses it, not on first use; an
-    # integer no uint64 holds is no key of the set
-    with pytest.raises(ValueError, match="ell = 17 does not pack"):
-        GroupSet(17, [1, 2, 3])
+def test_only_4x4_integer_matrices_are_members():
+    # x in G sifts the 4x4 integer matrix x through G's chain, reduced mod
+    # ell; a packed key, or anything else that is not such a matrix, is no
+    # member
     g = family("LeviB")
-    assert int(g.keys[0]) in g
-    for key in (-1, 2 ** 64, np.int64(-1)):
-        assert key not in g
+    ident = np.eye(4, dtype=np.int64)
+    assert ident in g and ident + 3 * np.ones((4, 4), np.int64) in g
+    assert ident.tolist() in g and tuple(map(tuple, ident)) in g
+    key = int(pack_matrices(ident[None], 3)[0])
+    for item in (key, np.uint64(key), -1, 2 ** 64, None, "1000", ident[None],
+                 ident[:3], ident[:, :3], ident.astype(float), ident.ravel(),
+                 [[1, 0, 0, 0]] * 3 + [[0, 0, 0, 1, 0]]):
+        assert item not in g, item
 
 
 def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
-    # a family build hands each chain to its GroupSet and lists no key:
-    # the base's and the doubled family's keys are listed on first use,
-    # once, and held without a copy
+    # a family build hands each chain to its GroupSet and lists no key;
+    # the listing of each held chain is its group, each element once
     chains = []
     chain = families._chain
     monkeypatch.setattr(families, "_chain", lambda *args, **kwargs:
@@ -666,18 +679,18 @@ def test_family_keys_are_the_closures_not_a_copy(monkeypatch):
         held = [fam] if base is None else [base, fam]
         assert [g._chain for g in held] == chains, tag
         for g in held:
-            assert g._keys is None, tag
-            keys = g.keys
-            assert g.keys is keys and not keys.flags.writeable, tag
+            keys = sorted_keys(g)
             assert keys.size == g.order and (keys[1:] > keys[:-1]).all(), tag
 
 
 def test_groupset_nu_values_rejects_non_similitudes():
-    bad = GroupSet.from_matrices(np.triu(np.ones((4, 4), np.int64))[None], 3)
+    # the group of the upper triangular matrix of ones: no similitude
+    bad = generated([np.triu(np.ones((4, 4), np.int64))], 3)
     with pytest.raises(ValueError, match="non-similitude"):
         bad.nu_values()
     with pytest.raises(ValueError, match="non-similitude"):
-        bad.similitude_factors()
+        KeySet.from_matrices(np.triu(np.ones((4, 4), np.int64))[None],
+                             3).nu_values()
 
 
 def test_similitude_factors_are_the_factors_of_the_elements():
@@ -692,7 +705,7 @@ def test_similitude_factors_are_the_factors_of_the_elements():
 
 
 def test_census_trivial_group():
-    triv = GroupSet.from_matrices(np.eye(4, dtype=np.int64)[None], 3)
+    triv = generated([], 3, [1])
     h = charpoly_census(triv)
     assert h.classes == {(2, 0, 2, 1): 1}
     assert h.nu_classes == {(2, 0, 2, 1, 1): 1}
@@ -753,7 +766,7 @@ def test_census_csv_shape():
 def _coefficient_census(group):
     "nu_classes from charpoly_coeffs and _similitude_info, all in int64."
     ell, counts = group.ell, np.zeros(group.ell ** 5, dtype=np.int64)
-    for mats in group.matrices():
+    for mats in matrices(group):
         ok, nu = _similitude_info(mats, ell)
         assert ok.all()
         c = charpoly_coeffs(mats, ell)
@@ -775,7 +788,7 @@ def test_census_equals_the_coefficient_reference():
     groups += [gsp4_3(), build_family(FamilySpec("LeviB", 13))]
     for g in groups:
         assert charpoly_census(g).nu_classes == _coefficient_census(g), g
-    bad = GroupSet.from_matrices(np.triu(np.ones((4, 4), np.int64))[None], 3)
+    bad = generated([np.triu(np.ones((4, 4), np.int64))], 3)
     with pytest.raises(ValueError, match="census input contains a "
                                          "non-similitude"):
         charpoly_census(bad)
@@ -818,7 +831,7 @@ def test_closed_form_equals_enumeration_gsp4_5_gated():
     # the symplectic bases and the generator closure check the listing, as
     # at ell = 3
     assert _same_as_the_oracle(listed, range(1, 5))
-    assert np.array_equal(_generator_closure(5, True), listed.keys)
+    assert np.array_equal(_generator_closure(5, True), sorted_keys(listed))
 
 
 def test_closed_form_totals_below_50():
@@ -902,7 +915,7 @@ def test_c_eta_m_bounds_and_errors():
     for eta in (0, 1, -1, 2, Fraction(5, 4)):
         with pytest.raises(ValueError):
             c_eta_M(h, eta)
-    triv = GroupSet.from_matrices(np.eye(4, dtype=np.int64)[None], 3)
+    triv = generated([], 3, [1])
     assert c_eta_M(charpoly_census(triv), Fraction(1, 2)) == 1
     assert c_eta_M(h, Fraction(99, 100)) == 1
     # a prefix that covers exactly (1 - eta) of the group is enough
@@ -973,8 +986,8 @@ def embed_gl2_siegel(ell):
     """GL2 embedded block-diagonally with nu = 1, A paired with t(A)^-1: the
     kernel of nu on the proven LeviP family [[A, 0], [0, nu t(A)^-1]], so a
     group of order |GL2(F_ell)|."""
-    levi = build_family(FamilySpec("LeviP", ell))
-    return GroupSet(ell, levi.keys[levi.nu_values() == 1])
+    levi = KeySet(ell, sorted_keys(build_family(FamilySpec("LeviP", ell))))
+    return KeySet(ell, levi.keys[levi.nu_values() == 1])
 
 
 def test_embed_gl2_siegel_census():
@@ -1149,10 +1162,10 @@ def grid_keys(tag, ell):
     "Sorted keys of the grid listing of a family and of its base (or None)."
     mats, w = GRIDS[tag](ell) % ell, DOUBLINGS.get(tag)
     if w is None:
-        return GroupSet.from_matrices(mats, ell).keys, None
+        return KeySet.from_matrices(mats, ell).keys, None
     union = np.concatenate([mats, mats @ (np.array(w) % ell) % ell])
-    return (GroupSet.from_matrices(union, ell).keys,
-            GroupSet.from_matrices(mats, ell).keys)
+    return (KeySet.from_matrices(union, ell).keys,
+            KeySet.from_matrices(mats, ell).keys)
 
 
 # the involution w of each doubled family, whose grid lists its base
@@ -1213,7 +1226,8 @@ def test_block_swap_is_inside_checkerboard_and_s_image():
     assert _SWAP in family("Hen")
     assert _SWAP in family_base("Case7")
     hen_gens = _FAMILIES["Hen"][0](3)
-    assert np.array_equal(mulclose(hen_gens + [_SWAP], 3), family("Hen").keys)
+    assert np.array_equal(mulclose(hen_gens + [_SWAP], 3),
+                          sorted_keys(family("Hen")))
     assert _EXCHANGE not in family("Hen")
     assert _ROT_PAIR not in family_base("Case7")
 
@@ -1227,7 +1241,7 @@ def test_case5_extension_is_genuine():
 
 def test_case6_exchange_swaps_checkerboard_factors():
     hen = family("Hen")
-    mats = np.stack([m for c in hen.matrices() for m in c])
+    mats = np.stack([m for c in matrices(hen) for m in c])
     conj = np.array(_EXCHANGE)[None] @ mats @ np.array(_EXCHANGE)[None] % 3
     # conjugation permutes the checkerboard: the two interleaved blocks trade
     swapped = mats.copy()
@@ -1240,7 +1254,7 @@ def test_case6_exchange_swaps_checkerboard_factors():
 
 def test_case7_rotation_realizes_field_conjugation():
     base = family_base("Case7")
-    mats = np.stack([m for c in base.matrices() for m in c])
+    mats = np.stack([m for c in matrices(base) for m in c])
     inv = np.array([[0, -1, 0, 0], [1, 0, 0, 0],
                     [0, 0, 0, -1], [0, 0, 1, 0]], dtype=np.int64)
     conj = (inv[None] % 3) @ mats @ (np.array(_ROT_PAIR)[None] % 3) % 3
@@ -1296,7 +1310,7 @@ def test_case7_charpoly_splits_into_conjugate_quadratics():
                 (p[0] * q[1] + p[1] * q[0]) % ell)
 
     checked = 0
-    for mats in base.matrices():
+    for mats in matrices(base):
         coeffs = charpoly_coeffs(mats, ell)
         for m, got in zip(mats, coeffs):
             def unS(r, c):
@@ -1347,14 +1361,16 @@ def test_case8_generators_close_at_ell_11_and_13_gated():
 
 def test_case8_extension_negates_upper_block():
     base = family_base("Case8")
-    mats = np.stack([m for c in base.matrices() for m in c])
+    mats = np.stack([m for c in matrices(base) for m in c])
     w = np.array(_NEG_LOWER)[None] % 3
     conj = w @ mats @ w % 3
     expect = mats.copy()
     expect[:, 0:2, 2:4] = (-mats[:, 0:2, 2:4]) % 3
     expect[:, 2:4, 0:2] = (-mats[:, 2:4, 0:2]) % 3
     assert (conj == expect).all()
-    assert GroupSet(3, pack_matrices(conj, 3)) == base  # an automorphism
+    # an automorphism
+    assert np.array_equal(KeySet(3, pack_matrices(conj, 3)).keys,
+                          sorted_keys(base))
 
 
 def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
@@ -1362,7 +1378,8 @@ def test_case8_block_swap_normalizes_only_when_u_squares_to_one():
     # block swap gives the same doubled group; at ell=5 it does not even
     # normalize the base
     gens, _, order, _ = _FAMILIES["Case8"]
-    assert np.array_equal(mulclose(gens(3) + [_SWAP], 3), family("Case8").keys)
+    assert np.array_equal(mulclose(gens(3) + [_SWAP], 3),
+                          sorted_keys(family("Case8")))
     # at ell = 5 the chain's order outgrows the doubled base, and mulclose
     # says so before listing
     with pytest.raises(RuntimeError, match="closure cap exceeded"):
@@ -1375,7 +1392,7 @@ def test_case9_pattern_union():
     assert _SWAP in g
     # the even pattern is block-diagonal-like (checkerboard), the odd one is
     # its complement; each contributes half
-    even = [m for c in g.matrices() for m in c if m[0, 0] or m[0, 2]]
+    even = [m for c in matrices(g) for m in c if m[0, 0] or m[0, 2]]
     assert len(even) == 96
     assert build_family(FamilySpec("Case9", 5)).order == 1920
 
@@ -1476,7 +1493,7 @@ def test_doubling_proof_guards(monkeypatch):
     # and <g, w> has 51,840 elements, far beyond 2N = 24
     g = np.array([[2, 1, 2, 2], [2, 1, 0, 0], [2, 2, 0, 0], [0, 2, 1, 2]])
     w = np.array([[2, 1, 0, 2], [2, 1, 1, 0], [0, 1, 2, 2], [2, 0, 1, 1]])
-    cyclic = GroupSet(3, mulclose([g], 3))
+    cyclic = generated([g], 3)
     assert cyclic.order == 12 and w @ w.T % 3 not in cyclic
     assert w @ g @ w.T in cyclic and w @ w in cyclic and w not in cyclic
     monkeypatch.setitem(_FAMILIES, "LeviB", (
@@ -1498,13 +1515,13 @@ def _assert_closures_equal_the_grids(ell, orders):
     for tag, order in orders.items():
         want, want_base = grid_keys(tag, ell)
         g, base = family_with_base(FamilySpec(tag, ell))
-        assert g.order == order and np.array_equal(g.keys, want), tag
+        assert g.order == order and np.array_equal(sorted_keys(g), want), tag
         assert (base is None) == (want_base is None), tag
         for got, keys in ((g, want), (base, want_base)):
             if got is not None:
-                assert np.array_equal(got.keys, keys), tag
+                assert np.array_equal(sorted_keys(got), keys), tag
                 assert got.similitude_factors() \
-                    == GroupSet(ell, keys).similitude_factors(), tag
+                    == KeySet(ell, keys).similitude_factors(), tag
 
 
 def test_every_family_at_ell_3_equals_the_grid_oracle():
@@ -1528,7 +1545,7 @@ def test_predicates_define_sets_of_the_family_orders(monkeypatch):
     # per family: an extended family proves its base) to define, with the
     # similitude test, a set of exactly the order it is counted against: at
     # ell = 3 every such set lies in GSp4(F_3), so count its members there
-    mats = np.concatenate(list(gsp4_3().matrices()))
+    mats = np.concatenate(list(matrices(gsp4_3())))
     proofs = []
     proof = families._closed_family
 
@@ -1613,24 +1630,93 @@ FAMILY_ORDERS_7 = _family_orders(7)
 LARGE_AT_7 = ("Hen", "Case6", "Case7")
 
 
+def _chain_orders_are_the_closed_forms(ell):
+    # the order a chain proves is the product of its orbit lengths: it is
+    # each family's closed form, and its index times it for the chain of an
+    # extended family, from its base's.  At ell = 7 the closed forms are also
+    # the standard formulas above.  The generators of the full groups give
+    # their orders too
+    for name, order in (("Sp4", sp4_order), ("GSp4", gsp4_order)):
+        assert _order(_chain(_full_gens(ell, name), ell)) == order(ell)
+    for tag, (gens, _, order, extension) in _FAMILIES.items():
+        chain, index = _chain(gens(ell), ell), 1
+        assert _order(chain) == order(ell), (tag, ell)
+        if extension is not None:
+            more, index = extension
+            assert _order(_chain(more, ell, base=chain)) \
+                == index * order(ell)
+        if ell == 7:
+            assert order(7) * index == FAMILY_ORDERS_7[tag], tag
+
+
 def test_chain_orders_are_the_closed_forms():
-    # the order a chain proves is the product of its orbit lengths; at
-    # ell = 7, 11 and 13 it is each family's closed form, and its index
-    # times it for the chain of an extended family, from its base's.  At
-    # ell = 7 the closed forms are also the standard formulas above.  The
-    # generators of the full groups give their orders too
-    for ell in (7, 11, 13):
-        for name, order in (("Sp4", sp4_order), ("GSp4", gsp4_order)):
-            assert _order(_chain(_full_gens(ell, name), ell)) == order(ell)
-        for tag, (gens, _, order, extension) in _FAMILIES.items():
-            chain, index = _chain(gens(ell), ell), 1
-            assert _order(chain) == order(ell), (tag, ell)
-            if extension is not None:
-                more, index = extension
-                assert _order(_chain(more, ell, base=chain)) \
-                    == index * order(ell)
-            if ell == 7:
-                assert order(7) * index == FAMILY_ORDERS_7[tag], tag
+    _chain_orders_are_the_closed_forms(7)
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell = 11 and 13: the chains of Sp4, GSp4 and "
+                           "every family, about 8 s")
+def test_chain_orders_are_the_closed_forms_at_11_and_13_gated():
+    for ell in (11, 13):
+        _chain_orders_are_the_closed_forms(ell)
+
+
+def _words(gens, rng, count, ell):
+    "`count` seeded random products of 1 to 8 of the matrices `gens`, mod ell."
+    out = []
+    for _ in range(count):
+        word = np.eye(4, dtype=np.int64)
+        for i in rng.integers(0, len(gens), rng.integers(1, 9)):
+            word = word @ gens[i] % ell
+        out.append(word)
+    return out
+
+
+def test_membership_sifts_as_the_listing_says():
+    # x in G sifts x through G's chain and lists nothing; the sorted keys of
+    # the listing are its oracle.  Each family's generators (and those that
+    # extend its base) and seeded random words in them are members, and
+    # random matrices are members exactly when the listing holds their keys
+    rng = np.random.default_rng(18)
+    for ell in (3, 5, 7):
+        for tag, (gens, _, _, extension) in _FAMILIES.items():
+            g = build_family(FamilySpec(tag, ell))
+            listed = sorted_keys(g)
+            mats = [np.array(m, dtype=np.int64) % ell for m in
+                    gens(ell) + ([] if extension is None else extension[0])]
+            members = mats + _words(mats, rng, 20, ell)
+            others = list(rng.integers(0, ell, (20, 4, 4)))
+            keys = pack_matrices(np.stack(members + others), ell)
+            held = listed[np.searchsorted(listed, keys) % listed.size] == keys
+            assert held[:len(members)].all(), (tag, ell)
+            assert [m in g for m in members + others] == held.tolist(), \
+                (tag, ell)
+
+
+def test_non_members_do_not_sift():
+    # diag(1, 1, 1, 2) meets Hen's conditions but is no similitude, and the
+    # similitudes that double a base lie outside it: _EXCHANGE outside Hen,
+    # _ROT_PAIR outside Case7's base
+    for ell in (3, 5, 7):
+        hen, case6 = (build_family(FamilySpec(tag, ell))
+                      for tag in ("Hen", "Case6"))
+        case7, base = family_with_base(FamilySpec("Case7", ell))
+        assert np.diag([1, 1, 1, 2]) not in hen, ell
+        assert _EXCHANGE not in hen and _EXCHANGE in case6, ell
+        assert _ROT_PAIR not in base and _ROT_PAIR in case7, ell
+        assert not case6.subset_of(hen) and hen.subset_of(case6), ell
+
+
+def test_equality_and_inclusion_sift():
+    # H == G: the same ell and order, and every generator of H sifts
+    # through G's chain; nothing is listed.  Case5's base is the LeviP
+    # family, and every family lies in GSp4
+    case5, base = family_with_base(FamilySpec("Case5", 3))
+    levi_p = build_family(FamilySpec("LeviP", 3))
+    assert base.subset_of(case5) and not case5.subset_of(base)
+    assert base != case5 and case5 == build_family(FamilySpec("Case5", 3))
+    assert base == levi_p and hash(base) == hash(levi_p)
+    assert case5.subset_of(gsp4_3()) and case5 != gsp4_3()
 
 
 # (orbit lengths per level, SHA-256 of the sorted keys as little-endian
@@ -1726,7 +1812,7 @@ LISTING_PINS = {
 
 def test_listings_are_pinned():
     def pin(group):
-        digest = hashlib.sha256(group.keys.astype("<u8").tobytes())
+        digest = hashlib.sha256(sorted_keys(group).astype("<u8").tobytes())
         return (tuple(len(level.orbit) for level in group._chain),
                 digest.hexdigest())
 
@@ -1873,7 +1959,7 @@ def test_every_family_at_ell_13_gated():
         assert base is None or g.order == 2 * base.order, tag
     peak = _child_peak_bytes("-m", "sympkit.cli", "ceta", "--case", "7",
                              "--ell", "13", "--eta", "1/4", "--enumerate")
-    assert 0 < peak < finite_census.DEFAULT_MAX_BYTES
+    assert 0 < peak < _BUDGET
 
 
 def test_family_working_set_stays_small():
@@ -1911,43 +1997,26 @@ def test_family_at_ell_13_is_built_whatever_its_order(monkeypatch):
         raise RuntimeError("the chain was reached")
 
     monkeypatch.setattr(families, "_chain", no_chain)
-    assert _modelled_bytes(57238272) > finite_census.DEFAULT_MAX_BYTES
+    assert _modelled_bytes(57238272) > _BUDGET
     with pytest.raises(RuntimeError, match="the chain was reached"):
         build_family(FamilySpec("Hen", 13))
 
 
-def test_only_a_held_key_set_is_priced(monkeypatch):
-    # a budget below Hen at ell = 3 (1152 keys) still builds the family
-    # and its factors, and its census from the listing; its sorted keys,
-    # one per element, are refused before any is listed
-    def no_listing(*args, **kwargs):
-        raise AssertionError("the keys were listed")
-
-    need = _modelled_bytes(1152)
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need - 1)
-    monkeypatch.setattr(finite_census, "_listed", no_listing)
-    g, _ = family_with_base(FamilySpec("Hen", 3))
-    assert g.order == 1152 and g.similitude_factors() == [1, 2]
-    assert charpoly_census(g).total == 1152
-    with pytest.raises(ResourceLimit, match=r"GroupSet\(ell=3, order=1152\) "
-                                            "holds 1152 elements, ~%d bytes"
-                                            % need):
-        g.keys
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", need)
-    with pytest.raises(AssertionError, match="the keys were listed"):
-        g.keys
-
-
 def test_groups_of_unequal_order_compare_without_keys(monkeypatch):
-    # groups of another prime or order differ whatever their keys, so ==
-    # lists none: with no key set affordable, LeviB and Case9 at ell = 3
-    # (8 and 192 elements) still compare unequal; equal orders need the keys
-    monkeypatch.setattr(finite_census, "DEFAULT_MAX_BYTES", 1)
+    # groups of another prime or order differ, so == sifts nothing; groups
+    # of one order are equal when one's generators sift through the other's
+    # chain.  With the listing refused, LeviB and Case9 at ell = 3 (8 and
+    # 192 elements) compare unequal, and equal groups equal
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a key was listed")
+
+    monkeypatch.setattr(finite_census, "_listing", no_listing)
     levi_b = build_family(FamilySpec("LeviB", 3))
     assert not levi_b == build_family(FamilySpec("Case9", 3))
+    assert levi_b != build_family(FamilySpec("Case9", 3))
     assert levi_b != build_family(FamilySpec("LeviB", 5))
-    with pytest.raises(ResourceLimit):
-        levi_b == build_family(FamilySpec("LeviB", 3))
+    assert levi_b == build_family(FamilySpec("LeviB", 3))
+    assert not levi_b.subset_of(build_family(FamilySpec("LeviB", 5)))
 
 
 # ---------------------------------------------------------------------------

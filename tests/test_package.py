@@ -28,8 +28,7 @@ EAGER_ALL = [
     "infinity_type_solve", "is_in_levi", "lambda_rep", "moebius",
     "oddness_normalize", "similitude_of", "torus", "try_similitude",
     "weyl_act", "weyl_orbit_and_stabilizer", "weyl_words",
-    "CharPolyHistogram", "FamilySpec", "GroupSet", "ResourceLimit",
-    "brute_similitude_scan", "build_family", "c_eta_M", "charpoly_census",
+    "CharPolyHistogram", "FamilySpec", "GroupSet", "build_family", "c_eta_M", "charpoly_census",
     "charpoly_coeffs", "closed_form_census", "enumerate_P1_reps",
     "enumerate_gsp4", "enumerate_sp4",
     "family_with_base", "gl2_charpoly_census", "gsp4_order", "mulclose",
@@ -246,6 +245,21 @@ def test_rou_charpolys_runs_without_numpy():
     assert out == [[126, 86], False]
 
 
+def test_a_group_answers_without_numpy():
+    # a GroupSet is its chain: membership, inclusion, equality, hash, its
+    # factors and a pickle round trip sift or read the chain, so Case7 at
+    # ell = 13 (115,839,360 elements) lists no key and loads no numpy
+    out = json.loads(run_python(
+        "import json, pickle, sys\n"
+        "from sympkit.families import FamilySpec, _SWAP, family_with_base\n"
+        "G, base = family_with_base(FamilySpec('Case7', 13))\n"
+        "got = [_SWAP in G, base.subset_of(G), G == G, hash(G),\n"
+        "       G.similitude_factors(), pickle.loads(pickle.dumps(G)) == G]\n"
+        "print(json.dumps([got, G.order, 'numpy' in sys.modules]))"))
+    assert out == [[True, True, True, hash((13, 115839360)), list(range(1, 13)),
+                    True], 115839360, False]
+
+
 def test_gl2_charpoly_census_runs_without_numpy():
     # its home is census, beside the family closed forms that share its count
     out = json.loads(run_python(
@@ -267,7 +281,8 @@ VALUES = [
     ("PrimeFieldElem", lambda: sympkit.PrimeFieldElem(7, 3), "val"),
     ("UPoly", lambda: sympkit.UPoly([1, 2]), "coeffs"),
     ("Cyclotomic", lambda: sympkit.Cyclotomic(5, [1, 2]), "coeffs"),
-    ("GroupSet", lambda: sympkit.GroupSet(3, [1, 2]), "ell"),
+    ("GroupSet", lambda: sympkit.build_family(sympkit.FamilySpec("LeviB", 3)),
+     "ell"),
     ("FamilySpec", lambda: sympkit.FamilySpec("LeviB", 3), "tag"),
     ("SatakeParams", lambda: sympkit.SatakeParams(1, 2, 3), "eps"),
     ("HeckeData", lambda: sympkit.HeckeData(1, 2, 1, 3), "a1"),
@@ -314,6 +329,10 @@ def _same(a, b):
                 and all(_same(x, y) for x, y in zip(a, b)))
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a).__eq__ is object.__eq__ and hasattr(type(a), "__slots__"):
+        # the levels of a GroupSet's chain compare slot by slot
+        return type(a) is type(b) and all(
+            _same(getattr(a, n), getattr(b, n)) for n in type(a).__slots__)
     return a == b
 
 
@@ -337,8 +356,6 @@ def test_value_types_copy_and_pickle(make):
             assert twin == obj
         if cls.__hash__ not in (None, object.__hash__):
             assert hash(twin) == hash(obj)
-        if isinstance(obj, sympkit.GroupSet):
-            assert not twin.keys.flags.writeable
 
 
 # (a factory of one value from its fields, the fields of one value, the
@@ -396,5 +413,13 @@ def test_equal_values_hash_alike():
             for b in values + plain:
                 if a == b or b == a:
                     assert hash(a) == hash(b), (a, b)
+    # two chains of Sp4(F_3), from its generators in two orders, hold other
+    # strong generators and transversals, yet compare equal and hash alike
+    from sympkit.families import _chain
+    from sympkit.finite_census import _full_gens
+    gens = _full_gens(3, "Sp4")
+    a, b = (sympkit.GroupSet(3, _chain(g, 3), [1]) for g in (gens, gens[::-1]))
+    assert a._chain[0].u != b._chain[0].u
+    assert a == b and b == a and hash(a) == hash(b)
     assert len({sympkit.PrimeFieldElem(7, 1), 1, 8}) == 3
     assert sympkit.PrimeFieldElem(7, 1) != 1 and 8 != sympkit.PrimeFieldElem(7, 1)
