@@ -299,15 +299,15 @@ class GroupSet(_Frozen):
         return hash((self.ell, self.order))
 
     def _blocks(self):
-        "The keys in blocks, in listing order (finite_census._listing)."
+        "The matrices in passes, in listing order (finite_census._listing)."
         from .finite_census import _listing
         return _listing(self._chain, self.ell)
 
     def nu_values(self):
         "Similitude factor of every element, in listing order."
-        from .finite_census import _similitude_info, _unpacked, np
+        from .finite_census import _similitude_info, np
         out = [np.empty(0, np.int64)]
-        for mats in _unpacked(self._blocks(), self.ell, np.int16):
+        for mats in self._blocks():
             ok, nu = _similitude_info(mats, self.ell)
             if not ok.all():
                 raise ValueError("set contains a non-similitude")

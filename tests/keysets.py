@@ -9,7 +9,8 @@ builds groups from generators and sets from keys or matrices.
 import numpy as np
 
 from sympkit.families import GroupSet, _chain
-from sympkit.finite_census import _listed, _unpacked, pack_matrices
+from sympkit.finite_census import (_CHUNK_ROWS, _listed, pack_matrices,
+                                   unpack_keys)
 
 
 def sorted_keys(group):
@@ -19,9 +20,15 @@ def sorted_keys(group):
     return _listed(group._chain, group.ell)
 
 
+def _passes(keys, ell):
+    "Yield the matrices of `keys`, in order, as (N, 4, 4) int64 passes."
+    for i in range(0, keys.size, _CHUNK_ROWS):
+        yield unpack_keys(keys[i:i + _CHUNK_ROWS], ell)
+
+
 def matrices(group):
     "Yield the elements of a group as (N, 4, 4) int64 arrays in key order."
-    return _unpacked([sorted_keys(group)], group.ell)
+    return _passes(sorted_keys(group), group.ell)
 
 
 def generated(gens, ell, factors=()):
@@ -32,8 +39,9 @@ def generated(gens, ell, factors=()):
 
 class KeySet:
     """A set of packed keys over F_ell, sorted and deduplicated, any set
-    (not only a group).  charpoly_census reads its `ell` and `_blocks`, as
-    it reads a GroupSet's, and nu_values is GroupSet's, in key order."""
+    (not only a group).  charpoly_census reads its `ell` and `_blocks`
+    (matrices in passes), as it reads a GroupSet's, and nu_values is
+    GroupSet's, in key order."""
 
     def __init__(self, ell, keys):
         # by one sort (np.unique hashes since numpy 2.3, many times slower)
@@ -51,7 +59,7 @@ class KeySet:
         return self.keys.size
 
     def _blocks(self):
-        return [self.keys]
+        return _passes(self.keys, self.ell)
 
     nu_values = GroupSet.nu_values
 

@@ -26,6 +26,7 @@ from sympkit.exact_arith import PrimeFieldElem, is_odd_prime
 from sympkit.gsp4_core import similitude_generator, standard_generators
 from sympkit.families import (
     FamilySpec,
+    GroupSet,
     build_family,
     family_with_base,
     _EXCHANGE,
@@ -53,10 +54,7 @@ from sympkit.finite_census import (
     _listing,
     _omega,
     _order,
-    _products,
-    _row_tables,
     _similitude_info,
-    _unpacked,
 )
 
 from keysets import KeySet, generated, matrices, sorted_keys
@@ -88,8 +86,9 @@ def _modelled_bytes(elements):
     return (96 << 20) + 8 * elements
 
 
-# the key budget of 512 MiB that the measured peaks are held below
-_BUDGET = 512 << 20
+# the budget of 128 MiB that the peak RSS of the worst listing that remains
+# is held below (measured at 39 MiB)
+_BUDGET = 128 << 20
 
 
 def family(tag, ell=3):
@@ -143,23 +142,18 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(got, want.reshape(-1, 4, 4))
         assert np.array_equal(got, mats)
         assert got.flags.writeable and not np.shares_memory(got, keys)
-        for dtype in (np.int8, np.int16, np.uint64):
-            small = unpack_keys(keys, ell, dtype=dtype)
-            assert small.dtype == dtype and np.array_equal(small, mats)
-    # one pass of the checks and the census: 2,048 keys make no array wider
-    # than the result and one 2,048-word scratch, plus 2 KiB of array
-    # objects (the 16 rows shifted in one call went through a wider
-    # transient: 258 KiB for the 64 KiB int16 result)
+    # 2,048 keys unpack with no array wider than the result, plus 2 KiB of
+    # array objects (shifting the 16 rows in one call would go through a
+    # wider transient)
     keys = pack_matrices(rng.integers(0, 5, size=(2048, 4, 4)), 5)
-    for dtype in (np.int16, np.int64):
-        unpack_keys(keys, 5, dtype)
-        tracemalloc.start()
-        try:
-            got = unpack_keys(keys, 5, dtype)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= got.nbytes + keys.nbytes + 2048, (dtype, peak)
+    unpack_keys(keys, 5)
+    tracemalloc.start()
+    try:
+        got = unpack_keys(keys, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + keys.nbytes + 2048, peak
     # packing them casts and shifts one entry column at a time through one
     # 2,048-word scratch (an (N, 16) uint64 copy and its shift traced
     # 591,440 bytes for the 16 KiB of keys)
@@ -201,6 +195,19 @@ def test_packing_rejects_wide_primes():
                  lambda: FamilySpec("LeviB", 17)):
         with pytest.raises(ValueError, match="ell = 17 does not pack"):
             call()
+
+
+def test_pack_matrices_refuses_entries_outside_the_field():
+    # an entry of ell or more would spill into the next field (at ell = 3,
+    # the identity with entry (0, 0) set to 4 would read [[0, 1, 0, 0],
+    # ...]), and a negative one would wrap (-1 would read 3)
+    ident = np.eye(4, dtype=np.int64)
+    for r, c, x in ((0, 0, 4), (2, 3, -1), (3, 3, 3)):
+        bad = np.stack([ident, ident])
+        bad[1, r, c] = x
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 3\)"):
+            pack_matrices(bad, 3)
+    assert pack_matrices(ident * 2, 3).size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +417,27 @@ def _symplectic_bases(ell, scalars):
 
     Every pair (c0, c2) with omega(c0, c2) = 1 gets a symplectic basis
     (u1, u2) of its complement, so the B.h are every symplectic basis;
-    scaling the last two columns by s makes nu = s.  The products are formed
-    on the packed keys of B by row tables (_products, checked against the
-    matrix products): one pass by the |SL2| tables of h, one by the tables
-    of diag(1, 1, s, s), for blocks of about 2^16 bases times h."""
+    scaling the last two columns by s makes nu = s.  The products are
+    matrix products, B (h diag(1, 1, s, s)) by np.matmul in int16 (exact,
+    as 4 * 12^2 < 2^15), for blocks of about 2^16 bases times h, so the
+    oracle shares no product kernel with the listing it checks."""
     c0, c2 = _symplectic_pairs(ell)
     u1, u2 = _complement_bases(c0, c2, ell)
-    bases = pack_matrices(np.stack([c0, u1, c2, u2], axis=2), ell)
+    bases = np.stack([c0, u1, c2, u2], axis=2).astype(np.int16)
     gl2, det = _all_gl2(ell)
-    h_tables = _row_tables([_embed(((1, 3), h)) for h in gl2[det == 1]], ell)
-    s_tables = _row_tables([np.diag([1, 1, s, s]) for s in scalars], ell)
-    width = len(h_tables)
-    out = np.empty((len(scalars), bases.size * width), dtype=np.uint64)
+    sl2 = np.array([_embed(((1, 3), h)) for h in gl2[det == 1]])
+    width = len(sl2)
+    out = np.empty((len(scalars), len(bases) * width), dtype=np.uint64)
     per = max(1, (1 << 16) // width)
-    for start in range(0, bases.size, per):
-        part = bases[start:start + per]
-        out[:, start * width:(start + part.size) * width] = _products(
-            _products(part, h_tables, ell), s_tables, ell).reshape(
-                len(scalars), -1)
     for row, s in zip(out, scalars):
-        for mats in _unpacked([row], ell, np.int16):
+        hs = (np.matmul(sl2, np.diag([1, 1, s, s])) % ell).astype(np.int16)
+        for start in range(0, len(bases), per):
+            mats = np.matmul(bases[start:start + per, None], hs) % ell
+            mats = mats.reshape(-1, 4, 4)
             ok, nu = _similitude_info(mats, ell)
             assert (ok & (nu == s)).all(), s
+            row[start * width:start * width + len(mats)] = pack_matrices(
+                mats, ell)
     return out.ravel()
 
 
@@ -532,40 +538,13 @@ def test_closures_are_strictly_increasing():
                 more, index = extension
                 chains.append(_chain(more, ell, base=chains[0]))
             keys = [mulclose(gens(ell), ell)]
-            keys += [np.sort(np.concatenate(list(_listing(c, ell))))
+            keys += [np.sort(np.concatenate([pack_matrices(m, ell)
+                                             for m in _listing(c, ell)]))
                      for c in chains]
             for k in keys:
                 assert k.dtype == np.uint64 and (k[1:] > k[:-1]).all(), tag
             assert np.array_equal(keys[0], keys[1]), tag
             assert keys[-1].size == order(ell) * index, (tag, ell)
-
-
-def test_row_table_products_match_the_matrix_products():
-    # the reference is the matrix kernel: unpack, multiply, reduce, pack;
-    # at ell = 11 and 13 the keys use every one of the 64 bits.  The inputs
-    # are each family's generators (and w), and the multipliers of the
-    # symplectic-basis oracle: h in SL2 on columns 1 and 3, and
-    # diag(1, 1, s, s)
-    rng = np.random.default_rng(20261018)
-    for ell in (3, 5, 7, 11, 13):
-        keys = pack_matrices(rng.integers(0, ell, (500, 4, 4)), ell)
-        keys[:2] = pack_matrices([np.zeros((4, 4), np.int64),
-                                  np.full((4, 4), ell - 1)], ell)
-        inputs = [(tag, gens(ell) + ([] if ext is None else ext[0]))
-                  for tag, (gens, _, _, ext) in _FAMILIES.items()]
-        gl2, det = _all_gl2(ell)
-        inputs.append(("symplectic bases",
-                       [_embed(((1, 3), h)) for h in gl2[det == 1]]
-                       + [np.diag([1, 1, s, s]) for s in range(1, ell)]))
-        for tag, gens in inputs:
-            gens = np.array(gens) % ell
-            for i in range(0, len(gens), 64):  # at most 32 MiB of tables
-                part = gens[i:i + 64]
-                want = np.concatenate([
-                    pack_matrices(np.matmul(unpack_keys(keys, ell), g) % ell,
-                                  ell) for g in part])
-                got = _products(keys, _row_tables(part, ell), ell)
-                assert np.array_equal(got, want), (tag, ell)
 
 
 def test_enumeration_refuses_large_primes():
@@ -834,6 +813,19 @@ def test_closed_form_equals_enumeration_gsp4_5_gated():
     assert np.array_equal(_generator_closure(5, True), sorted_keys(listed))
 
 
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell=7: the census of the listing of Sp4(F_7), "
+                           "276,595,200 elements, about 20 s")
+def test_closed_form_equals_the_listing_sp4_7_gated():
+    # enumerate_sp4(7) stays refused; the chain of the same generators, of
+    # the order formula's order, is listed once, every element checked as a
+    # similitude by the census and its factor by the comparison
+    chain = _chain(_full_gens(7, "Sp4"), 7)
+    assert _order(chain) == sp4_order(7)
+    listed = charpoly_census(GroupSet(7, chain, (1,)))
+    assert _same_census(closed_form_census(7, "sp4"), listed)
+
+
 def test_closed_form_totals_below_50():
     for ell in filter(is_odd_prime, range(3, 50)):
         sp4 = closed_form_census(ell, "sp4")
@@ -900,7 +892,7 @@ def test_family_closed_forms_equal_the_listing():
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell = 11 and 13: the listings of all nine "
                            "families (Hen, Case6 and Case7: 57, 114 and 116 "
-                           "million elements at 13), about 60 s")
+                           "million elements at 13), about 37 s")
 def test_family_closed_forms_equal_the_listing_gated():
     for ell in (11, 13):
         _closed_forms_equal_the_listing(ell)
@@ -1349,7 +1341,7 @@ def test_case8_conditions_and_orders():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=11 and 13: about 0.3 s")
+                    reason="ell=11 and 13: about 1.4 s")
 def test_case8_generators_close_at_ell_11_and_13_gated():
     # the searched generators of _case8_gens reach the whole base at the
     # largest primes that pack
@@ -1565,7 +1557,7 @@ def _streamed_factors(chain, ell, inside=None):
     """Stream the listing of a chain, check every element as a similitude
     (and by `inside`), and return the factors that occur, ascending."""
     occurs = np.zeros(ell, dtype=bool)
-    for mats in _unpacked(_listing(chain, ell), ell, np.int16):
+    for mats in _listing(chain, ell):
         ok, nu = _similitude_info(mats, ell)
         if inside is not None:
             ok &= inside(mats)
@@ -1945,11 +1937,11 @@ def test_family_orders_at_ell_7_gated():
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=13: every family, and the census of Case7's "
                            "listing (115,839,360 elements) in a child, "
-                           "about 25 s")
+                           "about 13 s")
 def test_every_family_at_ell_13_gated():
     # the largest prime that packs: each build lists nothing and holds no
     # key set, and the worst listing that remains, the census of Case7 under
-    # --enumerate, stays inside the default budget as a single CLI child
+    # --enumerate, stays below _BUDGET as a single CLI child
     orders = _family_orders(13)
     assert [orders[t] for t in ("Hen", "Case6", "Case7")] \
         == [57238272, 114476544, 115839360]
@@ -1968,25 +1960,43 @@ def test_family_working_set_stays_small():
     # at ell = 5 (57,600 elements, 450 KiB of keys) traces at 0.11 MiB, and
     # of the doubled Case7 (124,800 elements and a base of 62,400, 1.43 MiB
     # of keys) at 0.34 MiB, the chain's arrays.  The census streams the
-    # listing in passes of a few thousand keys, keeping only the blocks of
-    # tree points with children, and unpacks each pass into int16 rows, so
-    # Hen's `ceta --enumerate` path traces at 0.56 MiB.  Each bound is its
-    # peak plus 0.07 MiB
+    # listing as int16 matrices, H (the group of levels 3..1, here 2,400
+    # elements) times one point of level 0 per pass, so Hen's `ceta
+    # --enumerate` path traces at 0.36 MiB.  Each bound is its peak plus
+    # 0.07 MiB
     def family_path(tag):
         return family_with_base(FamilySpec(tag, 5))[0].similitude_factors()
 
     for name, bound, run in (
             ("Hen", 0.18, lambda: family_path("Hen")),
             ("Case7", 0.41, lambda: family_path("Case7")),
-            ("Hen census", 0.63,
+            ("Hen census", 0.43,
              lambda: charpoly_census(build_family(FamilySpec("Hen", 5))))):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(run)
         assert peak < bound * (1 << 20), (name, peak)
+
+
+def _traced_peak(run):
+    "The peak bytes that tracemalloc traces while `run()` runs."
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_census_of_a_listing_runs_in_bounded_memory():
+    # a listing forms H, the group of levels 3..1, once, and then passes of
+    # H times about 2,048 / |H| points of level 0, which the census reads
+    # as they are: the census of Sp4(F_5) (9,360,000 elements, |H| =
+    # 15,000) traces at 1.96 MiB, and that of Case8 at ell = 11 (316,800
+    # elements, |H| = 24) at 0.65 MiB.  Each bound is its peak plus 25%,
+    # the groups built before tracing
+    for group, bound in ((enumerate_sp4(5), 2.45),
+                         (build_family(FamilySpec("Case8", 11)), 0.81)):
+        peak = _traced_peak(lambda: charpoly_census(group))
+        assert peak < bound * (1 << 20), (group, peak)
 
 
 def test_family_at_ell_13_is_built_whatever_its_order(monkeypatch):
