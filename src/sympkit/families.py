@@ -13,7 +13,7 @@ from itertools import product
 from math import prod
 from operator import index
 
-from ._mat import mat_inv, mat_mul, row_reduce
+from ._mat import diag, mat_inv, mat_mul, row_reduce
 from .exact_arith import (PrimeFieldElem, _Frozen, _Record, _require_odd_prime,
                           quadratic_nonresidue, solve_sum_of_squares)
 
@@ -67,14 +67,14 @@ class _Level:
     vector's position in it (-1 off it), and act[s][p], that of gens[s]
     times point p; a vector (x, y, z, w) is read as x + ell y + ell^2 z +
     ell^3 w.  Point p was first reached as gens[via[p]] times point
-    parent[p], at depth[p] of the Schreier tree: its transversal element
-    u_p = gens[via[p]] u_parent[p] maps e_k to it, u_p^-1 = u_parent[p]^-1
-    inv[via[p]], and they are u[16p:16p + 16] and uinv[16p:16p + 16].  The
-    Schreier generators of the first sifted[0] points by the first
-    sifted[1] generators sift.  Flat arrays keep a level small."""
+    parent[p]: its transversal element u_p = gens[via[p]] u_parent[p] maps
+    e_k to it, u_p^-1 = u_parent[p]^-1 inv[via[p]], and they are
+    u[16p:16p + 16] and uinv[16p:16p + 16].  The Schreier generators of the
+    first sifted[0] points by the first sifted[1] generators sift.  Flat
+    arrays keep a level small."""
 
     __slots__ = ("k", "gens", "inv", "act", "orbit", "where", "u", "uinv",
-                 "parent", "via", "depth", "sifted")
+                 "parent", "via", "sifted")
 
     def __init__(self, k, ell):
         "Level k with no strong generator: the orbit {e_k}."
@@ -82,7 +82,7 @@ class _Level:
         self.orbit, self.where = array("i", [ell ** k]), array("i", [-1]) * ell ** 4
         self.where[ell ** k] = 0
         self.u, self.uinv = bytearray(_ONE), bytearray(_ONE)
-        self.parent, self.via, self.depth = (array("i", [x]) for x in (-1, -1, 0))
+        self.parent, self.via = array("i", [-1]), array("i", [-1])
 
     def extended(self, gens, inv, ell):
         """This level with the strong generators `gens` added, its orbit
@@ -90,7 +90,7 @@ class _Level:
         orbit, then all on each round's new points); old points keep their
         transversal, so their Schreier generators by old ones still sift."""
         out = object.__new__(_Level)
-        for name in ("orbit", "where", "u", "uinv", "parent", "via", "depth"):
+        for name in ("orbit", "where", "u", "uinv", "parent", "via"):
             setattr(out, name, getattr(self, name)[:])
         out.k, out.gens, out.inv, out.sifted = self.k, self.gens + gens, \
             self.inv + inv, self.sifted
@@ -112,7 +112,6 @@ class _Level:
                         uinv += _mul(uinv[16 * p:16 * p + 16], out.inv[s], ell)
                         out.parent.append(p)
                         out.via.append(s)
-                        out.depth.append(out.depth[p] + 1)
                     row.append(q)
             front, first = range(size, len(orbit)), 0
         return out
@@ -147,49 +146,47 @@ def _with(chain, gens, low, ell):
     return chain
 
 
-def _sifts(cols, deeper, ell):
-    """Whether h, fixing the base points before the levels `deeper` ((where,
-    uinv) per level), sifts to 1 through them, given its columns `cols` from
-    there on: per level, only the later columns of uinv h are formed."""
-    for where, uinv in deeper:
+def _sift(cols, levels, ell):
+    """Sims' membership test of h, which fixes the base points before the
+    `levels`, given by its columns `cols` from there on: None when h sifts
+    to 1 through them, else (j, rest) for the first level j whose orbit
+    misses its point, rest being the columns j, ..., 3 of what is left of h
+    (it fixes e_0, ..., e_(j-1)).  Per level, only the later columns of
+    uinv h are formed."""
+    for level in levels:
         x, y, z, w = cols[0]
-        pos = where[x + ell * (y + ell * (z + ell * w))]
+        pos = level.where[x + ell * (y + ell * (z + ell * w))]
         if pos < 0:
-            return False
+            return level.k, cols
         cols = cols[1:]
         if pos and cols:
-            cols = _apply(uinv[16 * pos:16 * pos + 16], cols, ell)
-    return True
+            cols = _apply(level.uinv[16 * pos:16 * pos + 16], cols, ell)
+    return None
 
 
 def _residue(chain, i, start, ell):
     """(stop, found): the Schreier generators uinv[q] s u[p] of level i (q
     the point s p) from point `start` on, but for tree edges and those that
-    level.sifted covers, are sifted on their columns i + 1, ..., 3.  found
-    is None when all sift (level.sifted then covers all), else (j, r) for
-    the first r that does not, at point `stop`, sifted to its level j."""
+    level.sifted covers, are sifted on their columns i + 1, ..., 3 (_sift).
+    found is None when all sift (level.sifted then covers all), else (j, r)
+    for the first that does not, at point `stop`: r is its residue, which
+    stopped at level j, so its columns before j are those of 1."""
     level = chain[i]
     u, uinv, parent, via = level.u, level.uinv, level.parent, level.via
-    deeper = [(lower.where, lower.uinv) for lower in chain[i + 1:]]
+    deeper = chain[i + 1:]
     (known, old), n = level.sifted, len(level.orbit)
     moves = list(zip(range(len(level.gens)), level.gens, level.act))
     for p in range(start, n):
-        up = u[16 * p:16 * p + 16]
-        cols = _columns(up)[i + 1:]
+        cols = _columns(u[16 * p:16 * p + 16])[i + 1:]
         for s, g, act in moves[old if p < known else 0:]:
             q = act[p]
             if parent[q] == p and via[q] == s:
                 continue  # a tree edge: the identity
-            uq = uinv[16 * q:16 * q + 16]
-            if not _sifts(_apply(uq, _apply(g, cols, ell), ell), deeper, ell):
-                r = _mul(uq, _mul(g, up, ell), ell)
-                for j in range(i + 1, 4):
-                    x, y, z, w = r[4 * j:4 * j + 4]
-                    pos = chain[j].where[x + ell * (y + ell * (z + ell * w))]
-                    if pos < 0:
-                        return p, (j, r)
-                    r = _mul(chain[j].uinv[16 * pos:16 * pos + 16], r, ell)
-                raise AssertionError("a Schreier generator sifted both ways")
+            found = _sift(_apply(uinv[16 * q:16 * q + 16],
+                                 _apply(g, cols, ell), ell), deeper, ell)
+            if found is not None:
+                j, rest = found
+                return p, (j, _ONE[:4 * j] + bytes(sum(rest, ())))
     level.sifted = (n, len(moves))
     return n, None
 
@@ -252,7 +249,7 @@ def _nu(m, ell):
 class GroupSet(_Frozen):
     """A proven group over F_ell (a family or a full group): its complete
     `chain` and the similitude `factors` that its proof found.  Membership,
-    inclusion and equality sift through the chain (_sifts), so none lists a
+    inclusion and equality sift through the chain (_sift), so none lists a
     key; only the census lists the group (finite_census, numpy)."""
 
     __slots__ = ("ell", "_chain", "_factors")
@@ -270,8 +267,7 @@ class GroupSet(_Frozen):
 
     def _holds(self, m):
         "Whether the matrix m of 16 ints mod ell sifts to 1 through the chain."
-        return _sifts(_columns(m), [(level.where, level.uinv)
-                                    for level in self._chain], self.ell)
+        return _sift(_columns(m), self._chain, self.ell) is None
 
     def __contains__(self, item):
         """Whether the 4x4 integer matrix `item` lies in the group: it sifts
@@ -379,14 +375,9 @@ _T_DUAL = ((1, 0), (-1, 1))
 _W = ((0, -1), (1, 0))
 
 
-def _diag(*entries):
-    return tuple(tuple(x if i == j else 0 for j in range(len(entries)))
-                 for i, x in enumerate(entries))
-
-
 def _embed(*parts):
     "The 4x4 identity with each 2x2 block on the rows and columns `idx`."
-    m = [list(row) for row in _diag(1, 1, 1, 1)]
+    m = [list(row) for row in diag(1, 1, 1, 1)]
     for idx, block in parts:
         for (r, i), (c, j) in product(enumerate(idx), repeat=2):
             m[i][j] = int(block[r][c])
@@ -396,7 +387,7 @@ def _embed(*parts):
 def _diags(ell, *exponents):
     "diag(g^e1, g^e2, g^e3, g^e4) for each tuple (e1, ..., e4)."
     g = _primitive_root(ell)
-    return [_diag(*(pow(g, e, ell) for e in es)) for es in exponents]
+    return [diag(*(pow(g, e, ell) for e in es)) for es in exponents]
 
 
 def _kron(*pairs):
@@ -411,9 +402,9 @@ def _case7_gens(ell):
     diag(g, 1) over F_ell(sqrt u): that of X + Y sqrt u has the 2x2 blocks
     x I + y [[a, b], [b, -a]] for the entries x of X and y of Y."""
     _, a, b = _ext_params(ell)
-    one, zero = _diag(1, 1), _diag(0, 0)
+    one, zero = diag(1, 1), diag(0, 0)
     pairs = [(_T, zero), (one, ((0, 1), (0, 0))), (((1, 0), (1, 1)), zero),
-             (one, ((0, 0), (1, 0))), (_diag(_primitive_root(ell), 1), zero)]
+             (one, ((0, 0), (1, 0))), (diag(_primitive_root(ell), 1), zero)]
     return [_kron((x, one), (y, ((a, b), (b, -a)))) for x, y in pairs]
 
 
@@ -441,8 +432,8 @@ def _case8_gens(ell):
     c0, c1 = next(x for x in elems if norm(x) == 1 and order(x) == ell + 1)
     z0, z1 = next(x for x in elems if norm(x) == _primitive_root(ell))
     pairs = [(((a0, b0), (-b0, a0)), ((a1, b1), (b1, -a1))),
-             (_diag(c0, 1), _diag(c1, 0)), (_diag(z0, z0), _diag(z1, z1))]
-    return [_kron((_diag(1, 1), x), (((0, 1), (u, 0)), y)) for x, y in pairs]
+             (diag(c0, 1), diag(c1, 0)), (diag(z0, z0), diag(z1, z1))]
+    return [_kron((diag(1, 1), x), (((0, 1), (u, 0)), y)) for x, y in pairs]
 
 
 def _entries(*terms):
@@ -529,7 +520,7 @@ _FAMILIES = {
               # every block a scalar x I
               lambda ell: _blockwise((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)),
               lambda q: q * (q * q - 1) * (q - 1),
-              ([_diag(1, -1, 1, -1), _EXCHANGE], 4)),
+              ([diag(1, -1, 1, -1), _EXCHANGE], 4)),
 }
 
 

@@ -225,12 +225,14 @@ class LatticeRing(_Record):
     # -- membership ---------------------------------------------------------
 
     def contains(self, x):
-        """Exact ring membership.  Raises ValueError when x does not even lie
-        in the fraction field of the lattice."""
-        if isinstance(x, int):
-            return True
-        if isinstance(x, Fraction):
-            return x.denominator == 1
+        """Exact ring membership (Z[omega] also takes a + b omega as the pair
+        (a, b), as elements_up_to lists it).  Raises ValueError when x does
+        not even lie in the fraction field of the lattice."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x).denominator == 1
+        if (self.tag == "Zw" and isinstance(x, tuple) and len(x) == 2
+                and all(isinstance(t, (int, Fraction)) for t in x)):
+            return all(Fraction(t).denominator == 1 for t in x)
         if isinstance(x, GaussianRational):
             if x.im and self.tag != "Zi":
                 raise ValueError("%s does not lie in the fraction field of %s"

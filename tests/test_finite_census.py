@@ -580,7 +580,7 @@ def test_budget_model_bounds_the_census_peak_rss():
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=5: the census and the key set of GSp4(F_5) "
-                           "in child processes, about 7 s")
+                           "in child processes, about 6 s")
 def test_budget_model_bounds_the_enumeration_peak_rss_gated():
     need = _modelled_bytes(gsp4_order(5))
     peak = _child_peak_bytes("-m", "sympkit.cli", "census", "--ell", "5",
@@ -815,7 +815,7 @@ def test_closed_form_equals_enumeration_gsp4_5_gated():
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=7: the census of the listing of Sp4(F_7), "
-                           "276,595,200 elements, about 20 s")
+                           "276,595,200 elements, about 11 s")
 def test_closed_form_equals_the_listing_sp4_7_gated():
     # enumerate_sp4(7) stays refused; the chain of the same generators, of
     # the order formula's order, is listed once, every element checked as a
@@ -892,7 +892,7 @@ def test_family_closed_forms_equal_the_listing():
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell = 11 and 13: the listings of all nine "
                            "families (Hen, Case6 and Case7: 57, 114 and 116 "
-                           "million elements at 13), about 37 s")
+                           "million elements at 13), about 21 s")
 def test_family_closed_forms_equal_the_listing_gated():
     for ell in (11, 13):
         _closed_forms_equal_the_listing(ell)
@@ -1341,7 +1341,7 @@ def test_case8_conditions_and_orders():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
-                    reason="ell=11 and 13: about 1.4 s")
+                    reason="ell=11 and 13: about 1 s")
 def test_case8_generators_close_at_ell_11_and_13_gated():
     # the searched generators of _case8_gens reach the whole base at the
     # largest primes that pack
@@ -1647,7 +1647,7 @@ def test_chain_orders_are_the_closed_forms():
 
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell = 11 and 13: the chains of Sp4, GSp4 and "
-                           "every family, about 8 s")
+                           "every family, about 7 s")
 def test_chain_orders_are_the_closed_forms_at_11_and_13_gated():
     for ell in (11, 13):
         _chain_orders_are_the_closed_forms(ell)
@@ -1697,6 +1697,57 @@ def test_non_members_do_not_sift():
         assert _EXCHANGE not in hen and _EXCHANGE in case6, ell
         assert _ROT_PAIR not in base and _ROT_PAIR in case7, ell
         assert not case6.subset_of(hen) and hen.subset_of(case6), ell
+
+
+def _full_product_sift(m, chain, ell):
+    """The reference of families._sift: the 4x4 matrix m sifted with full
+    products mod ell, r = uinv_p r level by level, p the position of the
+    column k of r in the orbit of level k.  (k, r) for the first level k
+    whose orbit misses it, else (None, r)."""
+    r = np.asarray(m, dtype=np.int64) % ell
+    for level in chain:
+        x, y, z, w = r[:, level.k]
+        pos = level.where[x + ell * (y + ell * (z + ell * w))]
+        if pos < 0:
+            return level.k, r
+        uinv = np.frombuffer(level.uinv, np.uint8)[16 * pos:16 * pos + 16]
+        r = uinv.reshape(4, 4).T.astype(np.int64) @ r % ell  # column-major
+    return None, r
+
+
+def test_sift_stops_where_the_full_product_sift_does():
+    # _sift forms only the later columns of what is left of h, level by
+    # level; the full-product sift is its oracle.  Random invertible
+    # matrices, members and members times a similitude outside most of the
+    # groups stop at every level, and the residue of one that stops fixes
+    # e_0, ..., e_(j-1), so its later columns are all of it
+    rng = np.random.default_rng(40)
+    outer = [np.array(m) for m in (_EXCHANGE, _ROT_PAIR, np.diag([1, 1, 1, 2]))]
+    groups = [sp4_3(), gsp4_3()]
+    for ell in (3, 5):
+        for tag in _FAMILIES:
+            groups += [g for g in family_with_base(FamilySpec(tag, ell))
+                       if g is not None]
+    stops = set()
+    for group in groups:
+        chain, ell = group._chain, group.ell
+        gens = [np.frombuffer(g, np.uint8).reshape(4, 4).T.astype(np.int64)
+                for g in chain[0].gens]
+        members = _words(gens, rng, 10, ell)
+        others = [m for m in rng.integers(0, ell, (40, 4, 4))
+                  if round(np.linalg.det(m)) % ell][:20]
+        for m in members + [x @ y for x in members[:5] for y in outer] + others:
+            found = families._sift(families._columns(families._matrix(m, ell)),
+                                   chain, ell)
+            j, r = _full_product_sift(m, chain, ell)
+            stops.add(j)
+            if j is None:
+                assert found is None and np.array_equal(r, np.eye(4)), group
+            else:
+                assert found is not None and found[0] == j, group
+                assert np.array_equal(r[:, :j], np.eye(4)[:, :j]), group
+                assert np.array_equal(np.array(found[1]).T, r[:, j:]), group
+    assert stops == {None, 0, 1, 2, 3}
 
 
 def test_equality_and_inclusion_sift():
@@ -1937,7 +1988,7 @@ def test_family_orders_at_ell_7_gated():
 @pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
                     reason="ell=13: every family, and the census of Case7's "
                            "listing (115,839,360 elements) in a child, "
-                           "about 13 s")
+                           "about 10 s")
 def test_every_family_at_ell_13_gated():
     # the largest prime that packs: each build lists nothing and holds no
     # key set, and the worst listing that remains, the census of Case7 under
@@ -1990,9 +2041,10 @@ def test_the_census_of_a_listing_runs_in_bounded_memory():
     # a listing forms H, the group of levels 3..1, once, and then passes of
     # H times about 2,048 / |H| points of level 0, which the census reads
     # as they are: the census of Sp4(F_5) (9,360,000 elements, |H| =
-    # 15,000) traces at 1.96 MiB, and that of Case8 at ell = 11 (316,800
-    # elements, |H| = 24) at 0.65 MiB.  Each bound is its peak plus 25%,
-    # the groups built before tracing
+    # 15,000) traced at 1.96 MiB, and that of Case8 at ell = 11 (316,800
+    # elements, |H| = 24) at 0.65 MiB.  Each bound is that peak plus 25%,
+    # the groups built before tracing.  Since the census drops each pass
+    # before the next is formed, they trace at 1.40 and 0.57 MiB
     for group, bound in ((enumerate_sp4(5), 2.45),
                          (build_family(FamilySpec("Case8", 11)), 0.81)):
         peak = _traced_peak(lambda: charpoly_census(group))

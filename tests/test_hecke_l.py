@@ -208,6 +208,22 @@ def test_lattice_membership():
         LatticeRing("Q")
 
 
+def test_every_point_of_Y_lies_in_its_ring():
+    # Z[omega]'s points are the pairs (a, b) of a + b omega, and its
+    # membership test takes them as such
+    for tag in ("Z", "Zi", "Zw"):
+        ring = LatticeRing(tag)
+        for c in (0, 1, F(9, 4), 7):
+            assert all(ring.contains(y) for y in enumerate_Y(c, ring)), (tag, c)
+    zw = LatticeRing("Zw")
+    assert zw.contains((0, 1)) and zw.contains((F(-3), 2))
+    assert not zw.contains((F(1, 2), 0)) and not zw.contains((1, F(1, 3)))
+    for tag, x in (("Z", (0, 1)), ("Zi", (0, 1)), ("Zw", (0, 1, 2)),
+                   ("Zw", (0.5, 1))):
+        with pytest.raises(ValueError):
+            LatticeRing(tag).contains(x)
+
+
 def test_enumerate_Y_pinned():
     zi = LatticeRing("Zi")
     y2 = enumerate_Y(2, zi)
