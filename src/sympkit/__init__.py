@@ -1,6 +1,7 @@
 """sympkit: exact arithmetic for GSp4 and its arithmetic invariants.
 
-Subpackages split by concern: exact coefficient domains (exact_arith), the
+Subpackages split by concern: the prime fields F_ell and the value-type
+bases (_base), the exact domains of characteristic 0 (exact_arith), the
 similitude group and its parabolic combinatorics (gsp4_core), the
 closed-form censuses of Sp4/GSp4 and seven subgroup families over prime
 fields (census), the explicit subgroup families and their Schreier-Sims
@@ -10,7 +11,8 @@ Galois-type galleries (artin_gallery).
 
 `import sympkit` loads none of them: each public name is imported from its
 home module on first use (PEP 562), so only what a caller touches is
-loaded, and numpy only with the modules that need it.
+loaded: numpy only with the modules that need it, and the F_ell names,
+whose home is _base, without exact_arith.
 """
 
 import importlib
@@ -19,8 +21,8 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "exact_arith": """Cyclotomic GaussianRational PrimeFieldElem Rational UPoly
-        quadratic_nonresidue solve_sum_of_squares""",
+    "_base": "PrimeFieldElem quadratic_nonresidue solve_sum_of_squares",
+    "exact_arith": "Cyclotomic GaussianRational Rational UPoly",
     "gsp4_core": """CharacterData GSpElement NotSimilitude SiegelPoint WeylWord
         char_poly casimir_pair infinity_type_solve is_in_levi lambda_rep
         moebius oddness_normalize similitude_of torus try_similitude weyl_act

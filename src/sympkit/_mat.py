@@ -8,7 +8,7 @@ on the one Gauss-Jordan elimination, row_reduce.
 
 from fractions import Fraction
 
-from .exact_arith import one_like
+from ._base import one_like
 
 
 def freeze(rows):

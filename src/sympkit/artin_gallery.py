@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from . import _mat
-from .exact_arith import (GaussianRational, UPoly, _Frozen, format_gaussian,
-                          one_like)
+from ._base import _Frozen, one_like
+from .exact_arith import GaussianRational, UPoly, format_gaussian
 from .gsp4_core import (
     GSpElement,
     char_poly,

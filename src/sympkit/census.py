@@ -76,7 +76,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import prod
 
-from .exact_arith import _Frozen, _require_odd_prime, is_odd_prime
+from ._base import _Frozen, _require_odd_prime, is_odd_prime
 
 
 def sp4_order(ell):

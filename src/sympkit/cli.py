@@ -12,21 +12,18 @@ zero denominator, --enumerate at an ell other than 3 and 5 for gsp4|sp4, or
 --threads with ceta --case <family>; --threads has no other effect).  --json
 switches any subcommand to the versioned JSON report {schema, command,
 timestamp, results, assertions}.  Each subcommand imports the modules it
-uses when it runs: only --enumerate, which lists a group (finite_census),
-loads numpy, once those modules compile; main runs OpenBLAS on one thread
-unless OPENBLAS_NUM_THREADS is set.
+uses when it runs, so census, ceta, family and p1reps compile the F_ell core
+(_base) and not exact_arith; only --enumerate, which lists a group
+(finite_census), loads numpy, once those modules compile; main runs OpenBLAS
+on one thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
 import json
 import os
-import random
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
-
-from .exact_arith import (GaussianRational, format_gaussian, format_rational,
-                          one_like, parse_gaussian)
 
 _RING_NAMES = {"z": "Z", "gaussian": "Zi", "eisenstein": "Zw"}
 
@@ -49,8 +46,11 @@ def _family_tag(text):
 def _number(text, gaussian=False):
     "A rational (Gaussian if allowed and written with i); x/0 is a bad value."
     try:
-        return (parse_gaussian(text) if gaussian and "i" in text
-                else Fraction(text))
+        if gaussian and "i" in text:
+            from .exact_arith import parse_gaussian
+
+            return parse_gaussian(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (text,)) from None
 
@@ -139,6 +139,7 @@ def _cmd_family(args):
 
 
 def _cmd_ceta(args):
+    from ._base import format_rational
     from .census import _greedy_cover, c_eta_M
 
     eta = _number(args.eta)
@@ -173,6 +174,8 @@ def _cmd_ceta(args):
 
 
 def _cmd_hecke(args):
+    from ._base import one_like
+    from .exact_arith import format_gaussian
     from .hecke_l import (SatakeParams, hecke_poly, lambda_p2,
                           satake_to_hecke, spin_factor, std5_factor)
 
@@ -212,6 +215,7 @@ def _cmd_hecke(args):
 
 
 def _cmd_ylattice(args):
+    from .exact_arith import GaussianRational, format_gaussian
     from .hecke_l import LatticeRing, enumerate_Y
 
     ring = LatticeRing(_RING_NAMES[args.ring])
@@ -240,11 +244,15 @@ def _cmd_ylattice(args):
 
 
 def _random_gaussian(rng):
+    from .exact_arith import GaussianRational
+
     return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                             Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
 
 
 def _cmd_gallery(args):
+    import random
+
     from .artin_gallery import (gallery_report, sym3_identities_check,
                                 sym3_similitude_factor)
 
@@ -431,7 +439,7 @@ def main(argv=None):
     report = {
         "schema": 1,
         "command": " ".join(argv),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "results": results,
         "assertions": [{"anchor": name, "pass": bool(ok)}
                        for name, ok in assertions],

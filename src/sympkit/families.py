@@ -13,9 +13,9 @@ from itertools import product
 from math import prod
 from operator import index
 
+from ._base import (PrimeFieldElem, _Frozen, _Record, _require_odd_prime,
+                    quadratic_nonresidue, solve_sum_of_squares)
 from ._mat import diag, mat_inv, mat_mul, row_reduce
-from .exact_arith import (PrimeFieldElem, _Frozen, _Record, _require_odd_prime,
-                          quadratic_nonresidue, solve_sum_of_squares)
 
 
 def _bits_for(ell):

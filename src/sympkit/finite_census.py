@@ -23,8 +23,8 @@ census.closed_form_census; it checks every element as a similitude.
 
 # the siblings first: run from a fresh checkout, a module compiled after
 # numpy is loaded adds its compile to the peak RSS that numpy has raised
+from ._base import _require_odd_prime
 from .census import CharPolyHistogram, gsp4_order, sp4_order
-from .exact_arith import _require_odd_prime
 from .families import (GroupSet, _bits_for, _chain, _diags, _embed, _nu,
                        _of_order, _order, _T, _T_DUAL, _W)
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from . import _mat
-from .exact_arith import (GaussianRational, UPoly, _Frozen, _Record,
-                          one_like, rational_sqrt)
+from ._base import _Frozen, _Record, one_like
+from .exact_arith import GaussianRational, UPoly, rational_sqrt
 
 
 class NotSimilitude(ValueError):

@@ -26,19 +26,10 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exact_arith import (
-    Cyclotomic,
-    GaussianRational,
-    UPoly,
-    _Frozen,
-    _Record,
-    cyclotomic_polynomial,
-    format_gaussian,
-    is_odd_prime,
-    lcm_upto,
-    one_like,
-    parse_gaussian,
-)
+from ._base import _Frozen, _Record, is_odd_prime, one_like
+from .exact_arith import (Cyclotomic, GaussianRational, UPoly,
+                          cyclotomic_polynomial, format_gaussian, lcm_upto,
+                          parse_gaussian)
 
 
 def _inv(x):

@@ -23,6 +23,7 @@ import time
 from fractions import Fraction
 
 from sympkit import _mat, cli, finite_census
+from sympkit._base import PrimeFieldElem
 from sympkit.artin_gallery import (
     SYM3_P,
     gallery_generators,
@@ -33,7 +34,7 @@ from sympkit.artin_gallery import (
 )
 from sympkit.census import (c_eta_M, enumerate_P1_reps,
                             gl2_charpoly_census)
-from sympkit.exact_arith import GaussianRational, PrimeFieldElem
+from sympkit.exact_arith import GaussianRational
 from sympkit.families import FamilySpec, build_family, family_with_base
 from sympkit.finite_census import (
     charpoly_census,

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,18 @@ def test_census_json_schema(capsys):
     anchors = [entry["anchor"] for entry in rep["assertions"]]
     assert anchors == ["order-closed-form", "histogram-total",
                        "palindrome-classes"]
+
+
+def test_timestamp_is_utc_iso_to_the_second(capsys):
+    # the format datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # writes, read back by datetime as the present moment in UTC
+    _, rep = run_json(capsys, "census", "--ell", "3")
+    stamp = rep["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00",
+                        stamp), stamp
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=1)
 
 
 def test_reports_deterministic_modulo_timestamp(capsys):

@@ -7,21 +7,23 @@ from fractions import Fraction as F
 import pytest
 
 from sympkit import _mat
+from sympkit._base import (
+    PrimeFieldElem,
+    format_rational,
+    is_odd_prime,
+    one_like,
+    quadratic_nonresidue,
+    solve_sum_of_squares,
+)
 from sympkit.exact_arith import (
     Cyclotomic,
     GaussianRational,
-    PrimeFieldElem,
     UPoly,
     cyclotomic_polynomial,
     format_gaussian,
-    format_rational,
-    is_odd_prime,
     lcm_upto,
-    one_like,
     parse_gaussian,
-    quadratic_nonresidue,
     rational_sqrt,
-    solve_sum_of_squares,
 )
 
 

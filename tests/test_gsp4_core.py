@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from sympkit import _mat
-from sympkit.exact_arith import GaussianRational, PrimeFieldElem, UPoly
+from sympkit._base import PrimeFieldElem
+from sympkit.exact_arith import GaussianRational, UPoly
 from sympkit.gsp4_core import (
     CharacterData,
     GSpElement,

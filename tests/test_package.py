@@ -125,7 +125,7 @@ def test_finite_census_compiles_its_siblings_before_numpy():
                      "import sympkit.finite_census\n"
                      "print(json.dumps(list(sys.modules)))")
     loaded = json.loads(out)
-    for name in ("sympkit.census", "sympkit.exact_arith", "sympkit._mat",
+    for name in ("sympkit.census", "sympkit._base", "sympkit._mat",
                  "sympkit.families"):
         assert loaded.index(name) < loaded.index("numpy"), name
 
@@ -165,12 +165,15 @@ def test_subcommand_runs_without_numpy(argv):
     # closures are its own, so finite_census stays unloaded too; gallery
     # sym3 exits 1 because two printed identities fail (test_cli.py).  Every
     # family has a closed form (census.FAMILY_FORMS) and is not listed, and a
-    # family build lists nothing: its chain is pure Python (families)
+    # family build lists nothing: its chain is pure Python (families).  The
+    # F_ell subcommands compile the F_ell core (_base), not exact_arith
     got = probe(*argv)
     assert got["code"] == int(argv == ("gallery", "sym3")), got
     assert not got["numpy"], got
     assert not got["dataclasses"], got
     assert "sympkit.finite_census" not in got["modules"], got
+    assert (("sympkit.exact_arith" in got["modules"])
+            == (argv[0] in ("hecke", "ylattice", "gallery"))), got
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,7 +383,7 @@ RECORDS = [
 @pytest.mark.parametrize("make, fields, other", [r[1:] for r in RECORDS],
                          ids=[r[0] for r in RECORDS])
 def test_record_types_share_one_slotwise_equality(make, fields, other):
-    from sympkit.exact_arith import _Record
+    from sympkit._base import _Record
 
     assert make.__eq__ is _Record.__eq__
     assert make.__hash__ is _Record.__hash__
