@@ -13,6 +13,11 @@ from fractions import Fraction
 
 
 def is_odd_prime(n):
+    "Whether n is an odd prime; a non-integer (3.0, Fraction(7)) is not."
+    try:
+        n = operator.index(n)  # ints, bools and numpy integers
+    except TypeError:
+        return False
     if n < 3 or n % 2 == 0:
         return False
     d = 3

@@ -1,7 +1,8 @@
 """The characteristic-polynomial census of Sp4/GSp4(F_ell) and of the nine
 subgroup families in closed form.
 
-Pure Python, with no numpy: the group orders, the CharPolyHistogram,
+Pure Python, with no numpy: the group orders, the CharPolyHistogram (its
+nu_classes, the one stored count, and classes read from it),
 closed_form_census, the GL2 census gl2_charpoly_census, the coverage count
 c_eta_M and the projective-line representatives of enumerate_P1_reps.
 finite_census holds the enumerations that check the closed forms.
@@ -88,33 +89,38 @@ def gsp4_order(ell):
 
 
 class CharPolyHistogram(_Frozen):
-    """Census of det(1 - gT) = 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over a set.
+    """Census of det(1 - gT) = 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over a set,
+    stored once: `nu_classes` maps (c1, c2, c3, c4, nu), nu the similitude
+    factor, to a nonzero count; `total` is its sum, the set order, and
+    `classes`, by (c1, c2, c3, c4), is read from it as its sum over nu."""
 
-    `classes` maps (c1, c2, c3, c4) to a count; `nu_classes` refines by the
-    similitude factor for reporting.  Totals always equal the set order.
-    """
+    __slots__ = ("ell", "nu_classes", "total")
 
-    __slots__ = ("ell", "classes", "nu_classes", "total")
-
-    def __init__(self, ell, classes, nu_classes):
-        total = sum(classes.values())
-        if total != sum(nu_classes.values()):
-            raise ValueError("inconsistent histogram totals")
+    def __init__(self, ell, nu_classes):
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "classes", dict(classes))
         object.__setattr__(self, "nu_classes", dict(nu_classes))
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", sum(self.nu_classes.values()))
+
+    @property
+    def classes(self):
+        "nu_classes summed over nu, as a new dict."
+        out = {}
+        for key, n in self.nu_classes.items():
+            key = key[:4]
+            if key in out:
+                out[key] += n
+            else:
+                out[key] = n
+        return out
 
     def max_class(self):
         return max(self.classes.values())
 
     def csv_rows(self):
         "Deterministic CSV lines: header then one sorted row per (coeffs, nu)."
-        rows = ["c1,c2,c3,c4,nu,count"]
-        for key in sorted(self.nu_classes):
-            rows.append(",".join(str(x) for x in key)
-                        + "," + str(self.nu_classes[key]))
-        return rows
+        return ["c1,c2,c3,c4,nu,count"] + [
+            ",".join(map(str, key + (n,)))
+            for key, n in sorted(self.nu_classes.items())]
 
 
 # The factor of C_Sp(s) that one irreducible factor h of f contributes, as
@@ -302,20 +308,16 @@ def closed_form_census(ell, group):
     _require_odd_prime(ell)
     terms = (_group_terms(ell, group) if group in ("sp4", "gsp4")
              else _family_terms(group, ell))
-    nu_classes, classes = {}, {}
+    nu_classes = {}
     for poly, nu, n in terms:
         nu_classes[poly + (nu,)] = nu_classes.get(poly + (nu,), 0) + n
-        classes[poly] = classes.get(poly, 0) + n
-    return CharPolyHistogram(ell, classes, nu_classes)
+    return CharPolyHistogram(ell, nu_classes)
 
 
-def _greedy_cover(hist, eta):
+def _greedy_cover(hist, need):
     """(coeffs, count, covered so far) of the classes of `hist` by descending
-    size (ties by coefficients), up to the first that covers (1 - eta)."""
-    eta = Fraction(eta)
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie strictly between 0 and 1")
-    need = (1 - eta) * hist.total
+    size (ties by coefficients), up to the first that covers `need`, such as
+    (1 - eta) |G| once c_eta_M has checked eta."""
     cover, covered = [], 0
     for coeffs, n in sorted(hist.classes.items(), key=lambda kv: (-kv[1], kv[0])):
         if covered >= need:

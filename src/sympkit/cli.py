@@ -82,11 +82,12 @@ def _cmd_census(args):
     from .census import gsp4_order, sp4_order
 
     hist, oracle = _census(args, "gsp4")
-    top_key, top_n = max(hist.classes.items(), key=lambda kv: (kv[1], kv[0]))
+    classes = hist.classes  # summed over nu on each read
+    top_key, top_n = max(classes.items(), key=lambda kv: (kv[1], kv[0]))
     results = {
         "ell": args.ell,
         "order": hist.total,
-        "coefficient_classes": len(hist.classes),
+        "coefficient_classes": len(classes),
         "classes_with_similitude_factor": len(hist.nu_classes),
         "largest_class": {"coeffs": list(top_key), "count": top_n},
     }
@@ -152,7 +153,7 @@ def _cmd_ceta(args):
     count = c_eta_M(hist, eta)
     need = (1 - eta) * hist.total
     trace = [{"coeffs": list(coeffs), "count": n, "covered": covered}
-             for coeffs, n, covered in _greedy_cover(hist, eta)]
+             for coeffs, n, covered in _greedy_cover(hist, need)]
     covered = trace[-1]["covered"] if trace else 0
     results = {
         "group": name,

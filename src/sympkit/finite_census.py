@@ -18,7 +18,8 @@ of level 0.  That is the form every loop over the elements reads
 (GroupSet.nu_values, the census), so nothing is packed or unpacked there:
 the similitude test and the census's e1 and e2 are exact in int16.
 charpoly_census of an enumeration or a family is the oracle of
-census.closed_form_census; it checks every element as a similitude.
+census.closed_form_census; it checks every element as a similitude, and
+its histogram, like every census, stores nu_classes and reads classes.
 """
 
 # the siblings first: run from a fresh checkout, a module compiled after
@@ -272,9 +273,10 @@ def charpoly_census(group):
     nu, det(1 - gT) is palindromic: c3 = nu c1 and c4 = nu^2.  So a class
     is fixed by (c1, c2, nu), and only e1 and e2 are formed, exact in int16
     (|e1| <= 48 and |e2| <= 864 for entries below 13); the count runs over
-    those ell^3 triples, whose index fits int16 at every ell <= 13
-    (charpoly_coeffs, which forms all four, is the reference of the
-    tests).  A pass is dropped once counted, before the next is formed."""
+    those ell^3 triples, whose index fits int16 at every ell <= 13, and its
+    nonzero entries are the nu_classes (charpoly_coeffs, which forms all
+    four, is the reference of the tests).  A pass is dropped once counted,
+    before the next is formed."""
     ell = group.ell
     counts = np.zeros(ell ** 3, dtype=np.int64)
     for m in group._blocks():
@@ -287,12 +289,7 @@ def charpoly_census(group):
         counts += np.bincount((_mod(-e1, ell) * ell + _mod(e2, ell)) * ell
                               + nu, minlength=ell ** 3)
         del m, ok, nu, e1, e2
-    classes, nu_classes = {}, {}
-    for flat in np.flatnonzero(counts):
-        n = int(counts[flat])
-        rest, nu = divmod(int(flat), ell)
-        c1, c2 = divmod(rest, ell)
-        key = (c1, c2, nu * c1 % ell, nu * nu % ell)
-        nu_classes[key + (nu,)] = n
-        classes[key] = classes.get(key, 0) + n
-    return CharPolyHistogram(ell, classes, nu_classes)
+    return CharPolyHistogram(ell, {
+        (c1, c2, nu * c1 % ell, nu * nu % ell, nu): int(n)
+        for (c1, c2, nu), n in np.ndenumerate(counts.reshape(ell, ell, ell))
+        if n})

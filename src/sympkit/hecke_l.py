@@ -19,7 +19,6 @@ a Cyclotomic value once per distinct multiset of sums.  The whole module,
 rou_charpolys included, computes with the standard library alone.
 """
 
-import csv
 import functools
 import itertools
 import math
@@ -385,6 +384,8 @@ def read_eigen_csv(lines):
     Accepts an iterable of CSV lines with header p,lambda_p,lambda_p2,eps;
     entries are exact rationals or Gaussians in the a/b+c/d*i notation.
     """
+    import csv  # only here: a hecke, ylattice or gallery run loads no csv
+
     rows = list(csv.DictReader(lines))
     out = []
     for row in rows:

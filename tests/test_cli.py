@@ -222,7 +222,7 @@ def test_enumerate_checks_a_family_closed_form(monkeypatch, capsys):
         first, second = sorted(nu_classes)[:2]
         nu_classes[first] += 1
         nu_classes[second] -= 1
-        return census.CharPolyHistogram(ell, hist.classes, nu_classes)
+        return census.CharPolyHistogram(ell, nu_classes)
 
     monkeypatch.setattr(census, "closed_form_census", moved)
     argv = ("ceta", "--case", "Hen", "--ell", "3", "--eta", "1/4")
@@ -243,7 +243,7 @@ def test_census_anchors_check_the_histogram(monkeypatch, capsys):
         nu_classes = dict(hist.nu_classes)
         nu_classes[(0, 0, 0, 1, 1)] += 1
         nu_classes[(0, 0, 0, 1, 2)] -= 1
-        return census.CharPolyHistogram(ell, hist.classes, nu_classes)
+        return census.CharPolyHistogram(ell, nu_classes)
 
     # cli looks the closed form up in its home module when the command runs
     monkeypatch.setattr(census, "closed_form_census", shifted)
@@ -403,8 +403,7 @@ def test_ceta_count_anchor_checks_the_trace(monkeypatch, capsys):
     # a trace that takes the smallest classes first still reaches the bound
     # with a minimal prefix, but it is longer than the least count, which
     # c_eta_M finds apart from the trace
-    def smallest_first(hist, eta):
-        need = (1 - Fraction(eta)) * hist.total
+    def smallest_first(hist, need):
         cover, covered = [], 0
         for coeffs, n in sorted(hist.classes.items(), key=lambda kv: kv[::-1]):
             if covered >= need:

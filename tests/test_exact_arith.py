@@ -38,6 +38,21 @@ def test_rational_sqrt():
 
 def test_is_odd_prime():
     assert [n for n in range(30) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # a prime-valued non-integer is no prime, so each guard refuses it with
+    # ValueError rather than building a float field that fails later
+    import numpy as np
+
+    from sympkit.census import closed_form_census
+    from sympkit.families import FamilySpec
+
+    assert is_odd_prime(np.int64(13)) and not is_odd_prime(np.int16(9))
+    for n in (3.0, 7.5, F(7)):
+        assert not is_odd_prime(n), n
+        for build in (lambda: PrimeFieldElem(n, 2),
+                      lambda: FamilySpec("LeviB", n),
+                      lambda: closed_form_census(n, "gsp4")):
+            with pytest.raises(ValueError, match="odd prime"):
+                build()
 
 
 def test_gaussian_basics():

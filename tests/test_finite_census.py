@@ -773,9 +773,23 @@ def test_census_equals_the_coefficient_reference():
         charpoly_census(bad)
 
 
-def test_census_histogram_consistency_guard():
-    with pytest.raises(ValueError):
-        CharPolyHistogram(3, {(0, 0, 0, 1): 2}, {(0, 0, 0, 1, 1): 1})
+def test_census_classes_are_nu_classes_summed_over_nu():
+    # the counts are stored once, by (c1, c2, c3, c4, nu); classes is read
+    # from them, so the two cannot disagree
+    assert CharPolyHistogram.__slots__ == ("ell", "nu_classes", "total")
+    h = CharPolyHistogram(3, {(0, 0, 0, 1, 1): 2, (0, 0, 0, 1, 2): 3,
+                              (1, 1, 1, 1, 1): 1})
+    assert h.classes == {(0, 0, 0, 1): 5, (1, 1, 1, 1): 1}
+    assert (h.total, h.max_class()) == (6, 5)
+    with pytest.raises(AttributeError):
+        h.classes = {}
+    for hist in (closed_form_census(5, "gsp4"), closed_form_census(7, "Case6"),
+                 charpoly_census(gsp4_3())):
+        summed = {}
+        for key, n in hist.nu_classes.items():
+            summed[key[:4]] = summed.get(key[:4], 0) + n
+        assert hist.classes == summed
+        assert hist.total == sum(summed.values())
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +846,8 @@ def test_closed_form_totals_below_50():
         gsp4 = closed_form_census(ell, "gsp4")
         assert sp4.total == sp4_order(ell)
         assert gsp4.total == gsp4_order(ell)
+        assert _keys_are_similitude_classes(sp4), ell
+        assert _keys_are_similitude_classes(gsp4), ell
         fibers = {}
         for key, n in gsp4.nu_classes.items():
             fibers[key[4]] = fibers.get(key[4], 0) + n
@@ -867,12 +883,24 @@ def test_every_family_has_a_closed_form():
     assert FAMILY_FORMS == tuple(_FAMILIES)
 
 
-def test_case7_and_case8_closed_form_totals():
-    # each is its base, of the row's order, doubled by w; nothing is listed
+def _keys_are_similitude_classes(hist):
+    """Whether each key of `hist` is a similitude's: c3 = nu c1 and c4 =
+    nu^2 for a factor 0 < nu < ell, each with a positive count."""
+    ell = hist.ell
+    return all(c3 == nu * c1 % ell and c4 == nu * nu % ell and 0 < nu < ell
+               and n > 0 for (c1, _, c3, c4, nu), n in hist.nu_classes.items())
+
+
+def test_family_closed_form_totals_and_keys():
+    # each total is the row's order, times the index of an extension, well
+    # beyond the ell <= 13 of the listings; nothing is listed
     for ell in filter(is_odd_prime, range(3, 32)):
-        for tag in ("Case7", "Case8"):
-            assert closed_form_census(ell, tag).total \
-                == 2 * _FAMILIES[tag][2](ell), (tag, ell)
+        for tag in FAMILY_FORMS:
+            _, _, order, extension = _FAMILIES[tag]
+            hist = closed_form_census(ell, tag)
+            assert hist.total == order(ell) * (
+                1 if extension is None else extension[1]), (tag, ell)
+            assert _keys_are_similitude_classes(hist), (tag, ell)
 
 
 def _closed_forms_equal_the_listing(ell):
@@ -911,8 +939,8 @@ def test_c_eta_m_bounds_and_errors():
     assert c_eta_M(charpoly_census(triv), Fraction(1, 2)) == 1
     assert c_eta_M(h, Fraction(99, 100)) == 1
     # a prefix that covers exactly (1 - eta) of the group is enough
-    exact = CharPolyHistogram(3, {(0, 0, 0, 1): 2, (1, 1, 1, 1): 1,
-                                  (2, 2, 2, 1): 1}, {(0, 0, 0, 1, 1): 4})
+    exact = CharPolyHistogram(3, {(0, 0, 0, 1, 1): 1, (0, 0, 0, 1, 2): 1,
+                                  (1, 1, 1, 1, 1): 1, (2, 2, 2, 1, 1): 1})
     assert c_eta_M(exact, Fraction(1, 2)) == 1
 
 
