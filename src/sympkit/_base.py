@@ -12,20 +12,25 @@ import operator
 from fractions import Fraction
 
 
-def is_odd_prime(n):
-    "Whether n is an odd prime; a non-integer (3.0, Fraction(7)) is not."
+def is_prime(n):
+    "Whether n is a prime; a non-integer (2.0, Fraction(7)) is not."
     try:
         n = operator.index(n)  # ints, bools and numpy integers
     except TypeError:
         return False
     if n < 3 or n % 2 == 0:
-        return False
+        return n == 2
     d = 3
     while d * d <= n:
         if n % d == 0:
             return False
         d += 2
     return True
+
+
+def is_odd_prime(n):
+    "Whether n is an odd prime (is_prime); a non-integer (3.0) is not."
+    return is_prime(n) and n != 2
 
 
 def _require_odd_prime(ell):
@@ -135,8 +140,8 @@ class PrimeFieldElem(_Field, _Record):
 
     def __init__(self, mod, val):
         _require_odd_prime(mod)
-        object.__setattr__(self, "mod", mod)
-        object.__setattr__(self, "val", val % mod)
+        object.__setattr__(self, "mod", operator.index(mod))  # int, for pow
+        object.__setattr__(self, "val", val % self.mod)
 
     def _make(self, val):
         "An element of this field, whose modulus needs no second check."

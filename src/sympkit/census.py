@@ -77,7 +77,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import prod
 
-from ._base import _Frozen, _require_odd_prime, is_odd_prime
+from ._base import _Frozen, _require_odd_prime, is_prime, quadratic_nonresidue
 
 
 def sp4_order(ell):
@@ -247,7 +247,7 @@ def _family_terms(tag, ell):
             for s in field for d in units))
     if tag in ("Case7", "Case8"):
         chi, q = _legendre(ell)[0], ell * ell
-        u = chi.index(-1)  # the least non-residue
+        u = quadratic_nonresidue(ell).val  # the u of families._ext_params
         def norm(a0, a1, b0, b1):  # N f(a0 + a1 sqrt u, b0 + b1 sqrt u)
             return (-2 * a0 % ell, (2 * b0 + a0 * a0 - u * a1 * a1) % ell,
                     -2 * (a0 * b0 - u * a1 * b1) % ell,
@@ -346,7 +346,7 @@ def enumerate_P1_reps(p, beta):
     One representative per class: (1, a) for a mod p^beta and (p b, 1) for
     b mod p^(beta-1); count is p^beta + p^(beta-1) (or 1 when beta = 0).
     """
-    if not (p == 2 or is_odd_prime(p)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if beta < 0:
         raise ValueError("beta must be nonnegative")

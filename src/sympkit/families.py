@@ -384,6 +384,12 @@ def _embed(*parts):
     return tuple(map(tuple, m))
 
 
+# T and W in the SL2s of the Siegel and Klingen Levis; the four generate Sp4
+_SIEGEL_SL2 = (_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
+               _embed(((0, 1), _W), ((2, 3), _W)))
+_KLINGEN_SL2 = (_embed(((1, 3), _T)), _embed(((1, 3), _W)))
+
+
 def _diags(ell, *exponents):
     "diag(g^e1, g^e2, g^e3, g^e4) for each tuple (e1, ..., e4)."
     g = _primitive_root(ell)
@@ -478,9 +484,7 @@ def _unitary(ell):
 # generators that extend the base and the index of the base in the family).
 # The orders are standard (R. W. Carter, Finite Groups of Lie Type, 1985).
 _LEVI_P = (  # [[A, 0], [0, t(A)^-1]], A = T, W, diag(g, 1); diag(1, 1, g, g)
-    lambda ell: [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
-                 _embed(((0, 1), _W), ((2, 3), _W)),
-                 *_diags(ell, (1, 0, -1, 0), (0, 0, 1, 1))],
+    lambda ell: [*_SIEGEL_SL2, *_diags(ell, (1, 0, -1, 0), (0, 0, 1, 1))],
     _zeros("1100", "1100", "0011", "0011"),
     lambda q: q * (q * q - 1) * (q - 1) ** 2)
 _HEN = (  # checkerboard (A, I), (I, A) for A = T, W; (D, D) for D = diag(g, 1)
@@ -497,7 +501,7 @@ _FAMILIES = {
     "LeviP": (*_LEVI_P, None),
     # t on e1, B on (e2, e4) and det(B)/t on e3, for (t, B) = (1, T),
     # (1, W), (1, diag(g, 1)) and (g, I)
-    "LeviQ": (lambda ell: [_embed(((1, 3), _T)), _embed(((1, 3), _W)),
+    "LeviQ": (lambda ell: [*_KLINGEN_SL2,
                            *_diags(ell, (0, 1, 1, 0), (1, 0, -1, 0))],
               _zeros("1000", "0101", "0010", "0101"),
               lambda q: q * (q * q - 1) * (q - 1) ** 2, None),
@@ -561,14 +565,15 @@ def _closed_family(gens, conditions, order, ell, name):
     naming `name`, otherwise.  No element is listed: V is closed under
     products, checked on those of its basis (_space, at most 64), so S is a
     group; every generator lies in S, so the group does, each of its
-    elements being a product of generators; and its order is |S|."""
+    elements being a product of generators; and its order is |S|.  (Sp4:
+    no condition, |Sp4| elements and factors [1]: the kernel of nu in S.)"""
     rows = [[int(x) % ell for x in row] for row in conditions]
 
     def breaks(m):
         entries = [int(x) for row in m for x in row]
         return any(sum(map(int.__mul__, row, entries)) % ell for row in rows)
 
-    basis = _space(rows, ell)
+    basis = _space(rows, ell) if rows else []  # no condition: V is M4
     if any(breaks(mat_mul(a, b)) for a in basis for b in basis):
         raise AssertionError("%s: the space of its conditions is not closed "
                              "under products" % name)

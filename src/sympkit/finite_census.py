@@ -6,10 +6,9 @@ and the tests hold keys.  The families, their chain and GroupSet, which is
 its chain and holds no key, live in families, which loads no numpy.  A group
 is its own set of inverses, so each element of a chain's group is listed
 once as a product uinv_3 uinv_2 uinv_1 uinv_0 of one transversal inverse
-per level (_listing).  Sp4 and GSp4 (ell = 3 and 5) are the groups of four
-generators from the Siegel and Klingen Levis, and diag(1, 1, g, g) for GSp4,
-proven whole without a listing: every generator is a similitude (of factor
-1 for Sp4) and the chain's order is the order formula.
+per level (_listing).  Sp4 and GSp4 (ell = 3 and 5) are the groups of the
+Siegel and Klingen SL2s, and diag(1, 1, g, g) for GSp4, proven whole by the
+families' proof with no linear condition (families._closed_family).
 
 A listing forms its products on int16 matrices stored entry-major, one
 contiguous row per entry, by one kernel (_times): H, the group of levels
@@ -26,8 +25,8 @@ its histogram, like every census, stores nu_classes and reads classes.
 # numpy is loaded adds its compile to the peak RSS that numpy has raised
 from ._base import _require_odd_prime
 from .census import CharPolyHistogram, gsp4_order, sp4_order
-from .families import (GroupSet, _bits_for, _chain, _diags, _embed, _nu,
-                       _of_order, _order, _T, _T_DUAL, _W)
+from .families import (GroupSet, _KLINGEN_SL2, _SIEGEL_SL2, _bits_for,
+                       _chain, _closed_family, _diags, _order)
 
 import numpy as np
 
@@ -219,46 +218,34 @@ def mulclose(gens, ell, cap=None):
 
 
 def _full_gens(ell, name):
-    """Generators of Sp4(F_ell): T and W in the SL2 of the Siegel Levi (as
-    in LeviP) and in the SL2 on (e1, e3) (as in LeviQ); for GSp4(F_ell),
-    also diag(1, 1, g, g) for the primitive root g."""
-    gens = [_embed(((0, 1), _T), ((2, 3), _T_DUAL)),
-            _embed(((0, 1), _W), ((2, 3), _W)),
-            _embed(((1, 3), _T)), _embed(((1, 3), _W))]
+    """Sp4(F_ell)'s generators, the Siegel and Klingen SL2s (families); for
+    GSp4(F_ell), also diag(1, 1, g, g) for the primitive root g."""
+    gens = [*_SIEGEL_SL2, *_KLINGEN_SL2]
     return gens + (_diags(ell, (0, 0, 1, 1)) if name == "GSp4" else [])
 
 
-def _full_group(ell, name, order, factors):
-    """The group that _full_gens generates, as a GroupSet of its chain,
-    proven to be the group `name` of the similitudes whose factors lie in
-    `factors` ((1,) or every unit), of order(ell) elements: it lies inside,
-    as every generator is such a similitude, and it is all of it, as its
-    chain's order is the order formula; AssertionError otherwise.  Its
-    factors are then `factors`, nu mapping the whole group onto them.  No
-    key is listed."""
+def _full_group(ell, name, order):
+    """The group that _full_gens generates, proven all of `name` by the
+    family proof with no linear condition (families._closed_family)."""
     _require_odd_prime(ell)
     if ell not in _ENUM_PRIMES:
         raise ValueError(
             "full enumeration is supported for ell in %r only (order ~%.1e)"
             % (_ENUM_PRIMES, float(gsp4_order(ell))))
-    n, gens = order(ell), _full_gens(ell, name)
-    if not all(_nu(g, ell) in factors for g in gens):  # 0: no similitude
-        raise AssertionError("%s: a generator is no similitude of factor in "
-                             "%s" % (name, list(factors)))
-    chain = _of_order(_chain(gens, ell, cap=n), n, name)
-    return GroupSet(ell, chain, factors)
+    return GroupSet(ell, *_closed_family(_full_gens(ell, name), [],
+                                         order(ell), ell, name))
 
 
 def enumerate_sp4(ell):
     """Sp4(F_ell), the similitudes of factor 1, for ell = 3 and 5, proven
     from the chain of its generators (_full_group): order
     ell^4 (ell^2 - 1)(ell^4 - 1).  No key is listed but by its census."""
-    return _full_group(ell, "Sp4", sp4_order, (1,))
+    return _full_group(ell, "Sp4", sp4_order)
 
 
 def enumerate_gsp4(ell):
     "GSp4(F_ell), as enumerate_sp4: (ell - 1) |Sp4| elements, every factor."
-    return _full_group(ell, "GSp4", gsp4_order, range(1, ell))
+    return _full_group(ell, "GSp4", gsp4_order)
 
 
 # ---------------------------------------------------------------------------

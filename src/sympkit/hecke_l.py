@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._base import _Frozen, _Record, is_odd_prime, one_like
+from ._base import _Frozen, _Record, is_prime, one_like
 from .exact_arith import (Cyclotomic, GaussianRational, UPoly,
                           cyclotomic_polynomial, format_gaussian, lcm_upto,
                           parse_gaussian)
@@ -80,7 +80,7 @@ class HeckeData(_Frozen):
     __slots__ = ("a1", "a2", "eps", "p")
 
     def __init__(self, a1, a2, eps, p):
-        if not (p == 2 or is_odd_prime(p)):
+        if not is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if isinstance(eps, int):
             eps = Fraction(eps)
@@ -161,7 +161,7 @@ def satake_to_hecke(s, p):
     a1 = alpha0 (1+alpha1)(1+alpha2);
     a2 = eps (alpha1 + alpha2 + 2 + alpha1^-1 + alpha2^-1 - 1 - p^-2) / p.
     """
-    if not (p == 2 or is_odd_prime(p)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     one = one_like(s.alpha0)
     a1 = s.alpha0 * (one + s.alpha1) * (one + s.alpha2)

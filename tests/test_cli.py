@@ -270,7 +270,7 @@ def test_enumeration_from_bad_generators_is_an_internal_failure(monkeypatch,
     full_gens = finite_census._full_gens
     for edit, says in (
             (lambda gens: gens + [np.diag([1, 1, 2, 2])],
-             "Sp4: a generator is no similitude of factor in [1]"),
+             "Sp4: the generators give more than 51840 elements"),
             (lambda gens: gens[:2],
              "Sp4: the generators give 24 elements, not 51840")):
         monkeypatch.setattr(finite_census, "_full_gens",

@@ -11,6 +11,7 @@ from sympkit._base import (
     PrimeFieldElem,
     format_rational,
     is_odd_prime,
+    is_prime,
     one_like,
     quadratic_nonresidue,
     solve_sum_of_squares,
@@ -53,6 +54,42 @@ def test_is_odd_prime():
                       lambda: closed_form_census(n, "gsp4")):
             with pytest.raises(ValueError, match="odd prime"):
                 build()
+
+
+def test_is_prime_is_the_one_predicate():
+    # 2 or an odd prime; the guards of P^1 and of the Hecke data read it, so
+    # a prime-valued float is refused there with ValueError too
+    import numpy as np
+
+    from sympkit.census import enumerate_P1_reps
+    from sympkit.hecke_l import HeckeData, SatakeParams, satake_to_hecke
+
+    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17,
+                                                     19, 23, 29]
+    assert all(is_prime(n) == (n == 2 or is_odd_prime(n))
+               for n in range(-5, 200))
+    assert is_prime(np.int64(2)) and not is_prime(True)
+    for n in (2.0, 3.0, F(2)):
+        assert not is_prime(n), n
+    for build in (lambda: enumerate_P1_reps(2.0, 1),
+                  lambda: HeckeData(1, 1, 1, 2.0),
+                  lambda: satake_to_hecke(SatakeParams(1, 1, 1), 2.0)):
+        with pytest.raises(ValueError, match="p must be prime"):
+            build()
+    assert len(enumerate_P1_reps(np.int64(2), 1)) == 3
+
+
+def test_prime_field_keeps_an_int_modulus():
+    # a numpy modulus is stored as an int: three-argument pow, which the
+    # inverse calls, refuses a numpy one
+    import pickle
+
+    import numpy as np
+
+    a = PrimeFieldElem(np.int64(7), 3)
+    assert type(a.mod) is int and a.inverse() == PrimeFieldElem(7, 5)
+    assert a == PrimeFieldElem(7, 3) and hash(a) == hash(PrimeFieldElem(7, 3))
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_gaussian_basics():

@@ -35,6 +35,7 @@ from sympkit.families import (
     _ROT_PAIR,
     _SWAP,
     _closed_family,
+    _embed,
     _ext_params,
 )
 from sympkit.finite_census import (
@@ -49,7 +50,6 @@ from sympkit.finite_census import (
     sp4_order,
     unpack_keys,
     _chain,
-    _embed,
     _full_gens,
     _listing,
     _omega,
@@ -456,20 +456,22 @@ def test_symplectic_bases_equal_the_chain_listing():
 
 
 def test_enumeration_refuses_bad_generators(monkeypatch):
-    # the proof of a full group: every generator a similitude (of factor 1
-    # for Sp4), and the chain's order the order formula
+    # the proof of a full group is the families' with no linear condition:
+    # the chain's order the order formula, and every generator a similitude
     def with_gens(edit):
         monkeypatch.setattr(finite_census, "_full_gens",
                             lambda ell, name: edit(_full_gens(ell, name)))
 
+    # a generator of factor 2 among Sp4's gives all of GSp4, and one that is
+    # no similitude among GSp4's gives more than GSp4
     with_gens(lambda gens: gens + [np.diag([1, 1, 2, 2])])
-    with pytest.raises(AssertionError, match=r"Sp4: a generator is no "
-                                             r"similitude of factor in \[1\]"):
+    with pytest.raises(AssertionError, match="Sp4: the generators give more "
+                                             "than 51840 elements"):
         enumerate_sp4(3)
     assert enumerate_gsp4(3).order == gsp4_order(3)
     with_gens(lambda gens: gens + [np.diag([1, 1, 1, 2])])
-    with pytest.raises(AssertionError, match="GSp4: a generator is no "
-                                             "similitude"):
+    with pytest.raises(AssertionError, match="GSp4: the generators give more "
+                                             "than 103680 elements"):
         enumerate_gsp4(3)
     # the SL2 of the Siegel Levi alone, and with diag(1, 1, g, g)
     with_gens(lambda gens: gens[:2] + gens[4:])

@@ -1,6 +1,7 @@
 """The lazy package surface, which subcommands load numpy, and the value
 types every module defines."""
 
+import ast
 import copy
 import importlib
 import importlib.util
@@ -235,9 +236,11 @@ def test_input_checks_survive_python_O():
     # under -O an assert is skipped, so these checks must raise by hand
     code = ("from sympkit import _mat\n"
             "from sympkit.artin_gallery import sym3_identities_check\n"
+            "from sympkit.census import enumerate_P1_reps\n"
             "from sympkit.gsp4_core import CharacterData, WeylWord\n"
             "for check, exc in ((lambda: WeylWord((3,)), ValueError),\n"
             "                   (lambda: CharacterData(2, 1, 1), ValueError),\n"
+            "                   (lambda: enumerate_P1_reps(2.0, 1), ValueError),\n"
             "                   (lambda: sym3_identities_check(strict=True),\n"
             "                    AssertionError),\n"
             "                   (lambda: _mat.mat_pow(_mat.identity(2), -1),\n"
@@ -248,8 +251,8 @@ def test_input_checks_survive_python_O():
             "        print(exc.__name__)\n"
             "print(__debug__)")
     out = run_python(code, env=dict(os.environ, PYTHONOPTIMIZE="1"))
-    assert out.split() == ["ValueError", "ValueError", "AssertionError",
-                           "ValueError", "False"]
+    assert out.split() == ["ValueError", "ValueError", "ValueError",
+                           "AssertionError", "ValueError", "False"]
 
 
 def test_rou_charpolys_runs_without_numpy():
@@ -439,6 +442,21 @@ def test_equal_values_hash_alike():
     assert a == b and b == a and hash(a) == hash(b)
     assert len({sympkit.PrimeFieldElem(7, 1), 1, 8}) == 3
     assert sympkit.PrimeFieldElem(7, 1) != 1 and 8 != sympkit.PrimeFieldElem(7, 1)
+
+
+def test_every_module_parses_at_the_python_floor():
+    # pyproject.toml declares the oldest Python the package supports; every
+    # module must parse in that grammar, so syntax newer than the floor
+    # fails here, under whichever interpreter runs the tests
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      pyproject.read_text())
+    version = tuple(map(int, floor.groups()))
+    assert version == (3, 10)
+    modules = sorted((Path(SRC) / "sympkit").rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), str(path), feature_version=version)
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
