@@ -367,18 +367,27 @@ def quotient_by_sign(group):
     return group.order // (2 if has_neg else 1), exponent
 
 
-_J4 = (0, 0, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, -1, 0, 0)
+def _pairing(m, i, j):
+    """<c_i, c_j> = x0 y2 + x1 y3 - x2 y0 - x3 y1 for the columns x = c_i,
+    y = c_j of a 4x4 key, as a Gaussian-integer (re, im) pair."""
+    re = im = 0
+    for x, y, sign in ((i, 8 + j, 1), (4 + i, 12 + j, 1),
+                       (8 + i, j, -1), (12 + i, 4 + j, -1)):
+        (xr, xi), (yr, yi) = m[x], m[y]
+        re += sign * (xr * yr - xi * yi)
+        im += sign * (xr * yi + xi * yr)
+    return re, im
 
 
 def _similitude_count(group):
     """How many 4x4 keys m have t(m) J m = nu J, nu nonzero (try_similitude
-    on d*M); J m is m with rows 2, 3 raised and rows 0, 1 negated, lowered."""
+    on d*M), read on the same six column pairs."""
     count = 0
     for m in group.scaled[1]:
-        gram = _product(tuple(z for i in range(4) for z in m[i::4]),
-                        m[8:] + tuple((-re, -im) for re, im in m[:8]), 1)
-        nu = gram[2]
-        count += any(nu) and gram == tuple((nu[0] * x, nu[1] * x) for x in _J4)
+        nu = _pairing(m, 0, 2)
+        count += nu != (0, 0) and _pairing(m, 1, 3) == nu and all(
+            _pairing(m, i, j) == (0, 0)
+            for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)))
     return count
 
 

@@ -141,9 +141,6 @@ class UPoly(_Record):
                 out[i + j] = out[i + j] + a * b
         return UPoly(out)
 
-    def scale(self, c):
-        return UPoly([c * a for a in self.coeffs])
-
     def __call__(self, x):
         out = None
         for c in reversed(self.coeffs):

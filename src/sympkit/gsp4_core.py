@@ -3,8 +3,11 @@
 Conventions fixed here and used everywhere else:
 
 * J = [[0, I2], [-I2, 0]]; g is a similitude iff t(g) J g = nu(g) J.
-* The pairing of column vectors is <x, y> = x1 y3 + x2 y4 - x3 y1 - x4 y2,
-  so nu can be read off as <g e1, g e3>.
+* The pairing of column vectors is <x, y> = x1 y3 + x2 y4 - x3 y1 - x4 y2.
+  Entry (i, j) of t(g) J g is <c_i, c_j> for the columns c_i, and the form
+  is alternating, so the identity is read on the six pairs i < j:
+  <c1, c3> = <c2, c4> = nu != 0, and <c1, c2> = <c1, c4> = <c2, c3> =
+  <c3, c4> = 0.
 * Characteristic polynomials are det(1 - g T) = 1 + c1 T + ... + c4 T^4
   (constant term first); for a similitude c3 = nu c1 and c4 = nu^2.
 * The torus is t(t1, t2, t0) = diag(t1, t2, t0/t1, t0/t2); the two Weyl
@@ -29,27 +32,16 @@ def pairing(x, y):
     return x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]
 
 
-def _gram(m):
-    "t(m) J m as a 4x4 of pairings of columns."
-    cols = _mat.transpose(m)
-    return tuple(tuple(pairing(ci, cj) for cj in cols) for ci in cols)
-
-
 def try_similitude(m):
-    "nu with t(m) J m = nu J, or None."
+    "nu with t(m) J m = nu J, or None, from the six column pairs."
     if isinstance(m, GSpElement):
         return m.nu
-    s = _gram(m)
-    nu = s[0][2]
-    if not nu:
-        return None
-    for i in range(4):
-        for j in range(4):
-            want = nu if (i, j) in ((0, 2), (1, 3)) else (
-                -nu if (i, j) in ((2, 0), (3, 1)) else nu - nu)
-            if s[i][j] != want:
-                return None
-    return nu
+    c = _mat.transpose(m)
+    nu = pairing(c[0], c[2])
+    if nu and pairing(c[1], c[3]) == nu and not any(
+            pairing(c[i], c[j]) for i, j in ((0, 1), (0, 3), (1, 2), (2, 3))):
+        return nu
+    return None
 
 
 def similitude_of(m):
@@ -93,9 +85,6 @@ class GSpElement(_Frozen):
         if n < 0:
             return self.inverse() ** (-n)
         return GSpElement(_mat.mat_pow(self.mat, n))
-
-    def transpose(self):
-        return GSpElement(_mat.transpose(self.mat))
 
     def __eq__(self, other):
         if isinstance(other, GSpElement):
@@ -217,29 +206,21 @@ class WeylWord(_Record):
         return "1" if not self.word else "".join("s%d" % k for k in self.word)
 
 
-# The action of a word on torus coordinates, tracked as an integer matrix on
-# exponents: row i gives the image of t_i as a monomial in (t1, t2, t0).
-_S1_EXP = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-_S2_EXP = ((1, 0, 0), (0, -1, 1), (0, 0, 1))
-
-
-def _word_exponents(word):
-    out = _mat.identity(3, 1)
-    for k in word:
-        out = _mat.mat_mul(out, _S1_EXP if k == 1 else _S2_EXP)
-    return out
-
-
 def weyl_words():
-    "The 8 canonical (shortest, lex-least) words, one per Weyl group element."
-    seen = {_word_exponents(()): ()}
+    """The 8 canonical (shortest, lex-least) words, one per Weyl group element.
+
+    A word is keyed by its image of the torus point (2, 3, 7) under weyl_act:
+    the 8 images are distinct, so two words share a key iff they are the
+    same element."""
+    point = (Fraction(2), Fraction(3), Fraction(7))
+    seen = {point: ()}
     frontier = [()]
     while frontier:
         nxt = []
         for w in sorted(frontier):
             for k in (1, 2):
                 w2 = w + (k,)
-                key = _word_exponents(w2)
+                key = weyl_act(w2, point)
                 if key not in seen:
                     seen[key] = w2
                     nxt.append(w2)

@@ -31,12 +31,6 @@ from .exact_arith import (Cyclotomic, GaussianRational, UPoly,
                           parse_gaussian)
 
 
-def _inv(x):
-    if isinstance(x, (int, Fraction)):
-        return 1 / Fraction(x)
-    return x.inverse()
-
-
 class SatakeParams(_Frozen):
     """Exact Satake parameters (alpha0, alpha1, alpha2), all nonzero.
 
@@ -68,7 +62,7 @@ class SatakeParams(_Frozen):
     def c_value(self):
         "c(p) = alpha1 + alpha2 + 1 + alpha1^-1 + alpha2^-1."
         a1, a2 = self.alpha1, self.alpha2
-        return a1 + a2 + one_like(a1) + _inv(a1) + _inv(a2)
+        return a1 + a2 + one_like(a1) + a1 ** -1 + a2 ** -1
 
     def __repr__(self):
         return "SatakeParams(%r, %r, %r)" % (self.alpha0, self.alpha1, self.alpha2)
@@ -180,7 +174,7 @@ def std5_factor(s):
     alpha0, palindromic, with 1 always a root."""
     a1, a2 = s.alpha1, s.alpha2
     return EulerFactor(UPoly.from_roots(
-        [a1, a2, one_like(a1), _inv(a1), _inv(a2)]))
+        [a1, a2, one_like(a1), a1 ** -1, a2 ** -1]))
 
 
 def wedge2_params(s):

@@ -872,6 +872,102 @@ def test_closed_form_frozen_classes_at_3():
     assert census.nu_classes[(0, 2, 0, 1, 2)] == 5832
 
 
+def _avoiding_by_moebius(ell, nu, lam):
+    """#{g in the nu-coset of Sp4 in GSp4(F_ell) : det(lam - g) != 0}.
+
+    For K = ker(g - lam), the sum over the subspaces W <= K of mu(0, W) is
+    [K = 0], mu(0, W) = (-1)^k ell^(k(k-1)/2) for dim W = k being the
+    Moebius function of the subspace lattice (G.-C. Rota, "On the
+    foundations of combinatorial theory I", 1964; R. P. Stanley, EC1,
+    3.10).  So the count is the sum over all W of mu(0, W) #{g : g = lam on
+    W}, and these pointwise stabilizers are read off the symplectic geometry
+    (D. E. Taylor, The Geometry of the Classical Groups, 1992), with
+    s = [lam^2 = nu]."""
+    s = int((lam * lam - nu) % ell == 0)
+    sp4 = sp4_order(ell)
+    lines = (ell ** 4 - 1) // (ell - 1)  # also the number of 3-spaces
+    # k = 0, mu = 1: W = 0 holds for the whole coset, |Sp4| elements
+    count = sp4
+    # k = 1, mu = -1: L lines <v>; the coset is transitive on the ell^4 - 1
+    # nonzero vectors, so |Sp4| / (ell^4 - 1) of its elements send v to lam v
+    count -= lines * sp4 // (ell ** 4 - 1)
+    # k = 2, mu = ell:
+    # - (ell + 1)(ell^2 + 1) Lagrangian planes: in a symplectic basis
+    #   through W, g = [[lam I, B], [0, (nu / lam) I]] with B symmetric,
+    #   ell^3 elements;
+    # - ell^2 (ell^2 + 1) nondegenerate planes: omega(lam x, lam y) =
+    #   lam^2 omega(x, y) on W needs lam^2 = nu; g keeps the complement W^perp
+    #   and is any of the ell (ell^2 - 1) elements of determinant nu of its
+    #   GL2 there
+    count += ell * ((ell + 1) * (ell ** 2 + 1) * ell ** 3
+                    + ell ** 2 * (ell ** 2 + 1) * s * ell * (ell ** 2 - 1))
+    # k = 3, mu = -ell^3: L 3-spaces v^perp, each holding a nondegenerate
+    # plane, so lam^2 = nu; g / lam fixes v^perp pointwise, one of the ell
+    # transvections x -> x + c omega(x, v) v (c = 0 included)
+    count -= ell ** 3 * lines * s * ell
+    # k = 4, mu = ell^6: W = V, g = lam I, in the coset iff lam^2 = nu
+    count += ell ** 6 * s
+    return count
+
+
+def _avoiding_in_census(hist, lams):
+    """{(nu, lam): the census count of the g of factor nu with det(lam - g)
+    != 0}: det(lam - g) = lam^4 det(1 - g / lam), so the keys of that nu
+    whose 1 + c1 x + c2 x^2 + c3 x^3 + c4 x^4 is nonzero at x = 1 / lam."""
+    ell = hist.ell
+    by_nu = {}
+    for key, n in hist.nu_classes.items():
+        by_nu.setdefault(key[4], []).append(key[:4] + (n,))
+    out = {}
+    for nu, rows in by_nu.items():
+        rows = np.array(rows, dtype=object)  # counts pass int64 at ell = 101
+        c = rows[:, :4].astype(np.int64)
+        for lam in lams:
+            x = pow(lam, -1, ell)
+            value = 1 + x * (c[:, 0] + x * (c[:, 1] + x * (c[:, 2]
+                                                           + x * c[:, 3])))
+            out[nu, lam] = rows[value % ell != 0, 4].sum()
+    return out
+
+
+def _closed_form_avoids_as_moebius_counts(ell, lams):
+    for group, nus in (("sp4", [1]), ("gsp4", range(1, ell))):
+        got = _avoiding_in_census(closed_form_census(ell, group), lams)
+        assert got == {(nu, lam): _avoiding_by_moebius(ell, nu, lam)
+                       for nu in nus for lam in lams}, (group, ell)
+
+
+def test_closed_form_avoids_eigenvalues_as_moebius_inversion_counts():
+    # an oracle at every ell that shares no code with the closed form: the
+    # elements of each nu-coset without the eigenvalue lam, for every lam
+    for ell in filter(is_odd_prime, range(3, 32)):
+        _closed_form_avoids_as_moebius_counts(ell, range(1, ell))
+
+
+@pytest.mark.skipif(not os.environ.get("SYMPKIT_LARGE"),
+                    reason="ell = 101: the closed forms of Sp4 and GSp4, "
+                           "1,030,200 keys, about 4 s")
+def test_closed_form_avoids_eigenvalues_at_101_gated():
+    _closed_form_avoids_as_moebius_counts(101, (1, 2, 10, 100))
+
+
+def test_closed_forms_are_invariant_under_scalars():
+    # g -> s g maps the nu-coset onto the s^2 nu-coset, and det(1 - s g T) =
+    # det(1 - g (s T)): (c1, c2, c3, c4, nu) -> (s c1, s^2 c2, s^3 c3, s^4 c4,
+    # s^2 nu) keeps each count of a group that holds s I.  Every family and
+    # GSp4 hold every scalar, and a generator of F_ell^x gives every s; Sp4
+    # holds -I only
+    for ell in filter(is_odd_prime, range(3, 32)):
+        root = families._primitive_root(ell)
+        for tag, s in [(tag, root) for tag in FAMILY_FORMS + ("gsp4",)] + [
+                ("sp4", ell - 1)]:
+            hist = closed_form_census(ell, tag)
+            moved = {tuple(c * s ** k % ell for k, c in enumerate(key[:4], 1))
+                     + (key[4] * s * s % ell,): n
+                     for key, n in hist.nu_classes.items()}
+            assert moved == hist.nu_classes, (tag, ell)
+
+
 def test_closed_form_rejects_bad_input():
     for ell in (2, 9, 1):
         with pytest.raises(ValueError):

@@ -59,6 +59,50 @@ def test_similitude_pinned():
     assert try_similitude(J) == 1
 
 
+def _gram_oracle(m):
+    "nu with t(m) J m = nu J, all 16 entries compared, or None: the reference."
+    gram = _mat.mat_mul(_mat.transpose(m), _mat.mat_mul(J, m))
+    nu = gram[0][2]
+    return nu if nu and _mat.mat_eq(gram, _mat.scalar_mul(nu, J)) else None
+
+
+def test_try_similitude_matches_the_full_gram():
+    # try_similitude reads t(m) J m = nu J on the six column pairs i < j;
+    # the full product decides the same, with the same nu, over each domain
+    rng = random.Random(11)
+    partner = {0: 2, 1: 3, 2: 0, 3: 1}  # <c_i, c_partner> = +-nu
+    draws = [
+        (F(1), lambda: F(rng.randint(-3, 3), rng.randint(1, 3))),
+        (GaussianRational(1),
+         lambda: GaussianRational(F(rng.randint(-3, 3), rng.randint(1, 2)),
+                                  rng.randint(-2, 2))),
+        (PrimeFieldElem(7, 1), lambda: PrimeFieldElem(7, rng.randrange(7))),
+    ]
+    for one, draw in draws:
+        sims = [random_similitude(rng, one) for _ in range(10)]
+        broken = []
+        for m in sims:
+            # c_j + c_partner(i) changes <c_i, c_j> and no other pair i < j
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+                broken.append(tuple(
+                    tuple(x + row[partner[i]] if k == j else x
+                          for k, x in enumerate(row)) for row in m))
+        # columns in the Lagrangian span(e1, e2) have every pairing 0
+        null = [tuple(tuple(draw() if r < 2 else one - one for _ in range(4))
+                      for r in range(4)) for _ in range(10)]
+        drawn = [tuple(tuple(draw() for _ in range(4)) for _ in range(4))
+                 for _ in range(40)]
+        for kind, mats in (("similitude", sims), ("one pair broken", broken),
+                           ("nu = 0", null), ("drawn", drawn)):
+            for m in mats:
+                got, want = try_similitude(m), _gram_oracle(m)
+                assert (got is None) == (want is None) and got == want, (
+                    kind, m)
+                if kind != "drawn":
+                    assert (got is not None) == (kind == "similitude"), (
+                        kind, m)
+
+
 def test_similitude_multiplicative():
     rng = random.Random(3)
     for _ in range(20):
@@ -144,6 +188,8 @@ def test_weyl_words_canonical():
         (), (1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2), (1, 2, 1, 2)]
     mats = {w.matrix() for w in ws}
     assert len(mats) == 8
+    # weyl_words keys each word by its image of (2, 3, 7): all 8 differ
+    assert len({weyl_act(w, (F(2), F(3), F(7))) for w in ws}) == 8
     for w in ws:
         assert similitude_of(w.matrix()) == 1
     assert str(ws[0]) == "1" and str(ws[5]) == "s1s2s1"

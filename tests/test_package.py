@@ -456,7 +456,34 @@ def test_every_module_parses_at_the_python_floor():
     modules = sorted((Path(SRC) / "sympkit").rglob("*.py"))
     assert modules
     for path in modules:
-        ast.parse(path.read_text(), str(path), feature_version=version)
+        tree = ast.parse(path.read_text(), str(path), feature_version=version)
+        assert not _starred_after_the_floor(tree), path
+    # feature_version is best-effort: both parse under it at 3.11 or later
+    for snippet in ("def f(*a: *tuple[int]): pass", "t[*a]"):
+        try:
+            tree = ast.parse(snippet, feature_version=version)
+        except SyntaxError:  # an interpreter at the floor refuses it itself
+            continue
+        assert _starred_after_the_floor(tree), snippet
+    assert not _starred_after_the_floor(ast.parse("t[f(*a)]"))
+
+
+def _starred_after_the_floor(tree):
+    """Whether a tree holds the starred forms of 3.11 (PEP 646) that
+    feature_version=(3, 10) lets through: a starred annotation (`*a: *Ts`)
+    or a starred subscript (`t[*a]`).  A starred call inside either, as in
+    `t[f(*a)]`, is 3.10 syntax and passes; a parenthesized `t[(*a,)]`, also
+    3.10, is refused with `t[*a]`, since the two parse alike."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and isinstance(node.annotation,
+                                                    ast.Starred):
+            return True
+        if isinstance(node, ast.Subscript):
+            index = node.slice
+            items = index.elts if isinstance(index, ast.Tuple) else [index]
+            if any(isinstance(x, ast.Starred) for x in items):
+                return True
+    return False
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
