@@ -224,10 +224,8 @@ class FiniteMatrixGroup(_Frozen):
 
 
 def _gauss_sort_key(z):
-    if isinstance(z, GaussianRational):
-        return (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
-    q = Fraction(z)
-    return (q.numerator, q.denominator, 0, 1)
+    "The key of a GaussianRational, the type of every group entry (gauss_mat)."
+    return (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
 
 
 def _mat_sort_key(m):

@@ -98,11 +98,6 @@ class UPoly(_Record):
     def degree(self):
         return len(self.coeffs) - 1  # zero polynomial has degree -1
 
-    def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        raise IndexError(k)
-
     def coeff(self, k):
         "Coefficient of T^k, with zeros beyond the degree."
         if 0 <= k < len(self.coeffs):
@@ -403,10 +398,6 @@ class GaussianRational(Cyclotomic):
         if not n:
             raise ZeroDivisionError("inverse of 0")
         return self._make(4, [a * self.den, -b * self.den], n)
-
-    def __abs__(self):
-        # float modulus; used only by floating diagnostics
-        return float(self.norm()) ** 0.5
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)

@@ -262,9 +262,6 @@ class GroupSet(_Frozen):
     def order(self):
         return _order(self._chain)
 
-    def __len__(self):
-        return self.order
-
     def _holds(self, m):
         "Whether the matrix m of 16 ints mod ell sifts to 1 through the chain."
         return _sift(_columns(m), self._chain, self.ell) is None

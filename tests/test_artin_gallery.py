@@ -7,6 +7,7 @@ import pytest
 from sympkit import _mat
 from sympkit.artin_gallery import (
     SYM3_P,
+    FiniteMatrixGroup,
     endoscopic_embed,
     endoscopic_factor_check,
     gallery_generators,
@@ -23,6 +24,7 @@ from sympkit.artin_gallery import (
     sym3_swap_image,
 )
 from sympkit.exact_arith import GaussianRational, format_gaussian
+from sympkit.families import _chain, _order
 from sympkit.finite_census import mulclose, pack_matrices
 from sympkit.gsp4_core import char_poly, is_in_levi, oddness_normalize, try_similitude
 from sympkit.hecke_l import EulerFactor, endoscopic_spin_factor
@@ -142,12 +144,16 @@ def _reduce_above_5(m):
 def test_reduction_above_5_is_injective_on_the_closures():
     # Minkowski's lemma (Serre 2007): 5 is unramified in Z[i], so reduction
     # at a prime above 5 is injective on the finite subgroups of
-    # GL4(Z[i][1/2]); the F_5 closures must have the exact orders
+    # GL4(Z[i][1/2]), as the kernel of GL4(Z_5) -> GL4(F_5) is torsion-free;
+    # the F_5 closures must have the exact orders.  The Schreier-Sims chain
+    # of families proves them with no code of _dimino, from the generators
+    # alone, and mulclose lists the same chain
     g = gallery_generators()
     names = ("A1", "A2", "A3", "A4", "A5", "T")
     for count, order in ((5, 64), (6, 320)):
-        mats = np.array([_reduce_above_5(g[k]) for k in names[:count]])
-        assert mulclose(mats, 5).size == order
+        mats = [_reduce_above_5(g[k]) for k in names[:count]]
+        assert _order(_chain(mats, 5)) == order
+        assert mulclose(np.array(mats), 5).size == order
     keys = pack_matrices(
         np.array([_reduce_above_5(m) for m in full_group().elements]), 5)
     assert len(set(keys.tolist())) == 320
@@ -227,6 +233,10 @@ def test_quotient_by_sign_structure():
     order, exponent = quotient_by_sign(a_group())
     assert order == 32
     assert exponent == 2
+    # a set that holds a unipotent is no finite group: no power reaches +-I
+    u = gauss_mat(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)))
+    with pytest.raises(ValueError, match="not a finite group"):
+        quotient_by_sign(FiniteMatrixGroup([u], [u, I4]))
 
 
 def test_twist_normalizes_involution_closure():

@@ -257,6 +257,8 @@ def test_upoly_basics():
     z = UPoly([])
     assert z.degree == -1 and not z
     assert UPoly([1, 0, 0]).degree == 0  # trailing zeros stripped
+    with pytest.raises(TypeError):  # a polynomial adds only a polynomial
+        UPoly([1]) + 1
 
 
 def test_upoly_ring_properties():
@@ -303,6 +305,8 @@ def test_cyclotomic_polynomials():
     phi = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 7: 6, 8: 4, 9: 6, 10: 4, 12: 4}
     for n, d in phi.items():
         assert len(cyclotomic_polynomial(n)) - 1 == d
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(0)
 
 
 def test_cyclotomic_ring():
@@ -393,6 +397,9 @@ def test_field_derived_operators(z):
         _mat.mat_inv(((z, 2 * z), (3 * z, 6 * z)))
     m = ((z - z, z.one()), (z, z.one()))  # det -z; the pivot needs a swap
     assert _mat.mat_mul(_mat.mat_inv(m), m) == _mat.identity(2, z.one())
+    assert _mat.mat_pow(m, 3) == _mat.mat_mul(m, _mat.mat_mul(m, m))
+    with pytest.raises(ValueError):  # no inverse power: -1 >> 1 == -1
+        _mat.mat_pow(m, -1)
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

@@ -525,6 +525,9 @@ def test_mulclose_refuses_singular_generators():
     # singular mod ell only, and after an invertible generator
     with pytest.raises(ValueError, match="generator 1 is singular mod 5"):
         mulclose([np.eye(4, dtype=np.int64), np.diag([1, 1, 1, 5])], 5)
+    # and no generator at all
+    with pytest.raises(ValueError, match="need at least one generator"):
+        mulclose([], 3)
 
 
 def test_closures_are_strictly_increasing():

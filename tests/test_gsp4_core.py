@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from sympkit import _mat
-from sympkit._base import PrimeFieldElem
+from sympkit._base import PrimeFieldElem, one_like
 from sympkit.exact_arith import GaussianRational, UPoly
+from sympkit.families import _FAMILIES
 from sympkit.gsp4_core import (
+    _LEVI_ZERO,
     CharacterData,
     GSpElement,
     NotSimilitude,
@@ -57,6 +59,8 @@ def test_similitude_pinned():
         similitude_of(_mat.diag(F(1), F(2), F(3), F(4)))
     assert try_similitude(_mat.diag(F(1), F(2), F(3), F(4))) is None
     assert try_similitude(J) == 1
+    with pytest.raises(ValueError):
+        GSpElement(_mat.identity(3, F(1)))
 
 
 def _gram_oracle(m):
@@ -182,6 +186,115 @@ def test_levi_membership_is_block_exact():
     assert try_similitude(rows) is None or not is_in_levi(rows, "P")
 
 
+def _levi_conditions(m, key):
+    """The block conditions is_in_levi tested beyond its pattern, with nu
+    read from the blocks, or None when they fail: the six column pairs of a
+    matrix on the pattern reduce to them, so they decide a similitude."""
+    inner = ((m[1][1], m[1][3]), (m[3][1], m[3][3]))
+    if key == "P":
+        a = ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
+        d = ((m[2][2], m[2][3]), (m[3][2], m[3][3]))
+        ad = _mat.mat_mul(_mat.transpose(a), d)
+        nu = ad[0][0]
+        ok = _mat.mat_eq(ad, _mat.scalar_mul(nu, _mat.identity(2, one_like(nu))))
+    elif key == "Q":
+        nu = m[0][0] * m[2][2]
+        ok = bool(m[0][0]) and nu == _mat.det(inner)
+    else:
+        nu = _mat.det(((m[0][0], m[0][2]), (m[2][0], m[2][2])))
+        ok = nu == _mat.det(inner)
+    return nu if ok and nu else None
+
+
+def _on_pattern(key, entries, one):
+    "The 4x4 matrix with `entries` (row-major) on the free places of key."
+    free = [(i, j) for i in range(4) for j in range(4)
+            if (i, j) not in _LEVI_ZERO[key]]
+    m = [[one - one] * 4 for _ in range(4)]
+    for (i, j), x in zip(free, entries, strict=True):
+        m[i][j] = x
+    return _mat.freeze(m)
+
+
+def _levi_similitude(key, rnd, gl2):
+    "A seeded similitude on the pattern of P, Q or Hen, from its blocks."
+    a = gl2()
+    one = one_like(a[0][0])
+    if key == "P":  # (A, nu t(A)^-1)
+        d = _mat.scalar_mul(rnd(), _mat.transpose(_mat.mat_inv(a)))
+        return _on_pattern(key, [*a[0], *a[1], *d[0], *d[1]], one)
+    if key == "Q":  # t on e1, B on (e2, e4), det(B) / t on e3
+        t = rnd()
+        return _on_pattern(key, [t, a[0][0], a[0][1], _mat.det(a) / t,
+                                 a[1][0], a[1][1]], one)
+    b = gl2()  # Hen: A on (e1, e3), B on (e2, e4) with det B = det A
+    s = _mat.det(a) / _mat.det(b)
+    b = ((b[0][0] * s, b[0][1] * s), b[1])
+    return _on_pattern(key, [a[0][0], a[0][1], b[0][0], b[0][1],
+                             a[1][0], a[1][1], b[1][0], b[1][1]], one)
+
+
+@pytest.mark.parametrize("one", [F(1), GaussianRational(1),
+                                 PrimeFieldElem(7, 1)],
+                         ids=["Fraction", "GaussianRational", "F7"])
+def test_levi_membership_keeps_the_block_conditions(one):
+    # is_in_levi reads only the pattern of a verified similitude; the block
+    # conditions it dropped stay the oracle: on the pattern they hold iff
+    # the matrix is a similitude, and then is_in_levi holds
+    rng = random.Random(47)
+
+    def rnd():
+        while True:
+            x = one * rng.randint(-4, 4)
+            if isinstance(one, GaussianRational):
+                x += GaussianRational(0, rng.randint(-2, 2))
+            if x:
+                return x
+
+    def gl2():
+        while True:
+            a = tuple(tuple(rnd() for _ in range(2)) for _ in range(2))
+            if _mat.det(a):
+                return a
+
+    breaker = {"P": weyl_s2(one), "Q": weyl_s1(one), "Hen": weyl_s1(one)}
+    for key in ("P", "Q", "Hen"):
+        for _ in range(10):
+            g = _levi_similitude(key, rnd, gl2)
+            assert _levi_conditions(g, key) == similitude_of(g)
+            assert is_in_levi(g, key)
+            # a similitude off the subgroup leaves the pattern
+            off = _mat.mat_mul(g, breaker[key])
+            assert similitude_of(off) == similitude_of(g)  # nu(s1) = nu(s2) = 1
+            assert not is_in_levi(off, key)
+            # drawn entries on the pattern: a similitude iff the conditions
+            m = _on_pattern(key, [one * rng.randint(-2, 2) for _ in
+                                  range(16 - len(_LEVI_ZERO[key]))], one)
+            nu = _levi_conditions(m, key)
+            assert try_similitude(m) == nu
+            if nu is None:
+                with pytest.raises(NotSimilitude):
+                    is_in_levi(m, key)
+            else:
+                assert is_in_levi(m, key)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_levi_patterns_are_the_families_zeros(ell):
+    # families proves LeviB, LeviP, LeviQ and Hen from their zero patterns
+    # (_zeros rows); is_in_levi reads _LEVI_ZERO: the two tables agree, and
+    # every family generator, read over F_ell, passes is_in_levi
+    for tag, key in (("LeviB", "B"), ("LeviP", "P"), ("LeviQ", "Q"),
+                     ("Hen", "Hen")):
+        gens, conditions = _FAMILIES[tag][:2]
+        forced = {divmod(k, 4) for row in conditions(ell)
+                  for k, c in enumerate(row) if c}
+        assert forced == set(_LEVI_ZERO[key]), tag
+        for g in gens(ell):
+            assert is_in_levi([[PrimeFieldElem(ell, x) for x in row]
+                               for row in g], key), (tag, g)
+
+
 def test_weyl_words_canonical():
     ws = weyl_words()
     assert [w.word for w in ws] == [
@@ -286,6 +399,7 @@ def test_infinity_type_solve_pinned():
     assert infinity_type_solve(F(-5, 12), 0) == {(0, 0)}
     assert infinity_type_solve(0, 4) == {(2, 1)}
     assert infinity_type_solve(-1, 0) == set()
+    assert infinity_type_solve(1, 3) == set()  # 17^2 - 4 * 3 is no square
 
 
 def test_infinity_type_roundtrip():
@@ -315,6 +429,9 @@ def test_oddness_random_conjugates():
         for _ in range(8):
             h = random_similitude(rng, one)
             g = _mat.mat_mul(h, _mat.mat_mul(g0, _mat.mat_inv(h)))
+            # the eigenvalue test oddness_normalize dropped, implied by
+            # nu = -1 and g^2 = 1: det(1 - gT) = (1 - T)^2 (1 + T)^2
+            assert char_poly(g) == UPoly([one, 0 * one, -2 * one, 0 * one, one])
             p = oddness_normalize(g)
             assert similitude_of(p.mat) is not None
             assert p.nu == one
@@ -327,6 +444,11 @@ def test_oddness_rejects_bad_inputs():
         oddness_normalize(_mat.identity(4, F(1)))  # nu = +1
     with pytest.raises(ValueError):
         oddness_normalize(torus(F(2), F(1), F(-1)))  # nu = -1 but not an involution
+    one = PrimeFieldElem(7, 1)
+    for g in (_mat.diag(one, -one, one, -one),  # an involution with nu = 1
+              torus(3 * one, one, -one)):  # nu = -1, of order 6
+        with pytest.raises(ValueError):
+            oddness_normalize(g)
 
 
 def test_lambda_rep_pinned():
@@ -419,6 +541,8 @@ def test_moebius_rejects_bad_nu():
     z = _i2_point()
     with pytest.raises(ValueError):
         moebius(_mat.diag(F(1), F(-1), F(-1), F(1)), z)  # nu = -1
+    with pytest.raises(ValueError):  # nu = 1 in F_7, not a rational
+        moebius(_mat.identity(4, PrimeFieldElem(7, 1)), z)
 
 
 def test_standard_generators_are_similitudes():

@@ -204,6 +204,9 @@ def test_lattice_membership():
     assert zw.contains(w12 * 5 - 3)
     with pytest.raises(ValueError):
         zw.contains(i12)
+    for tag in ("Z", "Zi"):  # omega lies in neither Q nor Q(i)
+        with pytest.raises(ValueError):
+            LatticeRing(tag).contains(Cyclotomic(3, [0, 1]))
     with pytest.raises(ValueError):
         LatticeRing("Q")
 

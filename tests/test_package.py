@@ -13,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -533,3 +534,67 @@ def test_the_benchmark_calls_only_names_that_exist(monkeypatch):
 
     missing = {span for span in spans if not resolves(span)}
     assert missing == STALE_SPANS, sorted(missing ^ STALE_SPANS)
+
+
+def _named(tree):
+    """The names a module's code reads, counted: identifiers (Counter
+    "name"), and attributes, imported names and the words of non-docstring
+    string constants that are identifiers or dotted names, such as getattr
+    targets, benchmark spans and the package's export table (Counter
+    "attr", which alone can name a method); and, per function or class
+    name, the same counts inside its own definitions."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+
+    def names(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                yield "name", node.id
+            elif isinstance(node, ast.Attribute):
+                yield "attr", node.attr
+            elif isinstance(node, ast.alias):
+                yield from (("attr", n) for n in node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings
+                  and re.fullmatch(r"[\w.\s]+", node.value)):
+                yield from (("attr", n) for n in
+                            re.findall(r"[A-Za-z_]\w*", node.value))
+
+    reads, inside = Counter(names(tree)), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            inside.update(r for r in names(node) if r[1] == node.name)
+    return reads, inside
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function or class of the package that no code of src/, tests/ or
+    # benchmarks/ names outside its own definition is dead code, and a
+    # method counts as named only when read as an attribute or a string (a
+    # local variable `scale` names no method `scale`); dunder methods are
+    # called by syntax
+    root = Path(__file__).resolve().parents[1]
+    package = Path(SRC) / "sympkit"
+    defined, reads, inside = set(), Counter(), Counter()
+    for path in sorted({*package.rglob("*.py"), *(root / "tests").rglob("*.py"),
+                        *(root / "benchmarks").rglob("*.py")}):
+        tree = ast.parse(path.read_text(), str(path))
+        module_reads, own = _named(tree)
+        reads += module_reads
+        inside += own
+        if path.is_relative_to(package):
+            methods = {id(f) for c in ast.walk(tree)
+                       if isinstance(c, ast.ClassDef) for f in c.body}
+            defined |= {(node.name, ("attr",) if id(node) in methods
+                         else ("attr", "name"))
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not re.fullmatch(r"__\w+__", node.name)}
+    assert defined
+    assert sorted(name for name, kinds in defined
+                  if sum(reads[k, name] - inside[k, name] for k in kinds) <= 0
+                  ) == []
