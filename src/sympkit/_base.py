@@ -1,11 +1,11 @@
 """The F_ell core and the value-type bases of the package.
 
-Primality, the prime fields F_l for odd l (PrimeFieldElem and the two
-searches over it), and the bases every value type derives from: _Frozen
-(fields set once), _Record (one slot-wise equality and hash) and _Field
-(the operators a field derives from its own).  The F_ell subcommands load
-this module and not exact_arith, whose characteristic-0 domains they never
-use.
+Primality, the prime fields F_l for odd l (PrimeFieldElem, the Legendre
+table and the two searches over it), and the bases every value type
+derives from: _Frozen (fields set once), _Record (one slot-wise equality,
+hash and repr) and _Field (the operators a field derives from its own).
+The F_ell subcommands load this module and not exact_arith, whose
+characteristic-0 domains they never use.
 """
 
 import operator
@@ -200,18 +200,22 @@ class PrimeFieldElem(_Field, _Record):
     def __bool__(self):
         return self.val != 0
 
-    def __repr__(self):
-        return "PrimeFieldElem(%d, %d)" % (self.mod, self.val)
+
+def legendre(ell):
+    """(chi, root): the Legendre symbol of each residue mod the odd prime ell
+    and a square root of each square, as lists."""
+    chi = [-1] * ell
+    root = [0] * ell
+    for r in range(ell):
+        chi[r * r % ell], root[r * r % ell] = 1, r
+    chi[0] = 0
+    return chi, root
 
 
 def quadratic_nonresidue(ell):
     """Smallest positive non-square mod ell (an odd prime).  Deterministic."""
     _require_odd_prime(ell)
-    squares = {(x * x) % ell for x in range(ell)}
-    for u in range(1, ell):
-        if u not in squares:
-            return PrimeFieldElem(ell, u)
-    raise ValueError("no non-residue mod %d" % ell)  # unreachable for odd prime
+    return PrimeFieldElem(ell, legendre(ell)[0].index(-1))
 
 
 def solve_sum_of_squares(u):

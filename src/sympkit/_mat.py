@@ -1,9 +1,15 @@
-"""Small dense exact linear algebra on tuples-of-tuples.
+"""Small dense exact linear algebra on tuples-of-tuples, and the GSp4
+conventions every module reads.
 
 Matrices are immutable row tuples over any coefficient domain with +, -, *
 (and / for the routines that need a field).  Nothing here is clever; the
 matrices are 2x2 or 4x4 throughout the package, and every exact solve runs
 on the one Gauss-Jordan elimination, row_reduce.
+
+The conventions, each written once: the form of J = [[0, I2], [-I2, 0]]
+(pairing), the six-pair rule that decides t(m) J m = nu J from it
+(six_pairs, NULL_PAIRS), and the zero patterns of the Levi and endoscopic
+subgroups (LEVI_PATTERNS).
 """
 
 from fractions import Fraction
@@ -134,3 +140,42 @@ def block2(a, b, c, d):
     top = tuple(tuple(a[i]) + tuple(b[i]) for i in range(2))
     bot = tuple(tuple(c[i]) + tuple(d[i]) for i in range(2))
     return top + bot
+
+
+def pairing(x, y):
+    """<x, y> = t(x) J y = x0 y2 + x1 y3 - x2 y0 - x3 y1.  A vector's first
+    axis is its coordinate, so tuples and numpy column arrays (4, ...) pair
+    alike, the latter entry by entry."""
+    return x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]
+
+
+# the column pairs i < j whose form vanishes on a similitude; the other two,
+# (0, 2) and (1, 3), give nu
+NULL_PAIRS = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def six_pairs(form):
+    """(ok, nu) from form(i, j) = <c_i, c_j> on the columns c_i of m: entry
+    (i, j) of t(m) J m is <c_i, c_j>, and the form is alternating, so t(m) J
+    m = nu J iff <c0, c2> = <c1, c3> = nu and the NULL_PAIRS give 0; ok also
+    needs nu != 0.  The values are compared with nu * 0, a zero of their own
+    domain (a PrimeFieldElem equals no int), and joined by &, so numpy
+    arrays of values give an array ok."""
+    nu = form(0, 2)
+    zero = nu * 0
+    ok = (nu != zero) & (form(1, 3) == nu)
+    for i, j in NULL_PAIRS:
+        ok = ok & (form(i, j) == zero)
+    return ok, nu
+
+
+# The block patterns of the Levi subgroups and of the endoscopic subgroup,
+# row by row, 0 where an entry vanishes: "B" the diagonal torus, "P" the
+# Siegel Levi (A, u t(A)^-1), "Q" the Klingen Levi, "Hen" the checkerboard
+# pairs of 2x2 blocks of equal determinant.
+LEVI_PATTERNS = {
+    "B": ("1000", "0100", "0010", "0001"),
+    "P": ("1100", "1100", "0011", "0011"),
+    "Q": ("1000", "0101", "0010", "0101"),
+    "Hen": ("1010", "0101", "1010", "0101"),
+}

@@ -366,8 +366,8 @@ def quotient_by_sign(group):
 
 
 def _pairing(m, i, j):
-    """<c_i, c_j> = x0 y2 + x1 y3 - x2 y0 - x3 y1 for the columns x = c_i,
-    y = c_j of a 4x4 key, as a Gaussian-integer (re, im) pair."""
+    """<c_i, c_j> (_mat.pairing) for the columns c_i, c_j of a 4x4 key, as a
+    Gaussian-integer (re, im) pair."""
     re = im = 0
     for x, y, sign in ((i, 8 + j, 1), (4 + i, 12 + j, 1),
                        (8 + i, j, -1), (12 + i, 4 + j, -1)):
@@ -379,13 +379,13 @@ def _pairing(m, i, j):
 
 def _similitude_count(group):
     """How many 4x4 keys m have t(m) J m = nu J, nu nonzero (try_similitude
-    on d*M), read on the same six column pairs."""
+    on d*M), read on the six column pairs of _mat.six_pairs, which cannot
+    compare (re, im) pairs."""
     count = 0
     for m in group.scaled[1]:
         nu = _pairing(m, 0, 2)
         count += nu != (0, 0) and _pairing(m, 1, 3) == nu and all(
-            _pairing(m, i, j) == (0, 0)
-            for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)))
+            _pairing(m, i, j) == (0, 0) for i, j in _mat.NULL_PAIRS)
     return count
 
 

@@ -77,7 +77,8 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import prod
 
-from ._base import _Frozen, _require_odd_prime, is_prime, quadratic_nonresidue
+from ._base import (_Frozen, _require_odd_prime, is_prime, legendre,
+                    quadratic_nonresidue)
 
 
 def sp4_order(ell):
@@ -92,9 +93,11 @@ class CharPolyHistogram(_Frozen):
     """Census of det(1 - gT) = 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over a set,
     stored once: `nu_classes` maps (c1, c2, c3, c4, nu), nu the similitude
     factor, to a nonzero count; `total` is its sum, the set order, and
-    `classes`, by (c1, c2, c3, c4), is read from it as its sum over nu."""
+    `classes`, by (c1, c2, c3, c4), is read from it as its sum over nu, on
+    first read, and kept in `_classes` for the next (c_eta_M and the greedy
+    cover of ceta each read it)."""
 
-    __slots__ = ("ell", "nu_classes", "total")
+    __slots__ = ("ell", "nu_classes", "total", "_classes")
 
     def __init__(self, ell, nu_classes):
         object.__setattr__(self, "ell", ell)
@@ -103,15 +106,19 @@ class CharPolyHistogram(_Frozen):
 
     @property
     def classes(self):
-        "nu_classes summed over nu, as a new dict."
-        out = {}
-        for key, n in self.nu_classes.items():
-            key = key[:4]
-            if key in out:
-                out[key] += n
-            else:
-                out[key] = n
-        return out
+        "nu_classes summed over nu, one dict that every read shares."
+        try:
+            return self._classes
+        except AttributeError:
+            out = {}
+            for key, n in self.nu_classes.items():
+                key = key[:4]
+                if key in out:
+                    out[key] += n
+                else:
+                    out[key] = n
+            object.__setattr__(self, "_classes", out)
+            return out
 
     def max_class(self):
         return max(self.classes.values())
@@ -177,20 +184,9 @@ def _centralizer_factor(kind, d, e, ell):
     return order, k * e * e, k * e
 
 
-def _legendre(ell):
-    """(chi, root): the Legendre symbol of each residue mod ell and a square
-    root of each square, as lists."""
-    chi = [-1] * ell
-    root = [0] * ell
-    for r in range(ell):
-        chi[r * r % ell], root[r * r % ell] = 1, r
-    chi[0] = 0
-    return chi, root
-
-
 def _gl2_count(ell):
     "c(t, d) of the module docstring, for d != 0 mod ell."
-    chi = _legendre(ell)[0]
+    chi = legendre(ell)[0]
     return lambda t, d: ell * ell + ell * chi[(t * t - 4 * d) % ell]
 
 
@@ -246,7 +242,7 @@ def _family_terms(tag, ell):
             (even(-s, d * d), d, sl2 * c(s, d * d))
             for s in field for d in units))
     if tag in ("Case7", "Case8"):
-        chi, q = _legendre(ell)[0], ell * ell
+        chi, q = legendre(ell)[0], ell * ell
         u = quadratic_nonresidue(ell).val  # the u of families._ext_params
         def norm(a0, a1, b0, b1):  # N f(a0 + a1 sqrt u, b0 + b1 sqrt u)
             return (-2 * a0 % ell, (2 * b0 + a0 * a0 - u * a1 * a1) % ell,
@@ -280,7 +276,7 @@ def _group_terms(ell, group):
     Sp4(F_ell) or GSp4(F_ell), each count the formula of the module
     docstring, with C_Sp(s) the product of the _centralizer_factor of each
     factor of f."""
-    chi, root = _legendre(ell)
+    chi, root = legendre(ell)
     sp4 = sp4_order(ell)
     counts = {}  # factor types -> count, or None when the ranks miss 2
 

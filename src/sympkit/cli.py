@@ -82,7 +82,7 @@ def _cmd_census(args):
     from .census import gsp4_order, sp4_order
 
     hist, oracle = _census(args, "gsp4")
-    classes = hist.classes  # summed over nu on each read
+    classes = hist.classes
     top_key, top_n = max(classes.items(), key=lambda kv: (kv[1], kv[0]))
     results = {
         "ell": args.ell,

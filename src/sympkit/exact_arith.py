@@ -157,21 +157,6 @@ class UPoly(_Record):
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "UPoly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("%s*T" % (c,))
-            else:
-                terms.append("%s*T^%d" % (c, k))
-        return "UPoly(%s)" % " + ".join(terms)
-
 
 @functools.cache
 def cyclotomic_polynomial(n):

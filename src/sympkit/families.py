@@ -15,7 +15,8 @@ from operator import index
 
 from ._base import (PrimeFieldElem, _Frozen, _Record, _require_odd_prime,
                     quadratic_nonresidue, solve_sum_of_squares)
-from ._mat import diag, mat_inv, mat_mul, row_reduce
+from ._mat import (LEVI_PATTERNS, diag, mat_inv, mat_mul, pairing, row_reduce,
+                   six_pairs)
 
 
 def _bits_for(ell):
@@ -236,14 +237,10 @@ def _of_order(chain, order, name):
 
 def _nu(m, ell):
     """nu with t(m) J m = nu J mod ell, nu a unit, for the 4x4 integer matrix
-    m, else 0: the alternating form omega(c_i, c_j) = x0 y2 + x1 y3 - x2 y0 -
-    x3 y1 (x = c_i, y = c_j) on its columns decides on the pairs i < j."""
+    m, else 0: the six column pairs decide (_mat.six_pairs)."""
     c = _columns(_matrix(m, ell))
-    form = {(i, j): (c[i][0] * c[j][2] + c[i][1] * c[j][3] - c[i][2] * c[j][0]
-                     - c[i][3] * c[j][1]) % ell
-            for i in range(4) for j in range(i + 1, 4)}
-    nu = form.pop((0, 2))
-    return nu if form.pop((1, 3)) == nu and not any(form.values()) else 0
+    ok, nu = six_pairs(lambda i, j: pairing(c[i], c[j]) % ell)
+    return nu if ok else 0
 
 
 class GroupSet(_Frozen):
@@ -448,9 +445,10 @@ def _entries(*terms):
     return row
 
 
-def _zeros(*rows):
-    "m[i, j] = 0 wherever the pattern `rows` ('1010', ...) has 0."
-    return lambda ell: [_entries((1, i, j)) for i, row in enumerate(rows)
+def _zeros(key):
+    "m[i, j] = 0 wherever the pattern _mat.LEVI_PATTERNS[key] has 0."
+    return lambda ell: [_entries((1, i, j))
+                        for i, row in enumerate(LEVI_PATTERNS[key])
                         for j, x in enumerate(row) if x == "0"]
 
 
@@ -482,25 +480,25 @@ def _unitary(ell):
 # The orders are standard (R. W. Carter, Finite Groups of Lie Type, 1985).
 _LEVI_P = (  # [[A, 0], [0, t(A)^-1]], A = T, W, diag(g, 1); diag(1, 1, g, g)
     lambda ell: [*_SIEGEL_SL2, *_diags(ell, (1, 0, -1, 0), (0, 0, 1, 1))],
-    _zeros("1100", "1100", "0011", "0011"),
+    _zeros("P"),
     lambda q: q * (q * q - 1) * (q - 1) ** 2)
 _HEN = (  # checkerboard (A, I), (I, A) for A = T, W; (D, D) for D = diag(g, 1)
     lambda ell: [*(_embed((i, a)) for a in (_T, _W) for i in ((0, 2), (1, 3))),
                  *_diags(ell, (1, 1, 0, 0))],
-    _zeros("1010", "0101", "1010", "0101"),
+    _zeros("Hen"),
     lambda q: (q - 1) * (q * (q * q - 1)) ** 2)
 _FAMILIES = {
     # the torus diag(t1, t2, nu/t1, nu/t2)
     "LeviB": (lambda ell: _diags(ell, (1, 0, -1, 0), (0, 1, 0, -1),
                                  (0, 0, 1, 1)),
-              _zeros("1000", "0100", "0010", "0001"),
+              _zeros("B"),
               lambda q: (q - 1) ** 3, None),
     "LeviP": (*_LEVI_P, None),
     # t on e1, B on (e2, e4) and det(B)/t on e3, for (t, B) = (1, T),
     # (1, W), (1, diag(g, 1)) and (g, I)
     "LeviQ": (lambda ell: [*_KLINGEN_SL2,
                            *_diags(ell, (0, 1, 1, 0), (1, 0, -1, 0))],
-              _zeros("1000", "0101", "0010", "0101"),
+              _zeros("Q"),
               lambda q: q * (q * q - 1) * (q - 1) ** 2, None),
     "Hen": (*_HEN, None),
     "Case5": (*_LEVI_P, ([_SWAP], 2)),

@@ -24,6 +24,7 @@ its histogram, like every census, stores nu_classes and reads classes.
 # the siblings first: run from a fresh checkout, a module compiled after
 # numpy is loaded adds its compile to the peak RSS that numpy has raised
 from ._base import _require_odd_prime
+from ._mat import pairing, six_pairs
 from .census import CharPolyHistogram, gsp4_order, sp4_order
 from .families import (GroupSet, _KLINGEN_SL2, _SIEGEL_SL2, _bits_for,
                        _chain, _closed_family, _diags, _order)
@@ -91,28 +92,14 @@ def _mod(x, ell):
     return x
 
 
-def _omega(x, y):
-    "The alternating form t(x) J y over the last axis (length 4), unreduced."
-    return (x[..., 0] * y[..., 2] + x[..., 1] * y[..., 3]
-            - x[..., 2] * y[..., 0] - x[..., 3] * y[..., 1])
-
-
 def _similitude_info(mats, ell):
-    """(mask, nu): which matrices satisfy t(m) J m = nu J with nu a unit.
-
-    Entry (i, j) of t(m) J m is omega(c_i, c_j) for the columns c_i, and the
-    form is alternating, so the identity is the six column pairs i < j:
-    omega(c0, c2) = omega(c1, c3) = nu and zero on the other four.  The
-    matrices are signed integers of at least 16 bits, in which the form
-    values, below 2 * 12^2 for entries below ell <= 13, are exact: the
-    checks and the census pass int16."""
-    m = np.asarray(mats)
-    cols = [m[:, :, i] for i in range(4)]
-    nu = _mod(_omega(cols[0], cols[2]), ell)
-    mask = (nu != 0) & (_mod(_omega(cols[1], cols[3]), ell) == nu)
-    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
-        mask &= _mod(_omega(cols[i], cols[j]), ell) == 0
-    return mask, nu
+    """(mask, nu): which matrices satisfy t(m) J m = nu J with nu a unit, by
+    the six column pairs (_mat.six_pairs), each column c of the (N, 4, 4)
+    matrices a (4, N) array.  The matrices are signed integers of at least
+    16 bits, in which the form values, below 2 * 12^2 for entries below
+    ell <= 13, are exact: the checks and the census pass int16."""
+    c = np.asarray(mats).T  # c[i][r] is entry (r, i) of every matrix
+    return six_pairs(lambda i, j: _mod(pairing(c[i], c[j]), ell))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """The symplectic similitude group GSp4 over exact coefficient domains.
 
-Conventions fixed here and used everywhere else:
+Conventions used everywhere else, the first three written once in _mat:
 
 * J = [[0, I2], [-I2, 0]]; g is a similitude iff t(g) J g = nu(g) J.
-* The pairing of column vectors is <x, y> = x1 y3 + x2 y4 - x3 y1 - x4 y2.
-  Entry (i, j) of t(g) J g is <c_i, c_j> for the columns c_i, and the form
-  is alternating, so the identity is read on the six pairs i < j:
-  <c1, c3> = <c2, c4> = nu != 0, and <c1, c2> = <c1, c4> = <c2, c3> =
-  <c3, c4> = 0.
+* The pairing of column vectors is <x, y> = t(x) J y (_mat.pairing), and
+  the identity is read on the six column pairs i < j (_mat.six_pairs):
+  <c0, c2> = <c1, c3> = nu != 0, and 0 on the other four.
+* The Levi and endoscopic subgroups are zero patterns (_mat.LEVI_PATTERNS).
 * Characteristic polynomials are det(1 - g T) = 1 + c1 T + ... + c4 T^4
   (constant term first); for a similitude c3 = nu c1 and c4 = nu^2.
 * The torus is t(t1, t2, t0) = diag(t1, t2, t0/t1, t0/t2); the two Weyl
@@ -28,18 +27,11 @@ class NotSimilitude(ValueError):
     pass
 
 
-def pairing(x, y):
-    return x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]
-
-
 def try_similitude(m):
     "nu with t(m) J m = nu J, or None, from the six column pairs."
     c = _mat.transpose(m)
-    nu = pairing(c[0], c[2])
-    if nu and pairing(c[1], c[3]) == nu and not any(
-            pairing(c[i], c[j]) for i, j in ((0, 1), (0, 3), (1, 2), (2, 3))):
-        return nu
-    return None
+    ok, nu = _mat.six_pairs(lambda i, j: _mat.pairing(c[i], c[j]))
+    return nu if ok else None
 
 
 def similitude_of(m):
@@ -135,13 +127,10 @@ def char_poly(g):
     return UPoly(coeffs)
 
 
-_LEVI_ZERO = {
-    "B": [(i, j) for i in range(4) for j in range(4) if i != j],
-    "P": [(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)],
-    "Q": [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3),
-          (3, 0), (3, 2)],
-    "Hen": [(0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)],
-}
+# the entries (i, j) that vanish on each pattern of _mat.LEVI_PATTERNS
+_LEVI_ZERO = {key: [(i, j) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x == "0"]
+              for key, rows in _mat.LEVI_PATTERNS.items()}
 
 
 def is_in_levi(g, which):
@@ -338,7 +327,7 @@ def oddness_normalize(g):
 
     (p1, p4), minus = plane(one), plane(-one)
     # pair[j][i] = <(p1, p4)[i], minus[j]>, so pair^-1 minus has rows p3, -p2
-    pair = tuple(tuple(pairing(u, v) for u in (p1, p4)) for v in minus)
+    pair = tuple(tuple(_mat.pairing(u, v) for u in (p1, p4)) for v in minus)
     p3, neg_p2 = _mat.mat_mul(_mat.mat_inv(pair), minus)
     p = _mat.transpose((p1, tuple(-x for x in neg_p2), p3, p4))
     target = _mat.diag(one, -one, -one, one)
@@ -402,9 +391,6 @@ class SiegelPoint(_Record):
 
     def imag(self):
         return tuple(tuple(x.im for x in row) for row in self.Z)
-
-    def __repr__(self):
-        return "SiegelPoint(%r)" % (self.Z,)
 
 
 def moebius(gamma, Z):

@@ -126,9 +126,6 @@ class EulerFactor(_Record):
         return {"degree": self.degree,
                 "coeffs": [_coeff_str(c) for c in self.coeffs]}
 
-    def __repr__(self):
-        return "EulerFactor(%r)" % (self.poly,)
-
 
 def _coeff_str(c):
     if isinstance(c, (int, Fraction, GaussianRational)):
@@ -202,9 +199,6 @@ class LatticeRing(_Record):
         if tag not in self._TAGS:
             raise ValueError("unknown lattice ring %r (want Z, Zi or Zw)" % (tag,))
         object.__setattr__(self, "tag", tag)
-
-    def __repr__(self):
-        return "LatticeRing(%r)" % (self.tag,)
 
     # -- membership ---------------------------------------------------------
 

@@ -12,6 +12,7 @@ from sympkit._base import (
     format_rational,
     is_odd_prime,
     is_prime,
+    legendre,
     one_like,
     quadratic_nonresidue,
     solve_sum_of_squares,
@@ -235,6 +236,23 @@ def test_quadratic_nonresidue_pinned():
     for ell in (3, 5, 7, 11, 13):
         u = quadratic_nonresidue(ell)
         assert all((x * x) % ell != u.val for x in range(ell))
+
+
+def test_legendre_table_at_every_odd_prime_below_100():
+    for ell in filter(is_odd_prime, range(100)):
+        chi, root = legendre(ell)
+        assert len(chi) == len(root) == ell and chi[0] == 0
+        for x in range(ell):
+            for y in range(ell):
+                assert chi[x * y % ell] == chi[x] * chi[y], (ell, x, y)
+        assert chi[ell - 1] == (-1) ** ((ell - 1) // 2)
+        assert chi.count(-1) == (ell - 1) // 2
+        squares = {r * r % ell for r in range(ell)}
+        for x in range(ell):
+            assert (chi[x] >= 0) == (x in squares), (ell, x)
+            if x in squares:
+                assert root[x] ** 2 % ell == x, (ell, x)
+        assert quadratic_nonresidue(ell).val == chi.index(-1)
 
 
 def test_solve_sum_of_squares_pinned():

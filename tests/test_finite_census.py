@@ -15,6 +15,7 @@ import pytest
 import sympkit
 from sympkit import families, finite_census
 from sympkit._base import PrimeFieldElem, is_odd_prime
+from sympkit._mat import pairing
 from sympkit.cli import main
 from sympkit.census import (
     FAMILY_FORMS,
@@ -52,7 +53,6 @@ from sympkit.finite_census import (
     _chain,
     _full_gens,
     _listing,
-    _omega,
     _order,
     _similitude_info,
 )
@@ -250,6 +250,11 @@ def test_charpoly_coeffs_against_permutation_expansion():
         got = charpoly_coeffs(mats, ell)
         for k in range(mats.shape[0]):
             assert tuple(got[k]) == _charpoly_oracle(mats[k], ell)
+
+
+def _omega(x, y):
+    "The alternating form t(x) J y over the last axis (length 4), unreduced."
+    return pairing(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
 
 
 def _gram_predicate(mats, ell):
@@ -780,11 +785,14 @@ def test_census_equals_the_coefficient_reference():
 
 def test_census_classes_are_nu_classes_summed_over_nu():
     # the counts are stored once, by (c1, c2, c3, c4, nu); classes is read
-    # from them, so the two cannot disagree
-    assert CharPolyHistogram.__slots__ == ("ell", "nu_classes", "total")
+    # from them on first read, never given, and kept for the next read
+    assert CharPolyHistogram.__slots__ == ("ell", "nu_classes", "total",
+                                           "_classes")
     h = CharPolyHistogram(3, {(0, 0, 0, 1, 1): 2, (0, 0, 0, 1, 2): 3,
                               (1, 1, 1, 1, 1): 1})
+    assert not hasattr(h, "_classes")
     assert h.classes == {(0, 0, 0, 1): 5, (1, 1, 1, 1): 1}
+    assert h.classes is h._classes
     assert (h.total, h.max_class()) == (6, 5)
     with pytest.raises(AttributeError):
         h.classes = {}

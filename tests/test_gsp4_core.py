@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from sympkit import _mat
+from sympkit.artin_gallery import FiniteMatrixGroup, _similitude_count, gauss_mat
 from sympkit._base import PrimeFieldElem, one_like
 from sympkit.exact_arith import GaussianRational, UPoly
-from sympkit.families import _FAMILIES
+from sympkit.families import _FAMILIES, _nu
+from sympkit.finite_census import _similitude_info
 from sympkit.gsp4_core import (
     _LEVI_ZERO,
     CharacterData,
@@ -105,6 +108,64 @@ def test_try_similitude_matches_the_full_gram():
                 if kind != "drawn":
                     assert (got is not None) == (kind == "similitude"), (
                         kind, m)
+
+
+def _integer_cases(rng):
+    """(kind, 4x4 int matrices): words in integer generators of GSp4 with nu
+    = +-2^k, the same with one of the six column pairs broken, matrices
+    whose columns lie in the Lagrangian span(e1, e2), and drawn matrices."""
+    gens = [unipotent_alpha(1), unipotent_beta(1), weyl_s1(1), weyl_s2(1),
+            _mat.transpose(unipotent_alpha(1)),
+            _mat.transpose(unipotent_beta(1)), similitude_generator(2),
+            _mat.diag(1, 1, -1, -1)]
+    sims = []
+    for _ in range(8):
+        m = _mat.identity(4, 1)
+        for _ in range(rng.randint(3, 10)):
+            m = _mat.mat_mul(m, rng.choice(gens))
+        sims.append(tuple(tuple(int(x) for x in row) for row in m))
+    partner = {0: 2, 1: 3, 2: 0, 3: 1}  # <c_i, c_partner> = +-nu
+    # c_j + c_partner(i) changes <c_i, c_j> by +-nu (or doubles it when
+    # j = partner(i)) and no other pair i < j
+    broken = [tuple(tuple(x + row[partner[i]] if k == j else x
+                          for k, x in enumerate(row)) for row in m)
+              for m in sims
+              for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    null = [tuple(tuple(rng.randint(-6, 6) if r < 2 else 0 for _ in range(4))
+                  for r in range(4)) for _ in range(8)]
+    drawn = [tuple(tuple(rng.randint(-6, 6) for _ in range(4))
+                   for _ in range(4)) for _ in range(30)]
+    return [("similitude", sims), ("one pair broken", broken),
+            ("nu = 0", null), ("drawn", drawn)]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_the_four_similitude_tests_agree_with_the_gram(ell):
+    # families._nu (ints mod ell), finite_census._similitude_info (int16 and
+    # int64), try_similitude (PrimeFieldElem) and the gallery's count (scaled
+    # Gaussian keys, over Z[i]) each read the six column pairs; on the same
+    # seeded integer matrices each decides t(m) J m = nu J as the product
+    # does, all 16 entries compared, in its own ring
+    for kind, mats in _integer_cases(random.Random(49)):
+        reduced = np.array(mats, dtype=np.int64) % ell
+        infos = [_similitude_info(reduced.astype(t), ell)
+                 for t in (np.int16, np.int64)]
+        for k, m in enumerate(mats):
+            gram = _mat.mat_mul(_mat.transpose(m), _mat.mat_mul(J, m))
+            nu = gram[0][2] % ell
+            mod_ok = nu != 0 and all((x - nu * y) % ell == 0 for gx, jx in
+                                     zip(gram, J) for x, y in zip(gx, jx))
+            assert _nu(m, ell) == (nu if mod_ok else 0), (kind, m)
+            for ok, got in infos:
+                assert (ok[k], got[k]) == (mod_ok, nu), (kind, m)
+            over_f = [[PrimeFieldElem(ell, x) for x in row] for row in m]
+            assert try_similitude(over_f) == (
+                PrimeFieldElem(ell, nu) if mod_ok else None), (kind, m)
+            int_ok = bool(gram[0][2]) and gram == _mat.scalar_mul(gram[0][2], J)
+            group = FiniteMatrixGroup([], [gauss_mat(m)])
+            assert _similitude_count(group) == int_ok, (kind, m)
+            if kind != "drawn":
+                assert mod_ok == int_ok == (kind == "similitude"), (kind, m)
 
 
 def test_similitude_multiplicative():

@@ -259,6 +259,8 @@ def test_enumerate_Y_properties():
 
 
 def test_rou_charpolys_counts():
+    with pytest.raises(ValueError, match="need A >= 1"):
+        rou_charpolys(0)
     assert len(rou_charpolys(1)) == 0
     r2 = rou_charpolys(2)
     assert len(r2) == 1

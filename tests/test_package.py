@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import pickle
+import pkgutil
 import random
 import re
 import subprocess
@@ -376,6 +377,124 @@ def test_value_types_copy_and_pickle(make):
             assert twin == obj
         if cls.__hash__ not in (None, object.__hash__):
             assert hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("make", [v[1] for v in VALUES],
+                         ids=[v[0] for v in VALUES])
+def test_value_types_have_a_repr(make):
+    # CharPolyHistogram keeps object's repr; every other type writes or
+    # inherits one of the form Name(...)
+    obj = make()
+    cls, text = type(obj), repr(obj)
+    if cls.__repr__ is object.__repr__:
+        assert text.startswith("<%s.%s object at " % (cls.__module__,
+                                                      cls.__name__))
+    else:
+        assert text.startswith(cls.__name__ + "(") and text.endswith(")")
+
+
+def test_record_repr_is_pinned():
+    # every record but FamilySpec shows its slots (_Record.__repr__)
+    assert repr(sympkit.PrimeFieldElem(7, 3)) == "PrimeFieldElem(mod=7, val=3)"
+    assert repr(sympkit.LatticeRing("Zi")) == "LatticeRing(tag='Zi')"
+
+
+def _all_modules():
+    "Every module of the package, imported."
+    return [importlib.import_module("sympkit." + info.name)
+            for info in pkgutil.iter_modules(sympkit.__path__)]
+
+
+def test_only_familyspec_writes_its_own_record_repr():
+    # _Record.__repr__ is the one repr of a record; FamilySpec keeps its
+    # short form, which test_finite_census pins
+    from sympkit._base import _Record
+
+    _all_modules()
+    seen, todo = set(), [_Record]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            if sub.__module__.startswith("sympkit.") and sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    assert len(seen) >= 8
+    assert sorted(c.__name__ for c in seen if "__repr__" in vars(c)) == [
+        "FamilySpec"]
+
+
+def _last_index(node):
+    "k of a subscript x[k] or x[..., k] with k a constant, else None."
+    if not isinstance(node, ast.Subscript):
+        return None
+    index = node.slice
+    if isinstance(index, ast.Tuple):
+        index = index.elts[-1]
+    return index.value if isinstance(index, ast.Constant) else None
+
+
+def _summands(node, sign=1):
+    "The signed terms of a chain of + and -."
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        right = sign if isinstance(node.op, ast.Add) else -sign
+        return _summands(node.left, sign) + _summands(node.right, right)
+    return [(sign, node)]
+
+
+def _is_form_of_j(node):
+    "Whether node is x[0] y[2] + x[1] y[3] - x[2] y[0] - x[3] y[1], any order."
+    terms = _summands(node)
+    return len(terms) == 4 and all(
+        isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+        for _, t in terms) and {
+        (sign, _last_index(t.left), _last_index(t.right))
+        for sign, t in terms} == {(1, 0, 2), (1, 1, 3), (-1, 2, 0), (-1, 3, 1)}
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_each_gsp4_convention_is_written_once():
+    # the form of J, the four column pairs it gives 0 on, and each Levi
+    # pattern, as rows ("1100", ...) or as the list of its zero entries,
+    # appear once in the code of src/sympkit (_mat); docstrings aside
+    levi = {"B": ("1000", "0100", "0010", "0001"),
+            "P": ("1100", "1100", "0011", "0011"),
+            "Q": ("1000", "0101", "0010", "0101"),
+            "Hen": ("1010", "0101", "1010", "0101")}
+    zeros = {key: {(i, j) for i, row in enumerate(rows)
+                   for j, x in enumerate(row) if x == "0"}
+             for key, rows in levi.items()}
+    forms, nulls = [], []
+    written = Counter()
+    for path in sorted((Path(SRC) / "sympkit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.BinOp) and _is_form_of_j(node):
+                forms.append(where)
+            items = (node.args if isinstance(node, ast.Call) else
+                     node.elts if isinstance(node, (ast.Tuple, ast.List))
+                     else None)
+            if not items:
+                continue
+            value = _literal(ast.Tuple(elts=list(items), ctx=ast.Load()))
+            if value == ((0, 1), (0, 3), (1, 2), (2, 3)):
+                nulls.append(where)
+            for key, rows in levi.items():
+                if value == rows or (
+                        isinstance(value, tuple) and len(value) > 1
+                        and all(isinstance(p, tuple) for p in value)
+                        and set(value) == zeros[key]):
+                    written[key] += 1
+    assert [f.split(":")[0] for f in forms] == ["_mat.py"], forms
+    assert [n.split(":")[0] for n in nulls] == ["_mat.py"], nulls
+    assert written == Counter(dict.fromkeys(levi, 1)), written
+    from sympkit import _mat
+    assert _mat.LEVI_PATTERNS == levi
 
 
 # (a factory of one value from its fields, the fields of one value, the
